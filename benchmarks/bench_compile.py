@@ -17,12 +17,15 @@ ladder, isolating where the speedup comes from:
 
 Float stages must be *bit-identical* to eager (the fused chains replay
 the same ufunc arithmetic in place); the committed JSON is the evidence
-for the compile PR's >=1.5x steady-state claim and
-``check_regressions.py`` gates on it holding.  Int8 drift is checked
-per layer against :meth:`repro.compile.Int8Dense.drift_bound` — the
-analytic worst case, so the check is exact rather than a tuned
-tolerance — and the end-to-end output gap is recorded alongside the
-output scale for context.
+for the >=1.5x steady-state claim.  Int8 drift is checked per layer
+against :meth:`repro.compile.Int8Dense.drift_bound` — the analytic worst
+case, so the check is exact rather than a tuned tolerance — and the
+end-to-end output gap is recorded alongside the output scale for
+context.
+
+Claims: float equivalence, zero steady-state allocations, int8 drift
+inside its bound and the best fused+arena multiple are blocking;
+per-model no-slowdown is a warning (host jitter).
 """
 
 import time
@@ -34,8 +37,9 @@ from repro.compile import CompiledModule, FreshAllocator
 from repro.compile.fusion import Int8GemmStage
 from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
 from repro.nn.sequential import Sequential, mlp
+from repro.runtime.bench import Claim, check
 
-from bench_utils import print_table, save_result
+from bench_utils import assert_claims, print_table, save_result
 
 # Median-of-REPS wall times, INNER full forward passes per rep.  The
 # workloads run at serving batch sizes (the micro-batching scheduler
@@ -46,9 +50,9 @@ from bench_utils import print_table, save_result
 REPS, INNER = 7, 40
 SMOKE_REPS, SMOKE_INNER = 3, 8
 
-# Blocking gate: float compiled stages must match eager to this.
+# Blocking claim: float compiled stages must match eager to this.
 FLOAT_EQUIV_TOL = 1e-9
-# Blocking gate: best fused_arena speedup across models.
+# Blocking claim: best fused_arena speedup across models.
 SPEEDUP_TARGET = 1.5
 
 
@@ -128,7 +132,7 @@ def _int8_layer_drift(artifact: CompiledModule,
 
 
 # --------------------------------------------------------------- the bench
-def run_compile_stages(smoke: bool = False) -> dict:
+def run(smoke: bool = False) -> dict:
     reps, inner = (SMOKE_REPS, SMOKE_INNER) if smoke else (REPS, INNER)
     models: Dict[str, dict] = {}
 
@@ -199,24 +203,52 @@ def _print_stage_table(result: dict) -> None:
         rows)
 
 
+def claims(payload: dict, baseline: dict) -> List[Claim]:
+    out = [Claim("same-model-set",
+                 set(payload["models"]) == set(baseline["models"]), True,
+                 f"models {sorted(payload['models'])}")]
+    best = 0.0
+    for name in sorted(payload["models"]):
+        m = payload["models"][name]
+        stages = m["stages"]
+        # Capture, fusion and the arena must never change a result.
+        worst = max(stages[s]["max_abs_diff"]
+                    for s in ("traced", "fused", "fused_arena"))
+        out.append(Claim(f"float-equivalent-{name}", worst < FLOAT_EQUIV_TOL,
+                         True, f"max |diff| {worst:.2e} "
+                         f"(tol {FLOAT_EQUIV_TOL:.0e})"))
+        # The arena's zero-allocation contract (deterministic).
+        allocs = sum(stages[s]["steady_state_allocations"]
+                     for s in ("fused_arena", "int8"))
+        out.append(Claim(f"zero-steady-allocs-{name}", allocs == 0, True,
+                         f"{allocs} steady-state allocations"))
+        # The drift bound is worst-case math, so any violation is an
+        # arithmetic bug, not jitter.
+        bad = [d["layer"] for d in m["int8_layer_drift"]
+               if d["observed"] > d["bound"]]
+        out.append(Claim(f"int8-within-bound-{name}", not bad, True,
+                         "all layers inside drift bound" if not bad
+                         else f"bound exceeded: {bad}"))
+        # Per-model wall clock is host-dependent; the blocking claim is
+        # the best multiple below.  traced and int8 are excluded by
+        # design: traced prices capture alone and int8 trades wall
+        # clock on this float substrate for the 8x weight-memory win.
+        for s in ("fused", "fused_arena"):
+            out.append(Claim(
+                f"no-slowdown-{name}-{s}", stages[s]["speedup"] >= 1.0,
+                False, f"{stages[s]['speedup']:.2f}x vs baseline "
+                f"{baseline['models'][name]['stages'][s]['speedup']:.2f}x"))
+        best = max(best, stages["fused_arena"]["speedup"])
+    # Fusion + arena planning stays a clear steady-state win somewhere.
+    out.append(Claim("fused-arena-wins", best >= SPEEDUP_TARGET, True,
+                     f"best fused+arena speedup {best:.2f}x "
+                     f"(floor {SPEEDUP_TARGET:.1f}x)"))
+    return out
+
+
 def test_compile_stages(benchmark):
-    result = benchmark.pedantic(run_compile_stages, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    verdict = check("compile_stages", result)
     _print_stage_table(result)
     save_result("bench_compile", result)
-
-    best = 0.0
-    for name, m in result["models"].items():
-        stages = m["stages"]
-        for stage in ("traced", "fused", "fused_arena"):
-            assert stages[stage]["max_abs_diff"] < FLOAT_EQUIV_TOL, \
-                f"{name}/{stage}"
-        for stage in ("fused_arena", "int8"):
-            assert stages[stage]["steady_state_allocations"] == 0, \
-                f"{name}/{stage}"
-        for rec in m["int8_layer_drift"]:
-            assert rec["observed"] <= rec["bound"], \
-                f"{name}/{rec['layer']}: {rec['observed']} > {rec['bound']}"
-        best = max(best, stages["fused_arena"]["speedup"])
-    # The steady-state claim: fusion + arena planning must be a clear
-    # win somewhere; individual models jitter on loaded hosts.
-    assert best >= SPEEDUP_TARGET, f"best fused_arena speedup {best:.2f}x"
+    assert_claims(verdict)

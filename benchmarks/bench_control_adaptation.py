@@ -1,21 +1,317 @@
 """Control-adaptation benchmark — adaptive policy vs static configs.
 
-Thin wrapper around :func:`repro.control.driver.run_control_adaptation`:
-a corruption x load sweep of the same analytic sensing-to-action
-workload under four static operating points and under the declarative
-:class:`repro.control.Controller`.  The committed JSON witnesses the
-control plane's claim — the adaptive policy matches the best static
-config's accuracy at strictly lower energy and Pareto-dominates every
-individual static config — and ``check_regressions.py`` gates on it.
+Sweeps a corruption x load grid and runs the *same* analytic
+sensing-to-action workload under four static configurations and under
+the :class:`~repro.control.Controller`, then compares them on the
+energy-vs-accuracy plane.  The claim the committed JSON witnesses: the
+adaptive policy matches the best static configuration's accuracy at no
+more than its energy, and Pareto-dominates every individual static
+config across the sweep — context-aware reconfiguration beats any
+fixed operating point, the paper's Sec. II/VIII argument made
+measurable.
 
-The sweep is fully analytic (no RNG, no clock reads), so unlike the
-timing benches the payload is bit-reproducible on any host; there are
-no wall-clock fields to jitter.
+The workload is deliberately analytic — the same modelling style as the
+``control_adaptation`` golden scenario — so the benchmark is a pure
+function of this file: no RNG, no wall clock, no kernel dispatch, and
+the payload is bit-reproducible on any host.  Each cycle of an episode:
+
+* detection succeeds iff ``snr = fraction * (1 - 0.85 * severity)``
+  clears the active monitor method's threshold (``exact`` detects at
+  lower snr than ``spsa``, at 3x the compute energy) **and** the
+  micro-batching queue wait ``min(max_wait, (batch-1)/load)`` fits the
+  staleness budget — so the batch knob buys communication energy at
+  high load and costs accuracy at low load;
+* energy = sensing (``fraction^2``) + monitor compute (per method) +
+  communication (per-flush overhead amortized over the effective batch)
+  + a full-coverage recovery re-scan charged for every miss — the
+  operational cost of acting blind.
+
+Static configs pay somewhere: lean configs miss under corruption (and
+then pay recovery energy), robust configs burn sensing/compute on clean
+input, batched configs go stale at low load.  The controller routes
+around all three, which is exactly what the frontier table shows.
+
+The first ``warmup_cycles`` of every episode are excluded from both
+accuracy and energy accounting for *every* config — the standard
+steady-state methodology, and the window in which the controller's
+rules converge (hysteresis crossings settle within two cycles here).
 """
 
-from repro.control.driver import run_control_adaptation
 
-from bench_utils import print_table, save_result
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.control import (
+    ActuatorRegistry,
+    ContextSnapshot,
+    Controller,
+    EnergyWindow,
+    Rule,
+    attr_actuator,
+)
+from repro.hardware.energy import EnergyLedger
+from repro.runtime.bench import Claim, check
+
+from bench_utils import assert_claims, print_table, save_result
+
+PERIOD_S = 0.05
+#: snr = fraction * (1 - SNR_CORRUPTION_GAIN * severity)
+SNR_CORRUPTION_GAIN = 0.85
+#: Detection thresholds per monitor method: exact likelihood regret
+#: detects at lower snr than the SPSA approximation, at higher energy.
+DETECT_THRESHOLD = {"spsa": 0.22, "exact": 0.15}
+MONITOR_COST_MJ = {"spsa": 0.02, "exact": 0.06}
+#: sensing energy = SENSE_COST_MJ * fraction^2 per cycle
+SENSE_COST_MJ = 0.5
+#: communication: one flush overhead amortized over the effective batch
+#: plus a fixed per-item cost
+FLUSH_OVERHEAD_MJ = 0.30
+PER_ITEM_COMM_MJ = 0.02
+#: a missed detection forces a full-coverage recovery re-scan
+MISS_RECOVERY_MJ = 0.5
+#: queue wait beyond this and the observation is too stale to act on
+STALENESS_BUDGET_S = 0.06
+#: micro-batcher deadline: a partial batch flushes after this long
+MAX_WAIT_S = 0.2
+
+
+@dataclass(frozen=True)
+class ControlBenchConfig:
+    """Sweep grid and episode sizing."""
+
+    severities: Tuple[float, ...] = (0.0, 0.25, 0.6, 0.9)
+    loads_rps: Tuple[float, ...] = (5.0, 50.0, 200.0)
+    cycles: int = 160
+    warmup_cycles: int = 8
+    smoke: bool = False
+
+
+# CI-sized grid: corners only, short episodes, same claims.
+SMOKE = ControlBenchConfig(severities=(0.0, 0.9), loads_rps=(5.0, 200.0),
+                           cycles=48, smoke=True)
+
+
+#: The static operating points the adaptive policy is judged against.
+STATIC_CONFIGS: Dict[str, Tuple[float, str, int]] = {
+    # (sensing fraction, monitor method, max batch size)
+    "lean": (0.3, "spsa", 1),
+    "lean_batched": (0.3, "spsa", 8),
+    "robust": (0.9, "exact", 1),
+    "robust_batched": (0.9, "exact", 8),
+}
+
+
+class LoopState:
+    """The three actuated knobs of the analytic loop."""
+
+    def __init__(self, fraction: float = 0.3, method: str = "spsa",
+                 batch: int = 1):
+        self.fraction = fraction
+        self.method = method
+        self.batch = batch
+
+
+def _build_adaptive(state: LoopState) -> Controller:
+    """The declarative policy: boost sensing + go exact under
+    corruption, batch up under load, revert when context clears."""
+    registry = ActuatorRegistry()
+    attr_actuator(registry, "loop.fraction", state, "fraction",
+                  bounds=(0.1, 1.0))
+    attr_actuator(registry, "loop.method", state, "method",
+                  choices=("spsa", "exact"))
+    attr_actuator(registry, "loop.batch", state, "batch", bounds=(1, 16))
+    return Controller([
+        Rule("sensing_boost", signal="trust", actuator="loop.fraction",
+             low=0.55, high=0.92, low_value=0.9, high_value=0.3,
+             cooldown_s=0.1),
+        Rule("regret_method", signal="coverage", actuator="loop.method",
+             low=0.4, high=0.6, low_value="spsa", high_value="exact"),
+        Rule("batching", signal="load", actuator="loop.batch",
+             low=20.0, high=100.0, low_value=1, high_value=8),
+    ], registry, enabled=True)
+
+
+def _cycle(state: LoopState, severity: float, load: float,
+           ledger: EnergyLedger) -> Tuple[bool, float]:
+    """One analytic cycle: charge the ledger, return (detected, trust)."""
+    snr = state.fraction * (1.0 - SNR_CORRUPTION_GAIN * severity)
+    wait_s = 0.0 if state.batch <= 1 else min(MAX_WAIT_S,
+                                              (state.batch - 1) / load)
+    detected = (snr >= DETECT_THRESHOLD[state.method]
+                and wait_s <= STALENESS_BUDGET_S)
+    if (state.batch - 1) / load <= MAX_WAIT_S:
+        effective_batch = state.batch
+    else:
+        # The deadline flushes a partial batch: only what arrived.
+        effective_batch = max(1, int(load * MAX_WAIT_S) + 1)
+    ledger.charge_sensing(SENSE_COST_MJ * state.fraction * state.fraction)
+    ledger.charge_compute(MONITOR_COST_MJ[state.method])
+    ledger.charge_communication(FLUSH_OVERHEAD_MJ / effective_batch
+                                + PER_ITEM_COMM_MJ)
+    if not detected:
+        ledger.charge_sensing(MISS_RECOVERY_MJ)
+    trust = min(1.0, max(0.0, 1.0 - severity * (1.05 - state.fraction)))
+    return detected, trust
+
+
+def _run_episode(state: LoopState, severity: float, load: float,
+                 config: ControlBenchConfig,
+                 controller: Optional[Controller] = None) -> Dict[str, Any]:
+    """One sweep point for one config; measured past the warmup window."""
+    ledger = EnergyLedger()
+    window = EnergyWindow(ledger)
+    measured_since: Dict[str, float] = {}
+    detected_measured = 0
+    for i in range(config.cycles):
+        if i == config.warmup_cycles:
+            measured_since = ledger.snapshot()
+        detected, trust = _cycle(state, severity, load, ledger)
+        if i >= config.warmup_cycles:
+            detected_measured += int(detected)
+        if controller is not None:
+            controller.step(ContextSnapshot(
+                t=i * PERIOD_S,
+                signals={"trust": trust,
+                         "coverage": state.fraction,
+                         "load": load,
+                         "energy_window_mj": window.read()["total_mj"]}))
+    measured = ledger.delta(measured_since)
+    cycles = config.cycles - config.warmup_cycles
+    return {
+        "accuracy": detected_measured / cycles,
+        "energy_mj": measured["total_mj"],
+        "energy_per_cycle_mj": measured["total_mj"] / cycles,
+        "sensing_mj": measured["sensing_mj"],
+        "compute_mj": measured["compute_mj"],
+        "communication_mj": measured["communication_mj"],
+        "detected": detected_measured,
+        "cycles": cycles,
+    }
+
+
+def _dominates(a: Dict[str, float], b: Dict[str, float]) -> bool:
+    """Pareto dominance on (accuracy up, energy down)."""
+    return (a["accuracy"] >= b["accuracy"] and a["energy_mj"] <= b["energy_mj"]
+            and (a["accuracy"] > b["accuracy"]
+                 or a["energy_mj"] < b["energy_mj"]))
+
+
+def run(smoke: bool = False) -> Dict[str, Any]:
+    """Run the sweep; returns the JSON payload the claims read.
+
+    Deterministic to the bit: the model is analytic and the controller
+    is pure, so committed results regenerate byte-identically.
+    """
+    cfg = SMOKE if smoke else ControlBenchConfig()
+    points: List[Dict[str, Any]] = []
+    totals: Dict[str, Dict[str, float]] = {
+        name: {"accuracy_sum": 0.0, "energy_mj": 0.0}
+        for name in list(STATIC_CONFIGS) + ["adaptive"]}
+    adaptive_decisions = 0
+    adaptive_steps = 0
+
+    for severity in cfg.severities:
+        for load in cfg.loads_rps:
+            row: Dict[str, Any] = {"severity": severity, "load_rps": load,
+                                   "configs": {}}
+            for name, (fraction, method, batch) in STATIC_CONFIGS.items():
+                result = _run_episode(
+                    LoopState(fraction, method, batch), severity, load, cfg)
+                row["configs"][name] = result
+                totals[name]["accuracy_sum"] += result["accuracy"]
+                totals[name]["energy_mj"] += result["energy_mj"]
+            state = LoopState()
+            controller = _build_adaptive(state)
+            result = _run_episode(state, severity, load, cfg, controller)
+            result["decisions"] = [
+                {"rule": d.rule, "old": d.old, "new": d.new, "t": d.t}
+                for d in controller.decisions]
+            row["configs"]["adaptive"] = result
+            totals["adaptive"]["accuracy_sum"] += result["accuracy"]
+            totals["adaptive"]["energy_mj"] += result["energy_mj"]
+            adaptive_decisions += len(controller.decisions)
+            adaptive_steps += controller.steps
+            points.append(row)
+
+    n_points = len(points)
+    aggregate = {
+        name: {"accuracy": t["accuracy_sum"] / n_points,
+               "energy_mj": t["energy_mj"]}
+        for name, t in totals.items()}
+    adaptive = aggregate["adaptive"]
+    statics = {n: aggregate[n] for n in STATIC_CONFIGS}
+    best_static_name = max(
+        statics, key=lambda n: (statics[n]["accuracy"],
+                                -statics[n]["energy_mj"]))
+    best_static = statics[best_static_name]
+    dominated = sorted(n for n in statics
+                       if _dominates(adaptive, statics[n]))
+
+    return {
+        "config": {
+            "severities": list(cfg.severities),
+            "loads_rps": list(cfg.loads_rps),
+            "cycles": cfg.cycles,
+            "warmup_cycles": cfg.warmup_cycles,
+            "smoke": cfg.smoke,
+            "static_configs": {
+                n: {"fraction": f, "method": m, "batch": b}
+                for n, (f, m, b) in STATIC_CONFIGS.items()},
+        },
+        "points": points,
+        "aggregate": aggregate,
+        "adaptive_decisions": adaptive_decisions,
+        "adaptive_steps": adaptive_steps,
+        "best_static": best_static_name,
+        "adaptive_matches_best_accuracy":
+            adaptive["accuracy"] >= best_static["accuracy"],
+        "adaptive_energy_leq_best_static":
+            adaptive["energy_mj"] <= best_static["energy_mj"],
+        "statics_dominated": dominated,
+        "n_statics_dominated": len(dominated),
+        "n_statics": len(statics),
+    }
+
+
+def claims(payload: dict, baseline: dict) -> List[Claim]:
+    agg = payload["aggregate"]
+    best = payload["best_static"]
+    out = [
+        # Adaptation never costs accuracy, and that accuracy comes
+        # cheaper than the most accurate static operating point's.
+        Claim("adaptive-matches-best-accuracy",
+              payload["adaptive_matches_best_accuracy"], True,
+              f"adaptive {agg['adaptive']['accuracy']:.4f} vs {best} "
+              f"{agg[best]['accuracy']:.4f}"),
+        Claim("adaptive-energy-leq-best-static",
+              payload["adaptive_energy_leq_best_static"], True,
+              f"adaptive {agg['adaptive']['energy_mj']:.1f} mJ vs {best} "
+              f"{agg[best]['energy_mj']:.1f} mJ"),
+        # The win is not a vacuous tie: the policy actually fired.
+        Claim("policy-reconfigured", payload["adaptive_decisions"] > 0,
+              True,
+              f"{payload['adaptive_decisions']} decisions over "
+              f"{payload['adaptive_steps']} controller steps"),
+    ]
+    # The sweep has no RNG and no clock reads, so the full run must
+    # regenerate the committed baseline bit-identically: any diff is a
+    # semantics change, not jitter.  No smoke baseline is committed.
+    if not payload["config"]["smoke"]:
+        same = (json.dumps(payload, sort_keys=True)
+                == json.dumps(baseline, sort_keys=True))
+        out.append(Claim(
+            "bit-identical-to-baseline", same, True,
+            "payload matches committed baseline byte-for-byte" if same
+            else "payload differs from the committed baseline"))
+    out.append(Claim(
+        "dominates-every-static",
+        payload["n_statics_dominated"] == payload["n_statics"], True,
+        f"{payload['n_statics_dominated']}/{payload['n_statics']} statics "
+        f"dominated ({', '.join(payload['statics_dominated']) or 'none'})"))
+    return out
 
 
 def _print_frontier_table(result: dict) -> None:
@@ -46,15 +342,8 @@ def _print_frontier_table(result: dict) -> None:
 
 
 def test_control_adaptation(benchmark):
-    result = benchmark.pedantic(run_control_adaptation,
-                                rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    verdict = check("control_adaptation", result)
     _print_frontier_table(result)
     save_result("bench_control_adaptation", result)
-
-    # The blocking claims the committed JSON must keep witnessing.
-    assert result["adaptive_matches_best_accuracy"], result["aggregate"]
-    assert result["adaptive_energy_leq_best_static"], result["aggregate"]
-    assert result["n_statics_dominated"] == result["n_statics"], \
-        result["statics_dominated"]
-    # The policy actually reconfigured — the win is not a vacuous tie.
-    assert result["adaptive_decisions"] > 0
+    assert_claims(verdict)

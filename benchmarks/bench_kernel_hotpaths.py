@@ -4,8 +4,9 @@ Times each ``repro.kernels`` pair (sparse 3-D conv, SNN surrogate-BPTT,
 likelihood regret, BEV matching) on scenario-sized seeded inputs under
 both backends, and records the speedup alongside the numerical gap
 between them.  The committed JSON is the before/after evidence for the
-vectorization PR; ``check_regressions.py`` re-runs this bench and gates
-on the speedups holding and the backends staying equivalent.
+vectorized backend.  Claims: the backends stay numerically equivalent
+and the best speedup stays >= 2x (blocking); per-kernel no-slowdown is
+a warning (wall clock jitters on shared hosts).
 
 The reference backend *is* the pre-vectorization implementation (moved
 verbatim into ``repro.kernels``), so ``reference_s`` here is a faithful
@@ -23,12 +24,17 @@ from repro.neuromorphic.snn import SpikingConv2d
 from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseReLU,
                                SparseSequential, SparseVoxelTensor)
 from repro.nn.vae import VAE
+from repro.runtime.bench import Claim, check
 
-from bench_utils import print_table, save_result
+from bench_utils import assert_claims, print_table, save_result
 
 # Median-of-REPS wall times; first rep warms per-tensor index caches,
 # which is the steady-state the pipelines actually run in.
 REPS = 5
+# Backends must agree to last-ulp drift at scenario-sized inputs.
+EQUIV_TOL = 1e-6
+# The best per-kernel speedup, well under the committed headline.
+SPEEDUP_FLOOR = 2.0
 
 
 def _median_wall_s(fn: Callable[[], object], reps: int = REPS) -> float:
@@ -117,7 +123,8 @@ def _bev_run(backend: str,
 
 
 # --------------------------------------------------------------- the bench
-def run_kernel_hotpaths() -> dict:
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
     results: Dict[str, dict] = {}
 
     model, x = _sparse_conv_setup()
@@ -181,8 +188,32 @@ def _timing(walls: Dict[str, float]) -> dict:
     }
 
 
+def claims(payload: dict, baseline: dict) -> List[Claim]:
+    kernels = payload["kernels"]
+    best = max(r["speedup"] for r in kernels.values())
+    out = [
+        Claim("same-kernel-set", set(kernels) == set(baseline["kernels"]),
+              True, f"kernels {sorted(kernels)}"),
+        # Per-kernel factors jitter with the host; the best must not.
+        Claim("vectorized-wins", best >= SPEEDUP_FLOOR, True,
+              f"best speedup {best:.2f}x (floor {SPEEDUP_FLOOR:.1f}x)"),
+    ]
+    for name in sorted(baseline["kernels"]):
+        if name not in kernels:
+            continue
+        r = kernels[name]
+        out.append(Claim(f"equivalent-{name}", r["max_abs_diff"] < EQUIV_TOL,
+                         True, f"max |diff| {r['max_abs_diff']:.2e}"))
+        out.append(Claim(
+            f"no-slowdown-{name}", r["speedup"] >= 1.0, False,
+            f"{r['speedup']:.2f}x vs baseline "
+            f"{baseline['kernels'][name]['speedup']:.2f}x"))
+    return out
+
+
 def test_kernel_hotpaths(benchmark):
-    result = benchmark.pedantic(run_kernel_hotpaths, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    verdict = check("kernel_hotpaths", result)
     rows = [[name, f"{r['reference_s'] * 1e3:.2f}ms",
              f"{r['vectorized_s'] * 1e3:.2f}ms", f"{r['speedup']:.2f}x",
              f"{r['max_abs_diff']:.2e}"]
@@ -193,9 +224,4 @@ def test_kernel_hotpaths(benchmark):
         ["Kernel", "Reference", "Vectorized", "Speedup", "Max |diff|"],
         rows)
     save_result("bench_kernel_hotpaths", result)
-
-    for name, r in result["kernels"].items():
-        assert r["max_abs_diff"] < 1e-6, name
-    # The vectorization must stay a clear win somewhere; individual
-    # kernels may jitter on loaded CI hosts, the best one must not.
-    assert max(r["speedup"] for r in result["kernels"].values()) >= 1.5
+    assert_claims(verdict)

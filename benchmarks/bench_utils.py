@@ -41,3 +41,15 @@ def print_table(title: str, headers: Sequence[str],
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "tables.txt"), "a") as f:
         f.write(text + "\n")
+
+
+def assert_claims(claims, also: Sequence[str] = ()) -> None:
+    """Print a bench's claims, then assert every blocking one holds,
+    plus the warning-level ones named in ``also``."""
+    for claim in claims:
+        print(f"  {claim}")
+    missing = set(also) - {claim.name for claim in claims}
+    assert not missing, f"no such claims: {sorted(missing)}"
+    failed = [str(claim) for claim in claims
+              if not claim.ok and (claim.blocking or claim.name in also)]
+    assert not failed, failed

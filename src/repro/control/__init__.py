@@ -24,10 +24,9 @@ package closes that loop over the repo's existing machinery:
   ``controller=`` arguments.
 
 ``REPRO_CONTROL=off`` disables every controller in the process.
-``benchmarks/bench_control_adaptation.py`` (via
-:func:`repro.control.driver.run_control_adaptation`) shows the adaptive
-policy riding the energy/accuracy Pareto front across a corruption-and-
-load sweep; ``repro verify`` pins the decision semantics with the
+``benchmarks/bench_control_adaptation.py`` shows the adaptive policy
+riding the energy/accuracy Pareto front across a corruption-and-load
+sweep; ``repro verify`` pins the decision semantics with the
 ``control_adaptation`` golden scenario.
 """
 

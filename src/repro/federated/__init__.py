@@ -16,11 +16,6 @@ from .client import (
     train_client_task,
 )
 from .dcnas import merge_subnetwork, select_hidden_width, slice_weights
-from .driver import (
-    SIM_SPEEDUP_TARGET,
-    FederatedBenchConfig,
-    run_federated_async_benchmark,
-)
 from .halo import PrecisionSelector, candidate_configs
 from .heterogeneity import PROFILE_TIERS, UPLINK_MBPS, make_fleet, uplink_mbps
 from .job_store import JOB_STORE_ENV, JobHandle, JobStore
@@ -37,8 +32,6 @@ __all__ = [
     "AsyncFLServer", "DispatchRecord", "DECAY_KINDS",
     "staleness_decay", "staleness_weights", "participation_weights",
     "JobStore", "JobHandle", "JOB_STORE_ENV",
-    "FederatedBenchConfig", "run_federated_async_benchmark",
-    "SIM_SPEEDUP_TARGET",
     "NGramLM", "speculative_decode", "autoregressive_decode",
     "SpeculativeStats",
 ]

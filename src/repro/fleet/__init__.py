@@ -21,18 +21,15 @@ Layers:
   loop (process- and thread-runnable).
 * :mod:`repro.fleet.fabric` — :class:`ServingFleet`, the process fabric
   tying router, replicas, transport, and telemetry merge together.
-* :mod:`repro.fleet.driver` — the scaling benchmark behind
-  ``repro fleet-bench`` and ``benchmarks/bench_fleet_scaling.py``.
+* :mod:`repro.fleet.runners` — picklable STARNet replica runners
+  (:class:`MonitorRunnerFactory`) and the device-latency floor
+  (:class:`EmulatedServiceRunner`) ``benchmarks/bench_fleet_scaling.py``
+  serves through.
 """
 
-from .driver import (
-    EmulatedServiceRunner,
-    FleetBenchConfig,
-    MonitorRunnerFactory,
-    run_fleet_benchmark,
-)
 from .fabric import FleetReplicaError, RequestShed, ServingFleet
 from .replica import ReplicaSpec, replica_loop, replica_main
+from .runners import EmulatedServiceRunner, MonitorRunnerFactory
 from .scheduler import (
     DEFAULT_LANES,
     ConsistentHashRing,
@@ -49,6 +46,5 @@ __all__ = [
     "SHM_AVAILABLE", "ShmSlab", "shm_available",
     "ReplicaSpec", "replica_loop", "replica_main",
     "RequestShed", "FleetReplicaError", "ServingFleet",
-    "FleetBenchConfig", "MonitorRunnerFactory", "EmulatedServiceRunner",
-    "run_fleet_benchmark",
+    "MonitorRunnerFactory", "EmulatedServiceRunner",
 ]

@@ -11,10 +11,7 @@ tasks, per-worker wall time, and cache hits/misses so ``repro profile``
 sees the speedup.
 """
 
-from .bench import (BENCHES, COMPILE_BENCHES, CONTROL_BENCHES,
-                    DEFAULT_BENCHES, FEDERATED_BENCHES, FLEET_BENCHES,
-                    MICRO_BENCHES, SCENARIO_BENCHES, SERVING_BENCHES,
-                    run_bench, run_suite)
+from .bench import BENCHES, DEFAULT_BENCHES, GATED, Claim, run_bench, run_suite
 from .cache import (
     CACHE_DIR_ENV,
     CACHE_ENV,
@@ -42,7 +39,6 @@ __all__ = [
     "CACHE_DIR_ENV", "CACHE_ENV",
     "spawn_seeds", "spawn_rngs", "assert_private_rngs",
     "SEED_AUDIT_MIN", "SeedCollisionError",
-    "BENCHES", "DEFAULT_BENCHES", "MICRO_BENCHES", "SERVING_BENCHES",
-    "FLEET_BENCHES", "COMPILE_BENCHES", "CONTROL_BENCHES",
-    "FEDERATED_BENCHES", "SCENARIO_BENCHES", "run_bench", "run_suite",
+    "BENCHES", "DEFAULT_BENCHES", "GATED", "Claim", "run_bench",
+    "run_suite",
 ]

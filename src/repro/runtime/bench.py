@@ -1,45 +1,79 @@
-"""Parallel benchmark driver: run the suite's ``run_*`` entry points
-concurrently and aggregate their JSON results.
+"""Bench registry and the one bench contract.
 
-Every benchmark under ``benchmarks/`` exposes a pure ``run_<name>()``
-function (the pytest-benchmark wrapper calls it once and asserts shape
-claims).  Those entry points are independent, fully seeded, and return
-plain dicts — exactly the task contract of
-:class:`~repro.runtime.pool.WorkerPool` — so ``repro bench --workers N``
-fans them out over processes and merges results in registry order.
-Results are **bit-identical for any worker count** because each bench
-seeds itself explicitly; only the wall-clock metadata varies.
+Every benchmark under ``benchmarks/`` exposes a pure, explicitly seeded
+entry point that returns a plain dict.  The *gated* benches (``GATED``)
+share one contract:
 
-The default set covers the fast shape-level benches (the same tier the
-CI regression gate replays); heavier paper artifacts (Table I, Fig. 7,
-Fig. 9) are opt-in by name.
+* ``run(smoke=False) -> payload`` — ``smoke`` selects the seconds-scale
+  CI config; a bench with a single config ignores it;
+* ``claims(payload, baseline) -> [Claim]`` — every pass/fail statement
+  the bench makes about a payload, given its committed
+  ``benchmarks/results/`` baseline.
+
+``repro bench`` and ``benchmarks/check_regressions.py`` both evaluate
+claims through :func:`check` and print them with :func:`print_claims`,
+and both fail if and only if a blocking claim fails; the pytest
+wrappers assert the same claims.  The thresholds live once, in each
+bench module, so the CLI, the gate and the wrappers cannot disagree
+about what "passing" means.
+
+:func:`run_suite` fans benches out over a :class:`WorkerPool`.  Results
+are **bit-identical for any worker count** for the deterministic
+benches, because each bench seeds itself explicitly; only the
+wall-clock metadata varies.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import sys
 import time
+from dataclasses import dataclass
+from types import ModuleType
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .pool import WorkerPool
 
-__all__ = ["BENCHES", "DEFAULT_BENCHES", "MICRO_BENCHES", "SERVING_BENCHES",
-           "FLEET_BENCHES", "COMPILE_BENCHES", "CONTROL_BENCHES",
-           "FEDERATED_BENCHES", "SCENARIO_BENCHES", "run_bench",
-           "run_suite"]
+__all__ = ["Claim", "BENCHES", "DEFAULT_TAG", "DEFAULT_BENCHES", "GATED",
+           "benchmarks_dir", "load_bench", "load_baseline", "select",
+           "run_bench", "run_suite", "check", "print_claims"]
 
-# name -> (module file under benchmarks/, run function). Every function
-# is pure and explicitly seeded; see assert in run_bench.
+
+@dataclass(frozen=True)
+class Claim:
+    """One pass/fail statement a bench makes about its payload.
+
+    A failing *blocking* claim fails the CLI and the gate; a failing
+    warning (``blocking=False``) is reported only — wall-clock ratios
+    and drift against the stored baseline jitter on shared hosts.
+    """
+
+    name: str
+    ok: bool
+    blocking: bool
+    detail: str
+
+    @property
+    def failed(self) -> bool:
+        return self.blocking and not self.ok
+
+    def __str__(self) -> str:
+        status = "ok  " if self.ok else "FAIL" if self.blocking else "warn"
+        return f"[{status}] {self.name}: {self.detail}"
+
+
+# name -> (module file under benchmarks/, run function).  Every function
+# is pure and explicitly seeded; gated benches use ``run(smoke)``.
 BENCHES: Dict[str, Tuple[str, str]] = {
-    "fig1_loop_adaptation": ("bench_fig1_loop_adaptation", "run_fig1"),
+    "fig1_loop_adaptation": ("bench_fig1_loop_adaptation", "run"),
     "fig2_imc": ("bench_fig2_imc", "run_imc"),
-    "fig5a_model_macs": ("bench_fig5a_model_macs", "run_fig5a"),
+    "fig5a_model_macs": ("bench_fig5a_model_macs", "run"),
     "fig5b_disturbance": ("bench_fig5b_disturbance", "run_fig5b"),
     "fig11_federated": ("bench_fig11_federated", "run_fig11"),
     "table2_lidar_energy": ("bench_table2_lidar_energy", "run_table2"),
-    "starnet_auc": ("bench_starnet_auc", "run_auc"),
+    "starnet_auc": ("bench_starnet_auc", "run"),
     "codesign": ("bench_codesign", "run_codesign"),
     "speculative_decoding": ("bench_speculative_decoding",
                              "run_speculative"),
@@ -58,61 +92,42 @@ BENCHES: Dict[str, Tuple[str, str]] = {
     "fig7_starnet_recovery": ("bench_fig7_starnet_recovery", "run_fig7"),
     "fig9_optical_flow": ("bench_fig9_optical_flow", "run_fig9"),
     "ablation_masking": ("bench_ablation_masking", "run_ablation"),
-    "kernel_hotpaths": ("bench_kernel_hotpaths", "run_kernel_hotpaths"),
-    "serving_throughput": ("bench_serving_throughput",
-                           "run_serving_throughput"),
-    "fleet_scaling": ("bench_fleet_scaling", "run_fleet_scaling"),
-    "compile_stages": ("bench_compile", "run_compile_stages"),
-    "control_adaptation": ("bench_control_adaptation",
-                           "run_control_adaptation"),
-    "federated_async": ("bench_federated_async", "run_federated_async"),
-    "scenario_sweep": ("bench_scenario_sweep", "run_scenario_sweep"),
+    "kernel_hotpaths": ("bench_kernel_hotpaths", "run"),
+    "serving_throughput": ("bench_serving_throughput", "run"),
+    "fleet_scaling": ("bench_fleet_scaling", "run"),
+    "compile_stages": ("bench_compile", "run"),
+    "control_adaptation": ("bench_control_adaptation", "run"),
+    "federated_async": ("bench_federated_async", "run"),
+    "scenario_sweep": ("bench_scenario_sweep", "run"),
 }
 
-# The fast, CI-friendly subset (seconds each, minutes total serial).
+# The fast, CI-friendly subset (seconds each, minutes total serial),
+# selected by passing the tag as a name or no name at all.  The timing
+# benches stay out of it: their results are wall clock, and several
+# spawn pools or replica fleets of their own.
+DEFAULT_TAG = "default"
 DEFAULT_BENCHES: Tuple[str, ...] = (
     "fig1_loop_adaptation", "fig2_imc", "fig5a_model_macs", "codesign",
     "speculative_decoding", "multiagent_energy", "fig11_federated",
     "starnet_auc",
 )
 
-# Wall-clock micro-benchmarks (``repro bench --micro``).  Kept out of
-# DEFAULT_BENCHES: their results are timings, so the cross-worker
-# bit-identity promise above does not apply to them.
-MICRO_BENCHES: Tuple[str, ...] = ("kernel_hotpaths",)
-
-# Serving benchmarks (``repro bench --serving``).  Also timing-valued,
-# and they spawn their own service threads — keep them out of the
-# deterministic default set for the same reason as MICRO_BENCHES.
-SERVING_BENCHES: Tuple[str, ...] = ("serving_throughput",)
-
-# Fleet benchmarks (``repro bench --fleet``).  Timing-valued *and*
-# process-spawning (replica fleets of their own), so they must never
-# run nested inside a pool worker by default.
-FLEET_BENCHES: Tuple[str, ...] = ("fleet_scaling",)
-
-# Compile benchmarks (``repro bench --compile`` / ``repro
-# compile-bench``).  Timing-valued like MICRO_BENCHES, so they stay out
-# of the deterministic default set.
-COMPILE_BENCHES: Tuple[str, ...] = ("compile_stages",)
-
-# Control-plane benchmarks (``repro bench --control`` / ``repro
-# control-bench``).  Fully analytic — no RNG, no clock reads — so the
-# payload (not just the results subtree) is bit-identical across runs
-# and hosts; the regression gate diffs it byte-for-byte.
-CONTROL_BENCHES: Tuple[str, ...] = ("control_adaptation",)
-
-# Federated fleet benchmarks (``repro bench --federated`` / ``repro
-# fed-bench``).  The async arm spawns its own worker pools for the
-# cross-worker identity sweep, so like FLEET_BENCHES these must never
-# run nested inside a pool worker by default.
-FEDERATED_BENCHES: Tuple[str, ...] = ("federated_async",)
-
-# Scenario sweep benchmarks (``repro bench --scenarios`` / ``repro
-# scenario-bench``).  The worker-identity curve spawns its own pools,
-# so like FLEET_BENCHES these must never run nested inside a pool
-# worker by default.
-SCENARIO_BENCHES: Tuple[str, ...] = ("scenario_sweep",)
+# Gated benches in gate order: name -> (committed baseline under
+# benchmarks/results/, whether the gate re-runs the smoke config).
+GATED: Dict[str, Tuple[str, bool]] = {
+    "fig1_loop_adaptation": ("fig1_loop_adaptation", False),
+    "starnet_auc": ("starnet_auc", False),
+    "fig5a_model_macs": ("fig5a_model_macs", False),
+    "kernel_hotpaths": ("bench_kernel_hotpaths", False),
+    "serving_throughput": ("bench_serving_throughput", False),
+    "fleet_scaling": ("bench_fleet_scaling", False),
+    "compile_stages": ("bench_compile", False),
+    "control_adaptation": ("bench_control_adaptation", False),
+    "federated_async": ("bench_federated_async", False),
+    # The full 10^4-scenario sweep takes minutes: the gate re-runs the
+    # smoke grid live and reads the scale claim from the committed run.
+    "scenario_sweep": ("bench_scenario_sweep", True),
+}
 
 
 def benchmarks_dir() -> str:
@@ -122,15 +137,19 @@ def benchmarks_dir() -> str:
     return os.path.join(src_parent, "benchmarks")
 
 
-def run_bench(name: str) -> Tuple[str, dict, float]:
-    """Execute one registered bench; returns ``(name, result, wall_s)``.
+def load_bench(name: str) -> ModuleType:
+    """Import a registered bench's module (once per process).
 
-    Module-level and argument-pure so it can cross a process boundary.
+    The module is registered in ``sys.modules`` under its file name —
+    the name pytest gives it too — so dataclasses and pickling resolve
+    it.
     """
     if name not in BENCHES:
         raise KeyError(f"unknown bench {name!r}; choose from "
                        f"{', '.join(sorted(BENCHES))}")
-    module_name, func_name = BENCHES[name]
+    module_name = BENCHES[name][0]
+    if module_name in sys.modules:
+        return sys.modules[module_name]
     bench_dir = benchmarks_dir()
     path = os.path.join(bench_dir, f"{module_name}.py")
     if not os.path.exists(path):
@@ -139,36 +158,82 @@ def run_bench(name: str) -> Tuple[str, dict, float]:
         sys.path.insert(0, bench_dir)  # benches import bench_utils
     spec = importlib.util.spec_from_file_location(module_name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    fn = getattr(module, func_name)
+    sys.modules[module_name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[module_name]
+        raise
+    return module
+
+
+def load_baseline(name: str) -> dict:
+    """The committed ``benchmarks/results/`` payload of a gated bench."""
+    path = os.path.join(benchmarks_dir(), "results", f"{GATED[name][0]}.json")
+    with open(path) as f:
+        return json.load(f)
+
+
+def select(names: Optional[Iterable[str]] = None) -> List[str]:
+    """Resolve bench names (and the ``default`` tag) in order, once each."""
+    selected: List[str] = []
+    for name in list(names or ()) or [DEFAULT_TAG]:
+        for n in DEFAULT_BENCHES if name == DEFAULT_TAG else (name,):
+            if n not in selected:
+                selected.append(n)
+    unknown = [n for n in selected if n not in BENCHES]
+    if unknown:
+        raise KeyError(f"unknown benches: {', '.join(unknown)}; choose "
+                       f"from {DEFAULT_TAG}, {', '.join(sorted(BENCHES))}")
+    return selected
+
+
+def run_bench(name: str, smoke: bool = False) -> Tuple[str, dict, float]:
+    """Execute one registered bench; returns ``(name, result, wall_s)``.
+
+    Module-level and argument-pure so it can cross a process boundary.
+    ``smoke`` reaches only the gated benches; the others have one config.
+    """
+    module = load_bench(name)
+    fn = getattr(module, BENCHES[name][1])
     t0 = time.perf_counter()
-    result = fn()
+    result = fn(smoke) if name in GATED else fn()
     return name, result, time.perf_counter() - t0
 
 
 def run_suite(names: Optional[Iterable[str]] = None,
-              workers: Optional[int] = None) -> dict:
-    """Run benches (default: the fast subset) under a worker pool.
+              workers: Optional[int] = None, smoke: bool = False) -> dict:
+    """Run benches (default: the ``default`` tag) under a worker pool.
 
     Returns ``{"results": {...}, "meta": {...}}`` where ``results`` is
     deterministic (identical for any worker count) and ``meta`` carries
     the timing facts of *this* run.
     """
-    selected: List[str] = list(names) if names else list(DEFAULT_BENCHES)
-    unknown = [n for n in selected if n not in BENCHES]
-    if unknown:
-        raise KeyError(f"unknown benches: {', '.join(unknown)}; choose "
-                       f"from {', '.join(sorted(BENCHES))}")
+    selected = select(names)
     t0 = time.perf_counter()
     with WorkerPool(workers) as pool:
-        outs = pool.map(run_bench, selected, label="bench")
+        outs = pool.starmap(run_bench, [(n, smoke) for n in selected],
+                            label="bench")
     wall_s = time.perf_counter() - t0
     return {
         "results": {name: result for name, result, _ in outs},
         "meta": {
             "workers": pool.workers,
+            "smoke": smoke,
             "host_cpus": os.cpu_count(),
             "wall_s": round(wall_s, 3),
             "bench_wall_s": {name: round(w, 3) for name, _, w in outs},
         },
     }
+
+
+def check(name: str, payload: dict) -> List[Claim]:
+    """A gated bench's claims about ``payload`` vs its committed baseline."""
+    return list(load_bench(name).claims(payload, load_baseline(name)))
+
+
+def print_claims(name: str, claims: List[Claim], file=None) -> None:
+    """The claim report both ``repro bench`` and the gate print."""
+    print(f"{name}:", file=file)
+    for claim in claims:
+        print(f"  {claim}", file=file)

@@ -17,8 +17,8 @@ throughput problem and solves it three ways:
   (byte-identical payloads at any worker count), and corruption stacks
   apply through the fused single-pass ``corruption_stack`` kernel.
 
-``repro scenario-bench`` drives the benchmark
-(:mod:`.driver`); ``repro verify`` holds a golden sweep trace.
+``benchmarks/bench_scenario_sweep.py`` measures the engine;
+``repro verify`` holds a golden sweep trace.
 """
 
 from .engine import SweepResult, evaluate_scenario, run_sweep
@@ -28,12 +28,6 @@ from .evaluators import (
     get_evaluator,
     register_evaluator,
     scan_stats,
-)
-from .driver import (
-    POOL_SCALING_TARGET,
-    WARM_SPEEDUP_TARGET,
-    ScenarioBenchConfig,
-    run_scenario_sweep_benchmark,
 )
 from .spec import PLATFORMS, TRAFFIC, CorruptionStage, Scenario, SweepPlan, stack_grid
 from .store import STORE_DIR_ENV, STORE_LAYOUT_VERSION, ReplayStore
@@ -45,6 +39,4 @@ __all__ = [
     "SweepResult", "evaluate_scenario", "run_sweep",
     "EVALUATORS", "register_evaluator", "get_evaluator",
     "evaluator_names", "scan_stats",
-    "ScenarioBenchConfig", "run_scenario_sweep_benchmark",
-    "WARM_SPEEDUP_TARGET", "POOL_SCALING_TARGET",
 ]

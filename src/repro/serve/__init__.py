@@ -15,11 +15,11 @@ Layers:
   (worker thread + blocking ``submit``).
 * :mod:`repro.serve.services` — batch runners for each pillar and
   loop-facing :class:`Monitor`/:class:`Perception` wrappers.
-* :mod:`repro.serve.driver` — the N-concurrent-loops benchmark behind
-  ``repro serve-bench`` and ``benchmarks/bench_serving_throughput.py``.
+
+``benchmarks/bench_serving_throughput.py`` measures the service against
+serial per-request inference over N concurrent loops.
 """
 
-from .driver import FeatureEnv, ServingBenchConfig, run_serving_benchmark
 from .scheduler import (
     BatchedService,
     BatcherConfig,
@@ -44,5 +44,4 @@ __all__ = [
     "BatchedMonitor", "BatchedPerception", "monitor_runner",
     "compiled_monitor_runner", "detector_runner", "occupancy_runner",
     "flow_runner", "koopman_rollout_runner",
-    "ServingBenchConfig", "FeatureEnv", "run_serving_benchmark",
 ]

@@ -445,7 +445,7 @@ def test_compiled_monitor_runner_rejects_exact_scorer():
 
 
 def test_fleet_factory_rejects_compiled_exact():
-    from repro.fleet.driver import MonitorRunnerFactory
+    from repro.fleet import MonitorRunnerFactory
     with pytest.raises(ValueError, match="exact"):
         MonitorRunnerFactory(compiled=True)  # default scorer is exact
     MonitorRunnerFactory(compiled=True, score_method="recon")  # fine

@@ -1,17 +1,17 @@
-"""Tests for the scenario sweep engine (spec, store, engine, driver)."""
+"""Tests for the scenario sweep engine (spec, store, engine) and its
+benchmark."""
 
 import numpy as np
 import pytest
 
+from repro.runtime.bench import load_bench
 from repro.scenario import (
     PLATFORMS,
     TRAFFIC,
     ReplayStore,
     Scenario,
-    ScenarioBenchConfig,
     SweepPlan,
     evaluate_scenario,
-    run_scenario_sweep_benchmark,
     run_sweep,
     stack_grid,
 )
@@ -159,26 +159,14 @@ def test_severity_zero_stage_is_free_identity():
     assert np.isfinite(list(metrics.values())).all()
 
 
-# ---------------------------------------------------------------- driver
+# ------------------------------------------------------------- benchmark
 def test_driver_smoke_claims():
-    payload = run_scenario_sweep_benchmark(ScenarioBenchConfig.smoke())
+    payload = load_bench("scenario_sweep").run(smoke=True)
     claims = payload["claims"]
     assert claims["identical_across_workers"]
     assert claims["warm_speedup_ok"]
     assert claims["fused_equivalent"]
     assert claims["incremental_only_novel"]
-    assert payload["incremental"]["executed"] == \
-        payload["incremental"]["novel_expected"]
-
-
-def test_driver_max_scenarios_cap():
-    cfg = ScenarioBenchConfig.smoke()
-    from dataclasses import replace
-    payload = run_scenario_sweep_benchmark(replace(cfg, max_scenarios=7))
-    assert payload["n_scenarios"] == 7
-    # The capped widened prefix interleaves cached and novel specs; the
-    # novel-only claim must hold against the key-set difference.
-    assert payload["claims"]["incremental_only_novel"]
     assert payload["incremental"]["executed"] == \
         payload["incremental"]["novel_expected"]
 

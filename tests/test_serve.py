@@ -28,15 +28,14 @@ from repro.core import (
     SystemClock,
     VirtualClock,
 )
+from repro.runtime.bench import load_bench
 from repro.serve import (
     BatchedMonitor,
     BatchedService,
     BatcherConfig,
     MicroBatcher,
     ServiceOverloaded,
-    ServingBenchConfig,
     monitor_runner,
-    run_serving_benchmark,
 )
 
 
@@ -293,10 +292,11 @@ class _SumMonitor:
 
 
 def test_loops_through_batched_monitor_match_direct():
-    from repro.serve.driver import FeatureEnv, _build_loop
+    serving = load_bench("serving_throughput")
+    FeatureEnv, _build_loop = serving.FeatureEnv, serving._build_loop
 
-    config = ServingBenchConfig(n_loops=3, cycles_per_loop=5,
-                                max_batch_size=3, max_wait_ms=20.0)
+    config = serving.ServingBenchConfig(n_loops=3, cycles_per_loop=5,
+                                        max_batch_size=3, max_wait_ms=20.0)
     monitor = _SumMonitor()
 
     direct_loops = [_build_loop(monitor, config)
@@ -337,7 +337,7 @@ def test_loops_through_batched_monitor_match_direct():
 
 
 def test_serving_benchmark_smoke_payload():
-    result = run_serving_benchmark(ServingBenchConfig.smoke())
+    result = load_bench("serving_throughput").run(smoke=True)
     assert result["config"]["requests"] == 16
     assert result["equivalence_ok"], result["equivalence_max_abs_diff"]
     assert result["batched"]["shed"] == 0
