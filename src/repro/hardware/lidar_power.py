@@ -52,7 +52,7 @@ class LidarPowerModel:
 
     def pulse_energy_uj(self, target_range_m: float) -> float:
         """Pulse energy required to hold SNR at ``target_range_m`` (R^4)."""
-        if target_range_m <= 0:
+        if not target_range_m > 0:  # also rejects NaN
             raise ValueError("range must be positive")
         scaled = self.reference_pulse_uj * (
             target_range_m / self.reference_range_m) ** 4
@@ -74,12 +74,29 @@ class LidarPowerModel:
             return 0.0
         if not adaptive:
             return float(ranges_m.size * self.reference_pulse_uj * 1e-3)
-        energies = np.array([self.pulse_energy_uj(r) for r in ranges_m])
-        return float(energies.sum() * 1e-3)
+        return float(self._pulse_energies_uj(ranges_m).sum() * 1e-3)
 
     def mean_pulse_energy_uj(self, ranges_m: np.ndarray) -> float:
         """Average adaptive per-pulse energy over the fired ranges."""
         ranges_m = np.asarray(ranges_m, dtype=np.float64)
         if ranges_m.size == 0:
             return 0.0
-        return float(np.mean([self.pulse_energy_uj(r) for r in ranges_m]))
+        return float(self._pulse_energies_uj(ranges_m).mean())
+
+    def _pulse_energies_uj(self, ranges_m: np.ndarray) -> np.ndarray:
+        """:meth:`pulse_energy_uj` of every range, as one array.
+
+        Bit-for-bit the scalar method's values: the R^4 term is Python's
+        float ``**`` (libm ``pow``, as the scalar path computes it), since
+        numpy's array power can differ in the last ulp.  Range ratios
+        past 1e6 price at the cap either way, and are clipped there so
+        that ``**`` cannot overflow.
+        """
+        ranges_m = np.asarray(ranges_m, dtype=np.float64).ravel()
+        if not (ranges_m > 0).all():  # also rejects NaN
+            raise ValueError("range must be positive")
+        ratios = np.minimum(ranges_m / self.reference_range_m, 1e6)
+        scaled = self.reference_pulse_uj * np.array(
+            [q ** 4 for q in ratios.tolist()])
+        return np.maximum(self.min_pulse_uj,
+                          np.minimum(scaled, self.reference_pulse_uj))

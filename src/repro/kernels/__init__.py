@@ -1,12 +1,14 @@
 """Micro-kernel dispatch: vectorized vs reference numerical hot paths.
 
 The paper's sensing-to-action argument (Sec. II) only holds if the loop
-runs as fast as the substrate allows, yet the repo's three hottest
-numerical paths were interpreter-bound: the submanifold sparse 3-D
-convolution walked Python dicts of ``(i, j, k)`` tuples per layer, SNN
-surrogate-BPTT re-ran one small convolution per timestep, and STARNet's
-likelihood regret optimized one sample at a time.  This package hosts
-**two complete implementations** of each path:
+runs as fast as the substrate allows, yet the repo's hottest numerical
+paths were interpreter-bound: the submanifold sparse 3-D convolution
+walked Python dicts of ``(i, j, k)`` tuples per layer, SNN
+surrogate-BPTT re-ran one small convolution per timestep, STARNet's
+likelihood regret optimized one sample at a time, the LiDAR scanner
+raycast one beam against one box at a time (``lidar_raycast``), and
+voxelization binned one point at a time (``voxelize``).  This package
+hosts **two complete implementations** of each path:
 
 * ``reference``  — the original implementations, moved here verbatim.
   Their op order is untouched, so a run under ``REPRO_KERNELS=reference``
@@ -15,7 +17,9 @@ likelihood regret optimized one sample at a time.  This package hosts
   and whole-batch SPSA.  BLAS re-association means results may differ
   from the reference in the last ulps; ``repro verify`` bounds that
   drift with per-scenario tolerance specs (and still compares the
-  reference backend exactly).
+  reference backend exactly).  The sensing kernels (``lidar_raycast``,
+  ``voxelize``, ``corruption_stack``) and the BEV scatter/match kernels
+  are byte-identical to their references instead.
 
 Selection: the ``REPRO_KERNELS`` environment variable picks the
 process-wide backend (default ``vectorized``); :func:`kernel_backend`
@@ -165,7 +169,9 @@ def kernel_timer(name: str, op: str):
 # so the registry helpers above exist when they run.
 from . import bev_scatter  # noqa: E402,F401
 from . import corruption_stack  # noqa: E402,F401
+from . import lidar_raycast  # noqa: E402,F401
 from . import matching  # noqa: E402,F401
 from . import regret  # noqa: E402,F401
 from . import snn_bptt  # noqa: E402,F401
 from . import sparse_conv  # noqa: E402,F401
+from . import voxelize  # noqa: E402,F401

@@ -1,0 +1,135 @@
+"""Point-cloud voxelization kernels (the R-MAE pipeline's first step).
+
+Reference: the original per-point binning loop from
+``repro.voxel.grid.voxelize``, moved here verbatim — one
+``point_to_voxel`` call per point, then per-voxel means and a majority
+label over each bucket, in first-occurrence order.
+
+Vectorized: binning, bucketing and the majority label are whole-array
+operations.  The output is **byte-identical** to the reference — the
+same voxels in the same dict order, the same feature bytes, the same
+labels — because:
+
+* cell indices are computed with the reference's scalar expression,
+  elementwise, and bounds-checked before the integer cast;
+* each per-voxel mean is taken by ``ndarray.mean`` over a contiguous
+  ``(k, count)`` block of the voxels that hold ``count`` points, whose
+  last-axis reduction sums each row in the same (pairwise) order as the
+  reference's 1-D mean — ``np.add.reduceat`` would sum in another order;
+* the majority label breaks ties towards the smallest id, as
+  ``np.unique`` + ``argmax`` does.
+
+Both backends take ``(N, 4)`` float64 points with finite coordinates
+(``repro.voxel.voxelize`` rejects the others), ``(N,)`` labels and the
+grid config, and return ``(features, labels)`` dicts keyed by voxel
+coordinate.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from . import register_kernel
+
+Coord = Tuple[int, int, int]
+
+
+class ReferenceVoxelize:
+    """Original per-point, per-voxel loop (seed op order)."""
+
+    def voxelize(self, points: np.ndarray, labels: np.ndarray, config):
+        buckets: Dict[Coord, List[int]] = {}
+        for idx in range(points.shape[0]):
+            coord = config.point_to_voxel(points[idx, :3])
+            if coord is not None:
+                buckets.setdefault(coord, []).append(idx)
+
+        sx, sy, sz = config.voxel_size
+        features: Dict[Coord, np.ndarray] = {}
+        vox_labels: Dict[Coord, int] = {}
+        for coord, idxs in buckets.items():
+            pts = points[idxs]
+            center = config.voxel_center(coord)
+            count = len(idxs)
+            mean_intensity = float(pts[:, 3].mean())
+            mean_dz = float((pts[:, 2] - center[2]).mean() / max(sz, 1e-9))
+            mean_range = float(np.hypot(pts[:, 0], pts[:, 1]).mean() / 100.0)
+            features[coord] = np.array(
+                [np.log1p(count), mean_intensity, mean_dz, mean_range])
+            lbls = labels[idxs]
+            fg = lbls[lbls >= 0]
+            if fg.size:
+                vals, counts = np.unique(fg, return_counts=True)
+                vox_labels[coord] = int(vals[np.argmax(counts)])
+            else:
+                vox_labels[coord] = -1
+        return features, vox_labels
+
+
+class VectorizedVoxelize:
+    """Array binning and per-count block means (byte-identical)."""
+
+    def voxelize(self, points: np.ndarray, labels: np.ndarray, config):
+        sz = config.voxel_size[2]
+        cells = []
+        inside = np.ones(points.shape[0], dtype=bool)
+        for col, (low, _), size, n in zip(
+                range(3), (config.x_range, config.y_range, config.z_range),
+                config.voxel_size, config.shape):
+            cell = np.floor((points[:, col] - low) / size)
+            inside &= (0 <= cell) & (cell < n)
+            cells.append(cell)
+        kept = np.flatnonzero(inside)
+        i, j, k = (cell[kept].astype(np.int64) for cell in cells)
+        _, first, inverse, counts = np.unique(
+            (i * config.ny + j) * config.nz + k, return_index=True,
+            return_inverse=True, return_counts=True)
+        # Number voxels by first occurrence: the reference's dict order.
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(by_first.size)
+        voxel = rank[inverse]
+        counts = counts[by_first]
+        heads = first[by_first]
+        # Point indices grouped by voxel, in point order within a voxel.
+        order = kept[np.argsort(voxel, kind="stable")]
+
+        center_z = config.z_range[0] + (k[heads] + 0.5) * sz
+        per_point = np.stack([
+            points[order, 3],
+            points[order, 2] - np.repeat(center_z, counts),
+            np.hypot(points[order, 0], points[order, 1])])
+        means = np.empty((3, counts.size))
+        starts = np.cumsum(counts) - counts
+        for count in np.unique(counts):
+            voxels = np.flatnonzero(counts == count)
+            block = np.take(per_point,
+                            starts[voxels][:, None] + np.arange(count),
+                            axis=1)
+            means[:, voxels] = block.mean(axis=-1)
+        feats = np.stack([np.log1p(counts), means[0],
+                          means[1] / max(sz, 1e-9), means[2] / 100.0],
+                         axis=1)
+
+        major = np.full(counts.size, -1, dtype=np.int64)
+        lbls = labels[kept]
+        fg = lbls >= 0
+        if fg.any():
+            (pv, pl), votes = np.unique(np.stack([voxel[fg], lbls[fg]]),
+                                        axis=1, return_counts=True)
+            # Most votes first, smallest id among ties: each voxel's
+            # first pair after this sort is its majority label.
+            best = np.lexsort((pl, -votes, pv))
+            pv, pl = pv[best], pl[best]
+            lead = np.concatenate(([True], pv[1:] != pv[:-1]))
+            major[pv[lead]] = pl[lead]
+
+        coords = list(zip(i[heads].tolist(), j[heads].tolist(),
+                          k[heads].tolist()))
+        return dict(zip(coords, feats)), dict(zip(coords, major.tolist()))
+
+
+register_kernel("voxelize", "reference", ReferenceVoxelize())
+register_kernel("voxelize", "vectorized", VectorizedVoxelize())

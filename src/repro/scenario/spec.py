@@ -18,9 +18,10 @@ plain frozen value gives the sweep engine everything it needs:
   platforms × traffic × seeds that expands to thousands of scenarios
   without touching the simulator.
 
-``PLATFORMS`` use deliberately small beam grids: the raycast scanner is
-a per-beam Python loop, and sweep throughput comes from scenario count,
-not per-scan resolution.
+``PLATFORMS`` keep the small beam grids they were first swept with:
+the grid is part of every scenario fingerprint, so changing it would
+change every fingerprint, the payload SHAs of the committed sweep
+results and the ``scenario_sweep`` golden.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ __all__ = ["CorruptionStage", "Scenario", "SweepPlan", "stack_grid",
            "PLATFORMS", "TRAFFIC"]
 
 
-# Platform regimes: LiDAR geometry per deployment target.  Small beam
-# grids keep one scenario in the low-millisecond range so 10^4-scenario
-# sweeps stay tractable; relative geometry differences are preserved.
+# Platform regimes: LiDAR geometry per deployment target.  The beam
+# grids stay small because every scenario fingerprint, the committed
+# sweep SHAs and the scenario_sweep golden depend on them; relative
+# geometry differences between platforms are preserved.
 PLATFORMS: Dict[str, Dict[str, float]] = {
     "vehicle": dict(n_azimuth=24, n_elevation=6, max_range_m=120.0,
                     sensor_height_m=1.8),
@@ -112,8 +114,8 @@ class Scenario:
         traffic *parameters* (not just their names — retuning a platform
         invalidates its cached results), seed and evaluator name.  The
         kernel backend is deliberately excluded: the fused corruption
-        stack is bit-identical to the reference, so replayed results are
-        valid under either backend.
+        stack and the raycast are bit-identical to their references, so
+        replayed results are valid under either backend.
         """
         return fingerprint("scenario", self.as_dict(),
                            PLATFORMS[self.platform], TRAFFIC[self.traffic])

@@ -8,12 +8,14 @@ actually fired, and the power model prices each fired pulse.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..hardware.lidar_power import LidarPowerModel
+from ..kernels import get_kernel, kernel_timer
 from .scenes import Scene
 
 __all__ = ["LidarConfig", "LidarScan", "LidarScanner"]
@@ -44,25 +46,33 @@ class LidarConfig:
         """Unit direction vectors for every beam, shape (n_beams, 3).
 
         Beams are ordered azimuth-major: index = az * n_elevation + el.
+        Computed once per distinct config and shared, so the returned
+        array is read-only.
         """
-        az = np.linspace(-np.deg2rad(self.azimuth_fov_deg) / 2,
-                         np.deg2rad(self.azimuth_fov_deg) / 2,
-                         self.n_azimuth, endpoint=False)
-        el = np.linspace(np.deg2rad(self.elevation_min_deg),
-                         np.deg2rad(self.elevation_max_deg),
-                         self.n_elevation)
-        dirs = np.empty((self.n_azimuth * self.n_elevation, 3))
-        i = 0
-        for a in az:
-            ca, sa = np.cos(a), np.sin(a)
-            for e in el:
-                ce, se = np.cos(e), np.sin(e)
-                dirs[i] = (ca * ce, sa * ce, se)
-                i += 1
-        return dirs
+        return _beam_directions(self)
 
     def beam_azimuth_index(self, beam: int) -> int:
         return beam // self.n_elevation
+
+
+@functools.lru_cache(maxsize=64)
+def _beam_directions(cfg: LidarConfig) -> np.ndarray:
+    az = np.linspace(-np.deg2rad(cfg.azimuth_fov_deg) / 2,
+                     np.deg2rad(cfg.azimuth_fov_deg) / 2,
+                     cfg.n_azimuth, endpoint=False)
+    el = np.linspace(np.deg2rad(cfg.elevation_min_deg),
+                     np.deg2rad(cfg.elevation_max_deg),
+                     cfg.n_elevation)
+    dirs = np.empty((cfg.n_azimuth * cfg.n_elevation, 3))
+    i = 0
+    for a in az:
+        ca, sa = np.cos(a), np.sin(a)
+        for e in el:
+            ce, se = np.cos(e), np.sin(e)
+            dirs[i] = (ca * ce, sa * ce, se)
+            i += 1
+    dirs.setflags(write=False)
+    return dirs
 
 
 @dataclass
@@ -139,7 +149,9 @@ class LidarScanner:
 
         ``fired_mask`` selects the subset of beams to emit (all by
         default).  Each beam returns at most one echo: the nearest
-        box-surface or ground intersection within range.
+        box-surface or ground intersection within range.  The raycast
+        runs on the ``lidar_raycast`` kernel; both backends return the
+        same bytes and leave ``rng`` in the same state.
         """
         cfg = self.config
         if fired_mask is None:
@@ -149,46 +161,8 @@ class LidarScanner:
             raise ValueError(
                 f"fired_mask must have shape ({cfg.n_beams},)")
 
-        origin = np.array([0.0, 0.0, cfg.sensor_height_m])
-        pts: List[np.ndarray] = []
-        labels: List[int] = []
-        beams: List[int] = []
-        ranges: List[float] = []
-        for beam in np.flatnonzero(fired_mask):
-            d = self._dirs[beam]
-            best_t, best_obj = np.inf, -1
-            # Ground-plane intersection for downward beams.
-            if d[2] < -1e-9:
-                t_ground = (scene.ground_z - origin[2]) / d[2]
-                if 0 < t_ground < cfg.max_range_m:
-                    best_t, best_obj = t_ground, -1
-            for obj in scene.objects:
-                t = obj.ray_intersect(origin, d)
-                if t is not None and t < best_t and t < cfg.max_range_m:
-                    best_t, best_obj = t, obj.object_id
-            if not np.isfinite(best_t):
-                continue
-            noisy_t = best_t + self.rng.normal(0.0, cfg.range_noise_std_m)
-            noisy_t = max(noisy_t, 0.1)
-            hit = origin + noisy_t * d
-            if best_obj >= 0:
-                reflect = scene.objects[best_obj].reflectivity
-            else:
-                reflect = 0.2
-            # Intensity: reflectivity attenuated by 1/R^2 echo spreading.
-            intensity = reflect / max(noisy_t / 10.0, 1.0) ** 2
-            pts.append(np.array([hit[0], hit[1], hit[2], intensity]))
-            labels.append(best_obj)
-            beams.append(int(beam))
-            ranges.append(noisy_t)
-
-        if pts:
-            points = np.stack(pts)
-        else:
-            points = np.zeros((0, 4))
-        return LidarScan(points=points,
-                         labels=np.asarray(labels, dtype=np.int64),
-                         beam_ids=np.asarray(beams, dtype=np.int64),
-                         fired_mask=fired_mask,
-                         ranges=np.asarray(ranges, dtype=np.float64),
-                         config=cfg)
+        with kernel_timer("lidar_raycast", "scan"):
+            points, labels, beams, ranges = get_kernel("lidar_raycast").scan(
+                cfg, self._dirs, scene, fired_mask, self.rng)
+        return LidarScan(points=points, labels=labels, beam_ids=beams,
+                         fired_mask=fired_mask, ranges=ranges, config=cfg)

@@ -13,6 +13,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..kernels import get_kernel, kernel_timer
+
 __all__ = ["VoxelGridConfig", "VoxelizedCloud", "voxelize"]
 
 Coord = Tuple[int, int, int]
@@ -115,33 +117,20 @@ class VoxelizedCloud:
 
 def voxelize(points: np.ndarray, labels: Optional[np.ndarray] = None,
              config: Optional[VoxelGridConfig] = None) -> VoxelizedCloud:
-    """Aggregate a point cloud (N, 4: x, y, z, intensity) into voxels."""
+    """Aggregate a point cloud (N, 4: x, y, z, intensity) into voxels.
+
+    Runs on the ``voxelize`` kernel; both backends return the same voxels
+    in the same order with the same feature bytes.  Raises ``ValueError``
+    on non-finite coordinates, which have no voxel.
+    """
     config = config or VoxelGridConfig()
     if labels is None:
         labels = np.full(points.shape[0], -1, dtype=np.int64)
-    buckets: Dict[Coord, List[int]] = {}
-    for idx in range(points.shape[0]):
-        coord = config.point_to_voxel(points[idx, :3])
-        if coord is not None:
-            buckets.setdefault(coord, []).append(idx)
-
-    sx, sy, sz = config.voxel_size
-    features: Dict[Coord, np.ndarray] = {}
-    vox_labels: Dict[Coord, int] = {}
-    for coord, idxs in buckets.items():
-        pts = points[idxs]
-        center = config.voxel_center(coord)
-        count = len(idxs)
-        mean_intensity = float(pts[:, 3].mean())
-        mean_dz = float((pts[:, 2] - center[2]).mean() / max(sz, 1e-9))
-        mean_range = float(np.hypot(pts[:, 0], pts[:, 1]).mean() / 100.0)
-        features[coord] = np.array(
-            [np.log1p(count), mean_intensity, mean_dz, mean_range])
-        lbls = labels[idxs]
-        fg = lbls[lbls >= 0]
-        if fg.size:
-            vals, counts = np.unique(fg, return_counts=True)
-            vox_labels[coord] = int(vals[np.argmax(counts)])
-        else:
-            vox_labels[coord] = -1
+    bad = int((~np.isfinite(points[:, :3])).any(axis=1).sum())
+    if bad:
+        raise ValueError(
+            f"voxelize: {bad} point(s) have non-finite x/y/z coordinates")
+    with kernel_timer("voxelize", "voxelize"):
+        features, vox_labels = get_kernel("voxelize").voxelize(
+            points, labels, config)
     return VoxelizedCloud(config, features, vox_labels)

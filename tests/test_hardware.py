@@ -137,11 +137,29 @@ def test_pulse_energy_invalid_range():
         LidarPowerModel().pulse_energy_uj(0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_non_positive_or_nan_range_is_rejected(bad):
+    model = LidarPowerModel()
+    with pytest.raises(ValueError, match="range must be positive"):
+        model.pulse_energy_uj(bad)
+    with pytest.raises(ValueError, match="range must be positive"):
+        model.scan_energy_mj(np.array([10.0, bad]))
+    with pytest.raises(ValueError, match="range must be positive"):
+        model.mean_pulse_energy_uj(np.array([bad, 10.0]))
+
+
 def test_scan_energy_adaptive_below_fixed():
     model = LidarPowerModel()
     ranges = np.linspace(5, 60, 100)
     assert model.scan_energy_mj(ranges, adaptive=True) < \
         model.scan_energy_mj(ranges, adaptive=False)
+    # Array pricing is exactly the scalar pulse_energy_uj, floor and cap
+    # included.
+    ranges = np.concatenate([ranges, np.random.default_rng(0).uniform(
+        0.05, 400.0, 2000), [np.inf, 1e9]])
+    energies = np.array([model.pulse_energy_uj(r) for r in ranges])
+    assert model.scan_energy_mj(ranges) == float(energies.sum() * 1e-3)
+    assert model.mean_pulse_energy_uj(ranges) == float(energies.mean())
 
 
 def test_scan_energy_empty():

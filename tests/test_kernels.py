@@ -28,7 +28,17 @@ from repro.kernels import (
 from repro.neuromorphic.snn import SpikingConv2d
 from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseVoxelTensor)
 from repro.nn.vae import VAE
+from repro.scenario.spec import PLATFORMS
+from repro.sim import (
+    LidarConfig,
+    LidarScanner,
+    Scene,
+    SceneObject,
+    apply_corruption,
+    sample_scene,
+)
 from repro.starnet.likelihood_regret import likelihood_regret_batch
+from repro.voxel import VoxelGridConfig, voxelize
 
 # ---------------------------------------------------------------- dispatch
 
@@ -75,10 +85,10 @@ def test_unknown_kernel_and_backend_errors():
 
 
 def test_registry_covers_the_hot_paths():
-    assert {"sparse_conv3d", "snn_bptt", "likelihood_regret",
-            "bev_match"} <= set(available_kernels())
-    for name in ("sparse_conv3d", "snn_bptt", "likelihood_regret",
-                 "bev_match"):
+    hot = ("sparse_conv3d", "snn_bptt", "likelihood_regret", "bev_match",
+           "lidar_raycast", "voxelize")
+    assert set(hot) <= set(available_kernels())
+    for name in hot:
         for backend in BACKENDS:
             assert get_kernel(name, backend=backend) is not None
 
@@ -238,6 +248,141 @@ def test_bev_match_backends_agree():
         vec = get_kernel("bev_match", backend="vectorized").match_scene(
             preds, gts, 4.0)
         assert ref == vec  # scores and TP flags, exactly
+
+
+# ---------------------------------------------------- LiDAR raycast parity
+#
+# Raycast and voxelization are held to byte identity, not a tolerance:
+# one beam flipping between hit and miss shifts every later noise draw.
+
+RAYCAST_GEOMETRIES = {
+    "table1-64x14-100deg": LidarConfig(n_azimuth=64, n_elevation=14,
+                                       azimuth_fov_deg=100.0),
+    "default-72x20": LidarConfig(),
+    **{name: LidarConfig(**geometry) for name, geometry in PLATFORMS.items()},
+}
+
+
+def _raycast_scenes():
+    def box(center, size=(4.0, 2.0, 1.6), yaw=0.0):
+        return SceneObject("Car", np.array(center), np.array(size), yaw)
+
+    return {
+        "empty": Scene(),
+        # yaw 0: beams along the x axis take the |d| < 1e-12 branch, once
+        # inside the y slab and once outside it.
+        "parallel": Scene([box((15.0, 0.0, 0.8)), box((25.0, 5.0, 0.8))]),
+        "inside": Scene([box((0.0, 0.0, 1.0), size=(6.0, 6.0, 4.0)),
+                         box((12.0, 3.0, 0.8), yaw=0.4)]),
+        "behind": Scene([box((-10.0, 0.0, 0.8), yaw=1.0)]),
+        "street": sample_scene(np.random.default_rng(60)),
+    }
+
+
+def _raycast_masks(n_beams):
+    single = np.zeros(n_beams, dtype=bool)
+    single[n_beams // 2] = True
+    return {"none": None,
+            "random30": np.random.default_rng(61).random(n_beams) < 0.3,
+            "all-false": np.zeros(n_beams, dtype=bool),
+            "single": single}
+
+
+def _scan_bytes(scan):
+    return tuple((a.dtype.str, a.shape, a.tobytes())
+                 for a in (scan.points, scan.labels, scan.beam_ids,
+                           scan.ranges, scan.fired_mask))
+
+
+@pytest.mark.parametrize("geometry", sorted(RAYCAST_GEOMETRIES))
+def test_lidar_raycast_backends_agree(geometry):
+    config = RAYCAST_GEOMETRIES[geometry]
+    # Every geometry has an azimuth-0 beam, so the yaw-0 scene really
+    # exercises the parallel-axis branch.
+    assert (np.abs(config.beam_directions()[:, 1]) < 1e-12).any()
+    hits = 0
+    for scene_name, scene in _raycast_scenes().items():
+        for mask_name, mask in _raycast_masks(config.n_beams).items():
+            out = {}
+            for backend in BACKENDS:
+                rng = np.random.default_rng(62)
+                with kernel_backend(backend):
+                    scan = LidarScanner(config, rng=rng).scan(scene, mask)
+                out[backend] = (_scan_bytes(scan), rng.bit_generator.state)
+            assert out["reference"] == out["vectorized"], (scene_name,
+                                                           mask_name)
+            hits += len(out["reference"][0][0][2])
+    assert hits > 0
+
+
+# ------------------------------------------------------- voxelize parity
+
+
+def _voxelize_cases():
+    config = LidarConfig(n_azimuth=48, n_elevation=10)
+    scan = LidarScanner(config, rng=np.random.default_rng(70)).scan(
+        sample_scene(np.random.default_rng(71)))
+    snow = apply_corruption(scan, "snow", severity=0.8,
+                            rng=np.random.default_rng(72))
+    crosstalk = apply_corruption(scan, "crosstalk", severity=0.6,
+                                 rng=np.random.default_rng(73))
+    assert (snow.labels == -2).any() and (crosstalk.labels == -2).any()
+
+    grid = VoxelGridConfig()
+    sx, sy, sz = grid.voxel_size
+    # Cell edges, the grid's own bounds and points just outside them.
+    edges = np.array([[grid.x_range[0], grid.y_range[0], grid.z_range[0]],
+                      [grid.x_range[1], 0.0, 0.0],
+                      [3 * sx, -2 * sy, grid.z_range[0] + sz],
+                      [-1e-9, 0.0, 0.0],
+                      [10.0, grid.y_range[1], 1.0],
+                      [10.0, 1.0, grid.z_range[1] - 1e-12],
+                      [1e30, -1e30, 0.0]])
+    edges = np.column_stack([edges, np.linspace(0.1, 0.9, len(edges))])
+    rng = np.random.default_rng(74)
+    dense = np.column_stack([rng.uniform(10.0, 10.0 + sx, 40),
+                             rng.uniform(0.0, sy, 40),
+                             rng.uniform(0.5, 0.5 + sz, 40),
+                             rng.random(40)])
+    return {
+        "scan": (scan.points, scan.labels),
+        "no-labels": (scan.points, None),
+        "snow": (snow.points, snow.labels),
+        "crosstalk": (crosstalk.points, crosstalk.labels),
+        "edges": (edges, np.array([0, 1, 1, 2, -2, 3, 4])),
+        "empty": (np.zeros((0, 4)), np.zeros(0, dtype=np.int64)),
+        "single": (np.array([[12.0, 1.0, 1.0, 0.4]]), np.array([3])),
+        # 40 points in one voxel: numpy's pairwise-sum branch (> 8).
+        "dense": (dense, rng.integers(-2, 4, size=40)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_voxelize_cases()))
+def test_voxelize_backends_agree(case):
+    points, labels = _voxelize_cases()[case]
+    out = {}
+    for backend in BACKENDS:
+        with kernel_backend(backend):
+            cloud = voxelize(points, labels)
+        out[backend] = (list(cloud.features),
+                        [(f.dtype.str, f.tobytes())
+                         for f in cloud.features.values()],
+                        list(cloud.point_labels.items()))
+    assert out["reference"] == out["vectorized"]
+    if case == "dense":
+        assert max(np.expm1(f[0]) for f in
+                   voxelize(points, labels).features.values()) > 8.5
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_voxelize_rejects_non_finite_coordinates(backend, bad):
+    points = np.array([[10.0, 0.0, 1.0, 0.5],
+                       [bad, 0.0, 1.0, 0.5],
+                       [11.0, bad, bad, 0.5]])
+    with kernel_backend(backend), pytest.raises(
+            ValueError, match="2 point"):
+        voxelize(points)
 
 
 # -------------------------------------------- sparse tensor representations

@@ -4,8 +4,11 @@ The fused corruption kernel is differentially tested against the
 sequential reference across randomly drawn stacks, severities, and
 seeds; the corruption primitives themselves are checked for the
 invariants the scenario engine relies on (severity-0 exact identity,
-bounded point counts, fired-mask preservation).
+bounded point counts, fired-mask preservation).  Every scan drawn here
+is raycast on both kernel backends and compared byte for byte.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import given, settings
@@ -36,11 +39,21 @@ stack_lists = st.lists(
 
 
 def _scan(seed, n_azimuth=24, n_elevation=4):
+    """One scan, checked byte for byte against the reference raycast."""
     scene_rng, scan_rng = spawn_rngs(seed, 2)
     scene = sample_scene(scene_rng, n_cars=2, n_pedestrians=1,
                          n_buildings=1)
     config = LidarConfig(n_azimuth=n_azimuth, n_elevation=n_elevation)
-    return LidarScanner(config, rng=scan_rng).scan(scene)
+    ref_rng = copy.deepcopy(scan_rng)
+    with kernel_backend("reference"):
+        ref = LidarScanner(config, rng=ref_rng).scan(scene)
+    with kernel_backend("vectorized"):
+        scan = LidarScanner(config, rng=scan_rng).scan(scene)
+    for field in ("points", "labels", "beam_ids", "ranges", "fired_mask"):
+        a, b = getattr(ref, field), getattr(scan, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert ref_rng.bit_generator.state == scan_rng.bit_generator.state
+    return scan
 
 
 @given(st.sampled_from(NAMES), st.integers(0, 500))

@@ -117,6 +117,9 @@ def test_beam_directions_unit_norm():
     dirs = cfg.beam_directions()
     assert dirs.shape == (48, 3)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+    # Shared by every equal config, so callers cannot write to it.
+    assert LidarConfig(n_azimuth=12, n_elevation=4).beam_directions() is dirs
+    assert not dirs.flags.writeable
 
 
 def test_scan_hits_ground():
