@@ -24,8 +24,9 @@ writing any code:
   0 = no blocking claim failed (warnings allowed), 1 = a blocking claim
   failed, 2 = unknown name or unwritable ``--out``;
 * ``cache``             — inspect (``info``) or empty (``clear``) the
-  content-addressed artifact cache that memoizes generated datasets and
-  pretrained R-MAE/VAE/Koopman weights;
+  on-disk stores under ``$REPRO_CACHE_DIR``: the artifact cache that
+  memoizes generated datasets and pretrained R-MAE/VAE/Koopman weights,
+  the scenario replay packs, and the federated jobs;
 * ``verify``            — golden-trace differential verification: replay
   the seven golden scenarios (five paper pillars plus the
   ``control_adaptation`` decision-trace episode and the
@@ -320,27 +321,37 @@ def _run_bench(names, smoke: bool, workers, out: str) -> int:
 
 
 def _run_cache(action: str, as_json: bool) -> int:
-    from repro.runtime import cache_enabled, get_cache
+    from repro.runtime import ArtifactCache, cache_enabled
+    from repro.runtime.store import JobStore, ReplayStore
 
-    cache = get_cache()
+    cache, packs, jobs = ArtifactCache(), ReplayStore(), JobStore()
     if action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached artifact(s) from {cache.root}")
+        print(f"removed {cache.clear()} cached artifact(s), "
+              f"{packs.clear()} replay pack(s) and {jobs.clear()} job(s) "
+              f"from {cache.root}")
         return 0
     info = cache.info()
     info["enabled"] = cache_enabled()
+    info["scenarios"] = packs.info()
+    info["jobs"] = jobs.info()
     if as_json:
         json.dump(info, sys.stdout, indent=2)
         print()
         return 0
-    print(f"artifact cache at {info['root']} "
-          f"({'enabled' if info['enabled'] else 'DISABLED via REPRO_CACHE'})")
-    print(f"  {info['entries']} entries, {info['total_bytes'] / 1e6:.2f} MB")
+    print(f"stores at {info['root']} (artifact cache "
+          f"{'enabled' if info['enabled'] else 'DISABLED via REPRO_CACHE'})")
+    print(f"  artifacts: {info['entries']} entries, "
+          f"{info['total_bytes'] / 1e6:.2f} MB")
     for kind, count in sorted(info["by_kind"].items()):
-        print(f"  {kind:20s} {count} artifact(s)")
-    if not info["entries"]:
-        print("  (empty — caches fill as examples/benchmarks pretrain "
-              "models)")
+        print(f"    {kind:20s} {count} artifact(s)")
+    scenarios, job_info = info["scenarios"], info["jobs"]
+    print(f"  replay packs: {scenarios['packs']} packs, "
+          f"{scenarios['entries']} results, "
+          f"{scenarios['total_bytes'] / 1e6:.2f} MB")
+    print(f"  jobs: {job_info['entries']} jobs, "
+          f"{job_info['total_bytes'] / 1e6:.2f} MB")
+    for status, count in sorted(job_info["by_status"].items()):
+        print(f"    {status:20s} {count} job(s)")
     return 0
 
 
@@ -386,8 +397,8 @@ def main(argv=None) -> int:
                        help="write aggregated results JSON here")
     cache = sub.add_parser(
         "cache",
-        help="inspect or clear the on-disk artifact cache "
-             "($REPRO_CACHE_DIR, default ~/.cache/repro)")
+        help="inspect or clear the on-disk stores: artifacts, replay "
+             "packs and jobs ($REPRO_CACHE_DIR, default ~/.cache/repro)")
     cache.add_argument("action", choices=("info", "clear"))
     cache.add_argument("--json", action="store_true",
                        help="emit machine-readable info")

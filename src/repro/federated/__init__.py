@@ -1,5 +1,6 @@
 """``repro.federated`` — multi-agent federated sensing-action loops (Sec. VII)."""
 
+from ..runtime.store import JobHandle, JobStore
 from .async_sim import (
     DECAY_KINDS,
     AsyncFLServer,
@@ -18,7 +19,6 @@ from .client import (
 from .dcnas import merge_subnetwork, select_hidden_width, slice_weights
 from .halo import PrecisionSelector, candidate_configs
 from .heterogeneity import PROFILE_TIERS, UPLINK_MBPS, make_fleet, uplink_mbps
-from .job_store import JOB_STORE_ENV, JobHandle, JobStore
 from .server import MODES, FLServer, RoundSummary, client_plan, payload_bytes
 from .speculative import NGramLM, SpeculativeStats, autoregressive_decode, speculative_decode
 
@@ -31,7 +31,7 @@ __all__ = [
     "FLServer", "RoundSummary", "MODES", "client_plan", "payload_bytes",
     "AsyncFLServer", "DispatchRecord", "DECAY_KINDS",
     "staleness_decay", "staleness_weights", "participation_weights",
-    "JobStore", "JobHandle", "JOB_STORE_ENV",
+    "JobStore", "JobHandle",
     "NGramLM", "speculative_decode", "autoregressive_decode",
     "SpeculativeStats",
 ]

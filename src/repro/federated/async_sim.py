@@ -25,7 +25,7 @@ it:
   to :func:`participation_weights` (cost-aware: cheap-to-reach clients
   participate more, expensive ones *less often but never never*);
 * **Persistent orchestration** — wire a
-  :class:`~repro.federated.job_store.JobStore` through ``run_async`` and
+  :class:`~repro.runtime.store.JobStore` through ``run_async`` and
   the run becomes resumable: kill it anywhere and a reconstructed engine
   restores the last checkpoint and finishes in a state bit-identical to
   an uninterrupted run.
@@ -418,7 +418,7 @@ class AsyncFLServer(FLServer):
                   on_wave=None) -> Dict[str, Any]:
         """Run until an update/wave budget or accuracy target is met.
 
-        ``store`` (a :class:`~repro.federated.job_store.JobStore`) makes
+        ``store`` (a :class:`~repro.runtime.store.JobStore`) makes
         the run durable: a completed job short-circuits to its stored
         result, and an interrupted one resumes from the last checkpoint
         and finishes bit-identical to an uninterrupted run.  ``on_wave``

@@ -1,8 +1,9 @@
-"""``repro.runtime`` — parallel execution engine and artifact cache.
+"""``repro.runtime`` — parallel execution engine and on-disk stores.
 
 The scaling layer under every other pillar: deterministic process-pool
 fan-out for pure seeded tasks (:class:`WorkerPool`), content-addressed
-on-disk memoization of expensive artifacts (:class:`ArtifactCache`), and
+on-disk memoization of expensive artifacts (:class:`ArtifactCache`,
+built like every other store on :mod:`repro.runtime.store`), and
 explicit per-task seed derivation (:func:`spawn_rngs`).  Federated
 rounds (``FLServer.run_round(pool=...)``), the benchmark suite
 (``repro bench --workers N``), and the R-MAE/VAE/Koopman pretraining
@@ -13,9 +14,7 @@ sees the speedup.
 
 from .bench import BENCHES, DEFAULT_BENCHES, GATED, Claim, run_bench, run_suite
 from .cache import (
-    CACHE_DIR_ENV,
     CACHE_ENV,
-    ArtifactCache,
     cache_enabled,
     cached_build,
     cached_fit,
@@ -31,6 +30,7 @@ from .seeding import (
     spawn_rngs,
     spawn_seeds,
 )
+from .store import CACHE_DIR_ENV, ArtifactCache
 
 __all__ = [
     "WorkerPool", "TaskFailure", "WorkerError", "resolve_workers",

@@ -1,55 +1,55 @@
-"""Content-addressed on-disk artifact cache for expensive recomputation.
+"""Content-addressed memoization of expensive recomputation.
 
 Pretraining an R-MAE, fitting a VAE monitor, or fitting Koopman dynamics
 is deterministic given (hyper-parameters, training data, initial model
 state, RNG state) — yet every benchmark and example recomputes them from
-scratch.  :class:`ArtifactCache` memoizes those artifacts on disk:
+scratch.  :func:`cached_fit` and :func:`cached_build` memoize those
+artifacts as blobs of the :class:`~repro.runtime.store.ArtifactCache`:
 
 * **keys** are SHA-256 fingerprints over the *complete* input closure —
   config, data content, initial parameters, and the RNG's bit-generator
   state — so two invocations collide only when training would produce
   bit-identical output anyway;
-* **writes** are atomic (temp file + ``os.replace``) so a crashed or
-  concurrent run can never leave a half-written entry;
-* **corrupt entries** (truncated files, unpicklable blobs, stale class
-  layouts) are treated as misses, deleted, and recomputed — the cache
-  can only ever cost a recompute, never wrongness;
-* on a **hit** the cached *post-training* RNG state is restored into the
-  caller's generator, so downstream draws are bit-identical whether the
-  artifact was computed or loaded.
+* on a **hit** the cached *post-training* state of every numpy
+  generator reachable from the model is restored into the live
+  generator objects, so downstream draws are bit-identical whether the
+  artifact was computed or loaded, and generators the model shares with
+  its owner stay shared.
 
-Environment knobs: ``REPRO_CACHE_DIR`` relocates the cache (default
-``~/.cache/repro``); ``REPRO_CACHE=0`` disables it entirely.  Hits and
-misses surface as ``runtime.cache_*`` counters on the active
-:mod:`repro.obs` registry and through ``repro cache info``.
+:mod:`repro.runtime.store` owns the on-disk side: atomic writes,
+corrupt-entry eviction, and the ``REPRO_CACHE_DIR`` root.
+``REPRO_CACHE=0`` disables memoization entirely.
 
 The cache keys capture inputs, not code: after editing a training loop,
-``repro cache clear`` (or bumping :data:`CACHE_VERSION`) invalidates old
-artifacts.
+run ``repro cache clear``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import os
 import pickle
-import tempfile
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from ..obs.registry import get_registry
+from .store import ArtifactCache, read, write_atomic
 
 __all__ = [
-    "ArtifactCache", "get_cache", "resolve_cache", "cache_enabled",
-    "cached_fit", "fingerprint", "CACHE_DIR_ENV", "CACHE_ENV",
-    "CACHE_VERSION",
+    "get_cache", "resolve_cache", "cache_enabled", "cached_fit",
+    "cached_build", "fingerprint", "CACHE_ENV", "CACHE_VERSION",
 ]
 
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_ENV = "REPRO_CACHE"
-# Bump to invalidate every existing entry (artifact layout changes).
+# Salt of every fingerprint, and frozen at 3.  A fingerprint is more
+# than a cache key: it is the scenario key and the scenario RNG seed
+# (Scenario.content_seed), the federated job id and
+# weights_fingerprint.  Bumping it would reseed every scenario and move
+# the goldens.  A change to what a store writes bumps
+# repro.runtime.store.LAYOUT instead.
 # v2: entries carry the telemetry counter delta of the elided compute.
 # v3: keys include the active kernel backend, so a cache populated
 #     under one REPRO_KERNELS setting can never replay its (last-ulp
@@ -117,125 +117,6 @@ def fingerprint(*objs: Any) -> str:
     return h.hexdigest()[:24]
 
 
-# ------------------------------------------------------------------ cache
-class ArtifactCache:
-    """Flat directory of ``<kind>-<fingerprint>.pkl`` artifact blobs."""
-
-    def __init__(self, root: Optional[str] = None):
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV, "").strip() or os.path.join(
-                os.path.expanduser("~"), ".cache", "repro")
-        self.root = root
-
-    # ------------------------------------------------------------- keying
-    def key(self, kind: str, **parts: Any) -> str:
-        # The kernel backend is part of every key: reference and
-        # vectorized kernels produce results that differ at the last
-        # ulp, so their trained artifacts must never cross-pollinate.
-        from ..kernels import active_backend
-        return fingerprint(kind, active_backend(), parts)
-
-    def _path(self, kind: str, key: str) -> str:
-        return os.path.join(self.root, f"{kind}-{key}.pkl")
-
-    # -------------------------------------------------------------- store
-    def store(self, kind: str, key: str, payload: Any) -> str:
-        """Atomically persist one artifact; returns its path."""
-        os.makedirs(self.root, exist_ok=True)
-        path = self._path(kind, key)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        obs = get_registry()
-        obs.counter("runtime.cache_writes").inc()
-        obs.counter("runtime.cache_bytes_written").inc(float(len(blob)))
-        return path
-
-    def load(self, kind: str, key: str) -> Optional[Any]:
-        """Fetch an artifact; ``None`` on miss.  Corrupt entries are
-        deleted and reported as misses (with a ``cache_corrupt`` count).
-
-        Safe under concurrent writers: eviction only removes the exact
-        file (by inode) whose read failed.  Without that guard, a reader
-        tripping over a half-visible entry could race a concurrent
-        :meth:`store` — whose atomic ``os.replace`` lands a *fresh,
-        valid* artifact at the same path between the failed read and the
-        unlink — and delete the new entry (a read-modify-write on the
-        directory index that was not atomic).
-        """
-        obs = get_registry()
-        path = self._path(kind, key)
-        corrupt_ino = None
-        try:
-            with open(path, "rb") as f:
-                corrupt_ino = os.fstat(f.fileno()).st_ino
-                payload = pickle.load(f)
-        except FileNotFoundError:
-            obs.counter("runtime.cache_misses").inc()
-            return None
-        except Exception:
-            obs.counter("runtime.cache_corrupt").inc()
-            obs.counter("runtime.cache_misses").inc()
-            try:
-                if (corrupt_ino is not None
-                        and os.stat(path).st_ino == corrupt_ino):
-                    os.unlink(path)
-            except OSError:
-                pass
-            return None
-        obs.counter("runtime.cache_hits").inc()
-        return payload
-
-    # ------------------------------------------------------------- admin
-    def entries(self) -> List[Dict[str, Any]]:
-        out = []
-        if not os.path.isdir(self.root):
-            return out
-        for name in sorted(os.listdir(self.root)):
-            if not name.endswith(".pkl"):
-                continue
-            kind = name.rsplit("-", 1)[0]
-            try:
-                size = os.path.getsize(os.path.join(self.root, name))
-            except OSError:
-                continue
-            out.append({"file": name, "kind": kind, "bytes": size})
-        return out
-
-    def info(self) -> Dict[str, Any]:
-        entries = self.entries()
-        by_kind: Dict[str, int] = {}
-        for e in entries:
-            by_kind[e["kind"]] = by_kind.get(e["kind"], 0) + 1
-        return {
-            "root": self.root,
-            "entries": len(entries),
-            "total_bytes": sum(e["bytes"] for e in entries),
-            "by_kind": by_kind,
-            "files": entries,
-        }
-
-    def clear(self) -> int:
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for name in os.listdir(self.root):
-            if name.endswith((".pkl", ".tmp")):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-
 # -------------------------------------------------------- default policy
 def cache_enabled() -> bool:
     return os.environ.get(CACHE_ENV, "1").strip().lower() not in _FALSEY
@@ -300,6 +181,47 @@ def _replay_counters(delta: Optional[Dict[str, float]]) -> bool:
     return True
 
 
+def _generators(root: Any) -> List[np.random.Generator]:
+    """Every numpy generator reachable from ``root``, in pickle's walk
+    order, each listed once."""
+    found: List[np.random.Generator] = []
+
+    def visit(obj: Any) -> Optional[int]:
+        if not isinstance(obj, np.random.Generator):
+            return None
+        if all(g is not obj for g in found):
+            found.append(obj)
+        return 0  # any id stops pickle from descending into obj
+
+    walker = pickle.Pickler(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
+    walker.persistent_id = visit
+    walker.dump(root)
+    return found
+
+
+def _generator_codec(generators: List[np.random.Generator]):
+    """``(dumps, load)`` for the store that pickle each of ``generators``
+    as its index and load that index back as the live object.  Any other
+    generator pickles by value."""
+    index = {id(g): i for i, g in enumerate(generators)}
+
+    def dumps(record: Any) -> bytes:
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: (
+            index.get(id(obj)) if isinstance(obj, np.random.Generator)
+            else None)
+        pickler.dump(record)
+        return buf.getvalue()
+
+    def load(f: IO[bytes]) -> Any:
+        unpickler = pickle.Unpickler(f)
+        unpickler.persistent_load = generators.__getitem__
+        return unpickler.load()
+
+    return dumps, load
+
+
 def cached_fit(kind: str, parts: Dict[str, Any], model: Any,
                rng: Optional[np.random.Generator],
                train: Callable[[], Any],
@@ -309,43 +231,43 @@ def cached_fit(kind: str, parts: Dict[str, Any], model: Any,
     The key covers ``parts`` (hyper-parameters + data), the model's
     *initial* state, and the RNG's pre-training state.  On a hit the
     stored post-training model state replaces ``model``'s attributes,
-    the RNG is advanced to its stored post-training state, and the
+    every generator reachable from ``rng`` or the initial model is
+    advanced in place to its stored post-training state, and the
     training run's counter increments are replayed into the active
     registry, so callers cannot observe the difference between
     computing and loading — not even through telemetry (only the
-    ``runtime.cache_*`` bookkeeping differs).  Returns whatever
-    ``train()`` returned when the artifact was built (typically
-    per-epoch losses).
+    ``runtime.cache_*`` bookkeeping differs).  Restoring generators in
+    place keeps every alias intact: a model that shares its owner's
+    generator (STARNet hands its own to its VAE) still shares it after
+    a hit.  Returns whatever ``train()`` returned when the artifact was
+    built (typically per-epoch losses).
     """
     c = resolve_cache(cache)
     if c is None:
         return train()
     key = c.key(kind, parts=parts, init=fingerprint(vars(model)),
                 rng=None if rng is None else rng.bit_generator.state)
-    entry = c.load(kind, key)
-    if entry is not None:
-        try:
-            state, aux, rng_state, obs_delta = (
-                entry["state"], entry["aux"], entry["rng_state"],
-                entry["obs"])
-        except (TypeError, KeyError):
-            pass  # stale layout: fall through and recompute
-        else:
-            if _replay_counters(obs_delta):
-                model.__dict__.clear()
-                model.__dict__.update(state)
-                if rng is not None and rng_state is not None:
-                    rng.bit_generator.state = rng_state
-                return aux
-            # Entry was recorded without observability but this run is
-            # live: recompute so telemetry stays faithful.
+    # Walked before training, so a store and a later load of the same
+    # key (same initial state) list the same generators in one order.
+    generators = _generators((rng, vars(model)))
+    dumps, load = _generator_codec(generators)
+    path = c._path(kind, key)
+    entry = read(path, c.STORE, load)
+    # An entry recorded without observability cannot replay into a live
+    # registry: recompute so telemetry stays faithful.
+    if entry is not None and _replay_counters(entry["obs"]):
+        for g, g_state in zip(generators, entry["generator_states"]):
+            g.bit_generator.state = g_state
+        model.__dict__.clear()
+        model.__dict__.update(entry["state"])
+        return entry["aux"]
     aux, obs_delta = _capture_counters(train)
-    c.store(kind, key, {
+    write_atomic(path, {
         "state": dict(vars(model)),
         "aux": aux,
-        "rng_state": None if rng is None else rng.bit_generator.state,
+        "generator_states": [g.bit_generator.state for g in generators],
         "obs": obs_delta,
-    })
+    }, c.STORE, dumps)
     return aux
 
 
@@ -364,8 +286,7 @@ def cached_build(kind: str, parts: Dict[str, Any],
         return build()
     key = c.key(kind, parts=parts)
     entry = c.load(kind, key)
-    if (isinstance(entry, dict) and "value" in entry
-            and _replay_counters(entry.get("obs"))):
+    if entry is not None and _replay_counters(entry["obs"]):
         return entry["value"]
     value, obs_delta = _capture_counters(build)
     c.store(kind, key, {"value": value, "obs": obs_delta})

@@ -9,9 +9,9 @@ throughput problem and solves it three ways:
   (corruption stack × platform × traffic × seed × evaluator) with a
   content-address fingerprint and content-derived RNG streams; a
   :class:`SweepPlan` expands grids into 10^4+ scenarios;
-* **replay** (:mod:`.store`) — a bucketed, content-addressed
-  :class:`ReplayStore` makes overlapping re-sweeps near-free: only
-  novel scenarios execute;
+* **replay** — a bucketed, content-addressed :class:`ReplayStore`
+  (one of the :mod:`repro.runtime.store` primitives) makes overlapping
+  re-sweeps near-free: only novel scenarios execute;
 * **sharding + fusion** (:mod:`.engine`) — novel scenarios fan out
   over :class:`repro.runtime.WorkerPool` with submission-order merge
   (byte-identical payloads at any worker count), and corruption stacks
@@ -21,6 +21,7 @@ throughput problem and solves it three ways:
 ``repro verify`` holds a golden sweep trace.
 """
 
+from ..runtime.store import ReplayStore
 from .engine import SweepResult, evaluate_scenario, run_sweep
 from .evaluators import (
     EVALUATORS,
@@ -30,12 +31,11 @@ from .evaluators import (
     scan_stats,
 )
 from .spec import PLATFORMS, TRAFFIC, CorruptionStage, Scenario, SweepPlan, stack_grid
-from .store import STORE_DIR_ENV, STORE_LAYOUT_VERSION, ReplayStore
 
 __all__ = [
     "CorruptionStage", "Scenario", "SweepPlan", "stack_grid",
     "PLATFORMS", "TRAFFIC",
-    "ReplayStore", "STORE_DIR_ENV", "STORE_LAYOUT_VERSION",
+    "ReplayStore",
     "SweepResult", "evaluate_scenario", "run_sweep",
     "EVALUATORS", "register_evaluator", "get_evaluator",
     "evaluator_names", "scan_stats",

@@ -4,7 +4,7 @@
 one result row per scenario, in plan order, through three layers:
 
 1. **replay** — every scenario's fingerprint is looked up in the
-   :class:`~repro.scenario.store.ReplayStore` in one batch; only novel
+   :class:`~repro.runtime.store.ReplayStore` in one batch; only novel
    scenarios execute.  Duplicate scenarios within one sweep execute
    once and replay internally.
 2. **sharding** — novel scenarios fan out over
@@ -32,12 +32,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.registry import get_registry
 from ..runtime.pool import WorkerPool, resolve_workers
+from ..runtime.store import ReplayStore
 from ..sim.corruptions import apply_corruption_stack
 from ..sim.lidar import LidarScanner
 from ..sim.scenes import sample_scene
 from .evaluators import get_evaluator
 from .spec import TRAFFIC, Scenario, SweepPlan
-from .store import ReplayStore
 
 __all__ = ["evaluate_scenario", "run_sweep", "SweepResult"]
 
@@ -119,8 +119,9 @@ def run_sweep(plan: Union[SweepPlan, Sequence[Scenario]],
     """Run every scenario of ``plan``; replay what the store already has.
 
     ``store``: a :class:`ReplayStore` to replay from and insert novel
-    results into, ``True`` for the default (env-located) store, or
-    ``None``/``False`` to execute everything.  ``pool`` reuses an open
+    results into, ``True`` for the default store (``scenarios/`` under
+    ``$REPRO_CACHE_DIR``), or ``None``/``False`` to execute
+    everything.  ``pool`` reuses an open
     pool across sweeps (workers taken from it); otherwise a pool with
     ``workers`` processes is created for the call.
     """

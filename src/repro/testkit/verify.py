@@ -53,8 +53,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..kernels import BACKENDS, active_backend, kernel_backend
-from ..runtime.cache import CACHE_DIR_ENV, CACHE_ENV
+from ..runtime.cache import CACHE_ENV
 from ..runtime.pool import WorkerPool, resolve_workers
+from ..runtime.store import CACHE_DIR_ENV, ArtifactCache
 from .golden import (
     GoldenError,
     Trace,
@@ -324,8 +325,7 @@ def run_verify(scenarios: Optional[Sequence[str]] = None,
         root = cache_root or tempfile.mkdtemp(prefix="repro-verify-cache-")
         with _cache_env(enabled=True, cache_dir=root):
             cold = run_scenario(name)
-            entries = len([f for f in os.listdir(root)
-                           if f.endswith(".pkl")])
+            entries = ArtifactCache(root).info()["entries"]
             warm = run_scenario(name)
         result = _compare(name, "cache", _anchor(name), cold, "exact",
                           detail=f"cold run ({entries} cache entries) "

@@ -65,36 +65,61 @@ def test_profile_unknown_target_exits_nonzero():
 
 # ------------------------------------------------------------------ cache
 def test_cache_info_clear_roundtrip(tmp_path):
-    env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
+    root = tmp_path / "cache"
+    env = {"REPRO_CACHE_DIR": str(root)}
 
     proc = _repro("cache", "info", "--json", env_extra=env)
     assert proc.returncode == 0
     info = json.loads(proc.stdout)
     assert set(info) >= {"root", "entries", "total_bytes", "by_kind",
-                         "files", "enabled"}
+                         "files", "enabled", "scenarios", "jobs"}
     assert info["entries"] == 0
+    assert info["scenarios"]["entries"] == 0
+    assert info["jobs"]["entries"] == 0
 
-    # Populate the cache through a real memoized code path.
-    script = ("from repro.runtime import cached_build; "
-              "print(cached_build('e2e', {'k': 1}, lambda: 41 + 1))")
+    # Populate all three stores through real code paths: a memoized
+    # build, a stored sweep and a job checkpoint.
+    script = (
+        "from repro.federated import JobStore\n"
+        "from repro.runtime import cached_build\n"
+        "from repro.scenario import Scenario, run_sweep\n"
+        "print(cached_build('e2e', {'k': 1}, lambda: 41 + 1))\n"
+        "run_sweep([Scenario(stack=(('fog', 0.5),))], workers=1,"
+        " store=True)\n"
+        "JobStore().open_job('e2e', 1).checkpoint({'wave': 1})\n")
     run = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src"),
              **env})
-    assert run.returncode == 0 and run.stdout.strip() == "42"
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "42"
+    # Files the stores never wrote must survive ``clear``.
+    foreign = [root / "notes.txt", root / "scenarios" / "notes.txt",
+               root / "jobs" / "my-notes" / "notes.txt"]
+    for path in foreign:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("keep")
 
     info = json.loads(_repro("cache", "info", "--json",
                              env_extra=env).stdout)
     assert info["entries"] == 1
     assert info["by_kind"] == {"e2e": 1}
+    assert info["scenarios"]["packs"] == 1
+    assert info["scenarios"]["entries"] == 1
+    assert info["jobs"]["entries"] == 1
+    assert info["jobs"]["by_status"] == {"running": 1}
 
     proc = _repro("cache", "clear", env_extra=env)
     assert proc.returncode == 0
-    assert "removed 1" in proc.stdout
+    assert ("removed 1 cached artifact(s), 1 replay pack(s) and 1 job(s)"
+            in proc.stdout)
 
     info = json.loads(_repro("cache", "info", "--json",
                              env_extra=env).stdout)
     assert info["entries"] == 0
+    assert info["scenarios"]["entries"] == 0
+    assert info["jobs"]["entries"] == 0
+    assert all(path.read_text() == "keep" for path in foreign)
 
 
 # ----------------------------------------------------------------- verify

@@ -24,6 +24,7 @@ from repro.runtime import (
     spawn_seeds,
 )
 from repro.sim import make_synthetic_cifar, shard_iid
+from repro.starnet import STARNet
 
 
 # ----------------------------------------------------- module-level tasks
@@ -38,31 +39,6 @@ def _seeded_draw(seed):
 
 def _boom(x):
     raise RuntimeError(f"task exploded on {x}")
-
-
-def _cache_stress(item):
-    """Hammer a shared cache dir: interleaved store/load on few slots.
-
-    Every writer stores the same payload for a given slot, so any
-    non-None load must round-trip exactly; a torn read, a lost index
-    update, or the old eviction race (corrupt-read unlink deleting a
-    concurrently re-stored valid entry) all surface as mismatches or
-    ``runtime.cache_corrupt`` counts in the parent registry.
-    """
-    root, worker_seed, rounds = item
-    cache = ArtifactCache(root)
-    rng = np.random.default_rng(worker_seed)
-    mismatches = 0
-    for _ in range(rounds):
-        slot = int(rng.integers(0, 4))
-        key = cache.key("stress", slot=slot)
-        cache.store("stress", key, {"slot": slot,
-                                    "blob": np.full(256, slot)})
-        out = cache.load("stress", key)
-        if out is not None and (out["slot"] != slot
-                                or not np.all(out["blob"] == slot)):
-            mismatches += 1
-    return mismatches
 
 
 def _instrumented(x):
@@ -246,40 +222,6 @@ def test_cache_roundtrip_and_counters(tmp_path):
     assert cache.info()["entries"] == 0
 
 
-def test_cache_corrupt_entry_recovers(tmp_path):
-    cache = _tmp_cache(tmp_path)
-    key = cache.key("blob", seed=3)
-    cache.store("blob", key, {"v": 1})
-    path = cache._path("blob", key)
-    with open(path, "wb") as f:
-        f.write(b"\x00not a pickle at all")
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        assert cache.load("blob", key) is None
-    assert registry.snapshot()["counters"]["runtime.cache_corrupt"] == 1.0
-    assert not os.path.exists(path)  # poisoned entry evicted
-    cache.store("blob", key, {"v": 2})  # recompute-and-store works again
-    assert cache.load("blob", key)["v"] == 2
-
-
-def test_cache_concurrent_pooled_writers_stay_consistent(tmp_path):
-    root = str(tmp_path / "shared-cache")
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        with WorkerPool(4) as pool:
-            mismatches = pool.map(_cache_stress,
-                                  [(root, seed, 25) for seed in range(8)],
-                                  label="cache.stress")
-    assert sum(mismatches) == 0
-    counters = registry.snapshot()["counters"]
-    assert counters.get("runtime.cache_corrupt", 0.0) == 0.0
-    # The survivors are intact and the index agrees with the files.
-    cache = ArtifactCache(root)
-    for slot in range(4):
-        out = cache.load("stress", cache.key("stress", slot=slot))
-        assert out is not None and np.all(out["blob"] == slot)
-
-
 def test_fingerprint_content_addressed():
     a = fingerprint({"x": np.arange(5), "lr": 0.1})
     b = fingerprint({"lr": 0.1, "x": np.arange(5)})  # key order irrelevant
@@ -328,6 +270,79 @@ def test_cached_fit_hit_restores_model_and_rng(tmp_path):
                   cache=cache)
     assert registry2.snapshot()["counters"].get(
         "runtime.cache_hits", 0.0) == 0.0
+
+
+def test_cached_fit_hit_keeps_generators_shared_with_the_owner(
+        tmp_path, monkeypatch):
+    # STARNet hands its own generator to its VAE, and VAE training
+    # draws from it.  A hit must advance that generator in place, not
+    # give the VAE a fresh copy and leave the monitor's one behind.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    features = np.random.default_rng(1).normal(size=(40, 12))
+
+    def fitted(registry):
+        monitor = STARNet(12, spsa_steps=5, rng=np.random.default_rng(0))
+        with obs.use_registry(registry):
+            monitor.fit(features, epochs=3)
+        return monitor
+
+    trained = fitted(obs.MetricsRegistry())
+    registry = obs.MetricsRegistry()
+    loaded = fitted(registry)
+    assert registry.snapshot()["counters"]["runtime.cache_hits"] == 1.0
+    assert trained.vae.rng is trained.rng
+    assert loaded.vae.rng is loaded.rng
+    assert loaded.rng.bit_generator.state == trained.rng.bit_generator.state
+    assert loaded.score(features[0]) == trained.score(features[0])
+    assert loaded.rng.bit_generator.state == trained.rng.bit_generator.state
+
+
+def _old_layout(path, vae):
+    # The layout cached_fit wrote before it restored generators in
+    # place.  Read as a hit, it would return its stale aux.
+    with open(path, "wb") as f:
+        pickle.dump({"state": dict(vars(vae)), "aux": ["stale"],
+                     "rng_state": None, "obs": {}}, f)
+
+
+def _moved_classes(path, vae):
+    # The model's classes moved since the entry was written, so loading
+    # it fails on an import.
+    with open(path, "rb") as f:
+        blob = f.read()
+    assert b"repro.nn" in blob
+    with open(path, "wb") as f:
+        f.write(blob.replace(b"repro.nn", b"repro.zz"))
+
+
+@pytest.mark.parametrize("make_stale", [_old_layout, _moved_classes],
+                         ids=["old_layout", "moved_classes"])
+def test_cached_fit_recomputes_a_stale_entry(tmp_path, make_stale):
+    cache = _tmp_cache(tmp_path)
+    data = np.random.default_rng(1).normal(size=(24, 6))
+
+    def fit(registry):
+        vae = VAE(6, latent_dim=2, hidden=(8,), rng=np.random.default_rng(0))
+        with obs.use_registry(registry):
+            losses = train_vae(vae, data, epochs=2,
+                               rng=np.random.default_rng(2), cache=cache)
+        return vae, losses
+
+    vae_a, losses_a = fit(obs.MetricsRegistry())
+    (entry,) = cache.entries()
+    make_stale(os.path.join(cache.root, entry["file"]), vae_a)
+    registry = obs.MetricsRegistry()
+    vae_b, losses_b = fit(registry)
+    counters = registry.snapshot()["counters"]
+    assert counters["runtime.cache_corrupt"] == 1.0
+    assert counters["runtime.cache_writes"] == 1.0  # recomputed, re-stored
+    assert losses_b == losses_a
+    for pa, pb in zip(vae_a.parameters(), vae_b.parameters()):
+        np.testing.assert_array_equal(pa.data, pb.data)
+    registry = obs.MetricsRegistry()
+    fit(registry)  # the re-stored entry serves the next fit
+    assert registry.snapshot()["counters"]["runtime.cache_hits"] == 1.0
 
 
 def test_cached_fit_disabled_paths(tmp_path, monkeypatch):

@@ -90,19 +90,6 @@ def test_store_roundtrip(tmp_path):
     assert info["packs"] >= 1
 
 
-def test_store_corrupt_pack_is_missed_and_evicted(tmp_path):
-    store = ReplayStore(str(tmp_path))
-    key = "ab" + "0" * 22
-    store.insert({key: {"m": 1.0}})
-    pack = tmp_path / "pack-ab.pkl"
-    pack.write_bytes(b"not a pickle")
-    assert store.lookup([key]) == {}
-    assert not pack.exists()
-    # The store recovers: a fresh insert works.
-    store.insert({key: {"m": 2.0}})
-    assert store.lookup([key]) == {key: {"m": 2.0}}
-
-
 # ---------------------------------------------------------------- engine
 def test_sweep_replays_from_store(tmp_path):
     plan = _plan()
