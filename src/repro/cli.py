@@ -31,10 +31,9 @@ writing any code:
   the seven golden scenarios (five paper pillars plus the
   ``control_adaptation`` decision-trace episode and the
   ``scenario_sweep`` engine trace) serially, pooled,
-  cached, quantized, under both kernel backends, and compiled
-  (``repro.compile`` artifacts vs
-  the eager float runs), diffing each against the committed goldens
-  under ``tests/goldens/``
+  cached, quantized, under both kernel backends, and compiled (fused
+  float ``repro.compile`` artifacts vs the eager float runs), diffing
+  each against the committed goldens under ``tests/goldens/``
   (``--update-goldens`` re-records them).  Exit codes: 0 = all checks
   pass, 1 = mismatches, 2 = bad usage — the same contract the README
   documents, so CI can gate on it;
@@ -405,7 +404,8 @@ def main(argv=None) -> int:
     verify = sub.add_parser(
         "verify",
         help="golden-trace differential verification (serial / pooled / "
-             "cached / quantized / kernels) against tests/goldens/")
+             "cached / quantized / kernels / compiled) against "
+             "tests/goldens/")
     verify.add_argument("scenarios", nargs="*",
                         help="scenario names (default: all seven scenarios)")
     verify.add_argument("--update-goldens", action="store_true",

@@ -1,35 +1,29 @@
 """Pre-planned buffer arena: steady-state inference with zero fresh allocations.
 
 Every stage of a compiled program writes its output into an arena slot
-keyed by stage id, and borrows named scratch slots for intermediates
-(leaky-ReLU negative parts, int8 quantization staging, layer-norm
-moments, per-layer affine parameters).  Slots are allocated on first
-use, sized by *capacity* along the leading axis, and handed back as
-``buf[:batch]`` views on every subsequent call — so once the arena has
-seen the largest batch, repeated inference performs **zero** numpy
-allocations in the gemm/elementwise stages (opaque ``call_module``
-stages still allocate inside their own ``forward_batch``; the planner
-reports them so benchmarks can attribute the difference).
+keyed by stage id, and takes its scratch (leaky-ReLU negative parts,
+layer-norm moments, per-layer affine parameters) from slots keyed off
+the stage's.  Slots are allocated on first use, sized by *capacity*
+along the leading axis, and handed back as ``buf[:batch]`` views on
+every subsequent call — so once the arena has seen the largest batch,
+repeated inference performs **zero** numpy allocations in the
+gemm/elementwise stages (opaque ``call_module`` stages still allocate
+inside their own ``forward_batch``).
 
 Capacity grows by doubling when a larger batch arrives, which amortizes
 replanning for workloads whose batch size ramps up (the serve layer's
-micro-batcher coalesces 1..max_batch_size requests).  A slot is keyed by
-``(trailing shape, dtype)`` as well — if a stage's per-item shape ever
-changes (e.g. after :meth:`CompiledModule.recompile` against mutated
-weights), the slot is simply re-allocated rather than corrupted.
-
-``FreshAllocator`` implements the same interface with a plain
-``np.empty`` per request; the compile benchmark uses it to price
-exactly what the arena buys (the ``fused`` vs ``fused_arena`` stages).
+micro-batcher coalesces 1..max_batch_size requests).  A slot whose
+trailing shape or dtype no longer matches the request is re-allocated
+rather than corrupted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
-__all__ = ["BufferArena", "FreshAllocator"]
+__all__ = ["BufferArena"]
 
 
 def _next_pow2(n: int) -> int:
@@ -43,9 +37,8 @@ class BufferArena:
     """Keyed, capacity-growing buffer pool returning ``buf[:batch]`` views."""
 
     def __init__(self):
-        self._slots: Dict[str, Tuple[np.ndarray, tuple, np.dtype]] = {}
+        self._slots: Dict[str, np.ndarray] = {}
         self.allocations = 0  # fresh backing allocations (not views)
-        self.requests = 0
 
     def out(self, key: str, shape: tuple, dtype) -> np.ndarray:
         """Return a writable buffer of ``shape`` backed by slot ``key``.
@@ -53,62 +46,19 @@ class BufferArena:
         The leading axis is treated as batch: the backing array keeps
         ``capacity >= shape[0]`` rows and the caller gets a
         ``backing[:shape[0]]`` view.  Contents are uninitialized — every
-        stage fully overwrites its output.
+        caller fully overwrites its buffer.
         """
-        self.requests += 1
-        dtype = np.dtype(dtype)
-        if len(shape) == 0:  # scalar output: no batch axis to grow
-            batch, item = 1, ()
-            want = (1,)
-        else:
-            batch, item = int(shape[0]), tuple(shape[1:])
-            want = shape
-        slot = self._slots.get(key)
-        if slot is None or slot[1] != item or slot[2] != dtype \
-                or slot[0].shape[0] < batch:
-            capacity = _next_pow2(batch)
-            backing = np.empty((capacity,) + item, dtype=dtype)
-            self._slots[key] = (backing, item, dtype)
+        batch, item = shape[0], tuple(shape[1:])
+        backing = self._slots.get(key)
+        if backing is None or backing.shape[1:] != item \
+                or backing.dtype != dtype or backing.shape[0] < batch:
+            backing = np.empty((_next_pow2(batch),) + item, dtype=dtype)
+            self._slots[key] = backing
             self.allocations += 1
-        backing = self._slots[key][0]
-        view = backing[:batch]
-        return view.reshape(want) if len(shape) == 0 else view
-
-    # Scratch space shares the slot machinery; a separate namespace only
-    # to keep stage-output keys readable in introspection/tests.
-    def scratch(self, key: str, shape: tuple, dtype) -> np.ndarray:
-        return self.out("~" + key, shape, dtype)
+        return backing[:batch]
 
     def nbytes(self) -> int:
-        return sum(slot[0].nbytes for slot in self._slots.values())
+        return sum(backing.nbytes for backing in self._slots.values())
 
     def slot_count(self) -> int:
         return len(self._slots)
-
-    def reset(self) -> None:
-        self._slots.clear()
-
-
-class FreshAllocator:
-    """Allocation-per-request stand-in (the un-planned baseline)."""
-
-    def __init__(self):
-        self.allocations = 0
-        self.requests = 0
-
-    def out(self, key: str, shape: tuple, dtype) -> np.ndarray:
-        self.requests += 1
-        self.allocations += 1
-        return np.empty(shape, dtype=np.dtype(dtype))
-
-    def scratch(self, key: str, shape: tuple, dtype) -> np.ndarray:
-        return self.out(key, shape, dtype)
-
-    def nbytes(self) -> int:
-        return 0
-
-    def slot_count(self) -> int:
-        return 0
-
-    def reset(self) -> None:
-        pass

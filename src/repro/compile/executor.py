@@ -1,66 +1,58 @@
-"""Compiled execution: artifacts, the eager/compiled mode switch, routing.
+"""Compiled execution: the artifact, the ``compile_mode()`` scope, routing.
 
 :class:`CompiledModule` ties the pieces together — trace at
 construction (loud :class:`~repro.compile.tracer.TraceError` on
-untraceable constructs), lower through the fusion planner, execute
-against a pre-planned :class:`~repro.compile.arena.BufferArena`.  It is
-deliberately **not** a :class:`repro.nn.Module`: wrapping must not
-double-count parameters when a host model holds both the original and
-the wrapper (``Module.parameters`` walks attributes), and a compiled
-artifact is inference-only — ``backward`` raises
-:class:`CompileError` instead of silently training against a stale
-graph.  Unknown attributes delegate to the wrapped module so call sites
-like the Koopman controller's ``model.proj.weight`` keep working.
+untraceable constructs), lower to a fused program, execute it against a
+pre-planned :class:`~repro.compile.arena.BufferArena` and return a
+private float copy of the output.  It is deliberately **not** a
+:class:`repro.nn.Module`: wrapping must not double-count parameters
+when a host model holds both the original and the wrapper
+(``Module.parameters`` walks attributes), and a compiled artifact is
+inference-only — ``backward`` raises :class:`CompileError` instead of
+silently training against a stale graph.  Unknown attributes delegate
+to the wrapped module so call sites like the Koopman controller's
+``model.proj.weight`` keep working.
 
-Mode selection mirrors the kernel registry: ``REPRO_COMPILE=eager|compiled``
-picks the process-wide default and :func:`compile_mode` scopes an
-override.  Under ``compiled`` mode, :class:`repro.nn.Sequential`
+Inside a :func:`compile_mode` scope, :class:`repro.nn.Sequential`
 forwards route here (see :func:`routed_forward`); artifacts are cached
-per live Sequential in a :class:`weakref.WeakKeyDictionary`, untraceable
-modules warn once (:class:`CompileFallbackWarning`) and fall back to
-eager, and graphs whose training-mode BatchNorm/Dropout make batched
-semantics diverge from the stateful per-sample ``forward`` bypass to
-eager for ``forward`` only.
+per live Sequential in a :class:`weakref.WeakKeyDictionary`,
+untraceable modules warn once (:class:`CompileFallbackWarning`) and
+fall back to eager, and graphs whose training-mode BatchNorm/Dropout
+make batched semantics diverge from the stateful per-sample ``forward``
+bypass to eager for ``forward`` only.
 
 Counters live in a module-global :class:`CompileStats` (captures,
-fallbacks, runs, fused ops, int8 GEMMs, ...) — *not* in ``repro.obs``
-counters, which the golden traces snapshot; capture latency is recorded
-as a ``compile.capture_s`` histogram, which goldens ignore by design.
+fallbacks, runs, fused ops, ...) — *not* in ``repro.obs`` counters,
+which the golden traces snapshot; capture latency is recorded as a
+``compile.capture_s`` histogram, which goldens ignore by design.
 """
 
 from __future__ import annotations
 
-import os
+import sys
 import time
 import warnings
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ..nn import sequential
 from ..nn.layers import Module
 from ..obs.registry import get_registry
-from .arena import BufferArena, FreshAllocator
-from .fusion import PRECISIONS, build_program
+from .arena import BufferArena
+from .fusion import build_program
 from .tracer import TraceError, trace
 
-__all__ = [
-    "MODES", "COMPILE_ENV", "CompileError", "CompileFallbackWarning",
-    "active_mode", "compile_mode", "force_mode", "CompiledModule",
-    "compile_module", "CompileStats", "compile_stats",
-    "reset_compile_stats",
-]
-
-MODES = ("eager", "compiled")
-COMPILE_ENV = "REPRO_COMPILE"
-
-_forced: Optional[str] = None  # compile_mode() override; checked first
+__all__ = ["CompileError", "CompileFallbackWarning", "compile_mode",
+           "CompiledModule", "compile_module", "CompileStats",
+           "compile_stats"]
 
 
 class CompileError(RuntimeError):
-    """Invalid use of a compiled artifact (training, bad mode/precision)."""
+    """Invalid use of a compiled artifact (training, bad fallback policy)."""
 
 
 class CompileFallbackWarning(RuntimeWarning):
@@ -77,8 +69,6 @@ class CompileStats:
     eager_bypasses: int = 0   # forward() bypasses (training-mode BN/dropout)
     runs: int = 0             # compiled executions
     fused_elementwise: int = 0
-    int8_gemms: int = 0       # int8 GEMM stage executions
-    recompiles: int = 0
 
     def snapshot(self) -> dict:
         return dict(vars(self))
@@ -94,106 +84,51 @@ def compile_stats() -> CompileStats:
     return _STATS
 
 
-def reset_compile_stats() -> None:
-    global _STATS
-    _STATS = CompileStats()
-
-
-def active_mode() -> str:
-    """Resolve the execution mode: forced override, then env, then eager."""
-    if _forced is not None:
-        return _forced
-    raw = os.environ.get(COMPILE_ENV, "").strip().lower()
-    if not raw:
-        return "eager"
-    if raw not in MODES:
-        raise CompileError(
-            f"invalid {COMPILE_ENV}={raw!r}; choose from {MODES}")
-    return raw
-
-
-def force_mode(mode: Optional[str]) -> Optional[str]:
-    """Imperatively install (or with ``None`` clear) the scoped mode
-    override; returns the previous override.
-
-    The actuator-style twin of :func:`compile_mode` (mirroring
-    ``repro.kernels.force_backend``): runtime reconfiguration flips the
-    mode mid-run and restores the returned previous value itself.
-    """
-    global _forced
-    if mode is not None and mode not in MODES:
-        raise CompileError(f"unknown compile mode {mode!r}; choose from {MODES}")
-    previous = _forced
-    _forced = mode
-    return previous
-
-
 @contextmanager
-def compile_mode(mode: str):
-    """Scoped mode override, nestable; mirrors ``kernel_backend()``."""
-    if mode not in MODES:
-        raise CompileError(f"unknown compile mode {mode!r}; choose from {MODES}")
-    global _forced
-    previous = _forced
-    _forced = mode
+def compile_mode():
+    """Route every :class:`repro.nn.Sequential` forward inside the block
+    through its cached compiled artifact; nestable.
+
+    The scope installs this module as the Sequential router and puts
+    the previous router back on exit.
+    """
+    previous = sequential._router
+    sequential._router = sys.modules[__name__]
     try:
         yield
     finally:
-        _forced = previous
+        sequential._router = previous
 
 
 class CompiledModule:
-    """An inference-only compiled artifact standing in for a Module.
+    """An inference-only compiled artifact standing in for a Module."""
 
-    Parameters
-    ----------
-    module:       the :class:`repro.nn.Module` to capture.
-    precision:    ``"float64"`` (default) or ``"int8"`` (true int8 GEMMs).
-    fuse:         absorb elementwise chains into producing stages.
-    arena:        execute against a pre-planned buffer arena (zero
-                  steady-state allocations); ``False`` allocates fresh
-                  buffers per stage (the benchmark's ablation arm).
-    copy_output:  return a private copy instead of an arena view.  Keep
-                  ``True`` (default) whenever outputs outlive the next
-                  call; the benchmark's steady-state arm turns it off.
-    """
-
-    def __init__(self, module: Module, precision: str = "float64",
-                 fuse: bool = True, arena: bool = True,
-                 copy_output: bool = True):
-        if precision not in PRECISIONS:
-            raise CompileError(
-                f"unknown precision {precision!r}; choose from {PRECISIONS}")
+    def __init__(self, module: Module):
         t0 = time.perf_counter()
         graph = trace(module)  # may raise TraceError — callers decide policy
-        program = build_program(graph, fuse=fuse, precision=precision)
+        program = build_program(graph)
         self.__dict__["_wrapped"] = module
         self.__dict__["graph"] = graph
         self.__dict__["program"] = program
-        self.__dict__["precision"] = precision
-        self.__dict__["fuse"] = fuse
-        self.__dict__["arena"] = BufferArena() if arena else FreshAllocator()
-        self.__dict__["copy_output"] = copy_output
+        self.__dict__["arena"] = BufferArena()
         _STATS.captures += 1
         _STATS.fused_elementwise += program.fused_elementwise
         get_registry().histogram("compile.capture_s").observe(
             time.perf_counter() - t0)
 
     # -- execution ----------------------------------------------------
-    def _run(self, x: np.ndarray) -> np.ndarray:
-        y = self.program.run(x, self.arena)
-        _STATS.runs += 1
-        _STATS.int8_gemms += self.program.int8_stage_count()
-        return np.copy(y) if self.copy_output else y
-
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return self._run(np.asarray(x))
+        # The program's output is an arena view that the next call
+        # overwrites; callers get a private copy.
+        y = np.copy(self.program.run(np.asarray(x), self.arena))
+        _STATS.runs += 1
+        return y
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.ndim == 1:  # per-sample call sites (Koopman encode) lift/squeeze
-            return self._run(x[None, :])[0]
-        return self._run(x)
+            return self.forward_batch(x[None, :])[0]
+        return self.forward_batch(x)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -203,26 +138,9 @@ class CompiledModule:
             "compiled artifacts are inference-only: backward would train "
             "against buffers the arena has already recycled. Keep the "
             "original module for training and exact likelihood-regret "
-            "scoring, or recompile() after updating weights.")
+            "scoring.")
 
-    def recompile(self) -> "CompiledModule":
-        """Re-trace and re-plan after the wrapped module's weights or
-        structure changed in place (int8 packs are dropped and rebuilt)."""
-        graph = trace(self._wrapped)
-        self.__dict__["graph"] = graph
-        self.__dict__["program"] = build_program(
-            graph, fuse=self.fuse, precision=self.precision)
-        self.arena.reset()
-        _STATS.recompiles += 1
-        return self
-
-    # -- Module-facing surface ---------------------------------------
-    def parameters(self):
-        return self._wrapped.parameters()
-
-    def modules(self):
-        return self._wrapped.modules()
-
+    # -- Module-facing surface (everything else delegates) -----------
     def eval(self) -> "CompiledModule":
         self._wrapped.eval()
         return self
@@ -240,13 +158,19 @@ class CompiledModule:
 
     def __repr__(self) -> str:
         return (f"CompiledModule({type(self._wrapped).__name__}, "
-                f"precision={self.precision!r}, stages={len(self.program.stages)}, "
+                f"stages={len(self.program.stages)}, "
                 f"fused={self.program.fused_elementwise})")
 
 
-def compile_module(module: Module, precision: str = "float64",
-                   fuse: bool = True, arena: bool = True,
-                   copy_output: bool = True, fallback: str = "error"):
+def _fall_back(module: Module, exc: TraceError, stacklevel: int) -> None:
+    _STATS.fallbacks += 1
+    warnings.warn(
+        f"repro.compile: falling back to eager execution for "
+        f"{type(module).__name__}: {exc}",
+        CompileFallbackWarning, stacklevel=stacklevel + 1)
+
+
+def compile_module(module: Module, fallback: str = "error"):
     """Compile ``module``; policy for untraceable constructs is explicit.
 
     ``fallback="error"`` (default) re-raises the :class:`TraceError`.
@@ -257,23 +181,18 @@ def compile_module(module: Module, precision: str = "float64",
     if fallback not in ("error", "eager"):
         raise CompileError(f"unknown fallback policy {fallback!r}")
     try:
-        return CompiledModule(module, precision=precision, fuse=fuse,
-                              arena=arena, copy_output=copy_output)
+        return CompiledModule(module)
     except TraceError as exc:
         if fallback == "error":
             raise
-        _STATS.fallbacks += 1
-        warnings.warn(
-            f"repro.compile: falling back to eager execution for "
-            f"{type(module).__name__}: {exc}",
-            CompileFallbackWarning, stacklevel=2)
+        _fall_back(module, exc, stacklevel=2)
         return module
 
 
 # ---------------------------------------------------------------- routing
-# Sequential.forward/forward_batch consult active_mode() and, under
-# "compiled", land here.  One artifact per live Sequential; fallbacks
-# are remembered so the warning fires once per module, not per call.
+# Inside compile_mode(), Sequential.forward/forward_batch land here.  One
+# artifact per live Sequential; fallbacks are remembered so the warning
+# fires once per module, not per call.
 _ARTIFACTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _FALLBACK = object()  # sentinel: this Sequential is untraceable
 
@@ -284,11 +203,7 @@ def _artifact_for(seq) -> Optional[CompiledModule]:
         try:
             entry = CompiledModule(seq)
         except TraceError as exc:
-            _STATS.fallbacks += 1
-            warnings.warn(
-                f"repro.compile: falling back to eager execution for "
-                f"{type(seq).__name__}: {exc}",
-                CompileFallbackWarning, stacklevel=4)
+            _fall_back(seq, exc, stacklevel=4)
             entry = _FALLBACK
         _ARTIFACTS[seq] = entry
     return None if entry is _FALLBACK else entry

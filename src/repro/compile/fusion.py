@@ -1,49 +1,43 @@
 """Fusion + planning: lower a captured graph into an executable program.
 
-The planner walks the (straight-line) graph once and groups nodes into
-stages:
+The planner walks the straight-line graph once and groups it into
+stages.  Each stage has one producer and absorbs the **longest
+following chain of elementwise nodes** — bias add, activations,
+inference-mode dropout/BatchNorm affines — which then execute *in
+place* on the producer's output instead of allocating one array per op:
 
-* ``gemm``        -> :class:`GemmStage` (float) or :class:`Int8GemmStage`
-  (``precision="int8"``), each absorbing the **longest following chain
-  of elementwise nodes** — bias add, activations, inference-mode
-  dropout/BatchNorm affines — which then execute *in place* on the GEMM
-  output buffer instead of allocating one array per op.
-* ``call_module`` -> :class:`CallModuleStage` (conv/pool/GRU/Norm2d run
-  their own ``forward_batch``), likewise absorbing an elementwise tail
-  applied in place on the module's output.
-* ``layernorm``   -> :class:`LayerNormStage` (a row-wise reduction, so
-  it anchors its own buffer and also absorbs an elementwise tail).
-* ``flatten``     -> :class:`FlattenStage` (a reshape view; free).
-* a leading / orphan run of elementwise nodes -> :class:`ElementwiseStage`
-  (copies the input into an arena slot once, then applies the chain in
-  place).
+* ``gemm``        -> ``x @ W`` written into the stage's arena slot;
+* ``call_module`` -> the layer's own ``forward_batch`` (conv/pool/GRU/
+  Norm2d);
+* ``layernorm``   -> a row-wise reduction into the stage's arena slot;
+* ``copy``        -> a leading (or post-flatten) run of elementwise
+  nodes with no producer: one copy of the input into an arena slot,
+  then the chain;
+* ``flatten``     -> a reshape view.  It absorbs no chain: its output
+  may alias the caller's input, which must not be written in place.
 
-With ``fuse=False`` every node becomes its own stage — the compile
-benchmark's ``traced`` arm, pricing capture alone.  Chain application is
-pure in-place ufunc arithmetic (``np.maximum(out=)`` etc.; sigmoid via a
-clip/negate/exp/reciprocal chain, leaky-ReLU via a scratch negative
-part) so a fused program touches no allocator in steady state when
-paired with the :class:`repro.compile.arena.BufferArena`.
+Chain application is pure in-place ufunc arithmetic (``np.maximum(out=)``
+etc.; sigmoid via a clip/negate/exp/reciprocal chain, leaky-ReLU via a
+scratch negative part) replaying the eager layers' arithmetic, so a
+program is bit-identical to eager and touches no allocator in steady
+state when run against a :class:`repro.compile.arena.BufferArena`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .qint8 import Int8Dense
-from .tracer import ELEMENTWISE_OPS, Graph, Node
+from .tracer import ELEMENTWISE_OPS, Graph
 
-__all__ = ["Program", "build_program", "PRECISIONS"]
+__all__ = ["Program", "Stage", "build_program"]
 
-PRECISIONS = ("float64", "int8")
-
-# One chain entry per fused elementwise node: (op, layer-or-None).
+# One chain entry per fused elementwise node: (op, layer).
 ChainOp = Tuple[str, object]
 
 
-def _apply_chain(y: np.ndarray, chain: List[ChainOp], alloc, key: str) -> None:
+def _apply_chain(y: np.ndarray, chain: List[ChainOp], arena, key: str) -> None:
     """Run an elementwise chain in place on ``y`` (no fresh allocations)."""
     for i, (op, layer) in enumerate(chain):
         if op == "bias_add":
@@ -51,7 +45,7 @@ def _apply_chain(y: np.ndarray, chain: List[ChainOp], alloc, key: str) -> None:
         elif op == "relu":
             np.maximum(y, 0.0, out=y)
         elif op == "leaky_relu":
-            neg = alloc.scratch(f"{key}.c{i}.neg", y.shape, y.dtype)
+            neg = arena.out(f"{key}.c{i}.neg", y.shape, y.dtype)
             np.minimum(y, 0.0, out=neg)
             neg *= layer.slope
             np.maximum(y, 0.0, out=y)
@@ -76,8 +70,8 @@ def _apply_chain(y: np.ndarray, chain: List[ChainOp], alloc, key: str) -> None:
             # and keeps the program reading the *live* running stats.
             bn = layer
             dim = bn.gamma.data.shape[0]
-            s = alloc.scratch(f"{key}.c{i}.bns", (dim,), y.dtype)
-            t = alloc.scratch(f"{key}.c{i}.bnt", (dim,), y.dtype)
+            s = arena.out(f"{key}.c{i}.bns", (dim,), y.dtype)
+            t = arena.out(f"{key}.c{i}.bnt", (dim,), y.dtype)
             np.add(bn.running_var, bn.eps, out=s)
             np.sqrt(s, out=s)
             np.divide(bn.gamma.data, s, out=s)
@@ -89,228 +83,101 @@ def _apply_chain(y: np.ndarray, chain: List[ChainOp], alloc, key: str) -> None:
             raise ValueError(f"unknown elementwise op {op!r}")
 
 
-def _chain_of(nodes: List[Node]) -> List[ChainOp]:
-    return [(n.op, n.layer) for n in nodes]
+# ------------------------------------------------------------ producers
+def _gemm(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
+    w = stage.layer.weight.data
+    y = arena.out(stage.key, x.shape[:-1] + (w.shape[1],), x.dtype)
+    np.matmul(x, w, out=y)
+    return y
 
 
-class GemmStage:
-    """Dense matmul with a fused elementwise tail, written into the arena."""
+def _call_module(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
+    return stage.layer.forward_batch(x)
 
-    kind = "gemm"
 
-    def __init__(self, key: str, dense, chain: List[ChainOp]):
+def _layernorm(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
+    ln, key = stage.layer, stage.key
+    stat_shape = x.shape[:-1] + (1,)
+    y = arena.out(key, x.shape, x.dtype)
+    sq = arena.out(key + ".sq", x.shape, x.dtype)
+    mu = arena.out(key + ".mu", stat_shape, x.dtype)
+    var = arena.out(key + ".var", stat_shape, x.dtype)
+    np.mean(x, axis=-1, keepdims=True, out=mu)
+    np.subtract(x, mu, out=y)
+    np.multiply(y, y, out=sq)
+    np.mean(sq, axis=-1, keepdims=True, out=var)
+    np.add(var, ln.eps, out=var)
+    np.sqrt(var, out=var)
+    y /= var
+    y *= ln.gamma.data
+    y += ln.beta.data
+    return y
+
+
+def _copy(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
+    y = arena.out(stage.key, x.shape, x.dtype)
+    np.copyto(y, x)
+    return y
+
+
+def _flatten(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
+    return x.reshape(x.shape[0], -1)
+
+
+_PRODUCERS = {"gemm": _gemm, "call_module": _call_module,
+              "layernorm": _layernorm, "copy": _copy, "flatten": _flatten}
+
+
+class Stage:
+    """One producer and the elementwise chain fused onto its output."""
+
+    __slots__ = ("key", "op", "layer", "chain", "_produce")
+
+    def __init__(self, key: str, op: str, layer, chain: List[ChainOp]):
         self.key = key
-        self.dense = dense
-        self.chain = chain
-
-    def run(self, x: np.ndarray, alloc) -> np.ndarray:
-        w = self.dense.weight.data
-        y = alloc.out(self.key, x.shape[:-1] + (w.shape[1],), x.dtype)
-        np.matmul(x, w, out=y)
-        _apply_chain(y, self.chain, alloc, self.key)
-        return y
-
-    def describe(self) -> str:
-        tail = "+".join(op for op, _ in self.chain)
-        return (f"{self.key}: gemm({self.dense.weight.name})"
-                + (f"+{tail}" if tail else ""))
-
-
-class Int8GemmStage:
-    """Dense matmul through the true-int8 path (packed lazily).
-
-    Packing happens on *first run*, after any pending in-place weight
-    loads (the federated server streams global weights into the template
-    right before evaluating) have landed.  A rebound weight array is
-    detected and triggers an automatic repack.
-    """
-
-    kind = "int8_gemm"
-
-    def __init__(self, key: str, dense, chain: List[ChainOp]):
-        self.key = key
-        self.dense = dense
-        self.chain = chain
-        self.packed: Optional[Int8Dense] = None
-
-    def ensure_packed(self) -> Int8Dense:
-        if self.packed is None or self.packed.stale():
-            self.packed = Int8Dense(self.dense)
-        return self.packed
-
-    def run(self, x: np.ndarray, alloc) -> np.ndarray:
-        y = self.ensure_packed().run(x, alloc, self.key)
-        _apply_chain(y, self.chain, alloc, self.key)
-        return y
-
-    def describe(self) -> str:
-        tail = "+".join(op for op, _ in self.chain)
-        return (f"{self.key}: int8_gemm({self.dense.weight.name})"
-                + (f"+{tail}" if tail else ""))
-
-
-class CallModuleStage:
-    """Opaque layer executed via its own forward_batch, tail fused in place."""
-
-    kind = "call_module"
-
-    def __init__(self, key: str, layer, chain: List[ChainOp]):
-        self.key = key
+        self.op = op
         self.layer = layer
         self.chain = chain
+        self._produce = _PRODUCERS[op]
 
-    def run(self, x: np.ndarray, alloc) -> np.ndarray:
-        y = self.layer.forward_batch(x)
-        _apply_chain(y, self.chain, alloc, self.key)
+    def run(self, x: np.ndarray, arena) -> np.ndarray:
+        y = self._produce(self, x, arena)
+        _apply_chain(y, self.chain, arena, self.key)
         return y
-
-    def describe(self) -> str:
-        tail = "+".join(op for op, _ in self.chain)
-        name = type(self.layer).__name__
-        return f"{self.key}: call_module({name})" + (f"+{tail}" if tail else "")
-
-
-class ElementwiseStage:
-    """A chain with no producing GEMM: one copy into the arena, then in place."""
-
-    kind = "elementwise"
-
-    def __init__(self, key: str, chain: List[ChainOp]):
-        self.key = key
-        self.chain = chain
-
-    def run(self, x: np.ndarray, alloc) -> np.ndarray:
-        y = alloc.out(self.key, x.shape, x.dtype)
-        np.copyto(y, x)
-        _apply_chain(y, self.chain, alloc, self.key)
-        return y
-
-    def describe(self) -> str:
-        return f"{self.key}: " + "+".join(op for op, _ in self.chain)
-
-
-class LayerNormStage:
-    """Row-wise layer norm into the arena, with a fused elementwise tail."""
-
-    kind = "layernorm"
-
-    def __init__(self, key: str, layer, chain: List[ChainOp]):
-        self.key = key
-        self.layer = layer
-        self.chain = chain
-
-    def run(self, x: np.ndarray, alloc) -> np.ndarray:
-        ln = self.layer
-        stat_shape = x.shape[:-1] + (1,)
-        y = alloc.out(self.key, x.shape, x.dtype)
-        sq = alloc.scratch(self.key + ".sq", x.shape, x.dtype)
-        mu = alloc.scratch(self.key + ".mu", stat_shape, x.dtype)
-        var = alloc.scratch(self.key + ".var", stat_shape, x.dtype)
-        np.mean(x, axis=-1, keepdims=True, out=mu)
-        np.subtract(x, mu, out=y)
-        np.multiply(y, y, out=sq)
-        np.mean(sq, axis=-1, keepdims=True, out=var)
-        np.add(var, ln.eps, out=var)
-        np.sqrt(var, out=var)
-        y /= var
-        y *= ln.gamma.data
-        y += ln.beta.data
-        _apply_chain(y, self.chain, alloc, self.key)
-        return y
-
-    def describe(self) -> str:
-        return f"{self.key}: layernorm({self.layer.gamma.name})"
-
-
-class FlattenStage:
-    """Reshape view — no buffer, no arithmetic."""
-
-    kind = "flatten"
-
-    def __init__(self, key: str):
-        self.key = key
-        self.chain: List[ChainOp] = []
-
-    def run(self, x: np.ndarray, alloc) -> np.ndarray:
-        return x.reshape(x.shape[0], -1)
-
-    def describe(self) -> str:
-        return f"{self.key}: flatten"
 
 
 class Program:
     """An ordered list of stages; ``run`` threads one array through them."""
 
-    def __init__(self, graph: Graph, stages: List[object], precision: str,
-                 fused_elementwise: int):
-        self.graph = graph
+    def __init__(self, stages: List[Stage]):
         self.stages = stages
-        self.precision = precision
-        self.fused_elementwise = fused_elementwise
+        # Elementwise nodes that got no stage of their own: all of them
+        # but the first node of each copy stage's chain.
+        self.fused_elementwise = (sum(len(s.chain) for s in stages)
+                                  - sum(s.op == "copy" for s in stages))
 
-    def run(self, x: np.ndarray, alloc) -> np.ndarray:
+    def run(self, x: np.ndarray, arena) -> np.ndarray:
         for stage in self.stages:
-            x = stage.run(x, alloc)
+            x = stage.run(x, arena)
         return x
 
-    def int8_stage_count(self) -> int:
-        return sum(s.kind == "int8_gemm" for s in self.stages)
 
-    def call_module_count(self) -> int:
-        return sum(s.kind == "call_module" for s in self.stages)
-
-    def describe(self) -> str:
-        return "\n".join(s.describe() for s in self.stages)
-
-
-def build_program(graph: Graph, fuse: bool = True,
-                  precision: str = "float64") -> Program:
-    """Lower ``graph`` into a :class:`Program`.
-
-    ``fuse=True`` absorbs elementwise chains into their producing stage;
-    ``fuse=False`` emits one stage per node (the unfused baseline).
-    ``precision="int8"`` lowers every ``gemm`` to the true-int8 path.
-    """
-    if precision not in PRECISIONS:
-        raise ValueError(f"unknown precision {precision!r}; choose from {PRECISIONS}")
+def build_program(graph: Graph) -> Program:
+    """Lower ``graph`` into a :class:`Program` of fused stages."""
     nodes = graph.nodes
-    stages: List[object] = []
-    fused = 0
-    i = 1 if nodes and nodes[0].op == "input" else 0
+    stages: List[Stage] = []
+    i = 0
     while i < len(nodes):
         node = nodes[i]
-        key = f"s{len(stages)}.n{node.idx}"
-        tail: List[Node] = []
-        if node.op in ("gemm", "call_module", "layernorm") and fuse:
-            j = i + 1
-            while j < len(nodes) and nodes[j].op in ELEMENTWISE_OPS:
-                tail.append(nodes[j])
-                j += 1
-        if node.op == "gemm":
-            cls = Int8GemmStage if precision == "int8" else GemmStage
-            stages.append(cls(key, node.layer, _chain_of(tail)))
-            fused += len(tail)
-            i += 1 + len(tail)
-        elif node.op == "call_module":
-            stages.append(CallModuleStage(key, node.layer, _chain_of(tail)))
-            fused += len(tail)
-            i += 1 + len(tail)
-        elif node.op == "layernorm":
-            stages.append(LayerNormStage(key, node.layer, _chain_of(tail)))
-            fused += len(tail)
-            i += 1 + len(tail)
-        elif node.op == "flatten":
-            stages.append(FlattenStage(key))
-            i += 1
-        elif node.op in ELEMENTWISE_OPS:
-            run: List[Node] = [node]
-            j = i + 1
-            while fuse and j < len(nodes) and nodes[j].op in ELEMENTWISE_OPS:
-                run.append(nodes[j])
-                j += 1
-            stages.append(ElementwiseStage(key, _chain_of(run)))
-            fused += len(run) - 1
-            i = j
-        else:  # pragma: no cover - tracer only emits known ops
-            raise ValueError(f"planner cannot lower op {node.op!r}")
-    return Program(graph, stages, precision, fused)
+        if node.op in ELEMENTWISE_OPS:  # no producer: the chain starts here
+            op, layer, start = "copy", None, i
+        else:
+            op, layer, start = node.op, node.layer, i + 1
+        end = start
+        if op != "flatten":
+            while end < len(nodes) and nodes[end].op in ELEMENTWISE_OPS:
+                end += 1
+        chain = [(n.op, n.layer) for n in nodes[start:end]]
+        stages.append(Stage(f"s{len(stages)}", op, layer, chain))
+        i = end
+    return Program(stages)

@@ -1,11 +1,9 @@
 """Graph capture: trace a :class:`repro.nn.Module` into an explicit op graph.
 
-Tracing is *value-driven*: a :class:`TraceValue` flows through the module
-the same way an activation tensor would, and every layer it passes
-appends one or more :class:`Node` records to the growing :class:`Graph`.
-Per-layer trace rules are registered by class (subclasses inherit their
-nearest ancestor's rule), mirroring how the kernel registry of PR 4 maps
-names to backends:
+Every supported module is a straight-line chain of layers, so the
+captured :class:`Graph` is an ordered list of :class:`Node` records, one
+per op.  Each layer class traces to fixed ops (subclasses inherit their
+nearest ancestor's):
 
 * ``Dense``                    -> ``gemm`` (+ ``bias_add``)
 * activations / ``Dropout``    -> elementwise nodes (dropout is an
@@ -39,10 +37,9 @@ flags can flip after capture).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
-import numpy as np
-
+from ..generative.rmae import Norm2d
 from ..nn.layers import (
     AvgPool2d,
     BatchNorm,
@@ -64,66 +61,59 @@ from ..nn.layers import (
 )
 from ..nn.sequential import Sequential
 
-__all__ = ["TraceError", "Node", "Graph", "TraceValue", "trace",
-           "register_trace_rule", "supported_layers", "ELEMENTWISE_OPS"]
+__all__ = ["TraceError", "Node", "Graph", "trace", "supported_layers",
+           "ELEMENTWISE_OPS"]
 
 
 class TraceError(RuntimeError):
     """A module contains a construct the tracer has no rule for."""
 
 
-# Ops a later fusion pass may fold onto the producing GEMM/conv output
-# (all row-wise, in-place-applicable transforms).
+# Ops the planner folds onto the producing GEMM/conv output (all
+# row-wise, in-place-applicable transforms).
 ELEMENTWISE_OPS = frozenset({
     "bias_add", "relu", "leaky_relu", "tanh", "sigmoid", "softplus",
     "identity", "dropout", "bn_affine",
 })
 
+# Layer class -> the one op it traces to (subclasses inherit their
+# nearest ancestor's entry).  ``Sequential`` and ``Dense`` have rules of
+# their own in :func:`_trace_into`.
+_LAYER_OPS: Dict[type, str] = {
+    ReLU: "relu", LeakyReLU: "leaky_relu", Tanh: "tanh",
+    Sigmoid: "sigmoid", Softplus: "softplus", Identity: "identity",
+    # Inference-mode dropout is the identity (inverted dropout pre-scales).
+    Dropout: "dropout",
+    # Inference-mode BatchNorm is an affine transform of the running stats.
+    BatchNorm: "bn_affine",
+    LayerNorm: "layernorm",
+    Flatten: "flatten",
+    # Opaque leaves: their forward_batch is already one fused numpy
+    # expression (im2col GEMMs, pooling reductions, the GRU's gate
+    # algebra, Norm2d's pure per-sample normalization); the planner
+    # treats each as a single stage and still fuses any elementwise
+    # tail onto its output.
+    Conv2d: "call_module", ConvTranspose2d: "call_module",
+    MaxPool2d: "call_module", AvgPool2d: "call_module",
+    GRUCell: "call_module", Norm2d: "call_module",
+}
 
-class Node:
-    """One op of a captured graph (a straight-line single-input chain)."""
 
-    __slots__ = ("idx", "op", "layer", "inputs", "shape", "meta")
+class Node(NamedTuple):
+    """One op of a captured graph and the layer that computes it."""
 
-    def __init__(self, idx: int, op: str, layer: Optional[Module],
-                 inputs: Tuple[int, ...], shape: Optional[tuple] = None,
-                 meta: Optional[dict] = None):
-        self.idx = idx
-        self.op = op
-        self.layer = layer
-        self.inputs = inputs
-        self.shape = shape
-        self.meta = meta or {}
-
-    def describe(self) -> str:
-        name = type(self.layer).__name__ if self.layer is not None else "-"
-        shape = "x".join(map(str, self.shape)) if self.shape else "?"
-        return f"%{self.idx} = {self.op}[{name}] <- {self.inputs} ({shape})"
+    op: str
+    layer: Optional[Module]
 
 
 class Graph:
-    """Captured op graph for one module (plus the module itself)."""
+    """Captured op chain of one module."""
 
-    def __init__(self, module: Module):
-        self.module = module
+    def __init__(self):
         self.nodes: List[Node] = []
-        self.output: int = 0
 
-    def add(self, op: str, layer: Optional[Module],
-            inputs: Tuple[int, ...], shape: Optional[tuple] = None,
-            meta: Optional[dict] = None) -> int:
-        node = Node(len(self.nodes), op, layer, inputs, shape, meta)
-        self.nodes.append(node)
-        return node.idx
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def ops(self) -> List[str]:
-        return [n.op for n in self.nodes]
-
-    def elementwise_count(self) -> int:
-        return sum(n.op in ELEMENTWISE_OPS for n in self.nodes)
+    def add(self, op: str, layer: Optional[Module]) -> None:
+        self.nodes.append(Node(op, layer))
 
     def forward_unsafe(self) -> bool:
         """True while the artifact may NOT stand in for ``forward``.
@@ -143,61 +133,26 @@ class Graph:
                 return True
         return False
 
-    def render(self) -> str:
-        return "\n".join(n.describe() for n in self.nodes)
-
-
-class TraceValue:
-    """The tracer's stand-in for an activation tensor.
-
-    Carries the graph under construction, the node that produced this
-    value, and (when the trace was seeded with an example input) the
-    concrete example array — which is how node shapes get recorded.
-    """
-
-    __slots__ = ("graph", "node", "array")
-
-    def __init__(self, graph: Graph, node: int,
-                 array: Optional[np.ndarray] = None):
-        self.graph = graph
-        self.node = node
-        self.array = array
-
-    def emit(self, op: str, layer: Optional[Module] = None,
-             meta: Optional[dict] = None,
-             push: Optional[Callable[[np.ndarray], np.ndarray]] = None
-             ) -> "TraceValue":
-        """Append one node fed by this value and advance the example."""
-        array = None
-        if self.array is not None and push is not None:
-            array = push(self.array)
-        shape = tuple(array.shape) if array is not None else None
-        node = self.graph.add(op, layer, (self.node,), shape, meta)
-        return TraceValue(self.graph, node, array)
-
-
-# ------------------------------------------------------------- trace rules
-TraceRule = Callable[[Any, TraceValue], TraceValue]
-_TRACE_RULES: Dict[type, TraceRule] = {}
-
-
-def register_trace_rule(cls: type) -> Callable[[TraceRule], TraceRule]:
-    """Register the trace rule for a layer class (and its subclasses)."""
-    def deco(fn: TraceRule) -> TraceRule:
-        _TRACE_RULES[cls] = fn
-        return fn
-    return deco
-
 
 def supported_layers() -> List[str]:
-    return sorted(cls.__name__ for cls in _TRACE_RULES)
+    return sorted(cls.__name__ for cls in (Sequential, Dense, *_LAYER_OPS))
 
 
-def _dispatch(module: Any, value: TraceValue) -> TraceValue:
+def _trace_into(module: Module, graph: Graph) -> None:
+    if isinstance(module, Sequential):
+        for layer in module.layers:
+            _trace_into(layer, graph)
+        return
+    if isinstance(module, Dense):
+        graph.add("gemm", module)
+        if module.bias is not None:
+            graph.add("bias_add", module)
+        return
     for cls in type(module).__mro__:
-        rule = _TRACE_RULES.get(cls)
-        if rule is not None:
-            return rule(module, value)
+        op = _LAYER_OPS.get(cls)
+        if op is not None:
+            graph.add(op, module)
+            return
     raise TraceError(
         f"no trace rule for op '{type(module).__name__}' "
         f"(module {getattr(module, 'name', None) or type(module).__name__!s});"
@@ -206,84 +161,12 @@ def _dispatch(module: Any, value: TraceValue) -> TraceValue:
         "compile_module(..., fallback='eager').")
 
 
-def trace(module: Module, example: Optional[np.ndarray] = None) -> Graph:
+def trace(module: Module) -> Graph:
     """Capture ``module``'s inference forward into a :class:`Graph`.
 
-    With ``example`` given, a concrete array rides along the
-    :class:`TraceValue` and every node records its output shape; without
-    one the graph is structural and shapes are resolved by the buffer
-    planner on first execution.  Raises :class:`TraceError` (naming the
-    offending op) for constructs without a trace rule.
+    Raises :class:`TraceError` (naming the offending op) for constructs
+    without a trace rule.
     """
-    graph = Graph(module)
-    array = None if example is None else np.asarray(example)
-    shape = tuple(array.shape) if array is not None else None
-    root = TraceValue(graph, graph.add("input", None, (), shape), array)
-    out = _dispatch(module, root)
-    graph.output = out.node
+    graph = Graph()
+    _trace_into(module, graph)
     return graph
-
-
-@register_trace_rule(Sequential)
-def _trace_sequential(seq: Sequential, value: TraceValue) -> TraceValue:
-    for layer in seq.layers:
-        value = _dispatch(layer, value)
-    return value
-
-
-@register_trace_rule(Dense)
-def _trace_dense(layer: Dense, value: TraceValue) -> TraceValue:
-    value = value.emit("gemm", layer, push=lambda a: a @ layer.weight.data)
-    if layer.bias is not None:
-        value = value.emit("bias_add", layer,
-                           push=lambda a: a + layer.bias.data)
-    return value
-
-
-def _elementwise_rule(op: str, cls: type) -> None:
-    @register_trace_rule(cls)
-    def rule(layer, value, _op=op):
-        return value.emit(_op, layer, push=layer.forward_batch)
-
-
-_elementwise_rule("relu", ReLU)
-_elementwise_rule("leaky_relu", LeakyReLU)
-_elementwise_rule("tanh", Tanh)
-_elementwise_rule("sigmoid", Sigmoid)
-_elementwise_rule("softplus", Softplus)
-_elementwise_rule("identity", Identity)
-# Inference-mode dropout is the identity (inverted dropout pre-scales).
-_elementwise_rule("dropout", Dropout)
-# Inference-mode BatchNorm is an affine transform of the running stats.
-_elementwise_rule("bn_affine", BatchNorm)
-
-
-@register_trace_rule(LayerNorm)
-def _trace_layernorm(layer: LayerNorm, value: TraceValue) -> TraceValue:
-    return value.emit("layernorm", layer, push=layer.forward_batch)
-
-
-@register_trace_rule(Flatten)
-def _trace_flatten(layer: Flatten, value: TraceValue) -> TraceValue:
-    return value.emit("flatten", layer, push=layer.forward_batch)
-
-
-def _call_module_rule(cls: type) -> None:
-    @register_trace_rule(cls)
-    def rule(layer, value):
-        return value.emit("call_module", layer, push=layer.forward_batch)
-
-
-# Opaque leaves: their forward_batch is already one fused numpy
-# expression (im2col GEMMs, pooling reductions, the GRU's gate algebra,
-# Norm2d's pure per-sample normalization); the planner treats each as a
-# single stage and still fuses any elementwise tail onto its output.
-for _cls in (Conv2d, ConvTranspose2d, MaxPool2d, AvgPool2d, GRUCell):
-    _call_module_rule(_cls)
-
-try:  # Norm2d lives with the R-MAE decoder; optional so a trimmed
-    from ..generative.rmae import Norm2d  # install still traces MLPs.
-except Exception:  # pragma: no cover - generative always ships
-    Norm2d = None
-if Norm2d is not None:
-    _call_module_rule(Norm2d)

@@ -5,20 +5,18 @@ An :class:`RuntimeActuator` wraps one knob behind a get/set pair plus a
 them, and integer bounds keep the knob integral) or categorical
 ``choices`` (values outside the set are rejected loudly).  The
 :class:`ActuatorRegistry` names them, snapshots them, and — mirroring
-the scoped ``kernel_backend()`` / ``compile_mode()`` context managers —
-reverts every knob it touched when a :meth:`ActuatorRegistry.scope`
-block exits, so a control experiment can never leak settings into the
-rest of the process.
+the scoped ``kernel_backend()`` context manager — reverts every knob it
+touched when a :meth:`ActuatorRegistry.scope` block exits, so a control
+experiment can never leak settings into the rest of the process.
 
 The factory helpers at the bottom wire the repo's actual knobs:
 sensing fraction (R-MAE radial masking), STARNet's exact-vs-SPSA
 likelihood-regret method, micro-batcher coalescing bounds, the kernel
-backend, the compile mode, and HaLo-style precision bits.  Frozen
-dataclass configs (``BatcherConfig``, ``RadialMaskConfig``,
-``FleetConfig``) are actuated by *replacing* the config object via
-``dataclasses.replace`` — the owners re-read ``self.config`` per
-decision, so the swap takes effect on the next poll without mutating a
-shared frozen value.
+backend, and HaLo-style precision bits.  Frozen dataclass configs
+(``BatcherConfig``, ``RadialMaskConfig``, ``FleetConfig``) are actuated
+by *replacing* the config object via ``dataclasses.replace`` — the
+owners re-read ``self.config`` per decision, so the swap takes effect
+on the next poll without mutating a shared frozen value.
 
 No wall-clock access anywhere in this package: time only ever arrives
 through :class:`~repro.control.signals.ContextSnapshot`.
@@ -32,8 +30,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = ["ControlError", "RuntimeActuator", "ActuatorRegistry",
            "attr_actuator", "config_field_actuator",
-           "kernel_backend_actuator", "compile_mode_actuator",
-           "score_method_actuator", "microbatcher_actuators",
+           "kernel_backend_actuator", "score_method_actuator", "microbatcher_actuators",
            "fleet_spill_actuator", "precision_bits_actuator"]
 
 
@@ -156,9 +153,9 @@ class ActuatorRegistry:
     def scope(self):
         """Snapshot on entry, revert on exit — even on exceptions.
 
-        The control-plane analogue of ``kernel_backend()`` /
-        ``compile_mode()``: any reconfiguration applied inside the block
-        (by a controller or by hand) is undone when it closes.
+        The control-plane analogue of ``kernel_backend()``: any
+        reconfiguration applied inside the block (by a controller or by
+        hand) is undone when it closes.
         """
         saved = self.snapshot()
         try:
@@ -217,14 +214,6 @@ def kernel_backend_actuator(registry: ActuatorRegistry,
     from ..kernels import BACKENDS, active_backend, force_backend
     return registry.register(
         name, active_backend, lambda v: force_backend(v), choices=BACKENDS)
-
-
-def compile_mode_actuator(registry: ActuatorRegistry,
-                          name: str = "compile_mode") -> RuntimeActuator:
-    """Actuate the process-wide compile mode override (eager/compiled)."""
-    from ..compile import MODES, active_mode, force_mode
-    return registry.register(
-        name, active_mode, lambda v: force_mode(v), choices=MODES)
 
 
 def score_method_actuator(registry: ActuatorRegistry, monitor: Any,

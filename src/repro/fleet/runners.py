@@ -50,23 +50,13 @@ class EmulatedServiceRunner:
 
 class _FeatureBatchRunner:
     """Batch runner over raw feature vectors (shared-memory friendly:
-    requests are plain arrays, results are plain floats).  With
-    ``compiled=True`` every batch scores inside a
-    ``compile_mode("compiled")`` scope, so the monitor's VAE Sequentials
-    route through cached compiled artifacts — built lazily in the
-    replica process on its first batch."""
+    requests are plain arrays, results are plain floats)."""
 
-    def __init__(self, monitor: STARNet, compiled: bool = False):
+    def __init__(self, monitor: STARNet):
         self.monitor = monitor
-        self.compiled = compiled
 
     def __call__(self, items: List[Any]) -> List[float]:
         percepts = [Percept(features=np.asarray(f)) for f in items]
-        if self.compiled:
-            from ..compile import compile_mode
-            with compile_mode("compiled"):
-                return [float(t) for t in
-                        self.monitor.assess_batch(percepts)]
         return [float(t) for t in self.monitor.assess_batch(percepts)]
 
 
@@ -77,9 +67,7 @@ class MonitorRunnerFactory:
     Deliberately ignores the per-replica seed it is called with: every
     replica builds the *same* monitor from the factory's own seed, which
     is the numerical-interchangeability contract the equivalence gate
-    checks.  ``compiled=True`` serves through :mod:`repro.compile`
-    artifacts; that requires a forward-only scorer, so combining it with
-    the gradient-based ``exact`` method is rejected at construction.
+    checks.
     """
 
     feature_dim: int = 6
@@ -88,14 +76,6 @@ class MonitorRunnerFactory:
     per_batch_ms: float = 12.0
     per_item_ms: float = 5.0
     score_method: str = "exact"
-    compiled: bool = False
-
-    def __post_init__(self):
-        if self.compiled and self.score_method == "exact":
-            raise ValueError(
-                "compiled replicas cannot use score_method='exact' "
-                "(likelihood regret needs decoder.backward, which is "
-                "eager-only); use 'recon' or 'spsa'")
 
     def make_monitor(self) -> STARNet:
         rng = np.random.default_rng(self.seed)
@@ -106,7 +86,6 @@ class MonitorRunnerFactory:
         return monitor
 
     def __call__(self, index: int, replica_seed: int):
-        runner = _FeatureBatchRunner(self.make_monitor(),
-                                     compiled=self.compiled)
+        runner = _FeatureBatchRunner(self.make_monitor())
         return EmulatedServiceRunner(runner, self.per_batch_ms,
                                      self.per_item_ms)

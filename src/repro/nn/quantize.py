@@ -33,8 +33,8 @@ def affine_qparams(lo: float, hi: float, bits: int) -> "tuple[float, int]":
     bit-exactly), and the zero-point is the rounded image of ``-lo/scale``
     clipped to the integer grid — which makes both range endpoints land
     within half a step of a grid point, i.e. the round-trip error is at
-    most ``scale / 2`` everywhere in ``[lo, hi]`` including the int8
-    boundaries.  Degenerate ranges (``lo == hi == 0``, or a range so
+    most ``scale / 2`` everywhere in ``[lo, hi]`` including the range
+    endpoints.  Degenerate ranges (``lo == hi == 0``, or a range so
     small that the step underflows to zero) return the identity grid
     ``(1.0, 0)``.
     """

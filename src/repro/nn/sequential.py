@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import sys
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -12,40 +10,29 @@ from .layers import Dense, Module, ReLU
 
 __all__ = ["Sequential", "mlp"]
 
-
-def _compiled_mode_active() -> bool:
-    """True when REPRO_COMPILE / compile_mode() selects compiled execution.
-
-    Kept dependency-light on purpose: repro.nn must not import
-    repro.compile at module load (repro.compile imports the layers), and
-    eager-mode dispatch must stay a cheap attribute check.  The env
-    value is validated by ``repro.compile.executor.active_mode`` once
-    routing actually engages.
-    """
-    executor = sys.modules.get("repro.compile.executor")
-    if executor is not None and executor._forced is not None:
-        return executor._forced == "compiled"
-    return os.environ.get("REPRO_COMPILE", "").strip().lower() == "compiled"
+# Installed by ``repro.compile.compile_mode()`` for the scope's duration:
+# a module whose ``routed_forward`` / ``routed_forward_batch`` take over
+# the inference forwards.  repro.nn must not import repro.compile (which
+# imports the layers), so the compile layer installs itself here.
+_router = None
 
 
 class Sequential(Module):
     """Chain of layers applied in order; backward runs in reverse.
 
-    Under ``REPRO_COMPILE=compiled`` (or a ``compile_mode("compiled")``
-    scope) the inference forwards route through a cached
-    :class:`repro.compile.CompiledModule` artifact — traced once, fused,
-    arena-backed — with loud fallback to the eager loop for untraceable
-    layer stacks.  ``backward`` stays eager and refuses to run against a
-    forward that executed compiled (the layer caches it would consume
-    were never populated).
+    The layer chain is fixed at construction (``layers`` is a tuple and
+    there is no ``append``), which is what lets compile routing cache
+    one artifact per Sequential.  Inside a
+    ``repro.compile.compile_mode()`` scope the inference forwards route
+    through a cached :class:`repro.compile.CompiledModule` artifact —
+    traced once, fused, arena-backed — with loud fallback to the eager
+    loop for untraceable layer stacks.  ``backward`` stays eager and
+    refuses to run against a forward that executed compiled (the layer
+    caches it would consume were never populated).
     """
 
     def __init__(self, *layers: Module):
-        self.layers: List[Module] = list(layers)
-
-    def append(self, layer: Module) -> "Sequential":
-        self.layers.append(layer)
-        return self
+        self.layers = layers
 
     def _eager_forward(self, x: np.ndarray) -> np.ndarray:
         self.__dict__["_ran_compiled"] = False
@@ -59,17 +46,15 @@ class Sequential(Module):
         return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if _compiled_mode_active():
-            from ..compile.executor import routed_forward
-            return routed_forward(self, x)
+        if _router is not None:
+            return _router.routed_forward(self, x)
         return self._eager_forward(x)
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Pure batched inference through the chain (see
         :meth:`Module.forward_batch` for the contract)."""
-        if _compiled_mode_active():
-            from ..compile.executor import routed_forward_batch
-            return routed_forward_batch(self, x)
+        if _router is not None:
+            return _router.routed_forward_batch(self, x)
         return self._eager_forward_batch(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -77,9 +62,8 @@ class Sequential(Module):
             from ..compile.executor import CompileError
             raise CompileError(
                 "backward after a compiled forward: the compiled path "
-                "does not populate layer caches. Run the forward under "
-                "eager mode (REPRO_COMPILE=eager or outside "
-                "compile_mode('compiled')) before training.")
+                "does not populate layer caches. Run the forward outside "
+                "compile_mode() before training.")
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
@@ -104,12 +88,12 @@ def mlp(sizes: Sequence[int],
     if len(sizes) < 2:
         raise ValueError("mlp needs at least input and output sizes")
     rng = rng if rng is not None else np.random.default_rng(0)
-    net = Sequential()
+    layers: List[Module] = []
     for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
-        net.append(Dense(a, b, rng=rng, name=f"{name}.fc{i}"))
+        layers.append(Dense(a, b, rng=rng, name=f"{name}.fc{i}"))
         last = i == len(sizes) - 2
         if not last:
-            net.append(hidden_activation())
+            layers.append(hidden_activation())
         elif output_activation is not None:
-            net.append(output_activation())
-    return net
+            layers.append(output_activation())
+    return Sequential(*layers)

@@ -30,7 +30,6 @@ from .scheduler import (
 from .services import (
     BatchedMonitor,
     BatchedPerception,
-    compiled_monitor_runner,
     detector_runner,
     flow_runner,
     koopman_rollout_runner,
@@ -42,6 +41,6 @@ __all__ = [
     "BatcherConfig", "MicroBatcher", "BatchedService", "ServeTicket",
     "ServiceOverloaded",
     "BatchedMonitor", "BatchedPerception", "monitor_runner",
-    "compiled_monitor_runner", "detector_runner", "occupancy_runner",
-    "flow_runner", "koopman_rollout_runner",
+    "detector_runner", "occupancy_runner", "flow_runner",
+    "koopman_rollout_runner",
 ]

@@ -33,8 +33,8 @@ from ..core.components import Monitor, Percept, Perception, SensorReading
 from .scheduler import BatchedService
 
 __all__ = ["BatchedMonitor", "BatchedPerception", "monitor_runner",
-           "compiled_monitor_runner", "detector_runner", "occupancy_runner",
-           "flow_runner", "koopman_rollout_runner"]
+           "detector_runner", "occupancy_runner", "flow_runner",
+           "koopman_rollout_runner"]
 
 
 # ------------------------------------------------------------------ runners
@@ -42,32 +42,6 @@ def monitor_runner(monitor) -> Callable[[List[Percept]], Sequence[float]]:
     """Batch runner over a monitor with ``assess_batch`` (STARNet)."""
     def run(percepts: List[Percept]) -> Sequence[float]:
         return [float(t) for t in monitor.assess_batch(percepts)]
-    return run
-
-
-def compiled_monitor_runner(monitor
-                            ) -> Callable[[List[Percept]], Sequence[float]]:
-    """Like :func:`monitor_runner`, but every assessment executes through
-    :mod:`repro.compile` — the monitor's VAE Sequentials route to traced,
-    fused, arena-backed artifacts cached across batches.
-
-    Only forward-only scorers are eligible: the ``exact``
-    likelihood-regret method optimizes the latent through
-    ``decoder.backward``, which a compiled forward cannot feed (the
-    arena has already recycled its buffers), so it is rejected loudly at
-    construction instead of failing on the first served batch.
-    """
-    from ..compile import CompileError, compile_mode
-    if getattr(monitor, "score_method", None) == "exact":
-        raise CompileError(
-            "compiled_monitor_runner cannot serve score_method='exact': "
-            "likelihood regret trains the latent via decoder.backward, "
-            "which requires eager execution. Use score_method='recon' "
-            "(or 'spsa') for compiled replicas.")
-
-    def run(percepts: List[Percept]) -> Sequence[float]:
-        with compile_mode("compiled"):
-            return [float(t) for t in monitor.assess_batch(percepts)]
     return run
 
 

@@ -34,11 +34,10 @@ reference), ``quantized`` (identical training, then all learned
 parameters are fake-quantized to :data:`QUANT_BITS` bits before
 evaluation), and ``compiled`` (identical training, then the evaluation
 phase executes through :mod:`repro.compile` — traced, fused,
-arena-backed artifacts; the federated template additionally runs true
-int8 GEMMs, and the SNN model exercises the loud fallback-to-eager
-path).  The training-phase records of all variants must be
-bit-identical; only the evaluation fields named in each scenario's
-tolerance spec may drift.
+arena-backed artifacts; the SNN model exercises the loud
+fallback-to-eager path).  The training-phase records of all variants
+must be bit-identical; only the evaluation fields named in each
+scenario's tolerance spec may drift.
 
 Determinism contract: every random draw comes from an explicitly seeded
 generator, no wall-clock values are recorded, and telemetry is captured
@@ -84,7 +83,7 @@ def _compiled_eval(variant: str):
     if variant != "compiled":
         return nullcontext()
     from ..compile import compile_mode
-    return compile_mode("compiled")
+    return compile_mode()
 
 
 # ------------------------------------------------------------ scenarios
@@ -315,15 +314,11 @@ def _federated_round(rec: TraceRecorder, variant: str, pool=None) -> None:
         server.global_weights = [quantize(w, QUANT_BITS)
                                  for w in server.global_weights]
     elif variant == "compiled":
-        # True int8 execution: the evaluation template becomes a
-        # compiled artifact whose GEMMs run genuine int8 arithmetic
-        # (weights packed once as int8, scale/zero-point propagated) —
-        # not fake-quantized float.  evaluate() streams the global
-        # weights into the template parameters first; packing is lazy on
-        # first forward, so it sees the loaded values.
+        # The evaluation template becomes a compiled artifact.
+        # evaluate() streams the global weights into the template
+        # parameters in place, and the program reads them live.
         from ..compile import compile_module
-        server._template = compile_module(server._template,
-                                          precision="int8")
+        server._template = compile_module(server._template)
 
     rec.add("global_model",
             weights=np.concatenate([w.ravel()

@@ -27,14 +27,12 @@ kernel layers must keep true:
   standing differential that keeps the two implementations of every
   hot-path kernel equivalent at scenario scale;
 * ``compiled``  — the scenario's ``compiled`` variant (evaluation
-  through :mod:`repro.compile`: traced, fused, arena-backed artifacts;
-  true int8 GEMMs for the federated template) must agree with a
-  same-backend float anchor within the scenario tolerances.  The check
-  also asserts the machinery actually engaged: graph captures happened
-  for every scenario with traceable eval paths, the federated round
-  executed genuine int8 GEMM stages, and the spiking-flow scenario —
-  whose model has no trace rules by design — took the loud
-  fallback-to-eager path.
+  through :mod:`repro.compile`: traced, fused, arena-backed artifacts)
+  must agree with a same-backend float anchor within the scenario
+  tolerances.  The check also asserts the machinery actually engaged:
+  graph captures happened for every scenario with traceable eval
+  paths, and the spiking-flow scenario — whose model has no trace
+  rules by design — took the loud fallback-to-eager path.
 
 ``run_verify`` is the library entry point; ``main_verify`` backs the
 ``repro verify`` CLI subcommand, including ``--update-goldens`` (record
@@ -376,11 +374,10 @@ def run_verify(scenarios: Optional[Sequence[str]] = None,
                            "golden, kernel-drift tolerances",
                     extra_tolerances=KERNEL_DRIFT_TOLERANCES.get(name)))
 
-    # Phase 7 — compiled: the traced/fused/arena (and, for the federated
-    # template, true-int8) execution must agree with a same-backend
-    # float anchor, and the compile machinery must demonstrably engage
-    # (captures / int8 GEMMs / loud fallback), so a silently unwired
-    # compiled path fails loudly rather than passing vacuously.
+    # Phase 7 — compiled: the traced/fused/arena execution must agree
+    # with a same-backend float anchor, and the compile machinery must
+    # demonstrably engage (captures / loud fallback), so a silently
+    # unwired compiled path fails loudly rather than passing vacuously.
     with _cache_env(enabled=False):
         for name in active:
             if "compiled" in skip:
@@ -396,7 +393,6 @@ def run_verify(scenarios: Optional[Sequence[str]] = None,
                         f"(captures={delta['captures']}, "
                         f"runs={delta['runs']}, "
                         f"fused={delta['fused_elementwise']}, "
-                        f"int8_gemms={delta['int8_gemms']}, "
                         f"fallbacks={delta['fallbacks']})"),
                 extra_tolerances=COMPILED_DRIFT_TOLERANCES.get(name))
             if result.ok and name in COMPILED_CAPTURE_SCENARIOS \
@@ -405,12 +401,6 @@ def run_verify(scenarios: Optional[Sequence[str]] = None,
                     name, "compiled", "fail", [],
                     detail="scenario is expected to capture at least one "
                            "graph but the compile layer recorded none")
-            if result.ok and name == "federated_round" \
-                    and delta["int8_gemms"] == 0:
-                result = CheckResult(
-                    name, "compiled", "fail", [],
-                    detail="federated template must execute true int8 "
-                           "GEMM stages but none ran")
             if result.ok and name == "snn_flow" \
                     and delta["fallbacks"] == 0:
                 result = CheckResult(

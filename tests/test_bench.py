@@ -1,6 +1,7 @@
 """The bench contract: ``repro bench`` and ``check_regressions.py``
 evaluate the same claims and agree on what "passing" means."""
 
+import copy
 import importlib.util
 import json
 import os
@@ -109,3 +110,27 @@ def test_every_gated_bench_exposes_the_contract():
         assert bench.BENCHES[name][1] == "run", name
         assert callable(module.run) and callable(module.claims), name
         assert isinstance(bench.load_baseline(name), dict), name
+
+
+def _compile_claims(payload):
+    module = bench.load_bench("compile_stages")
+    return module.claims(payload, bench.load_baseline("compile_stages"))
+
+
+def test_compile_baseline_passes_every_claim():
+    claims = _compile_claims(bench.load_baseline("compile_stages"))
+    assert [str(c) for c in claims if not c.ok] == []
+
+
+@pytest.mark.parametrize("field, value, broken", [
+    ("max_abs_diff", 1e-6, "float-equivalent-mlp_64x3"),
+    ("steady_state_allocations", 1, "zero-steady-allocs-mlp_64x3"),
+    ("speedup", 1.49, "fused-arena-wins"),
+])
+def test_compile_claims_block_on_a_broken_contract(field, value, broken):
+    payload = copy.deepcopy(bench.load_baseline("compile_stages"))
+    # The speed floor is on the best model, so every model goes under it.
+    names = payload["models"] if field == "speedup" else ["mlp_64x3"]
+    for name in names:
+        payload["models"][name]["stages"]["fused_arena"][field] = value
+    assert {c.name for c in _compile_claims(payload) if c.failed} == {broken}

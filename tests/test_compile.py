@@ -1,5 +1,5 @@
 """Tests for :mod:`repro.compile` — tracing, fusion, the buffer arena,
-true-int8 execution, mode routing, and the serve/fleet integration."""
+mode routing, and compiled monitor scoring."""
 
 import warnings
 
@@ -8,14 +8,10 @@ import pytest
 
 import repro.nn.layers as nn_layers
 from repro.compile import (
-    BufferArena,
     CompiledModule,
     CompileError,
     CompileFallbackWarning,
-    FreshAllocator,
-    Int8Dense,
     TraceError,
-    active_mode,
     build_program,
     compile_mode,
     compile_module,
@@ -23,7 +19,6 @@ from repro.compile import (
     supported_layers,
     trace,
 )
-from repro.compile.executor import COMPILE_ENV
 from repro.kernels import BACKENDS, kernel_backend
 from repro.nn.layers import (
     AvgPool2d,
@@ -87,8 +82,8 @@ def test_every_nn_layer_traces_and_matches_eager(name):
     model = Sequential(layer)
     model.eval()
     x = _rng(10).standard_normal(shape)
-    graph = trace(model, example=x)
-    assert graph.output == len(graph.nodes) - 1
+    graph = trace(model)
+    assert graph.nodes and all(n.layer is layer for n in graph.nodes)
     compiled = CompiledModule(model)
     np.testing.assert_allclose(compiled.forward_batch(x),
                                model._eager_forward_batch(x),
@@ -157,27 +152,15 @@ def test_forward_lifts_1d_input():
 # ----------------------------------------------------------------- fusion
 def test_fusion_absorbs_elementwise_chains():
     model = mlp([8, 16, 4], rng=_rng(0))  # gemm+bias+relu, gemm+bias
-    prog = build_program(trace(model), fuse=True)
+    prog = build_program(trace(model))
     assert len(prog.stages) == 2
     assert prog.fused_elementwise == 3  # bias, relu, bias
-    unfused = build_program(trace(model), fuse=False)
-    assert len(unfused.stages) == 5  # one per non-input node
-    assert unfused.fused_elementwise == 0
-
-
-def test_unfused_program_matches_fused():
-    model = _mixed_model()
-    x = _rng(11).standard_normal((4, 10))
-    fused = CompiledModule(model, fuse=True)
-    unfused = CompiledModule(model, fuse=False)
-    np.testing.assert_allclose(unfused.forward_batch(x),
-                               fused.forward_batch(x), rtol=0, atol=0)
 
 
 # ------------------------------------------------------------------ arena
 def test_arena_zero_steady_state_allocations():
     model = _mixed_model()
-    art = CompiledModule(model, copy_output=False)
+    art = CompiledModule(model)
     x = _rng(3).standard_normal((8, 10))
     art.forward_batch(x)
     before = art.arena.allocations
@@ -191,7 +174,7 @@ def test_arena_zero_steady_state_allocations():
 def test_arena_grows_capacity_then_serves_views():
     model = mlp([6, 12, 3], rng=_rng(0))
     model.eval()
-    art = CompiledModule(model, copy_output=False)
+    art = CompiledModule(model)
     small = _rng(1).standard_normal((4, 6))
     big = _rng(2).standard_normal((32, 6))
     art.forward_batch(small)
@@ -211,91 +194,11 @@ def test_arena_grows_capacity_then_serves_views():
 def test_copy_output_protects_result():
     model = mlp([4, 6, 2], rng=_rng(0))
     model.eval()
-    art = CompiledModule(model, copy_output=True)
+    art = CompiledModule(model)
     a = art.forward_batch(np.ones((2, 4)))
     kept = np.copy(a)
     art.forward_batch(np.full((2, 4), 3.0))  # would overwrite an arena view
     np.testing.assert_array_equal(a, kept)
-
-
-def test_fresh_allocator_reports_no_footprint():
-    alloc = FreshAllocator()
-    y = alloc.out("k", (3, 4), np.float64)
-    assert y.shape == (3, 4)
-    assert alloc.nbytes() == 0 and alloc.slot_count() == 0
-
-
-# ------------------------------------------------------------------- int8
-def test_int8_weights_stored_as_int8():
-    dense = Dense(16, 8, rng=_rng(0))
-    packed = Int8Dense(dense)
-    assert packed.weight_q.dtype == np.int8
-    rep = packed.report()
-    assert rep["weight_bytes"] * 8 == rep["float_bytes"]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_int8_drift_within_analytic_bound(seed):
-    dense = Dense(24, 10, rng=_rng(seed))
-    packed = Int8Dense(dense)
-    x = _rng(seed + 100).standard_normal((7, 24)) * (seed + 1)
-    got = packed.run(x, BufferArena(), "t")
-    ref = x @ dense.weight.data
-    assert float(np.max(np.abs(got - ref))) <= packed.drift_bound(x)
-
-
-def test_int8_zero_weight_column_exact():
-    dense = Dense(6, 3, rng=_rng(0))
-    dense.weight.data[:, 1] = 0.0
-    packed = Int8Dense(dense)
-    x = _rng(1).standard_normal((4, 6))
-    got = packed.run(x, BufferArena(), "t")
-    np.testing.assert_array_equal(got[:, 1], 0.0)
-
-
-def test_int8_overflow_guard():
-    dense = Dense(4, 2, rng=_rng(0))
-    dense.weight.data = np.zeros((70_000, 2))  # beyond the int32-safe width
-    with pytest.raises(ValueError, match="overflow"):
-        Int8Dense(dense)
-
-
-def test_int8_compiled_model_within_tolerance_and_counted():
-    model = mlp([12, 24, 6], rng=_rng(5))
-    model.eval()
-    x = _rng(6).standard_normal((8, 12))
-    before = compile_stats().snapshot()
-    art = CompiledModule(model, precision="int8")
-    got = art.forward_batch(x)
-    delta = compile_stats().delta(before)
-    assert delta["int8_gemms"] == 2
-    eager = model._eager_forward_batch(x)
-    assert float(np.max(np.abs(got - eager))) < 0.1
-    assert not np.array_equal(got, eager)  # genuinely quantized, not float
-
-
-def test_int8_weight_rebind_triggers_repack():
-    model = mlp([5, 4], rng=_rng(0))
-    model.eval()
-    art = CompiledModule(model, precision="int8")
-    x = _rng(1).standard_normal((3, 5))
-    art.forward_batch(x)
-    model.layers[0].weight.data = np.zeros((5, 4))  # rebound array
-    np.testing.assert_allclose(art.forward_batch(x),
-                               np.zeros((3, 4)), atol=1e-12)
-
-
-def test_int8_inplace_mutation_needs_recompile():
-    model = mlp([5, 4], rng=_rng(0))
-    model.eval()
-    art = CompiledModule(model, precision="int8")
-    x = _rng(1).standard_normal((3, 5))
-    stale = np.copy(art.forward_batch(x))
-    model.layers[0].weight.data[...] *= 2.0  # in-place: witness unchanged
-    np.testing.assert_array_equal(art.forward_batch(x), stale)
-    art.recompile()
-    fresh = art.forward_batch(x)
-    assert float(np.max(np.abs(fresh - 2.0 * stale))) < 0.1
 
 
 # ----------------------------------------------------- inference-only API
@@ -322,39 +225,26 @@ def test_compiled_module_is_not_a_module():
 
 # ---------------------------------------------------------------- routing
 def test_mode_default_and_context():
-    assert active_mode() == "eager"
-    with compile_mode("compiled"):
-        assert active_mode() == "compiled"
-        with compile_mode("eager"):
-            assert active_mode() == "eager"
-        assert active_mode() == "compiled"
-    assert active_mode() == "eager"
-    with pytest.raises(CompileError):
-        with compile_mode("jit"):
-            pass
-
-
-def test_env_selects_compiled(monkeypatch):
     model = mlp([4, 3], rng=_rng(0))
     model.eval()
-    x = _rng(1).standard_normal((2, 4))
-    eager = model.forward_batch(x)
-    monkeypatch.setenv(COMPILE_ENV, "compiled")
-    before = compile_stats().snapshot()
-    np.testing.assert_allclose(model.forward_batch(x), eager,
-                               rtol=0, atol=1e-12)
-    assert compile_stats().delta(before)["runs"] == 1
+    x = np.zeros((2, 4))
 
+    def compiled_runs():
+        before = compile_stats().snapshot()
+        model.forward_batch(x)
+        return compile_stats().delta(before)["runs"]
 
-def test_invalid_env_mode_raises(monkeypatch):
-    monkeypatch.setenv(COMPILE_ENV, "turbo")
-    with pytest.raises(CompileError, match="turbo"):
-        active_mode()
-    # Routing stays eager for anything that is not exactly "compiled".
-    model = mlp([4, 3], rng=_rng(0))
-    before = compile_stats().snapshot()
-    model.forward_batch(np.zeros((1, 4)))
-    assert compile_stats().delta(before)["runs"] == 0
+    assert compiled_runs() == 0  # eager by default
+    with compile_mode():
+        assert compiled_runs() == 1
+        with compile_mode():
+            assert compiled_runs() == 1
+        assert compiled_runs() == 1  # leaving a nested scope keeps routing
+    assert compiled_runs() == 0
+    with pytest.raises(RuntimeError, match="boom"):
+        with compile_mode():
+            raise RuntimeError("boom")
+    assert compiled_runs() == 0  # an exception still restores eager
 
 
 def test_routing_caches_one_artifact_per_sequential():
@@ -362,7 +252,7 @@ def test_routing_caches_one_artifact_per_sequential():
     model.eval()
     x = np.zeros((2, 4))
     before = compile_stats().snapshot()
-    with compile_mode("compiled"):
+    with compile_mode():
         model.forward_batch(x)
         model.forward_batch(x)
         model.forward(x)
@@ -375,7 +265,7 @@ def test_backward_after_routed_compiled_forward_raises():
     model = mlp([4, 3], rng=_rng(0))
     model.eval()
     x = np.zeros((2, 4))
-    with compile_mode("compiled"):
+    with compile_mode():
         model.forward(x)
     with pytest.raises(CompileError, match="backward after a compiled"):
         model.backward(np.ones((2, 3)))
@@ -387,7 +277,7 @@ def test_training_mode_dropout_bypasses_forward_only():
     model = Sequential(Dense(4, 4, rng=_rng(0)), Dropout(0.5, rng=_rng(1)))
     x = _rng(2).standard_normal((3, 4))
     before = compile_stats().snapshot()
-    with compile_mode("compiled"):
+    with compile_mode():
         model.forward(x)          # training dropout: stateful, bypasses
         batched = model.forward_batch(x)  # pure inference: compiled
     delta = compile_stats().delta(before)
@@ -409,7 +299,7 @@ def test_untraceable_sequential_falls_back_with_warning():
     model.eval()
     x = _rng(1).standard_normal((2, 3))
     before = compile_stats().snapshot()
-    with compile_mode("compiled"):
+    with compile_mode():
         with pytest.warns(CompileFallbackWarning, match="Opaque"):
             first = model.forward_batch(x)
         with warnings.catch_warnings():
@@ -435,30 +325,35 @@ def test_compile_module_fallback_policies():
         compile_module(bad, fallback="maybe")
 
 
-# ------------------------------------------------------------ serve/fleet
-def test_compiled_monitor_runner_rejects_exact_scorer():
-    from repro.serve import compiled_monitor_runner
-    from repro.starnet import STARNet
-    mon = STARNet(6, score_method="exact", rng=_rng(0))
-    with pytest.raises(CompileError, match="exact"):
-        compiled_monitor_runner(mon)
+def test_routed_sequential_cannot_go_stale():
+    # Routing caches one artifact per Sequential, so the layer chain must
+    # not change after the first compiled forward.
+    model = mlp([4, 8, 3], rng=_rng(0))
+    model.eval()
+    x = _rng(1).standard_normal((2, 4))
+    with compile_mode():
+        model.forward_batch(x)
+    assert not hasattr(model, "append")
+    with pytest.raises(TypeError):
+        model.layers[1] = Tanh()
+    with compile_mode():
+        np.testing.assert_array_equal(model.forward_batch(x),
+                                      model._eager_forward_batch(x))
 
 
-def test_fleet_factory_rejects_compiled_exact():
-    from repro.fleet import MonitorRunnerFactory
-    with pytest.raises(ValueError, match="exact"):
-        MonitorRunnerFactory(compiled=True)  # default scorer is exact
-    MonitorRunnerFactory(compiled=True, score_method="recon")  # fine
-
-
+# ---------------------------------------------------------------- serving
 def test_compiled_monitor_runner_matches_eager():
     from repro.core.components import Percept
-    from repro.serve import compiled_monitor_runner, monitor_runner
+    from repro.serve import monitor_runner
     from repro.starnet import STARNet
     rng = _rng(3)
     mon = STARNet(6, score_method="recon", rng=_rng(4))
     mon.fit(rng.normal(size=(60, 6)) * 0.5, epochs=15)
     percepts = [Percept(features=rng.normal(size=6)) for _ in range(5)]
-    eager = monitor_runner(mon)(percepts)
-    compiled = compiled_monitor_runner(mon)(percepts)
+    runner = monitor_runner(mon)
+    eager = runner(percepts)
+    before = compile_stats().snapshot()
+    with compile_mode():
+        compiled = runner(percepts)
+    assert compile_stats().delta(before)["runs"] > 0
     np.testing.assert_allclose(compiled, eager, rtol=0, atol=1e-9)

@@ -4,7 +4,7 @@
 Everything deterministic runs under a :class:`VirtualClock` (or the
 loop's simulated timebase): actuator registry semantics and scoped
 revert, rule validation and hysteresis/cooldown firing, the
-``REPRO_CONTROL`` kill switch, the kernel/compile-mode actuators, loop
+``REPRO_CONTROL`` kill switch, the kernel-backend actuator, loop
 and micro-batcher integration.  The one threaded test exercises a real
 :class:`BatchedService` whose controller retunes the batch size
 mid-stream, mirroring ``tests/test_serve.py``.  A static scan pins the
@@ -16,7 +16,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.compile import active_mode
 from repro.control import (
     ActuatorRegistry,
     ContextSnapshot,
@@ -28,7 +27,6 @@ from repro.control import (
     ServiceControlBinding,
     SignalSource,
     attr_actuator,
-    compile_mode_actuator,
     config_field_actuator,
     control_enabled,
     kernel_backend_actuator,
@@ -159,28 +157,22 @@ def test_config_field_actuator_replaces_frozen_config():
 
 
 def test_kernel_and_compile_actuators_revert_under_scope():
-    from repro.compile import force_mode
     from repro.kernels import force_backend
 
     registry = ActuatorRegistry()
     kernel_backend_actuator(registry)
-    compile_mode_actuator(registry)
-    backend0, mode0 = active_backend(), active_mode()
+    backend0 = active_backend()
     other = "reference" if backend0 == "vectorized" else "vectorized"
     try:
         with registry.scope():
             registry.set("kernel_backend", other)
-            registry.set("compile_mode", "compiled")
             assert active_backend() == other
-            assert active_mode() == "compiled"
         assert active_backend() == backend0
-        assert active_mode() == mode0
     finally:
         # The scope revert re-installs the *resolved* value as a forced
         # override (the actuator cannot see "no override"); clear it so
         # env-var selection keeps working for the rest of the session.
         force_backend(None)
-        force_mode(None)
 
 
 def test_precision_bits_actuator_choices():

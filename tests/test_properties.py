@@ -59,10 +59,9 @@ def test_quantization_noise_within_shrinking_bound(x):
 @settings(max_examples=80, deadline=None)
 def test_asymmetric_quantize_roundtrip_within_half_step(x, bits):
     # The affine grid covers [min(x),0]..[0,max(x)], so every value —
-    # including the exact range boundaries, the int8 edge case the
-    # compile layer depends on — round-trips within half a step.  No
-    # idempotence is claimed: re-quantizing derives a *new* grid from
-    # the quantized range, which may differ.
+    # including the exact range boundaries — round-trips within half a
+    # step.  No idempotence is claimed: re-quantizing derives a *new*
+    # grid from the quantized range, which may differ.
     q = quantize(x, bits, symmetric=False)
     scale, zp = affine_qparams(float(np.min(x)), float(np.max(x)), bits)
     assert 0 <= zp <= 2 ** bits - 1

@@ -343,6 +343,22 @@ def test_run_verify_update_then_verify_round_trip(tmp_path):
     assert "koopman_lqr" in report.render()
 
 
+def test_compiled_check_fails_when_compilation_does_not_engage(monkeypatch):
+    """A compiled variant that silently runs eager must not pass: the
+    traceable scenarios must capture a graph, and snn_flow must take the
+    loud eager fallback."""
+    import repro.compile
+    monkeypatch.setattr(repro.compile, "compile_module",
+                        lambda module, fallback="error": module)
+    report = run_verify(["koopman_lqr", "snn_flow"],
+                        skip=("serial", "pooled", "cache", "quantized",
+                              "kernels"))
+    details = {r.scenario: r.detail for r in report.failures()}
+    assert set(details) == {"koopman_lqr", "snn_flow"}
+    assert "capture" in details["koopman_lqr"]
+    assert "fallback" in details["snn_flow"]
+
+
 def test_run_verify_catches_injected_regression(tmp_path):
     """The harness's reason to exist: a drifted golden must fail loudly.
 
