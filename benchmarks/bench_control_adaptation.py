@@ -131,7 +131,7 @@ def _build_adaptive(state: LoopState) -> Controller:
              low=0.4, high=0.6, low_value="spsa", high_value="exact"),
         Rule("batching", signal="load", actuator="loop.batch",
              low=20.0, high=100.0, low_value=1, high_value=8),
-    ], registry, enabled=True)
+    ], registry)
 
 
 def _cycle(state: LoopState, severity: float, load: float,

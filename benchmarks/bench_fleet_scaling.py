@@ -196,7 +196,6 @@ def _run_fleet(factory: MonitorRunnerFactory, config: FleetBenchConfig,
         quantiles = snapshot["latency_quantiles_s"]
         stats = {
             "replicas": replicas,
-            "transport": fleet.transport,
             "wall_s": wall,
             "throughput_rps": requests / wall,
             "p50_ms": 1e3 * quantiles["p50"],

@@ -9,14 +9,9 @@ the scoped ``kernel_backend()`` context manager — reverts every knob it
 touched when a :meth:`ActuatorRegistry.scope` block exits, so a control
 experiment can never leak settings into the rest of the process.
 
-The factory helpers at the bottom wire the repo's actual knobs:
-sensing fraction (R-MAE radial masking), STARNet's exact-vs-SPSA
-likelihood-regret method, micro-batcher coalescing bounds, the kernel
-backend, and HaLo-style precision bits.  Frozen dataclass configs
-(``BatcherConfig``, ``RadialMaskConfig``, ``FleetConfig``) are actuated
-by *replacing* the config object via ``dataclasses.replace`` — the
-owners re-read ``self.config`` per decision, so the swap takes effect
-on the next poll without mutating a shared frozen value.
+The factory helpers at the bottom wire the knobs a loop can reach: any
+plain attribute (the sensing fraction, a monitor's method), STARNet's
+exact-vs-SPSA likelihood-regret method, and HaLo-style precision bits.
 
 No wall-clock access anywhere in this package: time only ever arrives
 through :class:`~repro.control.signals.ContextSnapshot`.
@@ -24,14 +19,12 @@ through :class:`~repro.control.signals.ContextSnapshot`.
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = ["ControlError", "RuntimeActuator", "ActuatorRegistry",
-           "attr_actuator", "config_field_actuator",
-           "kernel_backend_actuator", "score_method_actuator", "microbatcher_actuators",
-           "fleet_spill_actuator", "precision_bits_actuator"]
+           "attr_actuator", "score_method_actuator",
+           "precision_bits_actuator"]
 
 
 class ControlError(RuntimeError):
@@ -175,47 +168,6 @@ def attr_actuator(registry: ActuatorRegistry, name: str, obj: Any,
         lambda v: setattr(obj, attr, v), bounds=bounds, choices=choices)
 
 
-def config_field_actuator(registry: ActuatorRegistry, name: str, owner: Any,
-                          field: str, bounds=None, choices=None,
-                          config_attr: str = "config") -> RuntimeActuator:
-    """Actuate one field of a frozen dataclass config held by ``owner``.
-
-    The setter replaces ``owner.<config_attr>`` with
-    ``dataclasses.replace(config, field=value)``; owners that read their
-    config per decision pick the new value up on the next poll.
-    """
-    cfg = getattr(owner, config_attr)
-    if not dataclasses.is_dataclass(cfg):
-        raise ControlError(
-            f"{type(owner).__name__}.{config_attr} is not a dataclass")
-    if field not in {f.name for f in dataclasses.fields(cfg)}:
-        raise ControlError(
-            f"{type(cfg).__name__} has no field {field!r}")
-
-    def _get():
-        return getattr(getattr(owner, config_attr), field)
-
-    def _set(value):
-        setattr(owner, config_attr,
-                dataclasses.replace(getattr(owner, config_attr),
-                                    **{field: value}))
-
-    return registry.register(name, _get, _set, bounds=bounds, choices=choices)
-
-
-def kernel_backend_actuator(registry: ActuatorRegistry,
-                            name: str = "kernel_backend") -> RuntimeActuator:
-    """Actuate the process-wide kernel backend override.
-
-    Reads/writes the same scoped override ``kernel_backend()`` uses, via
-    :func:`repro.kernels.force_backend`; the registry scope (or an
-    explicit restore) puts the previous override back.
-    """
-    from ..kernels import BACKENDS, active_backend, force_backend
-    return registry.register(
-        name, active_backend, lambda v: force_backend(v), choices=BACKENDS)
-
-
 def score_method_actuator(registry: ActuatorRegistry, monitor: Any,
                           name: str = "score_method") -> RuntimeActuator:
     """Actuate a STARNet monitor's exact-vs-SPSA-vs-recon regret method."""
@@ -223,43 +175,6 @@ def score_method_actuator(registry: ActuatorRegistry, monitor: Any,
         name, lambda: monitor.score_method,
         lambda v: monitor.set_score_method(v),
         choices=("spsa", "exact", "recon"))
-
-
-def microbatcher_actuators(registry: ActuatorRegistry, batcher: Any,
-                           prefix: str = "serve",
-                           max_batch_bounds: Tuple[int, int] = (1, 64),
-                           max_wait_bounds: Tuple[float, float] = (0.0, 1000.0),
-                           ) -> Dict[str, RuntimeActuator]:
-    """Actuate a :class:`~repro.serve.scheduler.MicroBatcher`'s knobs.
-
-    Registers ``<prefix>.max_batch_size`` and ``<prefix>.max_wait_ms``.
-    The batch-size upper bound is additionally capped by the batcher's
-    ``max_queue_depth`` so the config invariant can never be violated.
-    """
-    depth = batcher.config.max_queue_depth
-    hi = min(max_batch_bounds[1], depth)
-    lo = min(max_batch_bounds[0], hi)
-    return {
-        "max_batch_size": config_field_actuator(
-            registry, f"{prefix}.max_batch_size", batcher,
-            "max_batch_size", bounds=(int(lo), int(hi))),
-        "max_wait_ms": config_field_actuator(
-            registry, f"{prefix}.max_wait_ms", batcher,
-            "max_wait_ms", bounds=(float(max_wait_bounds[0]),
-                                   float(max_wait_bounds[1]))),
-    }
-
-
-def fleet_spill_actuator(registry: ActuatorRegistry, scheduler: Any,
-                         name: str = "fleet.spill_depth",
-                         bounds: Optional[Tuple[int, int]] = None
-                         ) -> RuntimeActuator:
-    """Actuate a :class:`~repro.fleet.scheduler.FleetScheduler`'s
-    least-loaded spill threshold (1 .. max_queue_depth)."""
-    if bounds is None:
-        bounds = (1, int(scheduler.config.max_queue_depth))
-    return config_field_actuator(registry, name, scheduler, "spill_depth",
-                                 bounds=(int(bounds[0]), int(bounds[1])))
 
 
 def precision_bits_actuator(registry: ActuatorRegistry, obj: Any,

@@ -1,70 +1,36 @@
-"""Bindings: where the controller meets the running system.
+"""The binding: where the controller meets the running loop.
 
-A binding adapts one host — a :class:`~repro.core.SensingToActionLoop`,
-a :class:`~repro.serve.scheduler.MicroBatcher`/``BatchedService``, or a
-:class:`~repro.fleet.scheduler.FleetScheduler` — into context snapshots
-for a :class:`~repro.control.controller.Controller`.  Hosts accept a
-``controller=`` argument and invoke the matching hook at their natural
-cadence (cycle end / batch end / completion).  Snapshots are stamped
-from the host's own timebase — the loop's simulated ``loop.t``, the
-batcher's and scheduler's injected clocks — never from a clock the
-binding opens itself, so virtual-time hosts stay fully deterministic.
+:class:`LoopControlBinding` adapts a
+:class:`~repro.core.SensingToActionLoop` into context snapshots for a
+:class:`~repro.control.controller.Controller`.  The loop accepts it as
+its ``controller=`` argument and calls :meth:`~LoopControlBinding.on_cycle`
+at the end of every cycle.  Snapshots are stamped from the loop's own
+simulated timebase (``loop.t``), never from a clock the binding opens
+itself, so virtual-time loops stay fully deterministic.
 
-Signals exposed per host:
-
-=================  =====================================================
-loop               ``trust``, ``coverage``, ``staleness_s``,
-                   ``rejection_rate``, plus windowed energy deltas
-                   ``energy_window_mj`` / ``energy_sensing_window_mj`` /
-                   ``energy_compute_window_mj`` (via
-                   ``EnergyLedger.snapshot()/delta()``)
-service (batcher)  ``queue_depth``, ``batch_size``, ``shed_total``
-fleet scheduler    ``queue_depth`` (max over replicas),
-                   ``queue_depth_mean``, ``shed_total``,
-                   ``ema_service_s`` (max over replicas)
-=================  =====================================================
-
-Extra signal callables can be registered on any binding; rules simply
-name them.
+Signals in each snapshot: ``trust``, ``coverage``, ``staleness_s``,
+``rejection_rate``, plus the windowed energy deltas
+``energy_window_mj`` / ``energy_sensing_window_mj`` /
+``energy_compute_window_mj`` (via ``EnergyLedger.snapshot()/delta()``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from .controller import Controller, Decision
-from .signals import ContextSnapshot, EnergyWindow, SignalSource
+from .signals import ContextSnapshot, EnergyWindow
 
-__all__ = ["LoopControlBinding", "ServiceControlBinding",
-           "FleetControlBinding"]
-
-
-class _Binding:
-    """Shared plumbing: extra signals + decision-trace delegation."""
-
-    def __init__(self, controller: Controller):
-        self.controller = controller
-        self.extra = SignalSource()
-
-    def add_signal(self, name: str,
-                   fn: Callable[[], Optional[float]]) -> None:
-        """Expose one more named signal to every future snapshot."""
-        self.extra.register(name, fn)
-
-    def _extra_signals(self) -> Dict[str, float]:
-        return self.extra.sample(0.0).signals
-
-    def decision_trace(self) -> List[dict]:
-        return self.controller.decision_trace()
+__all__ = ["LoopControlBinding"]
 
 
-class LoopControlBinding(_Binding):
+class LoopControlBinding:
     """Per-cycle reconfiguration of a sensing-to-action loop.
 
     Pass as ``SensingToActionLoop(..., controller=binding)``; the loop
     calls :meth:`on_cycle` after every completed cycle.  The energy
-    window covers exactly the cycles since the previous controller
-    step, so energy-driven rules see *rates*, not lifetime totals.
+    window covers exactly the cycle since the previous controller step,
+    so energy-driven rules see *rates*, not lifetime totals.
 
     Snapshots are stamped with ``loop.t`` — the loop's *simulated*
     timebase, which advances by ``period_s`` per cycle — not a clock
@@ -74,23 +40,16 @@ class LoopControlBinding(_Binding):
     reproducible.
     """
 
-    def __init__(self, controller: Controller, interval_cycles: int = 1):
-        super().__init__(controller)
-        if interval_cycles < 1:
-            raise ValueError("interval_cycles must be >= 1")
-        self.interval_cycles = interval_cycles
+    def __init__(self, controller: Controller):
+        self.controller = controller
         self._energy: Optional[EnergyWindow] = None
-        self._cycles_seen = 0
 
     def on_cycle(self, loop) -> List[Decision]:
-        self._cycles_seen += 1
         if self._energy is None:
             self._energy = EnergyWindow(loop.metrics.energy)
-        if self._cycles_seen % self.interval_cycles:
-            return []
         window = self._energy.read()
         record = loop.history[-1]
-        signals = {
+        return self.controller.step(ContextSnapshot(t=loop.t, signals={
             "trust": record.trust,
             "coverage": record.reading.coverage,
             "staleness_s": record.staleness_s,
@@ -98,53 +57,4 @@ class LoopControlBinding(_Binding):
             "energy_window_mj": window["total_mj"],
             "energy_sensing_window_mj": window["sensing_mj"],
             "energy_compute_window_mj": window["compute_mj"],
-        }
-        signals.update(self._extra_signals())
-        return self.controller.step(
-            ContextSnapshot(t=loop.t, signals=signals))
-
-
-class ServiceControlBinding(_Binding):
-    """Per-batch reconfiguration of a micro-batching service.
-
-    Pass as ``MicroBatcher(..., controller=binding)`` (or through
-    ``BatchedService(..., controller=binding)``); the batcher calls
-    :meth:`on_batch` after each batch it runs, under the same
-    serialization as the batching policy itself, so actuating
-    ``max_batch_size``/``max_wait_ms`` mid-stream is race-free.
-    """
-
-    def on_batch(self, batcher, batch_size: int) -> List[Decision]:
-        signals = {
-            "queue_depth": float(batcher.pending),
-            "batch_size": float(batch_size),
-            "shed_total": float(batcher.shed_count),
-        }
-        signals.update(self._extra_signals())
-        return self.controller.step(
-            ContextSnapshot(t=batcher.clock.now(), signals=signals))
-
-
-class FleetControlBinding(_Binding):
-    """Per-completion reconfiguration of a fleet scheduler.
-
-    Pass as ``FleetScheduler(..., controller=binding)`` (or through
-    ``ServingFleet(..., controller=binding)``); the scheduler calls
-    :meth:`on_completion` after each replica batch completion — the
-    point where queue depths and the service-time EMA have just
-    changed, i.e. where spill/shed knobs are worth revisiting.
-    """
-
-    def on_completion(self, scheduler) -> List[Decision]:
-        snap = scheduler.snapshot()
-        depths = snap.get("queue_depth", []) or [0]
-        emas = snap.get("ema_service_s", []) or [0.0]
-        signals = {
-            "queue_depth": float(max(depths)),
-            "queue_depth_mean": float(sum(depths)) / len(depths),
-            "shed_total": float(scheduler.shed_total),
-            "ema_service_s": float(max(emas)),
-        }
-        signals.update(self._extra_signals())
-        return self.controller.step(
-            ContextSnapshot(t=scheduler.clock.now(), signals=signals))
+        }))

@@ -28,15 +28,10 @@ Two guarantees worth stating precisely:
   actuator's declared bounds/choices (:meth:`RuntimeActuator.coerce`),
   so no rule, however misdeclared, can push a knob outside its
   admissible set.
-
-``REPRO_CONTROL=off`` disables every controller in the process (steps
-return no decisions and touch nothing) — the kill switch for A/B-ing
-adaptive against static runs without rebuilding loops.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -44,21 +39,7 @@ from ..obs.registry import get_registry
 from .actuators import ActuatorRegistry, ControlError
 from .signals import ContextSnapshot
 
-__all__ = ["CONTROL_ENV", "control_enabled", "Rule", "Decision",
-           "Controller"]
-
-CONTROL_ENV = "REPRO_CONTROL"
-
-
-def control_enabled() -> bool:
-    """Process-wide control-plane gate (``REPRO_CONTROL=off|on``)."""
-    raw = os.environ.get(CONTROL_ENV, "on").strip().lower()
-    if raw in ("on", "1", "true", "yes", ""):
-        return True
-    if raw in ("off", "0", "false", "no"):
-        return False
-    raise ControlError(
-        f"invalid {CONTROL_ENV}={raw!r}; choose 'on' or 'off'")
+__all__ = ["Rule", "Decision", "Controller"]
 
 
 @dataclass(frozen=True)
@@ -156,8 +137,7 @@ class Controller:
     """
 
     def __init__(self, rules: Sequence[Rule], registry: ActuatorRegistry,
-                 enabled: Optional[bool] = None, obs=None,
-                 max_decisions: int = 10_000):
+                 obs=None, max_decisions: int = 10_000):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -180,7 +160,6 @@ class Controller:
                             f"{act.choices}")
         self.rules = tuple(rules)
         self.registry = registry
-        self.enabled = control_enabled() if enabled is None else bool(enabled)
         self.obs = obs
         self.max_decisions = max_decisions
         self.decisions: List[Decision] = []
@@ -196,11 +175,8 @@ class Controller:
     def step(self, context: ContextSnapshot) -> List[Decision]:
         """Evaluate every rule against one context snapshot.
 
-        Returns the decisions applied this step (possibly empty).  With
-        the control plane disabled, nothing is evaluated or applied.
+        Returns the decisions applied this step (possibly empty).
         """
-        if not self.enabled:
-            return []
         obs = self._observe()
         self.steps += 1
         obs.counter("control.steps").inc()

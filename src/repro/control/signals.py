@@ -2,9 +2,8 @@
 
 A :class:`ContextSnapshot` is one immutable observation of the world at
 a controller step — a timestamp (from an *injected* clock, never the
-wall) plus named float signals: STARNet trust, serving queue depth,
-windowed energy-ledger deltas, corruption proxies, anything a binding
-chooses to expose.  :class:`EnergyWindow` turns the cumulative
+wall) plus named float signals: STARNet trust, coverage, windowed
+energy-ledger deltas.  :class:`EnergyWindow` turns the cumulative
 :class:`~repro.hardware.energy.EnergyLedger` meters into per-window
 readings via the ledger's ``snapshot()``/``delta()`` pair.
 """
@@ -12,9 +11,9 @@ readings via the ledger's ``snapshot()``/``delta()`` pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-__all__ = ["ContextSnapshot", "EnergyWindow", "SignalSource"]
+__all__ = ["ContextSnapshot", "EnergyWindow"]
 
 
 @dataclass(frozen=True)
@@ -62,34 +61,3 @@ class EnergyWindow:
         delta = self.ledger.delta(self._since)
         self._since = self.ledger.snapshot()
         return delta
-
-
-class SignalSource:
-    """Named signal callables, sampled into a :class:`ContextSnapshot`.
-
-    Bindings register zero-argument callables; :meth:`sample` invokes
-    them all.  A source returning ``None`` is omitted from the snapshot
-    (its rules stay dormant) rather than coerced to zero.
-    """
-
-    def __init__(self):
-        self._sources: Dict[str, Callable[[], Optional[float]]] = {}
-
-    def register(self, name: str,
-                 fn: Callable[[], Optional[float]]) -> None:
-        self._sources[name] = fn
-
-    def names(self):
-        return tuple(self._sources)
-
-    def sample(self, t: float,
-               extra: Optional[Dict[str, float]] = None) -> ContextSnapshot:
-        signals: Dict[str, float] = {}
-        for name, fn in self._sources.items():
-            value = fn()
-            if value is not None:
-                signals[name] = float(value)
-        if extra:
-            signals.update({k: float(v) for k, v in extra.items()
-                            if v is not None})
-        return ContextSnapshot(t=t, signals=signals)

@@ -1,21 +1,25 @@
-"""The serving fleet: sharded :class:`BatchedService` replicas behind a
+"""The serving fleet: sharded :class:`MicroBatcher` replicas behind a
 staleness-aware router.
 
 :class:`ServingFleet` is the process fabric around the deterministic
 :class:`~repro.fleet.scheduler.FleetScheduler` core: it spawns one
-replica per shard (each a micro-batching service loop owning a private
-model instance), moves payloads over per-replica shared-memory rings,
-and runs a collector thread that routes finished batches back to the
-blocked submitters while feeding completions into the scheduler's
-delay model.
+replica per shard (each a :class:`~repro.serve.MicroBatcher` owning a
+private model instance), sends each request with its payload over the
+replica's request queue, and runs a collector thread that routes
+finished batches back to the blocked submitters while feeding
+completions into the scheduler's delay model.
 
 Request lifecycle::
 
     submit() -> scheduler.assign()      (route / downgrade / shed)
-             -> slot write + control message to the replica queue
+             -> ("req", seq, payload) on the replica's queue
     replica  -> micro-batches, answers on the shared response queue
-    collector-> frees the slot, records completion + latency,
-                resolves the caller's ticket
+    collector-> records completion + latency, resolves the caller's
+                ticket
+
+Every admitted request ends in exactly one scheduler outcome:
+``completed`` (answered, possibly with a batch runner's error),
+``failed`` (its replica died first), ``shed`` or ``downgraded``.
 
 Shedding surfaces as :class:`RequestShed` — a subclass of
 :class:`repro.serve.ServiceOverloaded`, because it is the same
@@ -27,11 +31,11 @@ counted under ``fleet.downgraded``.
 
 Two execution shapes share every line of routing and replica code:
 
-* ``inprocess=False`` (default) — replicas are OS processes
-  (``multiprocessing``), payloads ride :class:`ShmSlab` rings, and
-  replica telemetry deltas are merged back in replica-index order on
-  close, exactly like :class:`repro.runtime.WorkerPool` workers.
-* ``inprocess=True`` — replicas are threads with plain queues, for
+* ``inprocess=False`` (default) — replicas are OS processes over
+  ``multiprocessing`` queues, and replica telemetry deltas are merged
+  back in replica-index order on close, exactly like
+  :class:`repro.runtime.WorkerPool` workers.
+* ``inprocess=True`` — replicas are threads over ``queue.Queue``, for
   deterministic tests and hosts without ``multiprocessing``.
 """
 
@@ -41,16 +45,13 @@ import multiprocessing
 import queue as queue_module
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..obs.registry import get_registry
 from ..runtime.seeding import spawn_seeds
 from ..serve.scheduler import ServeTicket, ServiceOverloaded
 from .replica import ReplicaSpec, replica_main
 from .scheduler import FleetConfig, FleetScheduler, SLOLane
-from .shm import ShmSlab, shm_available
 
 __all__ = ["RequestShed", "FleetReplicaError", "ServingFleet"]
 
@@ -76,22 +77,18 @@ class FleetReplicaError(RuntimeError):
 class _ReplicaHandle:
     """Router-side bookkeeping for one replica."""
 
-    __slots__ = ("index", "request_q", "slab", "free_slots", "worker",
-                 "ready", "bye", "stats", "obs_delta", "inflight")
+    __slots__ = ("index", "request_q", "worker", "ready", "bye", "stats",
+                 "obs_delta", "inflight")
 
-    def __init__(self, index: int, request_q, slab: Optional[ShmSlab]):
+    def __init__(self, index: int, request_q):
         self.index = index
         self.request_q = request_q
-        self.slab = slab
-        self.free_slots: List[int] = (
-            list(range(slab.nslots - 1, -1, -1)) if slab is not None else [])
         self.worker = None
         self.ready = threading.Event()
         self.bye = threading.Event()
         self.stats: Optional[dict] = None
         self.obs_delta: Optional[dict] = None
-        # seq -> (ticket, slot reserved at dispatch; -1 without a slab)
-        self.inflight: Dict[int, Tuple[ServeTicket, int]] = {}
+        self.inflight: Dict[int, ServeTicket] = {}  # seq -> ticket
 
 
 class ServingFleet:
@@ -101,7 +98,10 @@ class ServingFleet:
     ----------
     spec:
         What each replica serves (:class:`ReplicaSpec`: picklable
-        runner factory + :class:`BatcherConfig` + base seed).
+        runner factory + :class:`BatcherConfig` + base seed).  Its
+        ``batch.max_queue_depth`` must be at least
+        ``config.max_queue_depth``, so a replica's batcher never sheds
+        what the router admitted.
     config:
         Fleet sizing/admission knobs (:class:`FleetConfig`).
     lanes:
@@ -111,43 +111,34 @@ class ServingFleet:
         ``payload -> result`` degraded-mode method for downgradable
         lanes.  ``None`` turns would-be downgrades into sheds.
     inprocess:
-        Thread replicas + inline payloads instead of processes + shared
-        memory (deterministic tests, restricted hosts).
-    transport:
-        ``"auto"`` (shared memory when available), ``"shm"`` (require
-        it), or ``"inline"`` (descriptor-only control messages).
-    controller:
-        Optional runtime-reconfiguration hook passed through to the
-        :class:`FleetScheduler` (normally a
-        :class:`repro.control.FleetControlBinding`).
+        Thread replicas instead of processes (deterministic tests,
+        restricted hosts).
     """
 
     def __init__(self, spec: ReplicaSpec,
                  config: Optional[FleetConfig] = None,
                  lanes: Optional[Sequence[SLOLane]] = None,
                  fallback: Optional[Callable[[Any], Any]] = None,
-                 inprocess: bool = False, transport: str = "auto",
-                 name: str = "fleet", ready_timeout_s: float = 120.0,
-                 controller=None):
-        if transport not in ("auto", "shm", "inline"):
-            raise ValueError(f"unknown transport {transport!r}")
+                 inprocess: bool = False, name: str = "fleet",
+                 ready_timeout_s: float = 120.0):
         self.spec = spec
         self.config = config or FleetConfig()
+        if spec.batch.max_queue_depth < self.config.max_queue_depth:
+            raise ValueError(
+                f"replica max_queue_depth {spec.batch.max_queue_depth} is "
+                f"below the fleet's in-flight cap "
+                f"{self.config.max_queue_depth}: replicas would shed "
+                "admitted requests")
         self.fallback = fallback
         self.inprocess = inprocess
         self.name = name
-        use_shm = (not inprocess) and transport != "inline" and (
-            shm_available() if transport == "auto" else True)
-        if use_shm and not shm_available():
-            raise RuntimeError("transport='shm' requested but "
-                               "multiprocessing.shared_memory is missing")
-        self.transport = "shm" if use_shm else "inline"
-        self.scheduler = FleetScheduler(self.config, lanes, name=name,
-                                        controller=controller)
+        self.scheduler = FleetScheduler(self.config, lanes, name=name)
         self._lock = threading.Lock()
         self._closed = False
         self._seq = 0
-        self._capture_obs = bool(getattr(get_registry(), "enabled", False))
+        # Thread replicas already record into the active registry.
+        self._capture_obs = not inprocess and bool(
+            getattr(get_registry(), "enabled", False))
         self._fatal: Dict[int, str] = {}
 
         seeds = spawn_seeds(spec.seed, self.config.replicas)
@@ -158,13 +149,8 @@ class ServingFleet:
             self._mp = multiprocessing.get_context()
             self._response_q = self._mp.Queue()
             make_request_q = self._mp.Queue
-        self._replicas: List[_ReplicaHandle] = []
-        for index in range(self.config.replicas):
-            slab = (ShmSlab(self.config.max_queue_depth,
-                            self.config.slot_bytes)
-                    if self.transport == "shm" else None)
-            self._replicas.append(
-                _ReplicaHandle(index, make_request_q(), slab))
+        self._replicas = [_ReplicaHandle(index, make_request_q())
+                          for index in range(self.config.replicas)]
 
         get_registry().gauge(f"{name}.replicas").set(self.config.replicas)
         self._collector = threading.Thread(
@@ -179,27 +165,15 @@ class ServingFleet:
 
     # ------------------------------------------------------------ startup
     def _start_replicas(self, seeds: Sequence[int]) -> None:
+        make_worker = (threading.Thread if self.inprocess
+                       else self._mp.Process)
         for handle, seed in zip(self._replicas, seeds):
-            if self.inprocess:
-                worker = threading.Thread(
-                    target=replica_main,
-                    args=(handle.index, self.spec, seed, handle.request_q,
-                          self._response_q),
-                    kwargs={"capture_obs": False, "slab": None},
-                    name=f"{self.name}-r{handle.index}", daemon=True)
-            else:
-                slab = handle.slab
-                worker = self._mp.Process(
-                    target=replica_main,
-                    args=(handle.index, self.spec, seed, handle.request_q,
-                          self._response_q),
-                    kwargs={
-                        "slab_name": slab.name if slab else None,
-                        "slab_nslots": slab.nslots if slab else 0,
-                        "slab_slot_bytes": slab.slot_bytes if slab else 0,
-                        "capture_obs": self._capture_obs,
-                    },
-                    name=f"{self.name}-r{handle.index}", daemon=True)
+            worker = make_worker(
+                target=replica_main,
+                args=(handle.index, self.spec, seed, handle.request_q,
+                      self._response_q),
+                kwargs={"capture_obs": self._capture_obs},
+                name=f"{self.name}-r{handle.index}", daemon=True)
             handle.worker = worker
             worker.start()
 
@@ -241,14 +215,12 @@ class ServingFleet:
             if decision.action == "dispatch":
                 handle = self._replicas[decision.replica]
                 if handle.index in self._fatal:
+                    self.scheduler.record_failure()
                     raise FleetReplicaError(self._fatal[handle.index])
                 self._seq += 1
-                seq = self._seq
-                slot = handle.free_slots.pop() if handle.slab is not None \
-                    else -1
-                handle.inflight[seq] = (ticket, slot)
+                handle.inflight[self._seq] = ticket
                 self.scheduler.record_dispatch(handle.index)
-                message = self._encode_request(handle, seq, slot, payload)
+                message = ("req", self._seq, payload)
         if decision.action == "downgrade":
             self._run_fallback(ticket, payload)
             return ticket
@@ -265,19 +237,6 @@ class ServingFleet:
         if not ticket.event.wait(timeout):
             raise TimeoutError(f"{self.name}: no result within {timeout}s")
         return ticket.result()
-
-    def _encode_request(self, handle: _ReplicaHandle, seq: int, slot: int,
-                        payload: Any):
-        """Control message for one request.  ``payload is None`` in the
-        message means "read the slab at ``slot``"; otherwise the payload
-        rides inline (no slab, non-array, or oversized) and the slot is
-        only reserved for the response."""
-        if handle.slab is not None and isinstance(payload, np.ndarray):
-            arr = np.ascontiguousarray(payload)
-            if handle.slab.fits(arr):
-                shape, dtype = handle.slab.write(slot, arr)
-                return ("req", seq, slot, shape, dtype, None)
-        return ("req", seq, slot, None, None, payload)
 
     def _run_fallback(self, ticket: ServeTicket, payload: Any) -> None:
         t0 = time.perf_counter()
@@ -320,25 +279,15 @@ class ServingFleet:
         now = time.perf_counter()
         with self._lock:
             self.scheduler.record_completion(index, service_s, len(rows))
-            for seq, slot, shape, dtype, payload, error in rows:
-                entry = handle.inflight.pop(seq, None)
-                if entry is None:
+            for seq, result, error in rows:
+                ticket = handle.inflight.pop(seq, None)
+                if ticket is None:
                     continue
-                ticket, request_slot = entry
                 if error is not None:
                     ticket._resolve(error=FleetReplicaError(error))
                 else:
-                    if handle.slab is not None and slot >= 0:
-                        result = handle.slab.read(slot, shape, dtype)
-                    else:
-                        result = payload
                     self.scheduler.record_latency(now - ticket.enqueue_t)
                     ticket._resolve(result=result)
-                # The slot reserved at dispatch is free once its
-                # response row has been consumed (whether or not the
-                # response itself used the slab).
-                if handle.slab is not None and request_slot >= 0:
-                    handle.free_slots.append(request_slot)
 
     def _handle_fatal(self, index: int, tb_text: str) -> None:
         self._fatal[index] = tb_text
@@ -348,7 +297,8 @@ class ServingFleet:
         error = FleetReplicaError(
             f"{self.name}: replica {index} died:\n{tb_text}")
         with self._lock:
-            for ticket, _slot in handle.inflight.values():
+            self.scheduler.record_failure(index, len(handle.inflight))
+            for ticket in handle.inflight.values():
                 ticket._resolve(error=error)
             handle.inflight.clear()
         get_registry().counter(f"{self.name}.replica_failures").inc()
@@ -373,7 +323,6 @@ class ServingFleet:
             snapshot = self.scheduler.snapshot()
         return {
             "scheduler": snapshot,
-            "transport": self.transport,
             "inprocess": self.inprocess,
             "replicas": {h.index: h.stats for h in self._replicas
                          if h.stats is not None},
@@ -382,7 +331,7 @@ class ServingFleet:
     # ---------------------------------------------------------- lifecycle
     def close(self, timeout_s: float = 30.0) -> None:
         """Stop accepting work, drain replicas, merge telemetry, tear
-        down processes and shared memory.  Idempotent."""
+        down processes.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -415,10 +364,6 @@ class ServingFleet:
                 if worker.is_alive():  # pragma: no cover - stuck replica
                     worker.terminate()
                     worker.join(1.0)
-        for handle in self._replicas:
-            if handle.slab is not None:
-                handle.slab.close()
-                handle.slab.unlink()
 
     def __enter__(self) -> "ServingFleet":
         return self

@@ -1,45 +1,43 @@
-"""Replica side of the fleet: one sharded micro-batching service loop.
+"""Replica side of the fleet: a thin driver of one :class:`MicroBatcher`.
 
 A replica is the fleet's unit of parallelism: a process (or, for
-deterministic tests, a thread) that owns one model instance and batches
-the requests the router sends it, with the same coalescing policy as
-:class:`repro.serve.MicroBatcher` (flush on full batch or on the oldest
-request's ``max_wait_ms`` deadline) re-expressed over a control queue.
+deterministic tests, a thread) that owns one model instance and serves
+the requests the router sends it through a
+:class:`repro.serve.MicroBatcher`, so the fleet and a single
+:class:`~repro.serve.BatchedService` share one coalescing policy (flush
+on a full batch or on the oldest request's ``max_wait_ms`` deadline).
 
-The loop is transport-agnostic on purpose: it takes *queue-like*
-objects (``get``/``get_nowait``/``put``) and an optional
-:class:`~repro.fleet.shm.ShmSlab`, so the exact same code path runs
+The loop takes *queue-like* objects (``get``/``get_nowait``/``put``),
+so the same code runs in a child **process** over ``multiprocessing``
+queues and in an in-process **thread** over ``queue.Queue``.  Payloads
+and results ride the messages themselves.
 
-* in a child **process** with ``multiprocessing`` queues and payloads
-  in shared memory (production shape), and
-* in an in-process **thread** with ``queue.Queue`` and inline payloads
-  (the deterministic integration-test shape).
+Failure containment is :meth:`MicroBatcher.run_batch`'s: a batch runner
+exception resolves every request in the batch with the error, and the
+replica ships it back with the replica-side formatted traceback, so a
+replica crash in CI is diagnosable from the router's logs alone,
+instead of dying.  A non-batch fatal error (bad spec, a runner factory
+that raises) emits a ``("fatal", ...)`` message with the traceback and
+exits.
 
-Failure containment mirrors :meth:`MicroBatcher.run_batch`: a batch
-runner exception resolves every request in the batch with the error —
-including the replica-side formatted traceback, so a replica crash in
-CI is diagnosable from the router's logs alone — instead of killing the
-replica.  A non-batch fatal error (bad spec, slab attach failure) emits
-a ``("fatal", ...)`` message with the traceback and exits.
+Message protocol:
 
-Message protocol (control plane; payloads ride the slab when they fit):
+================================  ======================================
+router -> replica                 meaning
+================================  ======================================
+``("req", seq, payload)``         one request
+``("stop",)``                     drain and exit
+================================  ======================================
 
-====================================================  =================
-router -> replica                                     meaning
-====================================================  =================
-``("req", seq, slot, shape, dtype, payload)``         one request
-``("stop",)``                                         drain and exit
-====================================================  =================
-
-====================================================  =================
-replica -> router                                     meaning
-====================================================  =================
-``("ready", index)``                                  model built
-``("res", index, service_s, [(seq, slot, shape,``     one finished
-``dtype, payload, error), ...])``                     batch
-``("bye", index, stats, obs_delta)``                  clean shutdown
-``("fatal", index, traceback_text)``                  replica died
-====================================================  =================
+=====================================================  =================
+replica -> router                                      meaning
+=====================================================  =================
+``("ready", index)``                                   model built
+``("res", index, service_s, [(seq, result, error),``   one finished
+``...])``                                              batch
+``("bye", index, stats, obs_delta)``                   clean shutdown
+``("fatal", index, traceback_text)``                   replica died
+=====================================================  =================
 """
 
 from __future__ import annotations
@@ -48,13 +46,10 @@ import queue as queue_module
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Callable, List
 
 from ..obs.registry import MetricsRegistry, get_registry, use_registry
-from ..serve.scheduler import BatcherConfig
-from .shm import ShmSlab
+from ..serve.scheduler import BatcherConfig, MicroBatcher, ServeTicket
 
 __all__ = ["ReplicaSpec", "replica_loop", "replica_main"]
 
@@ -80,30 +75,8 @@ class ReplicaSpec:
     seed: int = 0
 
 
-def _decode(slab: Optional[ShmSlab], slot: int, shape, dtype,
-            payload: Any) -> Any:
-    """A request message's payload: ``payload is None`` means "read the
-    slab at ``slot``" (the router only inlines non-None payloads)."""
-    if payload is None and slab is not None and slot >= 0 \
-            and shape is not None:
-        return slab.read(slot, shape, dtype)
-    return payload
-
-
-def _encode(slab: Optional[ShmSlab], slot: int, result: Any) -> Tuple:
-    """(slot, shape, dtype, payload) for one result row: ndarray results
-    ride the shared-memory slot when they fit, everything else inlines."""
-    if slab is not None and slot >= 0 and isinstance(result, np.ndarray):
-        arr = np.ascontiguousarray(result)
-        if slab.fits(arr):
-            shape, dtype = slab.write(slot, arr)
-            return slot, shape, dtype, None
-    return -1, None, None, result
-
-
 def replica_loop(index: int, spec: ReplicaSpec, seed: int,
-                 request_q, response_q,
-                 slab: Optional[ShmSlab] = None) -> dict:
+                 request_q, response_q) -> dict:
     """Serve until a ``("stop",)`` sentinel arrives; returns stats.
 
     Raises nothing for batch-level failures (those are routed back per
@@ -111,124 +84,81 @@ def replica_loop(index: int, spec: ReplicaSpec, seed: int,
     caller (:func:`replica_main` turns them into ``("fatal", ...)``).
     """
     runner = spec.runner_factory(index, seed)
-    cfg = spec.batch
+    name = f"fleet.r{index}"
+    # Tickets carry (seq, payload); the runner sees the payloads only.
+    batcher = MicroBatcher(lambda items: runner([p for _, p in items]),
+                           spec.batch, name=name)
     obs = get_registry()
+    errors = 0
     response_q.put(("ready", index))
 
-    pending: List[Tuple[int, int, float, Any]] = []  # (seq, slot, t, item)
-    requests = 0
-    batches = 0
-    errors = 0
-    stopping = False
-
-    def flush() -> None:
-        nonlocal batches, errors
-        if not pending:
-            return
-        batch = pending[:cfg.max_batch_size]
-        del pending[:len(batch)]
-        items = [item for _, _, _, item in batch]
+    def run(batch: List[ServeTicket]) -> None:
+        nonlocal errors
         t0 = time.perf_counter()
-        error_text: Optional[str] = None
-        results: List[Any] = []
-        try:
-            results = list(runner(items))
-            if len(results) != len(batch):
-                raise RuntimeError(
-                    f"replica {index}: runner returned {len(results)} "
-                    f"results for a batch of {len(batch)}")
-        except BaseException:
-            error_text = (f"replica {index} batch runner failed:\n"
-                          + traceback.format_exc())
-            errors += len(batch)
+        batcher.run_batch(batch)
         service_s = time.perf_counter() - t0
         rows = []
-        for row, (seq, slot, t_enq, _) in enumerate(batch):
-            if error_text is not None:
-                rows.append((seq, -1, None, None, None, error_text))
-            else:
-                out_slot, shape, dtype, payload = _encode(
-                    slab, slot, results[row])
-                rows.append((seq, out_slot, shape, dtype, payload, None))
-            obs.histogram(f"fleet.r{index}.queue_wait_s").observe(
-                t0 - t_enq)
-        batches += 1
-        obs.counter(f"fleet.r{index}.batches").inc()
-        obs.histogram(f"fleet.r{index}.batch_size").observe(len(batch))
-        obs.histogram(f"fleet.r{index}.service_s").observe(service_s)
+        for ticket in batch:
+            seq = ticket.item[0]
+            try:
+                rows.append((seq, ticket.result(), None))
+            except BaseException as exc:  # the runner's, stored by run_batch
+                errors += 1
+                trace = "".join(traceback.format_exception(
+                    type(exc), exc, exc.__traceback__))
+                rows.append((seq, None,
+                             f"replica {index} batch runner failed:\n{trace}"))
+        obs.histogram(f"{name}.service_s").observe(service_s)
         response_q.put(("res", index, service_s, rows))
 
-    while True:
-        message = None
-        if pending:
-            deadline = pending[0][2] + cfg.max_wait_ms / 1e3
-            timeout = deadline - time.perf_counter()
-            if timeout > 0:
-                try:
-                    message = request_q.get(timeout=timeout)
-                except queue_module.Empty:
-                    message = None
-        else:
-            message = request_q.get()
-
+    stopping = False
+    while not stopping:
+        deadline = batcher.next_deadline()
+        try:
+            message = (request_q.get() if deadline is None else
+                       request_q.get(timeout=max(
+                           0.0, deadline - batcher.clock.now())))
+        except queue_module.Empty:
+            message = None
+        # Greedy drain: fill the batch from what is already queued.
         while message is not None:
             if message[0] == "stop":
                 stopping = True
                 break
-            _, seq, slot, shape, dtype, payload = message
-            pending.append((seq, slot, time.perf_counter(),
-                            _decode(slab, slot, shape, dtype, payload)))
-            requests += 1
-            obs.counter(f"fleet.r{index}.requests").inc()
-            if len(pending) >= cfg.max_batch_size:
+            batcher.submit(message[1:])
+            if batcher.pending >= batcher.config.max_batch_size:
                 break
-            try:  # greedy drain: fill the batch without waiting
+            try:
                 message = request_q.get_nowait()
             except queue_module.Empty:
                 message = None
-
-        if stopping:
-            while pending:
-                flush()
-            return {"requests": requests, "batches": batches,
-                    "errors": errors}
-
-        if pending and (len(pending) >= cfg.max_batch_size
-                        or time.perf_counter() - pending[0][2]
-                        >= cfg.max_wait_ms / 1e3):
-            flush()
+        while batcher.ready():
+            run(batcher.take_batch())
+    while batcher.pending:
+        run(batcher.take_batch())
+    return {"requests": batcher.request_count,
+            "batches": batcher.batch_count, "errors": errors}
 
 
 def replica_main(index: int, spec: ReplicaSpec, seed: int,
-                 request_q, response_q,
-                 slab_name: Optional[str] = None, slab_nslots: int = 0,
-                 slab_slot_bytes: int = 0, capture_obs: bool = False,
-                 slab: Optional[ShmSlab] = None) -> None:
-    """Process/thread entry point: attach transport, serve, report.
+                 request_q, response_q, capture_obs: bool = False) -> None:
+    """Process/thread entry point: serve, then report.
 
     ``capture_obs`` runs the loop under a private registry and ships
     the counter/gauge/histogram deltas back in the ``bye`` message for
     submission-order merge in the router — the same telemetry contract
     as :class:`repro.runtime.WorkerPool` workers.
     """
-    attached = None
     try:
-        if slab is None and slab_name is not None:
-            attached = slab = ShmSlab.attach(slab_name, slab_nslots,
-                                             slab_slot_bytes)
         if capture_obs:
             registry = MetricsRegistry()
             with use_registry(registry):
                 stats = replica_loop(index, spec, seed, request_q,
-                                     response_q, slab)
+                                     response_q)
             delta = registry.worker_snapshot()
         else:
-            stats = replica_loop(index, spec, seed, request_q,
-                                 response_q, slab)
+            stats = replica_loop(index, spec, seed, request_q, response_q)
             delta = None
         response_q.put(("bye", index, stats, delta))
     except BaseException:
         response_q.put(("fatal", index, traceback.format_exc()))
-    finally:
-        if attached is not None:
-            attached.close()

@@ -49,8 +49,8 @@ class EmulatedServiceRunner:
 
 
 class _FeatureBatchRunner:
-    """Batch runner over raw feature vectors (shared-memory friendly:
-    requests are plain arrays, results are plain floats)."""
+    """Batch runner over raw feature vectors: requests are plain arrays,
+    results are plain floats."""
 
     def __init__(self, monitor: STARNet):
         self.monitor = monitor

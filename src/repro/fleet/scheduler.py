@@ -27,12 +27,14 @@ Three policy layers, applied per request in this order:
    exact).  Priority-0 lanes get one escape hatch: retry the projection
    on the least-loaded replica before giving up.
 3. **Backpressure** — a hard per-replica in-flight cap
-   (``max_queue_depth``, which also sizes the shared-memory ring) sheds
-   with reason ``"overload"`` once every replica is full.
+   (``max_queue_depth``) sheds with reason ``"overload"`` once every
+   replica is full.
 
 Everything is accounted twice: local counters/histograms on the
 scheduler (exact, available with telemetry disabled) and ``fleet.*``
-instruments on the active :mod:`repro.obs` registry.
+instruments on the active :mod:`repro.obs` registry.  Once every
+request has an outcome, ``requests == completed + failed + shed +
+downgraded``.
 """
 
 from __future__ import annotations
@@ -101,12 +103,11 @@ class FleetConfig:
     """Fleet-wide sizing and admission knobs.
 
     replicas:
-        Number of :class:`BatchedService` shards.
+        Number of replicas, each one :class:`~repro.serve.MicroBatcher`.
     vnodes:
         Virtual nodes per replica on the consistent-hash ring.
     max_queue_depth:
-        Hard per-replica in-flight cap; also the shared-memory ring's
-        slot count, so admission control doubles as slot lifecycle.
+        Hard per-replica in-flight cap.
     spill_depth:
         Queue depth at which a request abandons its hash-affine primary
         for the least-loaded replica.
@@ -116,8 +117,6 @@ class FleetConfig:
     initial_service_s:
         Per-request service-time prior used before a replica has
         reported any completions.
-    slot_bytes:
-        Payload slot size for the shared-memory ring.
     """
 
     replicas: int = 2
@@ -126,7 +125,6 @@ class FleetConfig:
     spill_depth: int = 8
     ema_alpha: float = 0.2
     initial_service_s: float = 0.005
-    slot_bytes: int = 4096
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -197,17 +195,10 @@ class FleetScheduler:
 
     def __init__(self, config: Optional[FleetConfig] = None,
                  lanes: Optional[Sequence[SLOLane]] = None,
-                 clock: Optional[Clock] = None, name: str = "fleet",
-                 controller=None):
+                 clock: Optional[Clock] = None, name: str = "fleet"):
         self.config = config or FleetConfig()
         self.clock = clock if clock is not None else SystemClock()
         self.name = name
-        # Optional runtime-reconfiguration hook (duck-typed: anything
-        # with ``on_completion(scheduler)``, normally a
-        # repro.control.FleetControlBinding).  Invoked after each
-        # completion — where depths and the service EMA just changed —
-        # so spill/shed knobs can be retuned from observed load.
-        self.controller = controller
         self.lanes: Dict[str, SLOLane] = {
             lane.name: lane for lane in (lanes or DEFAULT_LANES)}
         self.ring = ConsistentHashRing(self.config.replicas,
@@ -221,6 +212,7 @@ class FleetScheduler:
         self.requests = 0
         self.dispatched = 0
         self.completed = 0
+        self.failed = 0
         self.spills = 0
         self.shed_stale = 0
         self.shed_overload = 0
@@ -332,7 +324,7 @@ class FleetScheduler:
         self.dispatched_per_replica[replica] += 1
         obs = get_registry()
         obs.counter(f"{self.name}.dispatched").inc()
-        obs.gauge(f"{self.name}.r{replica}.queue_depth").set(
+        obs.gauge(f"{self.name}.r{replica}.inflight").set(
             self._depth[replica])
 
     def record_completion(self, replica: int, service_s: float,
@@ -350,11 +342,22 @@ class FleetScheduler:
         self.service_time.observe(service_s)
         obs = get_registry()
         obs.counter(f"{self.name}.completed").inc(batch_size)
-        obs.gauge(f"{self.name}.r{replica}.queue_depth").set(
+        obs.gauge(f"{self.name}.r{replica}.inflight").set(
             self._depth[replica])
         obs.histogram(f"{self.name}.replica_service_s").observe(service_s)
-        if self.controller is not None:
-            self.controller.on_completion(self)
+
+    def record_failure(self, replica: Optional[int] = None,
+                       count: int = 1) -> None:
+        """``count`` admitted requests will never complete: the
+        requests in flight to ``replica`` when it died, or (no
+        ``replica``) one request routed to a replica already dead."""
+        obs = get_registry()
+        if replica is not None:
+            self._depth[replica] = max(0, self._depth[replica] - count)
+            obs.gauge(f"{self.name}.r{replica}.inflight").set(
+                self._depth[replica])
+        self.failed += count
+        obs.counter(f"{self.name}.failed").inc(count)
 
     def record_latency(self, seconds: float, downgraded: bool = False
                        ) -> None:
@@ -379,6 +382,7 @@ class FleetScheduler:
             "requests": self.requests,
             "dispatched": self.dispatched,
             "completed": self.completed,
+            "failed": self.failed,
             "spills": self.spills,
             "shed": self.shed_total,
             "shed_stale": self.shed_stale,

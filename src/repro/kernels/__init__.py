@@ -22,9 +22,10 @@ hosts **two complete implementations** of each path:
   are byte-identical to their references instead.
 
 Selection: the ``REPRO_KERNELS`` environment variable picks the
-process-wide backend (default ``vectorized``); :func:`kernel_backend`
-overrides it within a scope (used by the differential tests and the
-micro-benchmarks).  Worker processes inherit the environment, so pooled
+process-wide backend (default ``vectorized``); :func:`kernel_backend`,
+the only override, forces one within a ``with`` block (used by the
+differential tests and the micro-benchmarks) and restores the previous
+selection on exit.  Worker processes inherit the environment, so pooled
 runs use the same backend as their parent — the scoped override is
 process-local by design.
 
@@ -52,7 +53,7 @@ from typing import Any, Dict, List, Optional
 from ..obs.registry import get_registry
 
 __all__ = ["BACKENDS", "DEFAULT_BACKEND", "KERNELS_ENV", "KernelError",
-           "active_backend", "kernel_backend", "force_backend",
+           "active_backend", "kernel_backend",
            "register_kernel", "get_kernel", "available_kernels",
            "kernel_timer"]
 
@@ -83,24 +84,6 @@ def active_backend() -> str:
             f"invalid {KERNELS_ENV}={raw!r}; choose from "
             f"{', '.join(BACKENDS)}")
     return raw
-
-
-def force_backend(name: Optional[str]) -> Optional[str]:
-    """Imperatively install (or with ``None`` clear) the scoped backend
-    override; returns the previous override.
-
-    This is the actuator-style twin of :func:`kernel_backend`: runtime
-    reconfiguration (``repro.control``) flips the backend mid-run and
-    restores the returned previous value itself instead of holding a
-    ``with`` block open across cycles.
-    """
-    global _forced
-    if name is not None and name not in BACKENDS:
-        raise KernelError(f"unknown kernel backend {name!r}; choose from "
-                          f"{', '.join(BACKENDS)}")
-    previous = _forced
-    _forced = name
-    return previous
 
 
 @contextmanager

@@ -105,25 +105,17 @@ class MicroBatcher:
     """Deterministic batching core: queue, coalescing policy, routing.
 
     Not thread-safe by itself — :class:`BatchedService` serializes
-    access; single-threaded tests and virtual-time simulations drive it
-    directly via :meth:`submit` / :meth:`poll`.
+    access; single-threaded tests, virtual-time simulations and
+    :mod:`repro.fleet` replicas drive it directly.
     """
 
     def __init__(self, runner: BatchRunner,
                  config: Optional[BatcherConfig] = None,
-                 clock: Optional[Clock] = None, name: str = "serve",
-                 controller=None):
+                 clock: Optional[Clock] = None, name: str = "serve"):
         self.runner = runner
         self.config = config or BatcherConfig()
         self.clock = clock if clock is not None else SystemClock()
         self.name = name
-        # Optional runtime-reconfiguration hook (duck-typed: anything
-        # with ``on_batch(batcher, batch_size)``, normally a
-        # repro.control.ServiceControlBinding).  Invoked after each
-        # batch under the caller's serialization, so it may retune
-        # ``config`` (a frozen dataclass — replace, don't mutate)
-        # race-free between batches.
-        self.controller = controller
         self._queue: List[ServeTicket] = []
         # Local histograms so quantiles are available even with the
         # process-wide obs registry disabled; enabled registries get the
@@ -225,8 +217,6 @@ class MicroBatcher:
             self.request_latency.observe(now - t.enqueue_t)
             obs.histogram(f"{self.name}.request_latency_s").observe(
                 now - t.enqueue_t)
-        if self.controller is not None:
-            self.controller.on_batch(self, len(batch))
 
     def poll(self) -> int:
         """Flush one batch if the policy says so; returns its size."""
@@ -262,9 +252,8 @@ class BatchedService:
 
     def __init__(self, runner: BatchRunner,
                  config: Optional[BatcherConfig] = None,
-                 name: str = "serve", controller=None):
-        self.batcher = MicroBatcher(runner, config, name=name,
-                                    controller=controller)
+                 name: str = "serve"):
+        self.batcher = MicroBatcher(runner, config, name=name)
         self._cond = threading.Condition()
         self._closed = False
         self._worker = threading.Thread(

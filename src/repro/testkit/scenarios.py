@@ -467,7 +467,7 @@ def _control_adaptation(rec: TraceRecorder, variant: str, pool=None) -> None:
         Rule("precision", signal="energy_window_mj", actuator="model.bits",
              low=0.1, high=0.3, low_value=32, high_value=8,
              cooldown_s=0.1),
-    ], registry, enabled=True)
+    ], registry)
     binding = LoopControlBinding(controller)
 
     loop = SensingToActionLoop(

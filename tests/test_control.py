@@ -1,14 +1,11 @@
 """Tests for the context-aware reconfiguration control plane
 (``repro.control``).
 
-Everything deterministic runs under a :class:`VirtualClock` (or the
-loop's simulated timebase): actuator registry semantics and scoped
-revert, rule validation and hysteresis/cooldown firing, the
-``REPRO_CONTROL`` kill switch, the kernel-backend actuator, loop
-and micro-batcher integration.  The one threaded test exercises a real
-:class:`BatchedService` whose controller retunes the batch size
-mid-stream, mirroring ``tests/test_serve.py``.  A static scan pins the
-package's no-wall-clock contract at the source level.
+Everything runs under a :class:`VirtualClock` (or the loop's simulated
+timebase): actuator registry semantics and scoped revert, rule
+validation and hysteresis/cooldown firing, decision-trace retention,
+and the loop integration through :class:`LoopControlBinding`.  A static
+scan pins the package's no-wall-clock contract at the source level.
 """
 
 import os
@@ -24,13 +21,7 @@ from repro.control import (
     EnergyWindow,
     LoopControlBinding,
     Rule,
-    ServiceControlBinding,
-    SignalSource,
     attr_actuator,
-    config_field_actuator,
-    control_enabled,
-    kernel_backend_actuator,
-    microbatcher_actuators,
     precision_bits_actuator,
 )
 from repro.core import (
@@ -46,8 +37,6 @@ from repro.core import (
     VirtualClock,
 )
 from repro.hardware.energy import EnergyLedger
-from repro.kernels import active_backend
-from repro.serve import BatcherConfig, MicroBatcher
 
 
 class Knob:
@@ -64,7 +53,7 @@ def make_controller(rules=None, knob=None, **kwargs):
     rules = rules if rules is not None else [
         Rule("r", signal="s", actuator="knob.x",
              low=0.2, high=0.8, low_value=9.0, high_value=1.0)]
-    return Controller(rules, registry, enabled=True), registry, knob
+    return Controller(rules, registry), registry, knob
 
 
 # ------------------------------------------------------------- actuators
@@ -139,42 +128,6 @@ def test_scope_reverts_on_exit_and_on_exception():
     assert knob.x == 1.0
 
 
-def test_config_field_actuator_replaces_frozen_config():
-    batcher = MicroBatcher(lambda xs: xs,
-                           BatcherConfig(max_batch_size=2,
-                                         max_queue_depth=32),
-                           clock=VirtualClock())
-    registry = ActuatorRegistry()
-    act = config_field_actuator(registry, "b", batcher, "max_batch_size",
-                                bounds=(1, 16))
-    original = batcher.config
-    act.set(8)
-    assert batcher.config.max_batch_size == 8
-    assert original.max_batch_size == 2  # frozen value untouched
-    with pytest.raises(ControlError, match="no field"):
-        config_field_actuator(registry, "bad", batcher, "nope",
-                              bounds=(0, 1))
-
-
-def test_kernel_and_compile_actuators_revert_under_scope():
-    from repro.kernels import force_backend
-
-    registry = ActuatorRegistry()
-    kernel_backend_actuator(registry)
-    backend0 = active_backend()
-    other = "reference" if backend0 == "vectorized" else "vectorized"
-    try:
-        with registry.scope():
-            registry.set("kernel_backend", other)
-            assert active_backend() == other
-        assert active_backend() == backend0
-    finally:
-        # The scope revert re-installs the *resolved* value as a forced
-        # override (the actuator cannot see "no override"); clear it so
-        # env-var selection keeps working for the rest of the session.
-        force_backend(None)
-
-
 def test_precision_bits_actuator_choices():
     registry = ActuatorRegistry()
     model = Knob(x=32)
@@ -202,15 +155,15 @@ def test_controller_validates_wiring_at_construction():
     rule = Rule("r", "s", "m", low=0.2, high=0.8,
                 low_value="a", high_value="b")
     with pytest.raises(ControlError, match="duplicate rule"):
-        Controller([rule, rule], registry, enabled=True)
+        Controller([rule, rule], registry)
     with pytest.raises(ControlError, match="unregistered actuator"):
         Controller([Rule("q", "s", "ghost", low=0, high=1,
                          low_value=1, high_value=2)],
-                   registry, enabled=True)
+                   registry)
     with pytest.raises(ControlError, match="not in actuator"):
         Controller([Rule("q", "s", "m", low=0, high=1,
                          low_value="a", high_value="z")],
-                   registry, enabled=True)
+                   registry)
 
 
 def test_hysteresis_band_fires_nothing():
@@ -254,36 +207,6 @@ def test_no_refire_when_already_at_target():
     assert len(controller.decisions) == 1  # applied once, then steady
 
 
-def test_disabled_controller_is_inert():
-    registry = ActuatorRegistry()
-    knob = Knob()
-    attr_actuator(registry, "knob.x", knob, "x", bounds=(0.0, 10.0))
-    controller = Controller(
-        [Rule("r", "s", "knob.x", low=0.2, high=0.8,
-              low_value=9.0, high_value=1.0)],
-        registry, enabled=False)
-    assert controller.step(ContextSnapshot(t=0.0, signals={"s": 0.0})) == []
-    assert knob.x == 1.0 and controller.steps == 0
-
-
-def test_repro_control_env_gate(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTROL", "off")
-    assert not control_enabled()
-    registry = ActuatorRegistry()
-    knob = Knob()
-    attr_actuator(registry, "knob.x", knob, "x", bounds=(0.0, 10.0))
-    env_controller = Controller(
-        [Rule("r", "s", "knob.x", low=0.2, high=0.8,
-              low_value=9.0, high_value=1.0)], registry)  # enabled=None
-    env_controller.step(ContextSnapshot(t=0.0, signals={"s": 0.0}))
-    assert knob.x == 1.0
-    monkeypatch.setenv("REPRO_CONTROL", "on")
-    assert control_enabled()
-    monkeypatch.setenv("REPRO_CONTROL", "maybe")
-    with pytest.raises(ControlError, match="REPRO_CONTROL"):
-        control_enabled()
-
-
 def test_decision_trace_and_bounded_retention():
     registry = ActuatorRegistry()
     knob = Knob()
@@ -291,7 +214,7 @@ def test_decision_trace_and_bounded_retention():
     controller = Controller(
         [Rule("r", "s", "knob.x", low=0.2, high=0.8,
               low_value=9.0, high_value=1.0)],
-        registry, enabled=True, max_decisions=3)
+        registry, max_decisions=3)
     for i in range(6):  # alternate below/above the band every step
         s = 0.0 if i % 2 == 0 else 1.0
         controller.step(ContextSnapshot(t=float(i), signals={"s": s}))
@@ -312,17 +235,6 @@ def test_energy_window_read_resets_peek_does_not():
     assert window.peek()["sensing_mj"] == pytest.approx(2.0)
     assert window.read()["total_mj"] == pytest.approx(2.0)
     assert window.read()["total_mj"] == pytest.approx(0.0)
-
-
-def test_signal_source_omits_none_and_merges_extra():
-    source = SignalSource()
-    source.register("a", lambda: 1.0)
-    source.register("b", lambda: None)
-    snap = source.sample(2.5, extra={"c": 3})
-    assert snap.t == 2.5
-    assert snap.signals == {"a": 1.0, "c": 3.0}
-    assert snap.get("b") is None
-    assert snap.as_dict()["t"] == 2.5
 
 
 # ------------------------------------------------------ loop integration
@@ -379,7 +291,7 @@ def test_loop_controller_retunes_sensing_fraction():
     controller = Controller(
         [Rule("boost", signal="trust", actuator="sensor.fraction",
               low=0.55, high=0.92, low_value=0.9, high_value=0.3)],
-        registry, enabled=True)
+        registry)
     monitor = _ScriptedMonitor([1.0, 1.0, 0.4, 0.4, 1.0, 1.0])
     loop = SensingToActionLoop(
         sensor, _PassPerception(), _NullPolicy(), _NullActuator(),
@@ -397,101 +309,6 @@ def test_loop_controller_retunes_sensing_fraction():
     # cycle-end hook reads (cycle_index + 1) * period_s.
     assert trace[0]["t"] == pytest.approx(3 * 0.05)
     assert loop.metrics.cycles == 6
-
-
-def test_loop_binding_interval_and_energy_signal():
-    sensor = _FractionSensor()
-    registry = ActuatorRegistry()
-    attr_actuator(registry, "sensor.fraction", sensor, "fraction",
-                  bounds=(0.1, 1.0))
-    controller = Controller([
-        Rule("nop", signal="trust", actuator="sensor.fraction",
-             low=-2.0, high=-1.0, low_value=0.9, high_value=0.3)],
-        registry, enabled=True)
-    binding = LoopControlBinding(controller, interval_cycles=3)
-    seen = []
-    binding.add_signal("probe", lambda: seen.append(1) or 1.0)
-    loop = SensingToActionLoop(
-        sensor, _PassPerception(), _NullPolicy(), _NullActuator(),
-        monitor=_ScriptedMonitor([1.0]), period_s=0.05,
-        clock=VirtualClock(), controller=binding)
-    loop.run(_ScriptedEnv(), 7)
-    assert controller.steps == 2  # cycles 3 and 6 only
-    assert len(seen) == 2
-    with pytest.raises(ValueError):
-        LoopControlBinding(controller, interval_cycles=0)
-
-
-# ------------------------------------------------- batcher integration
-def test_microbatcher_controller_retunes_batch_size():
-    clock = VirtualClock()
-    batcher = MicroBatcher(lambda xs: xs,
-                           BatcherConfig(max_batch_size=2, max_wait_ms=0.0,
-                                         max_queue_depth=64),
-                           clock=clock)
-    registry = ActuatorRegistry()
-    microbatcher_actuators(registry, batcher, prefix="serve")
-    controller = Controller(
-        [Rule("batch_up", signal="queue_depth",
-              actuator="serve.max_batch_size",
-              low=1.0, high=4.0, low_value=2, high_value=8)],
-        registry, enabled=True)
-    batcher.controller = ServiceControlBinding(controller)
-
-    for i in range(8):
-        batcher.submit(i)
-    # First poll runs a batch of 2; the post-batch hook sees 6 queued
-    # (>= high) and raises max_batch_size to 8 for the next poll.
-    assert batcher.poll() == 2
-    assert batcher.config.max_batch_size == 8
-    assert batcher.poll() == 6
-    assert controller.decision_trace()[0]["new"] == 8
-
-
-def test_batched_service_threaded_controller_adapts():
-    import threading
-
-    from repro.serve import BatchedService
-
-    registry = ActuatorRegistry()
-    state = {"service": None}
-
-    def runner(items):
-        return [x * x for x in items]
-
-    config = BatcherConfig(max_batch_size=2, max_wait_ms=20.0,
-                           max_queue_depth=64)
-    controller_holder = {}
-
-    with BatchedService(runner, config) as service:
-        microbatcher_actuators(registry, service.batcher, prefix="serve")
-        controller = Controller(
-            [Rule("batch_up", signal="queue_depth",
-                  actuator="serve.max_batch_size",
-                  low=0.5, high=3.0, low_value=2, high_value=8)],
-            registry, enabled=True)
-        service.batcher.controller = ServiceControlBinding(controller)
-        controller_holder["c"] = controller
-        state["service"] = service
-
-        results = {}
-
-        def client(i):
-            results[i] = service.submit(i, timeout=10.0)
-
-        threads = [threading.Thread(target=client, args=(i,))
-                   for i in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    assert results == {i: i * i for i in range(16)}
-    # The hook ran under the batcher lock after every batch; whether the
-    # rule fired depends on thread interleaving, but the controller
-    # must have stepped and any applied setting must be admissible.
-    controller = controller_holder["c"]
-    assert controller.steps >= 1
-    assert state["service"].batcher.config.max_batch_size in (2, 8)
 
 
 # ------------------------------------------------------ source hygiene

@@ -44,7 +44,7 @@ def build(low, high, low_value, high_value, cooldown_s=0.0,
         [Rule("r", signal="s", actuator="k", low=low, high=high,
               low_value=low_value, high_value=high_value,
               cooldown_s=cooldown_s)],
-        registry, enabled=True)
+        registry)
     return controller, knob
 
 

@@ -5,10 +5,11 @@ The deterministic :class:`FleetScheduler` core is driven with a
 and backpressure decision is an exact function of recorded dispatches
 and completions.  The :class:`ServingFleet` fabric is exercised both
 in-process (thread replicas, deterministic gating) and as real
-processes over shared-memory slabs, and the shed accounting is checked
-against the ``fleet.*`` observability counters.
+processes, and the shed and failure accounting is checked against the
+``fleet.*`` observability counters.
 """
 
+import os
 import queue
 import threading
 
@@ -26,9 +27,7 @@ from repro.fleet import (
     ReplicaSpec,
     RequestShed,
     ServingFleet,
-    ShmSlab,
     replica_loop,
-    shm_available,
 )
 from repro.serve import BatcherConfig, ServiceOverloaded
 
@@ -48,6 +47,15 @@ def _poisonable_runner_factory(index, seed):
                 raise ValueError("poison payload")
             out.append(arr * 2.0)
         return out
+    return run
+
+
+def _exiting_runner_factory(index, seed):
+    """The replica process dies outright on a poison payload."""
+    def run(items):
+        if any(np.asarray(x).flat[0] > 100.0 for x in items):
+            os._exit(3)
+        return [np.asarray(x) * 2.0 for x in items]
     return run
 
 
@@ -87,47 +95,6 @@ def test_hash_ring_key_affinity_is_stable():
     assert ring.route("tenant-a") == ring.route("tenant-a")
     with pytest.raises(ValueError):
         ConsistentHashRing(0)
-
-
-# ------------------------------------------------------------------- slab
-@pytest.mark.skipif(not shm_available(), reason="no shared_memory")
-def test_shm_slab_roundtrip_and_attach():
-    slab = ShmSlab(4, 256)
-    try:
-        arr = np.arange(12, dtype=np.float64).reshape(3, 4)
-        shape, dtype = slab.write(2, arr)
-        np.testing.assert_array_equal(slab.read(2, shape, dtype), arr)
-
-        ints = np.array([1, 2, 3], dtype=np.int32)
-        shape, dtype = slab.write(0, ints)
-        other = ShmSlab.attach(slab.name, 4, 256)
-        try:
-            got = other.read(0, shape, dtype)
-        finally:
-            other.close()
-        np.testing.assert_array_equal(got, ints)
-        assert got.dtype == np.int32
-    finally:
-        slab.close()
-        slab.unlink()
-        slab.unlink()  # idempotent
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared_memory")
-def test_shm_slab_bounds_checks():
-    slab = ShmSlab(2, 64)
-    try:
-        assert slab.fits(np.zeros(8))
-        assert not slab.fits(np.zeros(9))
-        with pytest.raises(ValueError):
-            slab.write(0, np.zeros(9))
-        with pytest.raises(IndexError):
-            slab.write(2, np.zeros(1))
-        with pytest.raises(IndexError):
-            slab.read(-1, (1,), "<f8")
-    finally:
-        slab.close()
-        slab.unlink()
 
 
 # -------------------------------------------------------- scheduler policy
@@ -255,8 +222,7 @@ def test_replica_loop_batches_and_drains_on_stop():
                        batch=BatcherConfig(max_batch_size=3,
                                            max_wait_ms=5.0))
     for seq in range(5):
-        request_q.put(("req", seq, -1, None, None,
-                       np.full(2, float(seq))))
+        request_q.put(("req", seq, np.full(2, float(seq))))
     request_q.put(("stop",))
     stats = replica_loop(0, spec, seed=0, request_q=request_q,
                          response_q=response_q)
@@ -268,9 +234,9 @@ def test_replica_loop_batches_and_drains_on_stop():
         assert message[0] == "res"
         rows.extend(message[3])
     assert sorted(row[0] for row in rows) == [0, 1, 2, 3, 4]
-    for seq, _slot, _shape, _dtype, payload, error in rows:
+    for seq, result, error in rows:
         assert error is None
-        np.testing.assert_array_equal(payload, np.full(2, float(seq) * 2))
+        np.testing.assert_array_equal(result, np.full(2, float(seq) * 2))
 
 
 # -------------------------------------------------- in-process integration
@@ -280,7 +246,6 @@ def test_inprocess_fleet_round_trips_requests():
                                            max_wait_ms=2.0))
     with ServingFleet(spec, FleetConfig(replicas=2),
                       inprocess=True) as fleet:
-        assert fleet.transport == "inline"
         payloads = [np.full(3, float(i)) for i in range(20)]
         results = [fleet.submit(p, key=f"client-{i % 5}", timeout=30.0)
                    for i, p in enumerate(payloads)]
@@ -401,17 +366,26 @@ def test_inprocess_fleet_monitor_equivalence_across_sharding():
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
+def test_fleet_rejects_a_replica_queue_shallower_than_its_cap():
+    spec = ReplicaSpec(runner_factory=_double_runner_factory,
+                       batch=BatcherConfig(max_batch_size=4,
+                                           max_queue_depth=8))
+    with pytest.raises(ValueError, match="would shed"):
+        ServingFleet(spec, FleetConfig(replicas=1, max_queue_depth=16),
+                     inprocess=True)
+
+
 # ------------------------------------------------------ process-mode smoke
-@pytest.mark.skipif(not shm_available(), reason="no shared_memory")
 def test_process_fleet_serves_over_shared_memory():
+    """Process replicas over ``multiprocessing`` queues; their
+    telemetry merges back into the router's registry on close."""
     spec = ReplicaSpec(runner_factory=_double_runner_factory,
                        batch=BatcherConfig(max_batch_size=4,
                                            max_wait_ms=5.0))
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        with ServingFleet(spec, FleetConfig(replicas=2, max_queue_depth=8,
-                                            slot_bytes=512)) as fleet:
-            assert fleet.transport == "shm"
+        with ServingFleet(spec, FleetConfig(replicas=2,
+                                            max_queue_depth=8)) as fleet:
             payloads = [np.full(6, float(i)) for i in range(16)]
             tickets = [fleet.submit_async(p, key=f"client-{i % 4}")
                        for i, p in enumerate(payloads)]
@@ -421,9 +395,38 @@ def test_process_fleet_serves_over_shared_memory():
                                               payload * 2.0)
             assert fleet.scheduler.completed == 16
         # Replica-side telemetry merged back on close, in index order.
-        counters = registry.snapshot()["counters"]
+        snap = registry.snapshot()
         replica_requests = sum(
-            counters.get(f"fleet.r{i}.requests", 0.0) for i in range(2))
+            snap["counters"].get(f"fleet.r{i}.requests", 0.0)
+            for i in range(2))
         assert replica_requests == 16
+        # The router's in-flight gauges sit apart from the replicas'
+        # own queue-depth gauges, and both drained to zero.
+        for i in range(2):
+            assert snap["gauges"][f"fleet.r{i}.inflight"] == 0
     stats = fleet.stats()
     assert sum(r["requests"] for r in stats["replicas"].values()) == 16
+
+
+def test_process_fleet_accounts_requests_lost_to_a_dead_replica():
+    """A replica process that dies fails its in-flight request, and a
+    later request routed to it fails at submit; both count as
+    ``failed``, so every request has exactly one outcome."""
+    spec = ReplicaSpec(runner_factory=_exiting_runner_factory,
+                       batch=BatcherConfig(max_batch_size=1,
+                                           max_wait_ms=0.0))
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        with ServingFleet(spec, FleetConfig(replicas=1)) as fleet:
+            np.testing.assert_array_equal(
+                fleet.submit(np.full(2, 1.0), timeout=60.0), np.full(2, 2.0))
+            with pytest.raises(FleetReplicaError, match="exited with code 3"):
+                fleet.submit(np.full(2, 999.0), timeout=60.0)
+            with pytest.raises(FleetReplicaError):
+                fleet.submit(np.full(2, 1.0), timeout=60.0)
+    snap = fleet.scheduler.snapshot()
+    assert (snap["requests"], snap["completed"], snap["failed"]) == (3, 1, 2)
+    assert snap["requests"] == (snap["completed"] + snap["failed"]
+                                + snap["shed"] + snap["downgraded"])
+    assert snap["queue_depth"] == [0]
+    assert registry.snapshot()["counters"]["fleet.failed"] == 2
