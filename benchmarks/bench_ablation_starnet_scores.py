@@ -29,11 +29,13 @@ def run_ablation(seed: int = 0) -> dict:
 
 
 def _cost(method: str) -> str:
-    """Decoder evaluations per score (the edge-compute axis)."""
+    """Decoder passes per score (the edge-compute axis)."""
     if method == "spsa":
-        return f"{3 * SPSA_STEPS + 1} fwd"     # 3 evals/step + base
+        # 3 evaluations per step + the last iterate, one stacked pass
+        # per step.
+        return f"{SPSA_STEPS + 1} fwd ({3 * SPSA_STEPS + 1} rows)"
     if method == "exact":
-        return "50 fwd + 50 bwd"
+        return "51 fwd + 50 bwd"
     return "1 fwd"
 
 

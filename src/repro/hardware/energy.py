@@ -117,13 +117,10 @@ class EnergyLedger:
         )
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "sensing_mj": self.sensing_mj,
-            "compute_mj": self.compute_mj,
-            "communication_mj": self.communication_mj,
-            "actuation_mj": self.actuation_mj,
-            "total_mj": self.total_mj,
-        }
+        s, c, m, a = (self.sensing_mj, self.compute_mj,
+                      self.communication_mj, self.actuation_mj)
+        return {"sensing_mj": s, "compute_mj": c, "communication_mj": m,
+                "actuation_mj": a, "total_mj": s + c + m + a}
 
     # -------------------------------------------------- windowed readings
     def snapshot(self) -> Dict[str, float]:
@@ -141,6 +138,12 @@ class EnergyLedger:
         a snapshot taken from an older/foreign ledger still yields a
         well-formed delta over this ledger's meters.
         """
-        now = self.as_dict()
-        return {key: value - float(since.get(key, 0.0))
-                for key, value in now.items()}
+        # Spelled out: every ledger-metered trace span calls this.
+        get = since.get
+        s, c, m, a = (self.sensing_mj, self.compute_mj,
+                      self.communication_mj, self.actuation_mj)
+        return {"sensing_mj": s - float(get("sensing_mj", 0.0)),
+                "compute_mj": c - float(get("compute_mj", 0.0)),
+                "communication_mj": m - float(get("communication_mj", 0.0)),
+                "actuation_mj": a - float(get("actuation_mj", 0.0)),
+                "total_mj": s + c + m + a - float(get("total_mj", 0.0))}

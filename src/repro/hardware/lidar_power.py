@@ -86,17 +86,30 @@ class LidarPowerModel:
     def _pulse_energies_uj(self, ranges_m: np.ndarray) -> np.ndarray:
         """:meth:`pulse_energy_uj` of every range, as one array.
 
-        Bit-for-bit the scalar method's values: the R^4 term is Python's
-        float ``**`` (libm ``pow``, as the scalar path computes it), since
-        numpy's array power can differ in the last ulp.  Range ratios
-        past 1e6 price at the cap either way, and are clipped there so
-        that ``**`` cannot overflow.
+        Bit-for-bit the scalar method's values.  Range ratios at or past
+        1 price at the cap, and ratios below the knee
+        ``(min_pulse_uj / reference_pulse_uj) ** 0.25`` (less a 1e-9
+        relative margin, far wider than the rounding of the R^4 term) at
+        the floor, so only the band between the two clamps is priced
+        range by range, as the scalar method prices it: the R^4 term is
+        Python's float ``**`` (libm ``pow``), since numpy's array power
+        can differ in the last ulp.
         """
         ranges_m = np.asarray(ranges_m, dtype=np.float64).ravel()
-        if not (ranges_m > 0).all():  # also rejects NaN
+        if ranges_m.size and not ranges_m.min() > 0:  # also rejects NaN
             raise ValueError("range must be positive")
-        ratios = np.minimum(ranges_m / self.reference_range_m, 1e6)
-        scaled = self.reference_pulse_uj * np.array(
-            [q ** 4 for q in ratios.tolist()])
-        return np.maximum(self.min_pulse_uj,
-                          np.minimum(scaled, self.reference_pulse_uj))
+        ref, floor = self.reference_pulse_uj, self.min_pulse_uj
+        if floor <= 0:
+            knee = 0.0
+        elif floor < ref:
+            knee = (floor / ref) ** 0.25 * (1.0 - 1e-9)
+        else:
+            knee = 1.0
+        ratios = ranges_m / self.reference_range_m
+        energies = np.where(ratios >= 1.0, float(max(floor, ref)),
+                            float(floor))
+        band = np.flatnonzero((ratios >= knee) & (ratios < 1.0))
+        if band.size:
+            scaled = ref * np.array([q ** 4 for q in ratios[band].tolist()])
+            energies[band] = np.maximum(floor, np.minimum(scaled, ref))
+        return energies

@@ -9,14 +9,19 @@ per-row ELBO is a batched encode/decode plus row-wise reductions; the
 SPSA inner optimization runs all rows in lock-step (each row keeps its
 own delta generator so the perturbation streams match the reference
 draw-for-draw: seeds are pulled from the shared RNG in the same row
-order the reference pulls them).  One decoder GEMM per evaluation
-replaces B GEMVs, so drift vs the reference is BLAS re-association
-only.
+order the reference pulls them).  Each SPSA step stacks its three
+evaluations, f(θ_k) and f(θ_k ± c_kδ_k), into one decoder GEMM, and
+exact regret decodes each iterate once: ``steps + 1`` decodes per
+score where the reference makes ``3·steps + 2`` (SPSA) and
+``2·steps + 1`` (exact), 26 and 51 at the monitor's defaults.  Drift
+vs the reference is BLAS re-association only.
 
 Kernel API: ``score_rows(vae, X, method, spsa_steps, rng) -> (B,)``.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -53,14 +58,15 @@ class ReferenceLikelihoodRegret:
         return np.asarray(out, dtype=np.float64)
 
 
-def elbo_rows(vae, X: np.ndarray, mu: np.ndarray,
-              logvar: np.ndarray) -> np.ndarray:
-    """Deterministic per-row ELBO at z = mu (batched per_sample_elbo)."""
+def elbo_rows(vae, X: np.ndarray, mu: np.ndarray, logvar: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic per-row ELBO at z = mu (batched per_sample_elbo),
+    and the reconstruction its one decode made."""
     logvar = np.clip(logvar, -10.0, 10.0)
     recon = vae.decode(mu)
     recon_term = -np.sum((recon - X) ** 2, axis=1)
     kl = 0.5 * np.sum(np.exp(logvar) + mu ** 2 - 1.0 - logvar, axis=1)
-    return recon_term - kl
+    return recon_term - kl, recon
 
 
 class VectorizedLikelihoodRegret:
@@ -79,45 +85,63 @@ class VectorizedLikelihoodRegret:
         return np.sum((recon - X) ** 2, axis=1)
 
     def _spsa(self, vae, X, steps, rng) -> np.ndarray:
+        """One stacked decode per step: ``[θ_k, θ_k + c_kδ_k,
+        θ_k − c_kδ_k]``.
+
+        The reference evaluates f(θ_k) after each update and the next
+        step's f(θ_k ± c_kδ_k) apart, yet all three depend only on θ_k
+        and δ_k, so they share one decoder pass (``steps + 1`` decodes
+        per score; step 0's θ_0 rows are also the base ELBO).
+        """
         latent = vae.latent_dim
+        b = X.shape[0]
         mu0, logvar0 = vae.encode(X)
-        base = elbo_rows(vae, X, mu0, logvar0)
         theta = np.concatenate([mu0, logvar0], axis=1)
         # One generator per row, seeded in row order from the shared RNG
         # — the exact draws the reference makes inside its per-row loop.
-        gens = [np.random.default_rng(rng.integers(2 ** 31))
-                for _ in range(X.shape[0])]
+        # Each row's Rademacher signs for every step come from one
+        # ``integers`` call: the same stream, step by step, as the
+        # reference's per-step ``choice([-1.0, 1.0])``.
+        signs = np.stack([
+            np.random.default_rng(rng.integers(2 ** 31)).integers(
+                0, 2, size=(steps, theta.shape[1]))
+            for _ in range(b)], axis=1) * 2.0 - 1.0
+        X3 = np.concatenate([X, X, X])
 
-        def neg_elbo(th: np.ndarray) -> np.ndarray:
-            return -elbo_rows(vae, X, th[:, :latent], th[:, latent:])
+        def neg_elbo(th: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return -elbo_rows(vae, rows, th[:, :latent],
+                              th[:, latent:])[0]
 
-        f_best = neg_elbo(theta)
+        f_iterates = []     # f(θ_0) .. f(θ_steps), one (B,) row each
         for k in range(steps):
             ak = _SPSA_A / (k + 1 + _SPSA_STABILITY) ** _SPSA_ALPHA
             ck = _SPSA_C / (k + 1) ** _SPSA_GAMMA
-            delta = np.stack([g.choice([-1.0, 1.0], size=theta.shape[1])
-                              for g in gens])
-            f_plus = neg_elbo(theta + ck * delta)
-            f_minus = neg_elbo(theta - ck * delta)
-            ghat = ((f_plus - f_minus) / (2.0 * ck))[:, None] * delta
+            delta = signs[k]
+            f = neg_elbo(np.concatenate(
+                [theta, theta + ck * delta, theta - ck * delta]), X3)
+            f_iterates.append(f[:b])
+            ghat = ((f[b:2 * b] - f[2 * b:]) / (2.0 * ck))[:, None] * delta
             # Normalized-gradient SPSA, per row.
             norms = np.linalg.norm(ghat, axis=1)
             scale = np.where(norms > 0, norms, 1.0)
             theta = theta - ak * (ghat / scale[:, None])
-            f_best = np.minimum(f_best, neg_elbo(theta))
-        return np.maximum(-f_best - base, 0.0)
+        f_iterates.append(neg_elbo(theta, X))
+        base = -f_iterates[0]
+        return np.maximum(-np.min(f_iterates, axis=0) - base, 0.0)
 
     def _exact(self, vae, X) -> np.ndarray:
+        """Gradient ascent decoding each iterate once: the decode that
+        scores μ_{k+1} leaves the decoder caches the next backward uses
+        (``steps + 1`` decodes per score)."""
         mu, logvar = vae.encode(X)
-        base = elbo_rows(vae, X, mu, logvar)
-        mu_opt = mu.copy()
-        best = base.copy()
+        base, recon = elbo_rows(vae, X, mu, logvar)
+        mu_opt = mu
+        best = base
         for _ in range(_EXACT_STEPS):
-            recon = vae.decode(mu_opt)
-            grad_recon = -2.0 * (recon - X)
-            dz = vae.decoder.backward(grad_recon)
+            dz = vae.decoder.backward(-2.0 * (recon - X))
             mu_opt = mu_opt + _EXACT_LR * (dz - mu_opt)
-            best = np.maximum(best, elbo_rows(vae, X, mu_opt, logvar))
+            elbo, recon = elbo_rows(vae, X, mu_opt, logvar)
+            best = np.maximum(best, elbo)
         return np.maximum(best - base, 0.0)
 
 

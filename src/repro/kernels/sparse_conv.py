@@ -9,7 +9,9 @@ unique-index scatters.
 
 The index is cached on the input tensor keyed by ``(kernel, stride)``
 and shared with stride-1 outputs, so a stack of submanifold layers (the
-R-MAE encoder, the detect neck) builds it once.
+R-MAE encoder, the detect neck) builds it once.  Every encode starts
+from a fresh tensor and pays that build, so it is one vectorized pass
+over all kernel offsets rather than a loop over them.
 
 Both backends speak through duck-typed ``layer`` objects (weight/bias
 Parameters, offsets, stride) and :class:`~repro.nn.sparse3d.SparseVoxelTensor`
@@ -87,7 +89,12 @@ def build_neighbor_index(coords: np.ndarray, offsets: np.ndarray,
     for a fixed offset every output site queries exactly one neighbor
     coordinate, so ``out_idx`` (and symmetrically ``in_idx``) contain no
     duplicates and plain fancy-index ``+=`` is exact.
+
+    Every offset's queries resolve in one pass: one ``searchsorted`` of
+    the whole (offsets, m) query block, then the hits split per offset
+    (both index arrays int64, ascending ``out_idx`` within an offset).
     """
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
     n = coords.shape[0]
     empty = np.zeros(0, dtype=np.int64)
     if n == 0:
@@ -96,32 +103,29 @@ def build_neighbor_index(coords: np.ndarray, offsets: np.ndarray,
         out_coords = np.unique(coords // stride, axis=0)
     else:
         out_coords = coords
-    # Shift-to-nonnegative row-major ravel: scalar keys that ascend with
-    # the lexicographic coordinate order, so searchsorted resolves
-    # neighbor lookups against the sorted input set.
-    lo = coords.min(axis=0)
-    dims = coords.max(axis=0) - lo + 1
+    base = out_coords * stride
+    # Shift-to-nonnegative row-major ravel over a box holding every
+    # input coordinate and every query: scalar keys that ascend with the
+    # lexicographic coordinate order and never collide, so searchsorted
+    # resolves neighbor lookups against the sorted input set and a query
+    # outside the input set simply finds no key.
+    lo = np.minimum(coords.min(axis=0), base.min(axis=0) + offsets.min(axis=0))
+    dims = np.maximum(coords.max(axis=0),
+                      base.max(axis=0) + offsets.max(axis=0)) - lo + 1
 
     def encode(c: np.ndarray) -> np.ndarray:
-        q = c - lo
-        return (q[:, 0] * dims[1] + q[:, 1]) * dims[2] + q[:, 2]
+        return (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
 
-    keys = encode(coords)
-    base = out_coords * stride
-    pairs = []
-    for off in offsets:
-        q = base + off
-        valid = np.all((q >= lo) & (q < lo + dims), axis=1)
-        if not valid.any():
-            pairs.append((empty, empty))
-            continue
-        qk = encode(q[valid])
-        pos = np.minimum(np.searchsorted(keys, qk), n - 1)
-        found = keys[pos] == qk
-        in_idx = pos[found]
-        out_idx = np.nonzero(valid)[0][found]
-        pairs.append((in_idx, out_idx))
-    return out_coords, pairs
+    keys = encode(coords - lo)
+    # The ravel is linear, so query keys are base keys plus offset keys.
+    queries = encode(offsets)[:, None] + encode(base - lo)[None, :]
+    pos = np.minimum(np.searchsorted(keys, queries), n - 1)
+    found = keys[pos] == queries
+    hit_off, out_idx = np.nonzero(found)
+    in_idx = pos[hit_off, out_idx]
+    bounds = [0, *np.cumsum(np.count_nonzero(found, axis=1)).tolist()]
+    return out_coords, [(in_idx[a:b], out_idx[a:b])
+                        for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class VectorizedSparseConv3d:
@@ -135,8 +139,7 @@ class VectorizedSparseConv3d:
         key = (layer.kernel, s)
         index = x._index_cache.get(key)
         if index is None:
-            offsets = np.asarray(layer.offsets, dtype=np.int64)
-            index = build_neighbor_index(coords, offsets, s)
+            index = build_neighbor_index(coords, layer.offsets, s)
             x._index_cache[key] = index
         out_coords, pairs = index
         W = layer.weight.data

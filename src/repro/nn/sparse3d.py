@@ -16,14 +16,16 @@ the vectorized path allocation-free between layers,
 representations — the coordinate dict, or a packed ``(coords, matrix)``
 pair — and converts lazily.  Reading :attr:`features` on a packed
 tensor materializes the dict (and makes it authoritative from then on);
-:meth:`packed` on a dict tensor re-packs on every call, because callers
-(gradcheck, tests) mutate the dict's arrays in place between forwards.
+:meth:`packed` on a dict tensor re-packs on every call (one
+``np.lexsort`` of the coordinates), because callers (gradcheck, tests)
+mutate the dict's arrays in place between forwards.
 Adding or removing active sites after a neighbor index has been cached
 on the tensor is not supported.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -115,13 +117,14 @@ class SparseVoxelTensor:
         """
         if self._features is None:
             return self._coords, self._matrix
-        keys = sorted(self._features.keys())
-        coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), 3)
-        if keys:
-            mat = np.stack([self._features[c] for c in keys])
-        else:
-            mat = np.zeros((0, self.channels))
-        return coords, mat
+        n = len(self._features)
+        if not n:
+            return np.zeros((0, 3), dtype=np.int64), \
+                np.zeros((0, self.channels))
+        coords = np.fromiter(itertools.chain.from_iterable(self._features),
+                             dtype=np.int64, count=3 * n).reshape(n, 3)
+        order = np.lexsort(coords.T[::-1])
+        return coords[order], np.array(list(self._features.values()))[order]
 
     def dense(self) -> np.ndarray:
         """Materialize to a dense (C, X, Y, Z) array."""

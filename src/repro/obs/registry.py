@@ -297,7 +297,7 @@ class MetricsRegistry:
     def trace_span(self, name: str, ledger=None,
                    attrs: Optional[dict] = None) -> Span:
         """Open a nestable span; use as a context manager."""
-        return self.tracer.span(name, ledger=ledger, attrs=attrs)
+        return Span(name, self.tracer, ledger, attrs)
 
     # ----------------------------------------------------------- reporting
     @property

@@ -37,10 +37,11 @@ class Span:
 
     # ------------------------------------------------------------ protocol
     def __enter__(self) -> "Span":
-        self._tracer._push(self)
+        self._tracer._stack.append(self)
         if self._ledger is not None:
+            # snapshot() hands out a fresh dict; as_dict() may not.
             snapshot = getattr(self._ledger, "snapshot", None)
-            self._energy_before = (dict(snapshot()) if snapshot is not None
+            self._energy_before = (snapshot() if snapshot is not None
                                    else dict(self._ledger.as_dict()))
         self.start_s = time.perf_counter()
         return self
@@ -54,7 +55,7 @@ class Span:
             before = self._energy_before
             delta = getattr(self._ledger, "delta", None)
             if delta is not None:
-                self.energy_mj = dict(delta(before))
+                self.energy_mj = delta(before)
             else:
                 after = self._ledger.as_dict()
                 self.energy_mj = {k: after[k] - before.get(k, 0.0)
@@ -132,20 +133,12 @@ class Tracer:
         self._stack: List[Span] = []
         self._retained = 0
 
-    def span(self, name: str, ledger=None,
-             attrs: Optional[dict] = None) -> Span:
-        return Span(name, self, ledger=ledger, attrs=attrs)
-
     # ------------------------------------------------------------ plumbing
-    def _push(self, span: Span) -> None:
-        self._stack.append(span)
-
     def _pop(self, span: Span) -> None:
         # Tolerate exception-driven unwinding: pop back to this span.
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
-                break
+        stack = self._stack
+        while stack and stack.pop() is not span:
+            pass
         if self._retained >= self.max_spans:
             self.dropped += 1
             return

@@ -107,7 +107,7 @@ class LidarScan:
     @property
     def coverage_fraction(self) -> float:
         """Fraction of the full beam grid that was fired."""
-        return float(self.fired_mask.mean())
+        return int(np.count_nonzero(self.fired_mask)) / self.fired_mask.size
 
     def sensing_energy_mj(self, power: Optional[LidarPowerModel] = None,
                           adaptive: bool = True) -> float:
@@ -118,7 +118,7 @@ class LidarScan:
         range-scaled energy.
         """
         power = power or LidarPowerModel()
-        n_fired = int(self.fired_mask.sum())
+        n_fired = int(np.count_nonzero(self.fired_mask))
         n_hits = self.num_points
         # Corrupted scans can carry more returns than fired pulses
         # (spurious backscatter/ghost echoes), so clamp at zero.

@@ -166,10 +166,13 @@ class STARNet(Monitor):
         """Trust values for a batch of percepts in one scoring pass.
 
         Row ``i`` matches :meth:`assess` on ``percepts[i]`` within the
-        ``likelihood_regret`` kernel drift tolerance (bit-identical for
-        the deterministic ``exact``/``recon`` methods; ``spsa`` consumes
-        its RNG in a different order than sequential calls).  This is the
-        monitor's micro-batch runner for the serving runtime.
+        ``likelihood_regret`` kernel drift tolerance, for every method:
+        batched decodes re-associate BLAS sums, so even ``exact`` is not
+        bit-identical (last-ulp gaps in a few rows).  ``spsa`` draws one
+        seed per row from the monitor RNG in row order, exactly as
+        sequential :meth:`assess` calls do, so both leave the RNG in the
+        same state.  This is the monitor's micro-batch runner for the
+        serving runtime.
         """
         if not percepts:
             return np.zeros(0)

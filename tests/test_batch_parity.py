@@ -8,6 +8,7 @@ These properties pin that down for every ``repro.nn`` layer and for
 each pillar's batched serving entry point.
 """
 
+import copy
 import functools
 
 import numpy as np
@@ -153,10 +154,10 @@ def test_forward_batch_unimplemented_is_loud():
 
 
 # ----------------------------------------------------- pillar entry points
-@functools.lru_cache(maxsize=1)
-def _starnet():
+@functools.lru_cache(maxsize=2)
+def _starnet(method="exact"):
     from repro.starnet.monitor import STARNet
-    monitor = STARNet(6, score_method="exact",
+    monitor = STARNet(6, score_method=method,
                       rng=np.random.default_rng(1))
     monitor.fit(np.random.default_rng(0).normal(size=(48, 6)), epochs=5)
     return monitor
@@ -170,6 +171,13 @@ def test_starnet_assess_batch_parity(batch, seed):
     batched = monitor.assess_batch([Percept(features=f) for f in feats])
     per_sample = [monitor.assess(Percept(features=f)) for f in feats]
     np.testing.assert_allclose(batched, per_sample, atol=1e-9)
+    # SPSA draws one seed per row from the monitor RNG in row order, so
+    # twin monitors agree row for row and end in the same RNG state.
+    twin_a, twin_b = (copy.deepcopy(_starnet("spsa")) for _ in range(2))
+    batched = twin_a.assess_batch([Percept(features=f) for f in feats])
+    per_sample = [twin_b.assess(Percept(features=f)) for f in feats]
+    np.testing.assert_allclose(batched, per_sample, atol=1e-6)
+    assert twin_a.rng.bit_generator.state == twin_b.rng.bit_generator.state
 
 
 @functools.lru_cache(maxsize=1)

@@ -160,6 +160,27 @@ def test_scan_energy_adaptive_below_fixed():
     energies = np.array([model.pulse_energy_uj(r) for r in ranges])
     assert model.scan_energy_mj(ranges) == float(energies.sum() * 1e-3)
     assert model.mean_pulse_energy_uj(ranges) == float(energies.mean())
+    # Only ratios between the knee (floor/ref)^(1/4) and 1 compute the
+    # R^4 term; the prices on both sides of either band edge, at inf and
+    # at 1e300, and under degenerate floors are still the scalar ones.
+    for m in (model, LidarPowerModel(min_pulse_uj=0.0),
+              LidarPowerModel(min_pulse_uj=50.0),
+              LidarPowerModel(min_pulse_uj=80.0),
+              LidarPowerModel(reference_pulse_uj=7.0, reference_range_m=33.0,
+                              min_pulse_uj=1e-3)):
+        edges = [m.reference_range_m]
+        if m.min_pulse_uj > 0:
+            edges.append(m.reference_range_m * (
+                m.min_pulse_uj / m.reference_pulse_uj) ** 0.25)
+        near = np.concatenate([e * (1.0 + np.linspace(-1e-8, 1e-8, 41))
+                               for e in edges])
+        ranges = np.concatenate([near, np.nextafter(edges, 0.0),
+                                 np.nextafter(edges, np.inf),
+                                 [np.inf, 1e300, 5e-324, 1e-3, 60.0]])
+        with np.errstate(over="ignore"):  # the scalar R^4 of 1e300
+            want = np.array([m.pulse_energy_uj(r) for r in ranges])
+        got = m._pulse_energies_uj(ranges)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_scan_energy_empty():

@@ -25,6 +25,7 @@ from repro.kernels import (
     kernel_timer,
     register_kernel,
 )
+from repro.kernels.sparse_conv import build_neighbor_index
 from repro.neuromorphic.snn import SpikingConv2d
 from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseVoxelTensor)
 from repro.nn.vae import VAE
@@ -170,6 +171,64 @@ def test_sparse_conv_backends_agree(n_active, stride):
                                        rtol=1e-11, atol=1e-12)
 
 
+def _neighbor_index_per_offset(coords, offsets, stride):
+    """The per-offset loop :func:`build_neighbor_index` replaced."""
+    n = coords.shape[0]
+    empty = np.zeros(0, dtype=np.int64)
+    if n == 0:
+        return coords.reshape(0, 3), [(empty, empty)] * len(offsets)
+    out_coords = (np.unique(coords // stride, axis=0) if stride > 1
+                  else coords)
+    lo = coords.min(axis=0)
+    dims = coords.max(axis=0) - lo + 1
+
+    def encode(c):
+        q = c - lo
+        return (q[:, 0] * dims[1] + q[:, 1]) * dims[2] + q[:, 2]
+
+    keys = encode(coords)
+    base = out_coords * stride
+    pairs = []
+    for off in offsets:
+        q = base + off
+        valid = np.all((q >= lo) & (q < lo + dims), axis=1)
+        if not valid.any():
+            pairs.append((empty, empty))
+            continue
+        qk = encode(q[valid])
+        pos = np.minimum(np.searchsorted(keys, qk), n - 1)
+        found = keys[pos] == qk
+        pairs.append((pos[found], np.nonzero(valid)[0][found]))
+    return out_coords, pairs
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_neighbor_index_matches_per_offset_loop(kernel, stride):
+    """One-pass index = the per-offset loop, byte for byte: dtype and
+    order of every offset's ``(in_idx, out_idx)``, on empty, sparse,
+    dense and negative-coordinate sets."""
+    offsets = np.asarray(SparseConv3d(1, 1, kernel=kernel).offsets,
+                         dtype=np.int64)
+    rng = np.random.default_rng(60 + 10 * kernel + stride)
+    cases = [np.zeros((0, 3), dtype=np.int64),
+             np.array([[0, 0, 0]], dtype=np.int64),
+             np.array([[-7, 3, -2]], dtype=np.int64)]
+    for n, lo, hi in [(5, 0, 4), (40, -6, 6), (120, -20, 3), (60, 0, 3)]:
+        cases.append(np.unique(rng.integers(lo, hi, size=(n, 3)), axis=0))
+    for coords in cases:
+        coords = coords.astype(np.int64)
+        want_out, want = _neighbor_index_per_offset(coords, offsets, stride)
+        got_out, got = build_neighbor_index(coords, offsets, stride)
+        assert got_out.dtype == want_out.dtype
+        assert got_out.tobytes() == want_out.tobytes()
+        assert len(got) == len(want) == len(offsets)
+        for (gi, go), (wi, wo) in zip(got, want):
+            assert gi.dtype == wi.dtype == go.dtype == wo.dtype == np.int64
+            assert gi.tobytes() == wi.tobytes()
+            assert go.tobytes() == wo.tobytes()
+
+
 # ------------------------------------------------------- SNN BPTT parity
 
 
@@ -205,15 +264,41 @@ def test_snn_bptt_backends_agree(learnable):
 @pytest.mark.parametrize("method", ["spsa", "exact", "recon"])
 def test_likelihood_regret_backends_agree(method):
     vae = VAE(9, latent_dim=4, hidden=(12,), rng=np.random.default_rng(40))
-    X = np.random.default_rng(41).normal(size=(5, 9))
-    scores = {
-        backend: get_kernel("likelihood_regret", backend=backend)
-        .score_rows(vae, X, method, 8, np.random.default_rng(42))
-        for backend in BACKENDS
-    }
-    assert scores["reference"].shape == (5,)
-    np.testing.assert_allclose(scores["reference"], scores["vectorized"],
-                               rtol=1e-9, atol=1e-12)
+    for batch in (1, 2, 5, 16):
+        X = np.random.default_rng(41).normal(size=(batch, 9))
+        rngs = {backend: np.random.default_rng(42) for backend in BACKENDS}
+        scores = {
+            backend: get_kernel("likelihood_regret", backend=backend)
+            .score_rows(vae, X, method, 8, rngs[backend])
+            for backend in BACKENDS
+        }
+        assert scores["reference"].shape == (batch,)
+        np.testing.assert_allclose(scores["reference"], scores["vectorized"],
+                                   rtol=1e-9, atol=1e-12,
+                                   err_msg=f"batch {batch}")
+        # Both backends draw one seed per row from the shared RNG.
+        assert rngs["reference"].bit_generator.state == \
+            rngs["vectorized"].bit_generator.state
+
+
+@pytest.mark.parametrize("method, steps", [("spsa", 25), ("exact", 50)])
+def test_regret_decodes_each_iterate_once(method, steps):
+    """The vectorized kernel decodes at most ``steps + 1`` times per
+    score: SPSA stacks f(θ_k) with the next step's f(θ_k ± c_kδ_k), and
+    exact reuses the decode that scored an iterate for its backward."""
+    vae = VAE(9, latent_dim=4, hidden=(12,), rng=np.random.default_rng(40))
+    decode = vae.decode
+    calls = []
+
+    def counting_decode(z):
+        calls.append(z.shape[0])
+        return decode(z)
+
+    vae.decode = counting_decode
+    X = np.random.default_rng(41).normal(size=(3, 9))
+    get_kernel("likelihood_regret", backend="vectorized").score_rows(
+        vae, X, method, steps, np.random.default_rng(42))
+    assert len(calls) <= steps + 1
 
 
 def test_likelihood_regret_batch_entry_point():
@@ -410,6 +495,22 @@ def test_sparse_tensor_dict_and_packed_round_trip():
 
     with pytest.raises(ValueError):
         SparseVoxelTensor(None, 3, (3, 2, 2))
+
+
+def test_packed_sorts_dict_tensors_like_sorted_tuples():
+    rng = np.random.default_rng(70)
+    for n in (0, 1, 17, 90):
+        keys = {tuple(int(v) for v in rng.integers(-9, 9, size=3))
+                for _ in range(n)}
+        feats = {c: rng.normal(size=4) for c in keys}
+        coords, mat = SparseVoxelTensor(feats, 4, (4, 4, 4)).packed()
+        order = sorted(feats)
+        want_c = np.asarray(order, dtype=np.int64).reshape(len(order), 3)
+        want_m = (np.stack([feats[c] for c in order]) if order
+                  else np.zeros((0, 4)))
+        assert coords.dtype == np.int64 and coords.shape == (len(order), 3)
+        assert coords.tobytes() == want_c.tobytes()
+        assert mat.shape == want_m.shape and mat.tobytes() == want_m.tobytes()
 
 
 def test_sparse_grad_is_a_mapping():
