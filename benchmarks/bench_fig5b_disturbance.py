@@ -6,39 +6,18 @@ during evaluation.  The paper's claim: the (spectral Koopman) model
 0.25, demonstrating superior resilience compared to other methods."
 """
 
-import numpy as np
-
-from repro.koopman import (
-    build_model,
-    collect_transitions,
-    evaluate_controller,
-    fit_dynamics_model,
-    make_controller,
-)
+from repro.koopman import DISTURBANCE_PS, run_disturbance_experiment
 
 from bench_utils import print_table, save_result
 
-MODELS = ("mlp", "dense_koopman", "recurrent", "spectral_koopman")
-PS = (0.0, 0.1, 0.25)
 FIT_EPOCHS = {"mlp": 25, "dense_koopman": 1, "recurrent": 25,
               "spectral_koopman": 90}
+MODELS = tuple(FIT_EPOCHS)
 
 
 def run_fig5b(seed: int = 0) -> dict:
-    rng = np.random.default_rng(seed)
-    transitions = collect_transitions(n_episodes=15, rng=rng)
-    results = {}
-    for name in MODELS:
-        model = build_model(name, 4, 1, rng=np.random.default_rng(seed + 1))
-        fit_dynamics_model(model, transitions, epochs=FIT_EPOCHS[name],
-                           rng=np.random.default_rng(seed + 2))
-        controller = make_controller(model, np.random.default_rng(seed + 3))
-        results[name] = {
-            p: evaluate_controller(controller, p, n_episodes=6, steps=150,
-                                   seed=seed + 4, a_min=5.0, a_max=20.0)
-            for p in PS
-        }
-    return results
+    return run_disturbance_experiment(FIT_EPOCHS, n_train_episodes=15,
+                                      eval_episodes=6, seed=seed)
 
 
 def test_fig5b_disturbance_robustness(benchmark):
@@ -46,9 +25,9 @@ def test_fig5b_disturbance_robustness(benchmark):
     print_table(
         "Fig. 5b — mean episode reward vs disturbance probability "
         "(paper: Koopman models retain performance at p = 0.25)",
-        ["Model", *(f"p={p}" for p in PS), "Retention @0.25"],
+        ["Model", *(f"p={p}" for p in DISTURBANCE_PS), "Retention @0.25"],
         [[name,
-          *(f"{result[name][p]:.1f}" for p in PS),
+          *(f"{result[name][p]:.1f}" for p in DISTURBANCE_PS),
           f"{result[name][0.25] / max(result[name][0.0], 1e-9):.2f}"]
          for name in MODELS])
     save_result("fig5b_disturbance", result)

@@ -14,12 +14,8 @@ import numpy as np
 
 from repro.koopman import (
     RoboKoopAgent,
-    build_model,
-    collect_transitions,
-    evaluate_controller,
     fig5a_macs,
-    fit_dynamics_model,
-    make_controller,
+    run_disturbance_experiment,
 )
 
 FIT_EPOCHS = {"mlp": 25, "dense_koopman": 1, "spectral_koopman": 90}
@@ -32,26 +28,16 @@ def main() -> None:
         print(f"   {name:18s} prediction {entry['prediction']:8d}  "
               f"control {entry['control']:9d}  total {entry['total']:9d}")
 
-    print("\n2. Fitting models on shared cart-pole transitions ...")
-    rng = np.random.default_rng(0)
-    transitions = collect_transitions(n_episodes=15, rng=rng)
-    print(f"   {transitions[0].shape[0]} transitions collected")
-
-    print("\n3. Closed-loop reward under disturbances (Fig. 5b):")
+    print("\n2. Closed-loop reward under disturbances (Fig. 5b), every "
+          "model fit on the same 15 cart-pole episodes:")
     print(f"   {'model':18s} {'p=0.0':>8s} {'p=0.1':>8s} {'p=0.25':>8s}")
-    for name, epochs in FIT_EPOCHS.items():
-        model = build_model(name, 4, 1, rng=np.random.default_rng(1))
-        fit_dynamics_model(model, transitions, epochs=epochs,
-                           rng=np.random.default_rng(2))
-        controller = make_controller(model, np.random.default_rng(3))
-        rewards = [
-            evaluate_controller(controller, p, n_episodes=4, steps=150,
-                                seed=4, a_min=5.0, a_max=20.0)
-            for p in (0.0, 0.1, 0.25)
-        ]
-        print(f"   {name:18s} " + " ".join(f"{r:8.1f}" for r in rewards))
+    rewards = run_disturbance_experiment(FIT_EPOCHS, n_train_episodes=15,
+                                         eval_episodes=4)
+    for name, by_p in rewards.items():
+        print(f"   {name:18s} "
+              + " ".join(f"{r:8.1f}" for r in by_p.values()))
 
-    print("\n4. Visual RoboKoop agent (contrastive spectral encoder + "
+    print("\n3. Visual RoboKoop agent (contrastive spectral encoder + "
           "latent LQR):")
     agent = RoboKoopAgent.train(image_size=20, n_pairs=6, n_episodes=10,
                                 epochs=4, seed=5)

@@ -95,29 +95,12 @@ def _fig5a() -> dict:
 
 
 def _fig5b() -> dict:
-    from repro.koopman import (
-        build_model,
-        collect_transitions,
-        evaluate_controller,
-        fit_dynamics_model,
-        make_controller,
-    )
-    transitions = collect_transitions(n_episodes=12,
-                                      rng=np.random.default_rng(0))
-    out = {}
-    for name, epochs in (("dense_koopman", 1), ("spectral_koopman", 90),
-                         ("mlp", 25)):
-        model = build_model(name, 4, 1, rng=np.random.default_rng(1))
-        fit_dynamics_model(model, transitions, epochs=epochs,
-                           rng=np.random.default_rng(2))
-        controller = make_controller(model, np.random.default_rng(3))
-        out[name] = {
-            f"p={p}": round(evaluate_controller(
-                controller, p, n_episodes=4, steps=150, seed=4,
-                a_min=5.0, a_max=20.0), 1)
-            for p in (0.0, 0.1, 0.25)
-        }
-    return out
+    from repro.koopman import run_disturbance_experiment
+    rewards = run_disturbance_experiment(
+        {"dense_koopman": 1, "spectral_koopman": 90, "mlp": 25},
+        n_train_episodes=12, eval_episodes=4)
+    return {name: {f"p={p}": round(r, 1) for p, r in by_p.items()}
+            for name, by_p in rewards.items()}
 
 
 def _auc() -> dict:

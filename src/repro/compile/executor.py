@@ -130,9 +130,6 @@ class CompiledModule:
             return self.forward_batch(x[None, :])[0]
         return self.forward_batch(x)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
     def backward(self, grad: np.ndarray):
         raise CompileError(
             "compiled artifacts are inference-only: backward would train "
@@ -141,10 +138,6 @@ class CompiledModule:
             "scoring.")
 
     # -- Module-facing surface (everything else delegates) -----------
-    def eval(self) -> "CompiledModule":
-        self._wrapped.eval()
-        return self
-
     def train(self):
         raise CompileError(
             "compiled artifacts cannot enter training mode; call train() "

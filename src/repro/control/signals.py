@@ -33,11 +33,6 @@ class ContextSnapshot:
         value = self.signals.get(name)
         return None if value is None else float(value)
 
-    def as_dict(self) -> Dict[str, float]:
-        out = {"t": self.t}
-        out.update({k: float(v) for k, v in sorted(self.signals.items())})
-        return out
-
 
 class EnergyWindow:
     """Windowed readings over a cumulative :class:`EnergyLedger`.

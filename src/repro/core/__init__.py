@@ -1,11 +1,11 @@
 """``repro.core`` — the sensing-to-action loop abstraction (Sec. II).
 
 Component contracts, the closed-loop orchestrator with energy/latency/
-staleness accounting, adaptation policies, cascading-error models,
-deadline scheduling, and hierarchical control.
+staleness accounting, risk-driven coverage adaptation, cascading-error
+models, deadline scheduling, and loop co-design.
 """
 
-from .adaptation import RateAdaptation, ResolutionAdaptation, RiskCoverageAdaptation
+from .adaptation import RiskCoverageAdaptation
 from .clock import Clock, SystemClock, VirtualClock
 from .codesign import (
     DesignSpace,
@@ -27,7 +27,6 @@ from .components import (
     SensorReading,
 )
 from .errors import CascadeModel, closed_loop_gain_estimate, staleness_error
-from .hierarchy import HierarchicalController
 from .loop import CycleRecord, LoopMetrics, SensingToActionLoop
 from .scheduling import LoopSchedule, Stage, synchronization_delay
 
@@ -36,10 +35,9 @@ __all__ = [
     "Actuator", "Monitor", "Environment",
     "CycleRecord", "LoopMetrics", "SensingToActionLoop",
     "Clock", "SystemClock", "VirtualClock",
-    "RateAdaptation", "RiskCoverageAdaptation", "ResolutionAdaptation",
+    "RiskCoverageAdaptation",
     "CascadeModel", "staleness_error", "closed_loop_gain_estimate",
     "LoopSchedule", "Stage", "synchronization_delay",
-    "HierarchicalController",
     "LoopDesign", "LoopPlant", "DesignSpace", "end_to_end_codesign",
     "modular_codesign", "pareto_front",
 ]

@@ -1,62 +1,20 @@
-"""Adaptation policies for sensing parameters (Secs. I-II examples).
+"""Risk-driven sensing coverage (Secs. I-II).
 
-The paper motivates several concrete adaptation behaviours:
-
-* "environmental monitoring sensors can reduce their sampling rates
-  during stable periods and increase them during sudden events" —
-  :class:`RateAdaptation`;
-* "deprioritize redundant sensor streams during low-risk tasks while
-  enhancing accuracy for high-stakes operations" —
-  :class:`RiskCoverageAdaptation`;
-* task-demand-driven resolution scaling — :class:`ResolutionAdaptation`.
-
-Each policy is a small pure-state controller producing the
-``sensing_directive`` dict the loop feeds back to its sensor.
+The paper motivates sensing that adapts to the task: "deprioritize
+redundant sensor streams during low-risk tasks while enhancing accuracy
+for high-stakes operations" — :class:`RiskCoverageAdaptation`, a small
+pure-state controller producing the ``sensing_directive`` dict the loop
+feeds back to its sensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-__all__ = ["RateAdaptation", "RiskCoverageAdaptation", "ResolutionAdaptation"]
-
-
-@dataclass
-class RateAdaptation:
-    """Sampling-rate controller driven by signal activity.
-
-    Tracks an exponential moving average of the observed change magnitude
-    and maps it into a rate between ``min_rate_hz`` and ``max_rate_hz``.
-    During stable periods the rate decays toward the minimum; a sudden
-    event (change above ``surge_threshold``) snaps it to the maximum.
-    """
-
-    min_rate_hz: float = 1.0
-    max_rate_hz: float = 20.0
-    surge_threshold: float = 0.5
-    smoothing: float = 0.3
-    _activity: float = field(default=0.0, repr=False)
-    _last_value: Optional[float] = field(default=None, repr=False)
-
-    def update(self, value: float) -> float:
-        """Feed a new scalar observation, get the commanded rate in Hz."""
-        if self._last_value is None:
-            change = 0.0
-        else:
-            change = abs(value - self._last_value)
-        self._last_value = value
-        self._activity = ((1 - self.smoothing) * self._activity
-                          + self.smoothing * change)
-        if change >= self.surge_threshold:
-            return self.max_rate_hz
-        frac = min(self._activity / max(self.surge_threshold, 1e-9), 1.0)
-        return self.min_rate_hz + frac * (self.max_rate_hz - self.min_rate_hz)
-
-    def directive(self, value: float) -> Dict[str, Any]:
-        return {"rate_hz": self.update(value)}
+__all__ = ["RiskCoverageAdaptation"]
 
 
 @dataclass
@@ -81,36 +39,3 @@ class RiskCoverageAdaptation:
 
     def directive(self, risk: float) -> Dict[str, Any]:
         return {"coverage": self.update(risk)}
-
-
-@dataclass
-class ResolutionAdaptation:
-    """Resolution ladder selection driven by required precision.
-
-    Given the precision (e.g. minimum object size in metres) the current
-    task needs and the resolutions each ladder rung provides, picks the
-    cheapest rung that meets the requirement.
-    """
-
-    ladder: List[float] = field(default_factory=lambda: [4.0, 2.0, 1.0, 0.5])
-    # ladder entries: coarsest-to-finest achievable precision per rung
-
-    def __post_init__(self):
-        if not self.ladder:
-            raise ValueError("resolution ladder must be non-empty")
-        if any(b <= 0 for b in self.ladder):
-            raise ValueError("ladder precisions must be positive")
-        if sorted(self.ladder, reverse=True) != list(self.ladder):
-            raise ValueError("ladder must go coarse -> fine")
-
-    def select(self, required_precision: float) -> int:
-        """Index of the cheapest rung whose precision suffices."""
-        for idx, precision in enumerate(self.ladder):
-            if precision <= required_precision:
-                return idx
-        return len(self.ladder) - 1
-
-    def directive(self, required_precision: float) -> Dict[str, Any]:
-        rung = self.select(required_precision)
-        return {"resolution_level": rung,
-                "resolution_m": self.ladder[rung]}

@@ -112,10 +112,6 @@ class Monitor(abc.ABC):
     def assess(self, percept: Percept) -> float:
         ...
 
-    def is_trustworthy(self, percept: Percept,
-                       threshold: float = 0.5) -> bool:
-        return self.assess(percept) >= threshold
-
 
 class Environment(abc.ABC):
     """A world the loop senses and acts upon."""

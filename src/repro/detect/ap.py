@@ -35,10 +35,6 @@ class Detection:
     y: float
     score: float
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 def _match_scene(preds: List[Detection], gts: np.ndarray,
                  max_dist: float) -> List[Tuple[float, bool]]:

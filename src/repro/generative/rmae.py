@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kernels import active_backend, get_kernel, kernel_timer
 from ..nn.layers import BatchNorm, Conv2d, ConvTranspose2d, Module, ReLU
 from ..nn.losses import bce_with_logits
 from ..nn.optim import Adam
@@ -129,19 +128,23 @@ class RMAE(Module):
 
     # ---------------------------------------------------------------- encode
     def encode(self, cloud: VoxelizedCloud) -> SparseVoxelTensor:
-        """Sparse features over the (possibly masked) occupied voxels."""
-        sparse_in = SparseVoxelTensor(
-            {c: f.copy() for c, f in cloud.features.items()},
-            self.config.feature_dim, self.grid.shape)
+        """Sparse features over the (possibly masked) occupied voxels.
+
+        The input tensor reads the cloud's own feature dict, in its
+        order: no encoder layer writes to its input.
+        """
+        sparse_in = SparseVoxelTensor(cloud.features,
+                                      self.config.feature_dim,
+                                      self.grid.shape)
         return self.encoder.forward(sparse_in)
 
     def bev_scatter(self, sparse: SparseVoxelTensor) -> np.ndarray:
         """Mean-scatter sparse voxel features into a BEV map (1, C, H, W).
 
         Packed tensors (the vectorized sparse-conv output) take a
-        bincount/``np.add.at`` path; dict tensors dispatch through the
-        ``bev_scatter`` kernel pair, whose reference backend keeps the
-        original per-voxel loop so golden traces stay bit-for-bit.
+        bincount/``np.add.at`` path; dict tensors (the reference conv's
+        output) take the original per-voxel loop, whose accumulation
+        order the golden traces record.
         """
         ds = self.config.bev_downsample
         h, w = self.grid.nx // ds, self.grid.ny // ds
@@ -156,14 +159,17 @@ class RMAE(Module):
             acc[nz] /= counts_flat[nz][:, None]
             self._bev_cache = ("packed", coords, cell_id, counts_flat)
             return acc.T.reshape(1, c, h, w)
-        backend = active_backend()
-        with kernel_timer("bev_scatter", "scatter"):
-            bev, counts, cache = get_kernel(
-                "bev_scatter", backend=backend).scatter(
-                    sparse.features, ds, h, w, c)
-        # The cache is backend-specific; tag it so backward dispatches
-        # to the implementation that produced it.
-        self._bev_cache = ("dict", backend, cache, counts)
+        bev = np.zeros((c, h, w))
+        counts = np.zeros((h, w))
+        cells: Dict[Tuple[int, int], List] = {}
+        for (i, j, k), f in sparse.features.items():
+            cell = (i // ds, j // ds)
+            bev[:, cell[0], cell[1]] += f
+            counts[cell] += 1
+            cells.setdefault(cell, []).append((i, j, k))
+        nz = counts > 0
+        bev[:, nz] /= counts[nz]
+        self._bev_cache = ("dict", cells, counts)
         return bev[None, :, :, :]
 
     def bev_scatter_backward(self, grad_bev: np.ndarray):
@@ -174,11 +180,14 @@ class RMAE(Module):
             g = grad_bev[0].reshape(c, -1).T
             rows = g[cell_id] / counts_flat[cell_id][:, None]
             return SparseGrad(coords, rows)
-        _, backend, cache, counts = self._bev_cache
-        with kernel_timer("bev_scatter", "scatter_backward"):
-            return get_kernel(
-                "bev_scatter", backend=backend).scatter_backward(
-                    grad_bev[0], cache, counts)
+        _, cells, counts = self._bev_cache
+        g = grad_bev[0]
+        grad: Dict[Tuple[int, int, int], np.ndarray] = {}
+        for cell, coords in cells.items():
+            share = g[:, cell[0], cell[1]] / counts[cell]
+            for coord in coords:
+                grad[coord] = share.copy()
+        return grad
 
     # ---------------------------------------------------------- full forward
     def forward(self, cloud: VoxelizedCloud) -> np.ndarray:

@@ -18,8 +18,8 @@ hosts **two complete implementations** of each path:
   from the reference in the last ulps; ``repro verify`` bounds that
   drift with per-scenario tolerance specs (and still compares the
   reference backend exactly).  The sensing kernels (``lidar_raycast``,
-  ``voxelize``, ``corruption_stack``) and the BEV scatter/match kernels
-  are byte-identical to their references instead.
+  ``voxelize``, ``corruption_stack``) and the BEV match kernel are
+  byte-identical to their references instead.
 
 Selection: the ``REPRO_KERNELS`` environment variable picks the
 process-wide backend (default ``vectorized``); :func:`kernel_backend`,
@@ -150,7 +150,6 @@ def kernel_timer(name: str, op: str):
 
 # Kernel modules register themselves on import; keep these at the bottom
 # so the registry helpers above exist when they run.
-from . import bev_scatter  # noqa: E402,F401
 from . import corruption_stack  # noqa: E402,F401
 from . import lidar_raycast  # noqa: E402,F401
 from . import matching  # noqa: E402,F401

@@ -1,6 +1,14 @@
-"""``repro.koopman`` — RoboKoop: spectral Koopman control (Sec. IV)."""
+"""``repro.koopman`` — RoboKoop: spectral Koopman control (Sec. IV).
+
+The spectral operator and its contrastive visual encoder, latent LQR,
+the Fig. 5 dynamics families (:func:`fig5a_macs` prices them, and
+:func:`run_disturbance_experiment` is the one Fig. 5b protocol), and
+the recursive and conformal uncertainty models that drive
+action-to-sensing.
+"""
 
 from .agent import (
+    DISTURBANCE_PS,
     RoboKoopAgent,
     collect_transitions,
     evaluate_controller,
@@ -18,14 +26,12 @@ from .baselines import (
     MLPDynamics,
     RecurrentDynamics,
     SpectralKoopmanDynamics,
-    TransformerDynamics,
     build_model,
     fig5a_macs,
     fit_dynamics_model,
 )
 from .encoder import ContrastiveKoopmanEncoder
 from .lqr import LQRController, finite_horizon_lqr, infinite_horizon_lqr, riccati_recursion
-from .sac import ReplayBuffer, SACAgent, SACConfig
 from .spectral import SpectralKoopmanOperator
 from .timevarying import RecursiveKoopman
 from .uncertainty import ConformalPredictor, uncertainty_to_coverage
@@ -35,12 +41,12 @@ __all__ = [
     "riccati_recursion", "finite_horizon_lqr", "infinite_horizon_lqr",
     "LQRController",
     "DynamicsModel", "MLPDynamics", "DenseKoopmanDynamics",
-    "TransformerDynamics", "RecurrentDynamics", "SpectralKoopmanDynamics",
+    "RecurrentDynamics", "SpectralKoopmanDynamics",
     "build_model", "fit_dynamics_model", "fig5a_macs", "MODEL_FAMILIES", "MPC_SAMPLES",
     "MPC_HORIZON",
-    "ContrastiveKoopmanEncoder", "ReplayBuffer", "SACAgent", "SACConfig",
+    "ContrastiveKoopmanEncoder",
     "RoboKoopAgent", "collect_transitions", "evaluate_controller",
     "make_controller", "mpc_action", "rollout_controller",
-    "run_disturbance_experiment",
+    "run_disturbance_experiment", "DISTURBANCE_PS",
     "RecursiveKoopman", "ConformalPredictor", "uncertainty_to_coverage",
 ]

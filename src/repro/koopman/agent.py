@@ -15,7 +15,7 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .lqr import LQRController
 
 __all__ = ["collect_transitions", "mpc_action", "make_controller",
            "rollout_controller", "evaluate_controller",
-           "run_disturbance_experiment", "RoboKoopAgent"]
+           "run_disturbance_experiment", "DISTURBANCE_PS", "RoboKoopAgent"]
 
 Controller = Callable[[np.ndarray], float]
 
@@ -160,27 +160,41 @@ def evaluate_controller(controller: Controller, disturbance_p: float,
     return total / n_episodes
 
 
-def run_disturbance_experiment(
-        model_names: Sequence[str] = ("mlp", "dense_koopman", "transformer",
-                                      "recurrent", "spectral_koopman"),
-        disturbance_ps: Sequence[float] = (0.0, 0.1, 0.25),
-        n_train_episodes: int = 25, fit_epochs: int = 15,
-        eval_episodes: int = 8, eval_steps: int = 150,
-        seed: int = 0) -> Dict[str, Dict[float, float]]:
-    """The full Fig. 5b sweep: family -> {p: mean reward}."""
-    rng = np.random.default_rng(seed)
-    transitions = collect_transitions(n_episodes=n_train_episodes, rng=rng)
+# Fig. 5b's evaluation grid, shared by every caller of the protocol.
+DISTURBANCE_PS = (0.0, 0.1, 0.25)
+EVAL_STEPS = 150
+DISTURBANCE_FORCE_N = (5.0, 20.0)
+
+
+def run_disturbance_experiment(fit_epochs: Mapping[str, int],
+                               n_train_episodes: int, eval_episodes: int,
+                               seed: int = 0) -> Dict[str, Dict[float, float]]:
+    """The Fig. 5b protocol: family -> {p: mean episode reward}.
+
+    Each family in ``fit_epochs`` (in its order) is fit for its epoch
+    count on the same transitions from ``n_train_episodes`` episodes,
+    given the controller :func:`make_controller` picks, and scored over
+    ``eval_episodes`` episodes of ``EVAL_STEPS`` steps at each
+    probability in ``DISTURBANCE_PS``, pushed by forces drawn from
+    ``DISTURBANCE_FORCE_N``.  Seeds: transitions ``seed``, models
+    ``seed + 1``, fits ``seed + 2``, controllers ``seed + 3`` and
+    evaluation ``seed + 4``.
+    """
+    transitions = collect_transitions(n_episodes=n_train_episodes,
+                                      rng=np.random.default_rng(seed))
+    a_min, a_max = DISTURBANCE_FORCE_N
     results: Dict[str, Dict[float, float]] = {}
-    for name in model_names:
+    for name, epochs in fit_epochs.items():
         model = build_model(name, state_dim=4, action_dim=1,
                             rng=np.random.default_rng(seed + 1))
-        fit_dynamics_model(model, transitions, epochs=fit_epochs,
+        fit_dynamics_model(model, transitions, epochs=epochs,
                            rng=np.random.default_rng(seed + 2))
         controller = make_controller(model, np.random.default_rng(seed + 3))
         results[name] = {
             p: evaluate_controller(controller, p, n_episodes=eval_episodes,
-                                   steps=eval_steps, seed=seed + 4)
-            for p in disturbance_ps
+                                   steps=EVAL_STEPS, seed=seed + 4,
+                                   a_min=a_min, a_max=a_max)
+            for p in DISTURBANCE_PS
         }
     return results
 

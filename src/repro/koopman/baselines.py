@@ -7,32 +7,30 @@ The paper benchmarks its spectral Koopman model against:
 * a **Transformer** dynamics model (attention over a history window);
 * a **recurrent** (GRU) dynamics model (Dreamer-style).
 
-Every family implements the same protocol: ``predict`` one step,
-``train_batch`` on transitions, analytic ``prediction_macs`` /
-``control_macs``.  Linear families control via LQR; nonlinear families
-via random-shooting MPC, which is what drives the control-side MAC gap
-in Fig. 5a.
+Every trainable family implements the same protocol: ``predict`` one
+step and ``train_batch`` on transitions.  Linear families control via
+LQR; nonlinear families via random-shooting MPC, which is what drives
+the control-side MAC gap in Fig. 5a.  :func:`fig5a_macs` prices all
+five families analytically at a shared latent dim; the Transformer
+exists only there, since Fig. 5b never fits one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.counting import count_macs
-from ..nn.layers import Dense, GRUCell, Module, ReLU
-from ..nn.losses import mse_loss, softmax
+from ..nn.layers import Dense, GRUCell
+from ..nn.losses import mse_loss
 from ..nn.optim import Adam
-from ..nn.sequential import Sequential, mlp
+from ..nn.sequential import mlp
 from .lqr import LQRController
 from .spectral import SpectralKoopmanOperator
 
 __all__ = ["DynamicsModel", "MLPDynamics", "DenseKoopmanDynamics",
-           "TransformerDynamics", "RecurrentDynamics",
-           "SpectralKoopmanDynamics", "build_model", "MODEL_FAMILIES",
-           "fit_dynamics_model"]
+           "RecurrentDynamics", "SpectralKoopmanDynamics", "build_model",
+           "MODEL_FAMILIES", "fit_dynamics_model"]
 
 # Random-shooting MPC settings shared by the nonlinear families.
 MPC_SAMPLES = 32
@@ -40,7 +38,7 @@ MPC_HORIZON = 8
 
 
 class DynamicsModel:
-    """Protocol: one-step latent dynamics with analytic op counts."""
+    """Protocol: one-step latent dynamics."""
 
     name: str = "base"
     state_dim: int
@@ -52,17 +50,6 @@ class DynamicsModel:
     def train_batch(self, z: np.ndarray, u: np.ndarray,
                     z_next: np.ndarray) -> float:
         raise NotImplementedError
-
-    def prediction_macs(self) -> int:
-        raise NotImplementedError
-
-    def control_macs(self) -> int:
-        """MACs to produce one control action with this model."""
-        raise NotImplementedError
-
-    def total_macs(self) -> int:
-        """Fig. 5a's quantity: control + prediction per step."""
-        return self.prediction_macs() + self.control_macs()
 
     def reset_context(self) -> None:
         """Clear any history the model keeps between episodes."""
@@ -93,12 +80,6 @@ class MLPDynamics(DynamicsModel):
         self.net.backward(grad)
         self.opt.step()
         return loss
-
-    def prediction_macs(self) -> int:
-        return count_macs(self.net, (self.state_dim + self.action_dim,))
-
-    def control_macs(self) -> int:
-        return MPC_SAMPLES * MPC_HORIZON * self.prediction_macs()
 
 
 class DenseKoopmanDynamics(DynamicsModel):
@@ -133,177 +114,6 @@ class DenseKoopmanDynamics(DynamicsModel):
         self.b = w[self.state_dim:].T
         loss, _ = mse_loss(self.predict(z, u), z_next)
         return loss
-
-    def prediction_macs(self) -> int:
-        return self.state_dim ** 2 + self.state_dim * self.action_dim
-
-    def control_macs(self) -> int:
-        # LQR feedback: u = -K z.
-        return self.action_dim * self.state_dim
-
-    def lqr(self, horizon: int = 40, action_limit: float = 1.0
-            ) -> LQRController:
-        return LQRController(self.a, self.b, horizon=horizon,
-                             action_limit=action_limit)
-
-
-class _AttentionBlock(Module):
-    """Single-head self-attention + position-wise FF (pre-LN omitted)."""
-
-    def __init__(self, d_model: int, rng: np.random.Generator,
-                 name: str = "attn"):
-        self.d_model = d_model
-        self.wq = Dense(d_model, d_model, rng=rng, name=f"{name}.wq")
-        self.wk = Dense(d_model, d_model, rng=rng, name=f"{name}.wk")
-        self.wv = Dense(d_model, d_model, rng=rng, name=f"{name}.wv")
-        self.wo = Dense(d_model, d_model, rng=rng, name=f"{name}.wo")
-        self.ff = Sequential(Dense(d_model, 2 * d_model, rng=rng,
-                                   name=f"{name}.ff1"),
-                             ReLU(),
-                             Dense(2 * d_model, d_model, rng=rng,
-                                   name=f"{name}.ff2"))
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # x: (L, d_model) — one window at a time.
-        q = self.wq.forward(x)
-        k = self.wk.forward(x)
-        v = self.wv.forward(x)
-        scale = 1.0 / np.sqrt(self.d_model)
-        logits = q @ k.T * scale
-        attn = softmax(logits, axis=-1)
-        ctx = attn @ v
-        out = self.wo.forward(ctx)
-        y = x + out
-        ff_out = self.ff.forward(y)
-        self._cache = (x, q, k, v, attn, ctx, scale)
-        return y + ff_out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        x, q, k, v, attn, ctx, scale = self._cache
-        g_ff_in = self.ff.backward(grad)
-        g_y = grad + g_ff_in
-        g_out = self.wo.backward(g_y)
-        # ctx = attn @ v
-        g_attn = g_out @ v.T
-        g_v = attn.T @ g_out
-        # softmax backward per row
-        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
-        g_q = g_logits @ k * scale
-        g_k = g_logits.T @ q * scale
-        g_x = (g_y
-               + self.wq.backward(g_q)
-               + self.wk.backward(g_k)
-               + self.wv.backward(g_v))
-        return g_x
-
-
-class TransformerDynamics(DynamicsModel):
-    """Attention over a history window of [z, u] tokens (Fig. 5a's heavy
-    hitter).
-
-    The window is maintained internally for closed-loop rollouts; the
-    prediction comes from the last token's output through a readout head.
-    """
-
-    name = "transformer"
-
-    def __init__(self, state_dim: int, action_dim: int, d_model: int = 32,
-                 context: int = 4, rng: Optional[np.random.Generator] = None,
-                 lr: float = 1e-3):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.state_dim, self.action_dim = state_dim, action_dim
-        self.d_model, self.context = d_model, context
-        self.embed = Dense(state_dim + action_dim, d_model, rng=rng,
-                           name="tf.embed")
-        self.block = _AttentionBlock(d_model, rng=rng)
-        self.readout = Dense(d_model, state_dim, rng=rng, name="tf.readout")
-        params = (self.embed.parameters() + self.block.parameters()
-                  + self.readout.parameters())
-        self.opt = Adam(params, lr=lr)
-        self._window: deque = deque(maxlen=context)
-
-    def reset_context(self) -> None:
-        self._window.clear()
-
-    def _window_tokens(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        token = np.concatenate([np.ravel(z), np.ravel(u)])
-        hist = list(self._window) + [token]
-        hist = hist[-self.context:]
-        while len(hist) < self.context:
-            hist.insert(0, np.zeros_like(token))
-        return np.stack(hist)
-
-    def predict_window(self, window: np.ndarray) -> np.ndarray:
-        """Predict next state from an explicit (L, d+m) window."""
-        emb = self.embed.forward(window)
-        enc = self.block.forward(emb)
-        return self.readout.forward(enc[-1:])
-
-    def predict(self, z, u) -> np.ndarray:
-        z2, u2 = np.atleast_2d(z), np.atleast_2d(u)
-        if z2.shape[0] > 1:
-            # Batched stateless prediction: each row is its own
-            # (history-free) window; the closed-loop context is untouched.
-            rows = []
-            for i in range(z2.shape[0]):
-                token = np.concatenate([z2[i], u2[i]])
-                window = np.zeros((self.context, token.size))
-                window[-1] = token
-                rows.append(self.predict_window(window)[0])
-            return np.stack(rows)
-        window = self._window_tokens(z2[0], u2[0])
-        out = self.predict_window(window)
-        self._window.append(np.concatenate([z2[0], u2[0]]))
-        return out
-
-    def train_batch(self, z, u, z_next) -> float:
-        """Train on transitions as length-1-history windows.
-
-        Full-sequence training is available through
-        :meth:`train_windows`; independent transitions are the common
-        case for the shared fitting harness.
-        """
-        z, u, z_next = np.atleast_2d(z), np.atleast_2d(u), np.atleast_2d(z_next)
-        total = 0.0
-        for i in range(z.shape[0]):
-            token = np.concatenate([z[i], u[i]])
-            window = np.zeros((self.context, token.size))
-            window[-1] = token
-            total += self._train_window(window, z_next[i:i + 1])
-        return total / z.shape[0]
-
-    def train_windows(self, windows: np.ndarray, targets: np.ndarray) -> float:
-        """Train on explicit (N, L, d+m) windows with (N, d) targets."""
-        total = 0.0
-        for w, t in zip(windows, targets):
-            total += self._train_window(w, t[None])
-        return total / max(len(windows), 1)
-
-    def _train_window(self, window: np.ndarray, target: np.ndarray) -> float:
-        pred = self.predict_window(window)
-        loss, grad = mse_loss(pred, target)
-        self.opt.zero_grad()
-        g_enc = np.zeros((self.context, self.d_model))
-        g_enc[-1:] = self.readout.backward(grad)
-        g_emb = self.block.backward(g_enc)
-        self.embed.backward(g_emb)
-        self.opt.step()
-        return loss
-
-    def prediction_macs(self) -> int:
-        l, dm = self.context, self.d_model
-        token = self.state_dim + self.action_dim
-        macs = l * token * dm                 # embed
-        macs += 3 * l * dm * dm               # qkv
-        macs += 2 * l * l * dm                # scores + context
-        macs += l * dm * dm                   # out proj
-        macs += l * (dm * 2 * dm + 2 * dm * dm)  # feed-forward
-        macs += dm * self.state_dim           # readout
-        return macs
-
-    def control_macs(self) -> int:
-        return MPC_SAMPLES * MPC_HORIZON * self.prediction_macs()
 
 
 class RecurrentDynamics(DynamicsModel):
@@ -347,13 +157,6 @@ class RecurrentDynamics(DynamicsModel):
         self.opt.step()
         self._h = None
         return loss
-
-    def prediction_macs(self) -> int:
-        d = self.state_dim + self.action_dim + self.hidden
-        return 3 * d * self.hidden + self.hidden * self.state_dim
-
-    def control_macs(self) -> int:
-        return MPC_SAMPLES * MPC_HORIZON * self.prediction_macs()
 
 
 class SpectralKoopmanDynamics(DynamicsModel):
@@ -431,9 +234,6 @@ class SpectralKoopmanDynamics(DynamicsModel):
         return (self.op.prediction_macs()
                 + self.latent_dim * self.state_dim)
 
-    def control_macs(self) -> int:
-        return self.op.control_macs()
-
     def lqr(self, horizon: int = 40, action_limit: float = 1.0,
             q_state: Optional[np.ndarray] = None) -> LQRController:
         """Latent-space LQR with the state cost pulled back through D."""
@@ -451,7 +251,6 @@ class SpectralKoopmanDynamics(DynamicsModel):
 MODEL_FAMILIES = {
     "mlp": MLPDynamics,
     "dense_koopman": DenseKoopmanDynamics,
-    "transformer": TransformerDynamics,
     "recurrent": RecurrentDynamics,
     "spectral_koopman": SpectralKoopmanDynamics,
 }

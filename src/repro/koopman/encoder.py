@@ -83,44 +83,6 @@ class ContrastiveKoopmanEncoder:
         img = render_observation(state, size=self.image_size)
         return self.encode(img[None])[0]
 
-    def encode_batch(self, images: np.ndarray) -> np.ndarray:
-        """Pure batched query encoding: (B, S, S) -> (B, latent).
-
-        Unlike :meth:`encode` this leaves the encoder's backward caches
-        untouched, so it is safe to interleave with training steps.
-        """
-        images = np.asarray(images)
-        if images.shape[0] == 0:
-            return np.zeros((0, self.latent_dim))
-        return self.query.forward_batch(images.reshape(images.shape[0], -1))
-
-    def rollout(self, image: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Latent rollout of one observation: (H, action_dim) actions ->
-        (H+1, latent) trajectory starting at the encoded latent."""
-        return self.rollout_batch(np.asarray(image)[None],
-                                  np.asarray(actions)[None])[0]
-
-    def rollout_batch(self, images: np.ndarray,
-                      actions: np.ndarray) -> np.ndarray:
-        """Batched latent rollout: encode B observations, advance each
-        latent through its own action sequence.
-
-        ``images`` is (B, S, S); ``actions`` is (B, H) or
-        (B, H, action_dim).  Returns (B, H+1, latent).  Pure inference:
-        row ``i`` matches encoding ``images[i]`` and stepping
-        :meth:`SpectralKoopmanOperator.advance` H times, without
-        touching encoder or operator training caches.
-        """
-        z = self.encode_batch(images)
-        actions = np.asarray(actions, dtype=np.float64)
-        if actions.ndim == 2:
-            actions = actions[:, :, None]
-        traj = [z]
-        for t in range(actions.shape[1]):
-            z = self.operator.advance_batch(z, actions[:, t])
-            traj.append(z)
-        return np.stack(traj, axis=1)
-
     # ------------------------------------------------------------ training
     def _augment(self, states: np.ndarray) -> np.ndarray:
         """Random-crop-augmented renders of a batch of states."""

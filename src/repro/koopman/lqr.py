@@ -99,7 +99,7 @@ class LQRController:
         return np.clip(u, -self.action_limit, self.action_limit)
 
     def expected_cost(self, x: np.ndarray) -> float:
-        """Quadratic cost-to-go estimate x' P x used by the SAC critic.
+        """Quadratic cost-to-go estimate x' P x.
 
         Uses the horizon-0 Riccati matrix (recomputed on demand).
         """

@@ -114,22 +114,6 @@ class SpectralKoopmanOperator(Module):
         self._cache = (z, u, decay, c, s)
         return out
 
-    def advance_batch(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Pure batched advance: same math as :meth:`advance`, but the
-        backward cache is left untouched so concurrent inference cannot
-        corrupt an in-flight training step."""
-        z = np.atleast_2d(z)
-        u = np.atleast_2d(u)
-        decay = np.exp(self.mu() * self.dt)
-        ang = self.omega.data * self.dt
-        c, s = np.cos(ang), np.sin(ang)
-        zr = z[:, 0::2]
-        zi = z[:, 1::2]
-        out = np.empty_like(z)
-        out[:, 0::2] = decay * (c * zr - s * zi)
-        out[:, 1::2] = decay * (s * zr + c * zi)
-        return out + u @ self.b.data.T
-
     def forward(self, zu: np.ndarray) -> np.ndarray:
         """Module interface: input is [z | u] concatenated."""
         z, u = zu[:, : self.latent_dim], zu[:, self.latent_dim:]

@@ -13,7 +13,7 @@ can key sensing effort on.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,12 +50,6 @@ class ConformalPredictor:
         k = int(np.ceil((n + 1) * (1 - alpha)))
         k = min(max(k, 1), n)
         return float(self._scores[k - 1])
-
-    def predict_with_radius(self, z: np.ndarray, u: np.ndarray,
-                            alpha: float = 0.1
-                            ) -> Tuple[np.ndarray, float]:
-        """Point prediction plus its conformal radius."""
-        return np.atleast_2d(self._predict(z, u)), self.radius(alpha)
 
     def empirical_coverage(self, z: np.ndarray, u: np.ndarray,
                            z_next: np.ndarray, alpha: float = 0.1) -> float:

@@ -1,6 +1,5 @@
 """``repro.neuromorphic`` — spiking sensing-action loops (Sec. VI)."""
 
-from .conversion import RateCodedSNN, activation_maxima, convert_ann_to_snn
 from .dotie import DOTIE, BoundingBox
 from .energy import (
     E_AC_PJ,
@@ -36,5 +35,4 @@ __all__ = [
     "AdaptiveSpikeNet", "FLOW_MODEL_FAMILIES", "build_flow_model",
     "train_flow_model", "per_sample_aee", "evaluate_aee",
     "DOTIE", "BoundingBox",
-    "RateCodedSNN", "activation_maxima", "convert_ann_to_snn",
 ]

@@ -46,16 +46,6 @@ class FlowModel(Module):
     def predict(self, sample: FlowSample) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_batch(self, samples: Sequence[FlowSample]) -> np.ndarray:
-        """Batched flow inference, (B, 2, H, W).
-
-        Row ``i`` matches :meth:`predict` on ``samples[i]`` within
-        kernel drift tolerances, and training caches are restored on
-        exit.  Samples must share the event-frame shape (equal T); the
-        serving scheduler only coalesces homogeneous requests.
-        """
-        raise NotImplementedError
-
     def train_step(self, sample: FlowSample) -> float:
         raise NotImplementedError
 
@@ -65,16 +55,6 @@ class FlowModel(Module):
 
 def _conv_macs(conv: Conv2d, h: int, w: int) -> int:
     return count_conv2d(conv.in_ch, conv.out_ch, conv.kernel, h, w)
-
-
-def _stack_event_frames(samples: Sequence[FlowSample]) -> np.ndarray:
-    """Stack per-sample (T, 2, H, W) event frames along the SNN batch
-    axis into (T, B, 2, H, W); rejects ragged timestep counts."""
-    shapes = {s.event_frames.shape for s in samples}
-    if len(shapes) > 1:
-        raise ValueError(
-            f"cannot batch ragged event-frame shapes: {sorted(shapes)}")
-    return np.stack([s.event_frames for s in samples], axis=1)
 
 
 class EvFlowNet(FlowModel):
@@ -96,12 +76,6 @@ class EvFlowNet(FlowModel):
 
     def predict(self, sample: FlowSample) -> np.ndarray:
         return self.net.forward(sample.discretized_volume[None])[0]
-
-    def predict_batch(self, samples: Sequence[FlowSample]) -> np.ndarray:
-        if not samples:
-            return np.zeros((0, 2, self.image_size, self.image_size))
-        return self.net.forward_batch(
-            np.stack([s.discretized_volume for s in samples]))
 
     def train_step(self, sample: FlowSample) -> float:
         pred = self.net.forward(sample.discretized_volume[None])
@@ -159,27 +133,6 @@ class SpikeFlowNet(FlowModel):
 
     def predict(self, sample: FlowSample) -> np.ndarray:
         return self._forward(sample)[0]
-
-    def predict_batch(self, samples: Sequence[FlowSample]) -> np.ndarray:
-        if not samples:
-            return np.zeros((0, 2, self.image_size, self.image_size))
-        # The SNN encoders share one batch axis across samples (LIF
-        # dynamics are per-sample independent); their kernel caches are
-        # saved and restored so an in-flight training step survives.
-        x = _stack_event_frames(samples)
-        saved = (self.encoder._cache, self.encoder.last_membrane,
-                 self.encoder2._cache, self.encoder2.last_membrane)
-        try:
-            s1 = self.encoder.forward(x)
-            spikes = self.encoder2.forward(s1)
-            half = max(spikes.shape[0] // 2, 1)
-            early = spikes[: half].mean(axis=0)
-            late = spikes[half:].mean(axis=0)
-            return self.decoder.forward_batch(
-                np.concatenate([early, late], axis=1))
-        finally:
-            (self.encoder._cache, self.encoder.last_membrane,
-             self.encoder2._cache, self.encoder2.last_membrane) = saved
 
     def train_step(self, sample: FlowSample) -> float:
         pred = self._forward(sample)
@@ -252,24 +205,6 @@ class FusionFlowNet(FlowModel):
     def predict(self, sample: FlowSample) -> np.ndarray:
         return self._forward(sample)[0]
 
-    def predict_batch(self, samples: Sequence[FlowSample]) -> np.ndarray:
-        if not samples:
-            return np.zeros((0, 2, self.image_size, self.image_size))
-        x = _stack_event_frames(samples)
-        frames = np.stack([s.frames for s in samples])
-        saved = (self.event_encoder._cache, self.event_encoder.last_membrane)
-        try:
-            spikes = self.event_encoder.forward(x)
-            half_t = max(spikes.shape[0] // 2, 1)
-            ev_early = spikes[: half_t].mean(axis=0)
-            ev_late = spikes[half_t:].mean(axis=0)
-            fr_feat = self.frame_encoder.forward_batch(frames)
-            fused = np.concatenate([ev_early, ev_late, fr_feat], axis=1)
-            return self.decoder.forward_batch(fused)
-        finally:
-            (self.event_encoder._cache,
-             self.event_encoder.last_membrane) = saved
-
     def train_step(self, sample: FlowSample) -> float:
         pred = self._forward(sample)
         loss, grad = mse_loss(pred, sample.flow[None])
@@ -336,23 +271,6 @@ class AdaptiveSpikeNet(FlowModel):
 
     def predict(self, sample: FlowSample) -> np.ndarray:
         return self._forward(sample)[0]
-
-    def predict_batch(self, samples: Sequence[FlowSample]) -> np.ndarray:
-        if not samples:
-            return np.zeros((0, 2, self.image_size, self.image_size))
-        x = _stack_event_frames(samples)
-        saved = (self.l1._cache, self.l1.last_membrane,
-                 self.l2._cache, self.l2.last_membrane,
-                 self.l3._cache, self.l3.last_membrane)
-        try:
-            s1 = self.l1.forward(x)
-            s2 = self.l2.forward(s1)
-            self.l3.forward(s2)
-            return self.l3.last_membrane / x.shape[0]
-        finally:
-            (self.l1._cache, self.l1.last_membrane,
-             self.l2._cache, self.l2.last_membrane,
-             self.l3._cache, self.l3.last_membrane) = saved
 
     def train_step(self, sample: FlowSample) -> float:
         pred = self._forward(sample)

@@ -34,7 +34,7 @@ from .losses import (
     mse_loss,
     softmax,
 )
-from .optim import SGD, SPSA, Adam, LoRAAdapter, clip_grad_norm
+from .optim import SGD, SPSA, Adam, clip_grad_norm
 from .quantize import SUPPORTED_BITS, PrecisionConfig, quantization_noise_power, quantize
 from .sequential import Sequential, mlp
 from .sparse3d import (
@@ -55,7 +55,7 @@ __all__ = [
     "Sequential", "mlp",
     "mse_loss", "bce_with_logits", "softmax", "cross_entropy_with_logits",
     "huber_loss", "info_nce", "gaussian_kl",
-    "SGD", "Adam", "SPSA", "LoRAAdapter", "clip_grad_norm",
+    "SGD", "Adam", "SPSA", "clip_grad_norm",
     "OpCount", "count_dense", "count_conv2d", "count_module", "count_macs",
     "quantize", "quantization_noise_power", "PrecisionConfig", "SUPPORTED_BITS",
     "VAE", "train_vae",

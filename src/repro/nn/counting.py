@@ -47,13 +47,6 @@ class OpCount:
     params: int = 0
     by_layer: Dict[str, int] = field(default_factory=dict)
 
-    def __add__(self, other: "OpCount") -> "OpCount":
-        merged = dict(self.by_layer)
-        for k, v in other.by_layer.items():
-            merged[k] = merged.get(k, 0) + v
-        return OpCount(self.macs + other.macs, self.flops + other.flops,
-                       self.params + other.params, merged)
-
     def add(self, name: str, macs: int, params: int = 0) -> None:
         self.macs += macs
         self.flops += 2 * macs

@@ -1,4 +1,4 @@
-"""Optimizers: SGD, Adam, the gradient-free SPSA used by STARNet, and LoRA.
+"""Optimizers: SGD, Adam and the gradient-free SPSA used by STARNet.
 
 SPSA (Simultaneous Perturbation Stochastic Approximation) estimates a full
 gradient from two function evaluations regardless of dimension, which is
@@ -14,7 +14,7 @@ import numpy as np
 
 from .tensor import Parameter
 
-__all__ = ["SGD", "Adam", "SPSA", "LoRAAdapter", "clip_grad_norm"]
+__all__ = ["SGD", "Adam", "SPSA", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
@@ -156,58 +156,3 @@ class SPSA:
     def evaluations_per_step(self) -> int:
         """Objective evaluations per iteration (2 perturbed + 1 tracking)."""
         return 3
-
-
-class LoRAAdapter:
-    """Low-Rank Adaptation of a frozen Dense weight (Sec. V).
-
-    Wraps a base weight ``W`` (frozen) with a trainable low-rank update
-    ``W_eff = W + (alpha / r) * A @ B`` where ``A`` is ``(in, r)`` and ``B``
-    is ``(r, out)``.  STARNet uses this for efficient on-device fine-tuning
-    of the VAE when the sensor distribution drifts: only
-    ``r * (in + out)`` parameters are updated instead of ``in * out``.
-    """
-
-    def __init__(self, base: Parameter, rank: int = 4, alpha: float = 8.0,
-                 rng: Optional[np.random.Generator] = None):
-        if base.data.ndim != 2:
-            raise ValueError("LoRAAdapter wraps 2-D weight matrices")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        in_dim, out_dim = base.data.shape
-        self.base = base
-        self.base.trainable = False
-        self.rank = rank
-        self.alpha = alpha
-        self.scale = alpha / rank
-        # A ~ N(0, 1/r), B = 0 so the adapter starts as the identity update.
-        self.lora_a = Parameter(rng.normal(0, 1.0 / rank, size=(in_dim, rank)),
-                                name=f"{base.name}.lora_a")
-        self.lora_b = Parameter(np.zeros((rank, out_dim)),
-                                name=f"{base.name}.lora_b")
-
-    def effective_weight(self) -> np.ndarray:
-        return self.base.data + self.scale * (self.lora_a.data @ self.lora_b.data)
-
-    def apply(self) -> None:
-        """Materialize the adapted weight into the base parameter."""
-        self.base.data = self.effective_weight()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.effective_weight()
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        x2 = self._x.reshape(-1, self.base.data.shape[0])
-        g2 = grad.reshape(-1, self.base.data.shape[1])
-        dw = x2.T @ g2
-        self.lora_a.grad += self.scale * dw @ self.lora_b.data.T
-        self.lora_b.grad += self.scale * self.lora_a.data.T @ dw
-        return grad @ self.effective_weight().T
-
-    def parameters(self) -> List[Parameter]:
-        return [self.lora_a, self.lora_b]
-
-    def trainable_fraction(self) -> float:
-        """Fraction of parameters actually updated vs full fine-tuning."""
-        full = self.base.size
-        return (self.lora_a.size + self.lora_b.size) / full

@@ -10,7 +10,6 @@ precision assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -121,12 +120,6 @@ class PrecisionConfig:
     def mean_bits(self) -> float:
         return (self.weight_bits + self.activation_bits + self.gradient_bits) / 3.0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "weight_bits": self.weight_bits,
-            "activation_bits": self.activation_bits,
-            "gradient_bits": self.gradient_bits,
-        }
 
     @staticmethod
     def full_precision() -> "PrecisionConfig":

@@ -68,12 +68,6 @@ class Sequential(Module):
             grad = layer.backward(grad)
         return grad
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, idx: int) -> Module:
-        return self.layers[idx]
-
 
 def mlp(sizes: Sequence[int],
         hidden_activation: Callable[[], Module] = ReLU,

@@ -17,7 +17,8 @@ By default the *active registry* is a shared no-op (:data:`NOOP_REGISTRY`)
 whose instruments allocate nothing, so the instrumentation woven through
 ``repro.core.loop``, ``repro.starnet``, ``repro.generative``,
 ``repro.neuromorphic``, and ``repro.federated`` costs a few method calls
-per cycle until :func:`enable` (or ``repro profile ...``) turns it on.
+per cycle until :func:`use_registry` (or ``repro profile ...``)
+installs a live :class:`MetricsRegistry`.
 """
 
 from .export import (
@@ -37,8 +38,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     NoopRegistry,
-    disable,
-    enable,
     get_registry,
     set_registry,
     trace_span,
@@ -58,7 +57,7 @@ def __getattr__(name):
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NoopRegistry",
     "NOOP_REGISTRY", "Span", "Tracer", "NOOP_SPAN",
-    "get_registry", "set_registry", "enable", "disable", "use_registry",
+    "get_registry", "set_registry", "use_registry",
     "trace_span",
     "export_jsonl", "read_jsonl", "registry_payload", "aggregate_spans",
     "deterministic_counters",

@@ -19,7 +19,6 @@ disabled — benchmarks stay honest.
 
 from __future__ import annotations
 
-import bisect
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -152,13 +151,6 @@ class Histogram:
         into a parent registry).
         """
         return list(self._reservoir)
-
-    def cdf(self, v: float) -> float:
-        """Empirical P(X <= v) over the retained sample."""
-        data = self._ensure_sorted()
-        if not data:
-            return 0.0
-        return bisect.bisect_right(data, v) / len(data)
 
     def as_dict(self) -> dict:
         out = {
@@ -362,18 +354,6 @@ def get_registry():
 def set_registry(registry) -> None:
     global _ACTIVE
     _ACTIVE = registry
-
-
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install (and return) a live registry as the active one."""
-    reg = registry if registry is not None else MetricsRegistry()
-    set_registry(reg)
-    return reg
-
-
-def disable() -> None:
-    """Restore the zero-cost no-op registry."""
-    set_registry(NOOP_REGISTRY)
 
 
 @contextmanager

@@ -25,7 +25,6 @@ from ..runtime.store import ReplayStore
 from .engine import SweepResult, evaluate_scenario, run_sweep
 from .evaluators import (
     EVALUATORS,
-    evaluator_names,
     get_evaluator,
     register_evaluator,
     scan_stats,
@@ -37,6 +36,5 @@ __all__ = [
     "PLATFORMS", "TRAFFIC",
     "ReplayStore",
     "SweepResult", "evaluate_scenario", "run_sweep",
-    "EVALUATORS", "register_evaluator", "get_evaluator",
-    "evaluator_names", "scan_stats",
+    "EVALUATORS", "register_evaluator", "get_evaluator", "scan_stats",
 ]

@@ -16,12 +16,11 @@ checks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 import numpy as np
 
-__all__ = ["register_evaluator", "get_evaluator", "evaluator_names",
-           "scan_stats"]
+__all__ = ["register_evaluator", "get_evaluator", "scan_stats"]
 
 EVALUATORS: Dict[str, Callable] = {}
 
@@ -40,10 +39,6 @@ def get_evaluator(name: str) -> Callable:
             f"unknown evaluator {name!r}; valid evaluators: "
             f"{', '.join(sorted(EVALUATORS))}")
     return EVALUATORS[name]
-
-
-def evaluator_names() -> List[str]:
-    return sorted(EVALUATORS)
 
 
 @register_evaluator("scan_stats")

@@ -1,6 +1,6 @@
 """``repro.serve`` — batched streaming-inference serving runtime.
 
-The repo's pillars each expose a batched inference entry point
+The perception pillars expose batched inference entry points
 (parity-tested against their per-sample paths); this package turns them
 into a *service*: a dynamic micro-batching scheduler coalesces requests
 from many concurrent sensing-to-action loops into single vectorized
@@ -13,8 +13,8 @@ Layers:
 * :mod:`repro.serve.scheduler` — :class:`MicroBatcher` (deterministic
   coalescing core, virtual-time testable) and :class:`BatchedService`
   (worker thread + blocking ``submit``).
-* :mod:`repro.serve.services` — batch runners for each pillar and
-  loop-facing :class:`Monitor`/:class:`Perception` wrappers.
+* :mod:`repro.serve.services` — the STARNet monitor's batch runner and
+  its loop-facing :class:`Monitor` wrapper.
 
 ``benchmarks/bench_serving_throughput.py`` measures the service against
 serial per-request inference over N concurrent loops.
@@ -27,20 +27,10 @@ from .scheduler import (
     ServeTicket,
     ServiceOverloaded,
 )
-from .services import (
-    BatchedMonitor,
-    BatchedPerception,
-    detector_runner,
-    flow_runner,
-    koopman_rollout_runner,
-    monitor_runner,
-    occupancy_runner,
-)
+from .services import BatchedMonitor, monitor_runner
 
 __all__ = [
     "BatcherConfig", "MicroBatcher", "BatchedService", "ServeTicket",
     "ServiceOverloaded",
-    "BatchedMonitor", "BatchedPerception", "monitor_runner",
-    "detector_runner", "occupancy_runner", "flow_runner",
-    "koopman_rollout_runner",
+    "BatchedMonitor", "monitor_runner",
 ]

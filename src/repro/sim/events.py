@@ -52,11 +52,6 @@ class FlowSample:
     event_frames: np.ndarray = None  # (T, 2, H, W)
 
     @property
-    def input_tensor(self) -> np.ndarray:
-        """Events + frames stacked: (4, H, W), the fusion-model input."""
-        return np.concatenate([self.event_volume, self.frames], axis=0)
-
-    @property
     def discretized_volume(self) -> np.ndarray:
         """Temporally discretized event image, (4, H, W).
 

@@ -1,6 +1,6 @@
 """``repro.starnet`` — sensor trustworthiness monitoring (Sec. V)."""
 
-from .adaptive_fusion import ContextAwareThreshold, ReliabilityWeightedFusion
+from .adaptive_fusion import ContextAwareThreshold
 from .evaluation import (
     AUCExperimentConfig,
     corruption_scores,
@@ -28,5 +28,5 @@ __all__ = [
     "run_auc_experiment",
     "LoRAFineTuner",
     "GatedFilter", "filter_backscatter", "run_recovery_experiment",
-    "DriftDetector", "ReliabilityWeightedFusion", "ContextAwareThreshold",
+    "DriftDetector", "ContextAwareThreshold",
 ]

@@ -1,87 +1,22 @@
-"""Adaptive multi-sensor fusion and context-aware thresholds (Sec. V
-future work).
+"""Context-aware anomaly thresholds (Sec. V future work).
 
 "Future enhancements include context-aware anomaly detection to reduce
-false positives, adaptive fusion to adjust sensor weights based on
-reliability ..."
+false positives ..."
 
-* :class:`ReliabilityWeightedFusion` — combines per-modality feature
-  vectors with weights proportional to each stream's current trust
-  (monitor-derived), renormalized so a fully-distrusted stream is
-  excluded rather than diluted.
-* :class:`ContextAwareThreshold` — anomaly thresholds calibrated *per
-  context bucket* (e.g. scene density): a score that is normal in a
-  cluttered scene can be anomalous in an empty one; global thresholds
-  must slacken to cover both, costing false negatives — or tighten,
-  costing false positives.
+:class:`ContextAwareThreshold` calibrates anomaly thresholds *per context
+bucket* (e.g. scene density): a score that is normal in a cluttered
+scene can be anomalous in an empty one; global thresholds must slacken
+to cover both, costing false negatives — or tighten, costing false
+positives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ReliabilityWeightedFusion", "ContextAwareThreshold"]
-
-
-class ReliabilityWeightedFusion:
-    """Trust-weighted combination of modality feature vectors.
-
-    Each modality registers a dimension; ``fuse`` takes per-modality
-    features and trust values in [0, 1] and returns the concatenation of
-    trust-scaled features plus the weight vector used (for logging /
-    downstream calibration).  A floor keeps a weakly-trusted stream from
-    being silently amplified after renormalization.
-    """
-
-    def __init__(self, modalities: Dict[str, int],
-                 trust_floor: float = 0.02):
-        if not modalities:
-            raise ValueError("need at least one modality")
-        if any(d <= 0 for d in modalities.values()):
-            raise ValueError("feature dimensions must be positive")
-        if not 0.0 <= trust_floor < 1.0:
-            raise ValueError("trust floor must be in [0, 1)")
-        self.modalities = dict(modalities)
-        self.trust_floor = trust_floor
-
-    @property
-    def fused_dim(self) -> int:
-        return sum(self.modalities.values())
-
-    def weights(self, trusts: Dict[str, float]) -> Dict[str, float]:
-        """Normalized per-modality weights from trust values."""
-        raw = {}
-        for name in self.modalities:
-            if name not in trusts:
-                raise KeyError(f"missing trust for modality {name!r}")
-            t = float(np.clip(trusts[name], 0.0, 1.0))
-            raw[name] = t if t >= self.trust_floor else 0.0
-        total = sum(raw.values())
-        if total <= 0:
-            # Everything distrusted: fall back to uniform (fail-operational).
-            n = len(raw)
-            return {name: 1.0 / n for name in raw}
-        return {name: v / total for name, v in raw.items()}
-
-    def fuse(self, features: Dict[str, np.ndarray],
-             trusts: Dict[str, float]
-             ) -> Tuple[np.ndarray, Dict[str, float]]:
-        """Fused feature vector and the weights that produced it."""
-        weights = self.weights(trusts)
-        parts: List[np.ndarray] = []
-        for name, dim in self.modalities.items():
-            if name not in features:
-                raise KeyError(f"missing features for modality {name!r}")
-            vec = np.asarray(features[name], dtype=np.float64).ravel()
-            if vec.shape != (dim,):
-                raise ValueError(
-                    f"modality {name!r} expected dim {dim}, got {vec.shape}")
-            # Scale relative to the modality's fair share so equal trust
-            # reproduces the unweighted concatenation.
-            parts.append(vec * (weights[name] * len(self.modalities)))
-        return np.concatenate(parts), weights
+__all__ = ["ContextAwareThreshold"]
 
 
 class ContextAwareThreshold:

@@ -102,11 +102,6 @@ class Mismatch:
     actual: Any
     detail: str = ""
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {"path": self.path, "kind": self.kind,
-                "golden": self.golden, "actual": self.actual,
-                "detail": self.detail}
-
     def render(self) -> str:
         extra = f" ({self.detail})" if self.detail else ""
         return (f"{self.path}: [{self.kind}] golden={self.golden!r} "

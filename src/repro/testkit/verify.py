@@ -47,7 +47,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..kernels import BACKENDS, active_backend, kernel_backend
@@ -129,7 +129,7 @@ class CheckResult:
             "check": self.check,
             "status": self.status,
             "detail": self.detail,
-            "mismatches": [m.as_dict() for m in
+            "mismatches": [asdict(m) for m in
                            self.mismatches[:MAX_REPORTED_MISMATCHES]],
             "n_mismatches": len(self.mismatches),
         }

@@ -1,6 +1,5 @@
 """``repro.voxel`` — voxelization and R-MAE radial masking."""
 
-from .adaptive_masking import AdaptiveMaskPlanner
 from .grid import VoxelGridConfig, VoxelizedCloud, voxelize
 from .masking import (
     RadialMaskConfig,
@@ -15,5 +14,4 @@ __all__ = [
     "VoxelGridConfig", "VoxelizedCloud", "voxelize",
     "RadialMaskConfig", "radial_mask", "uniform_mask", "angular_only_mask",
     "beam_mask_from_segments", "segment_of_azimuth",
-    "AdaptiveMaskPlanner",
 ]

@@ -181,28 +181,6 @@ def test_starnet_assess_batch_parity(batch, seed):
 
 
 @functools.lru_cache(maxsize=1)
-def _koopman():
-    from repro.koopman.encoder import ContrastiveKoopmanEncoder
-    return ContrastiveKoopmanEncoder(image_size=8, n_pairs=2,
-                                     rng=np.random.default_rng(2))
-
-
-@given(batch=batch_sizes, seed=seeds,
-       horizon=st.integers(min_value=1, max_value=4))
-@settings(max_examples=10, deadline=None)
-def test_koopman_rollout_batch_parity(batch, seed, horizon):
-    encoder = _koopman()
-    rng = np.random.default_rng(seed)
-    images = rng.normal(size=(batch, 8, 8))
-    actions = rng.normal(size=(batch, horizon))
-    batched = encoder.rollout_batch(images, actions)
-    assert batched.shape == (batch, horizon + 1, encoder.latent_dim)
-    for i in range(batch):
-        np.testing.assert_allclose(
-            batched[i], encoder.rollout(images[i], actions[i]), atol=1e-9)
-
-
-@functools.lru_cache(maxsize=1)
 def _clouds_and_detector():
     from repro.detect import BEVDetector
     from repro.sim import LidarConfig, LidarScanner, sample_scene
@@ -244,32 +222,4 @@ def test_rmae_occupancy_batch_parity(picks):
     for i, cloud in enumerate(chosen):
         np.testing.assert_allclose(batched[i],
                                    rmae.occupancy_probability(cloud),
-                                   atol=1e-9)
-
-
-@functools.lru_cache(maxsize=None)
-def _flow_model(name):
-    from repro.neuromorphic import build_flow_model
-    return build_flow_model(name, channels=4, image_size=16,
-                            rng=np.random.default_rng(5))
-
-
-@functools.lru_cache(maxsize=1)
-def _flow_samples():
-    from repro.sim import make_flow_dataset
-    return tuple(make_flow_dataset(3, seed=6))
-
-
-@pytest.mark.parametrize("name", ["evflownet", "spikeflownet",
-                                  "fusionflownet", "adaptive_spikenet"])
-@given(picks=st.lists(st.integers(min_value=0, max_value=2),
-                      min_size=1, max_size=3))
-@settings(max_examples=5, deadline=None)
-def test_flow_predict_batch_parity(name, picks):
-    model = _flow_model(name)
-    samples = _flow_samples()
-    chosen = [samples[i] for i in picks]
-    batched = model.predict_batch(chosen)
-    for i, sample in enumerate(chosen):
-        np.testing.assert_allclose(batched[i], model.predict(sample),
                                    atol=1e-9)

@@ -1,4 +1,4 @@
-"""Tests for the CLI and the adaptive-fusion / context-threshold extensions."""
+"""Tests for the CLI and the context-threshold extension."""
 
 import json
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import DEMOS, EXPERIMENTS, main
-from repro.starnet import ContextAwareThreshold, ReliabilityWeightedFusion
+from repro.starnet import ContextAwareThreshold
 
 
 # -------------------------------------------------------------------- CLI
@@ -49,56 +49,6 @@ def test_cli_registries_complete():
     assert set(EXPERIMENTS) == {"table2", "fig5a", "fig5b", "auc", "fig11",
                                 "swarm", "speculative", "codesign"}
     assert len(DEMOS) == 7
-
-
-# -------------------------------------------------------- adaptive fusion
-def _fusion():
-    return ReliabilityWeightedFusion({"lidar": 3, "camera": 2})
-
-
-def test_fusion_equal_trust_preserves_features():
-    fusion = _fusion()
-    feats = {"lidar": np.array([1.0, 2.0, 3.0]),
-             "camera": np.array([4.0, 5.0])}
-    fused, weights = fusion.fuse(feats, {"lidar": 0.8, "camera": 0.8})
-    np.testing.assert_allclose(fused, [1, 2, 3, 4, 5])
-    assert weights["lidar"] == pytest.approx(0.5)
-
-
-def test_fusion_downweights_untrusted_stream():
-    fusion = _fusion()
-    feats = {"lidar": np.ones(3), "camera": np.ones(2)}
-    fused, weights = fusion.fuse(feats, {"lidar": 0.01, "camera": 1.0})
-    # LiDAR under the floor: excluded; camera carries everything.
-    assert weights["lidar"] == 0.0
-    np.testing.assert_allclose(fused[:3], 0.0)
-    np.testing.assert_allclose(fused[3:], 2.0)  # 1.0 * (1.0 * 2 modalities)
-
-
-def test_fusion_all_distrusted_fails_operational():
-    fusion = _fusion()
-    weights = fusion.weights({"lidar": 0.0, "camera": 0.0})
-    assert weights["lidar"] == pytest.approx(0.5)
-    assert weights["camera"] == pytest.approx(0.5)
-
-
-def test_fusion_validation():
-    with pytest.raises(ValueError):
-        ReliabilityWeightedFusion({})
-    with pytest.raises(ValueError):
-        ReliabilityWeightedFusion({"x": 0})
-    fusion = _fusion()
-    with pytest.raises(KeyError):
-        fusion.fuse({"lidar": np.ones(3)}, {"lidar": 1.0, "camera": 1.0})
-    with pytest.raises(KeyError):
-        fusion.weights({"lidar": 1.0})
-    with pytest.raises(ValueError):
-        fusion.fuse({"lidar": np.ones(4), "camera": np.ones(2)},
-                    {"lidar": 1.0, "camera": 1.0})
-
-
-def test_fusion_dim_property():
-    assert _fusion().fused_dim == 5
 
 
 # ------------------------------------------------- context-aware threshold

@@ -8,14 +8,11 @@ from repro.core import (
     Actuator,
     CascadeModel,
     Environment,
-    HierarchicalController,
     LoopSchedule,
     Monitor,
     Percept,
     Perception,
     Policy,
-    RateAdaptation,
-    ResolutionAdaptation,
     RiskCoverageAdaptation,
     SensingToActionLoop,
     Sensor,
@@ -160,24 +157,6 @@ def test_loop_validation():
 
 
 # --------------------------------------------------------------- adaptation
-def test_rate_adaptation_surges_on_events():
-    adapt = RateAdaptation(min_rate_hz=1.0, max_rate_hz=20.0,
-                           surge_threshold=0.5)
-    adapt.update(0.0)
-    stable = [adapt.update(0.0) for _ in range(10)]
-    assert stable[-1] == pytest.approx(1.0, abs=0.5)
-    surge = adapt.update(5.0)  # pollutant spike
-    assert surge == 20.0
-
-
-def test_rate_adaptation_decays_back():
-    adapt = RateAdaptation()
-    adapt.update(0.0)
-    adapt.update(5.0)
-    rates = [adapt.update(5.0) for _ in range(30)]
-    assert rates[-1] < 20.0
-
-
 def test_risk_coverage_bounds_and_hysteresis():
     adapt = RiskCoverageAdaptation(min_coverage=0.1, hysteresis=0.2)
     high = adapt.update(1.0)
@@ -191,20 +170,6 @@ def test_risk_coverage_bounds_and_hysteresis():
 def test_risk_coverage_directive():
     d = RiskCoverageAdaptation().directive(1.0)
     assert d["coverage"] == pytest.approx(1.0)
-
-
-def test_resolution_ladder_selection():
-    adapt = ResolutionAdaptation(ladder=[4.0, 2.0, 1.0, 0.5])
-    assert adapt.select(5.0) == 0   # coarsest suffices
-    assert adapt.select(1.5) == 2
-    assert adapt.select(0.1) == 3   # finest even if insufficient
-
-
-def test_resolution_ladder_validation():
-    with pytest.raises(ValueError):
-        ResolutionAdaptation(ladder=[])
-    with pytest.raises(ValueError):
-        ResolutionAdaptation(ladder=[1.0, 2.0])  # must go coarse -> fine
 
 
 # ------------------------------------------------------------------ errors
@@ -284,37 +249,3 @@ def test_schedule_critical_stage_and_rate():
 def test_stage_validation():
     with pytest.raises(ValueError):
         Stage("bad", -1.0)
-
-
-# --------------------------------------------------------------- hierarchy
-def test_hierarchical_controller_interleaving():
-    calls = {"high": 0, "low": 0}
-
-    def high(obs):
-        calls["high"] += 1
-        return obs * 2
-
-    def low(obs, target):
-        calls["low"] += 1
-        return target - obs
-
-    ctrl = HierarchicalController(low, high, plan_interval=5)
-    for i in range(20):
-        ctrl.step(1.0)
-    assert calls["low"] == 20
-    assert calls["high"] == 4
-
-
-def test_hierarchical_compute_savings():
-    ctrl = HierarchicalController(lambda o, t: 0, lambda o: 0,
-                                  plan_interval=10, low_cost_macs=1_000,
-                                  high_cost_macs=100_000)
-    for _ in range(100):
-        ctrl.step(0.0)
-    savings = ctrl.compute_savings()
-    assert 0.85 < savings < 0.92  # planner runs 10x less often
-
-
-def test_hierarchical_validation():
-    with pytest.raises(ValueError):
-        HierarchicalController(lambda o, t: 0, lambda o: 0, plan_interval=0)

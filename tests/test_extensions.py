@@ -1,13 +1,11 @@
 """Tests for the paper's future-work extensions: time-varying Koopman,
-conformal uncertainty, drift detection, and adaptive masking."""
+conformal uncertainty and drift detection."""
 
 import numpy as np
 import pytest
 
 from repro.koopman import ConformalPredictor, RecursiveKoopman, uncertainty_to_coverage
-from repro.sim import LidarConfig, LidarScanner, sample_scene
 from repro.starnet import DriftDetector
-from repro.voxel import AdaptiveMaskPlanner, RadialMaskConfig, VoxelGridConfig, voxelize
 
 
 # --------------------------------------------------------- RecursiveKoopman
@@ -180,63 +178,3 @@ def test_drift_detector_validation():
         DriftDetector(fast=0.1, slow=0.5)
     with pytest.raises(ValueError):
         DriftDetector(warmup=1)
-
-
-# ------------------------------------------------------- adaptive masking
-def _cloud(seed=0):
-    rng = np.random.default_rng(seed)
-    grid = VoxelGridConfig(nx=16, ny=16, nz=2)
-    scan = LidarScanner(LidarConfig(n_azimuth=48, n_elevation=8),
-                        rng=rng).scan(sample_scene(rng))
-    return voxelize(scan.points, scan.labels, grid)
-
-
-def test_adaptive_planner_respects_budget():
-    planner = AdaptiveMaskPlanner(RadialMaskConfig(n_segments=16,
-                                                   segment_keep_fraction=0.25),
-                                  rng=np.random.default_rng(12))
-    mask = planner.plan_segments()
-    assert mask.sum() == 4
-
-
-def test_adaptive_planner_prefers_high_error_segments():
-    config = RadialMaskConfig(n_segments=8, segment_keep_fraction=0.25)
-    planner = AdaptiveMaskPlanner(config, exploration=0.05,
-                                  rng=np.random.default_rng(13))
-    planner.segment_error[:] = 0.01
-    planner.segment_error[3] = 10.0
-    hits = sum(planner.plan_segments()[3] for _ in range(50))
-    assert hits > 40  # the high-error segment is almost always sensed
-
-
-def test_adaptive_planner_error_feedback_updates():
-    cloud = _cloud()
-    planner = AdaptiveMaskPlanner(RadialMaskConfig(),
-                                  rng=np.random.default_rng(14))
-    before = planner.segment_error.copy()
-    # Perfect reconstruction -> observed segments' error decays.
-    perfect = cloud.occupancy_dense().astype(bool)
-    planner.report_errors(cloud, perfect)
-    observed = planner.segment_error < before
-    assert observed.any()
-    assert np.all(planner.segment_error <= before + 1e-12)
-
-
-def test_adaptive_planner_plan_mask_consistency():
-    cloud = _cloud(1)
-    planner = AdaptiveMaskPlanner(RadialMaskConfig(),
-                                  rng=np.random.default_rng(15))
-    keep, segments = planner.plan_mask(cloud)
-    from repro.voxel import segment_of_azimuth
-    for coord, kept in keep.items():
-        seg = segment_of_azimuth(cloud.config.voxel_azimuth(coord),
-                                 planner.config.n_segments)
-        if kept:
-            assert segments[seg]
-
-
-def test_adaptive_planner_validation():
-    with pytest.raises(ValueError):
-        AdaptiveMaskPlanner(smoothing=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveMaskPlanner(exploration=1.5)

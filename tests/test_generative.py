@@ -13,6 +13,7 @@ from repro.generative import (
     reconstruction_energy_mj,
     reconstruction_iou,
 )
+from repro.kernels import BACKENDS, kernel_backend
 from repro.sim import LidarConfig, LidarScanner, sample_scene
 from repro.voxel import RadialMaskConfig, VoxelGridConfig, radial_mask, voxelize
 
@@ -49,6 +50,19 @@ def test_rmae_forward_shapes():
     occ = model.reconstruct_occupancy(cloud)
     assert occ.shape == GRID.shape
     assert occ.dtype == bool
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rmae_encode_and_training_step_leave_cloud_features_intact(backend):
+    """The encoder reads the cloud's own feature arrays, so neither an
+    encode nor a training step may write to them."""
+    cloud = _clouds(1, seed=8)[0]
+    before = [(c, f.tobytes()) for c, f in cloud.features.items()]
+    with kernel_backend(backend):
+        model = RMAE(GRID, rng=np.random.default_rng(9))
+        model.encode(cloud)
+        model.training_step(cloud, cloud.occupancy_dense())
+    assert [(c, f.tobytes()) for c, f in cloud.features.items()] == before
 
 
 def test_rmae_grid_divisibility_check():

@@ -1,5 +1,5 @@
 """Tests for the Koopman subsystem: spectral operator, LQR, baselines,
-contrastive encoder, SAC, and the Fig. 5 harness."""
+contrastive encoder, and the Fig. 5 harness."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,8 @@ from repro.koopman import (
     DenseKoopmanDynamics,
     LQRController,
     RecurrentDynamics,
-    ReplayBuffer,
-    SACAgent,
     SpectralKoopmanDynamics,
     SpectralKoopmanOperator,
-    TransformerDynamics,
     build_model,
     collect_transitions,
     evaluate_controller,
@@ -149,8 +146,8 @@ def test_lqr_expected_cost_positive():
 
 # -------------------------------------------------------------- baselines
 def test_model_registry():
-    assert set(MODEL_FAMILIES) == {"mlp", "dense_koopman", "transformer",
-                                   "recurrent", "spectral_koopman"}
+    assert set(MODEL_FAMILIES) == {"mlp", "dense_koopman", "recurrent",
+                                   "spectral_koopman"}
     with pytest.raises(KeyError):
         build_model("lstm", 4, 1)
 
@@ -179,7 +176,7 @@ def test_mac_ordering_matches_fig5a():
     """Spectral Koopman cheapest; transformer most expensive."""
     from repro.koopman import fig5a_macs
     macs = {name: entry["total"] for name, entry in fig5a_macs(16, 1).items()}
-    assert set(macs) == set(MODEL_FAMILIES)
+    assert set(macs) == set(MODEL_FAMILIES) | {"transformer"}
     assert macs["spectral_koopman"] < macs["dense_koopman"]
     assert macs["dense_koopman"] < macs["mlp"]
     assert macs["mlp"] < macs["transformer"]
@@ -201,15 +198,6 @@ def test_dense_koopman_recovers_operator():
     model.train_batch(z, u, z @ a.T + u @ b.T)
     np.testing.assert_allclose(model.a, a, atol=1e-3)
     np.testing.assert_allclose(model.b, b, atol=1e-3)
-
-
-def test_transformer_window_maintenance():
-    model = TransformerDynamics(2, 1, context=3, rng=np.random.default_rng(11))
-    for _ in range(5):
-        model.predict(np.zeros(2), np.zeros(1))
-    assert len(model._window) == 3
-    model.reset_context()
-    assert len(model._window) == 0
 
 
 def test_recurrent_reset_context():
@@ -301,46 +289,3 @@ def test_encoder_key_momentum_update():
     enc._sync_key()
     k1 = enc.key.parameters()[0].data
     np.testing.assert_allclose(k1, 0.5 * k0 + 0.5 * (q0 + 1.0))
-
-
-# -------------------------------------------------------------------- SAC
-def test_replay_buffer_fifo():
-    buf = ReplayBuffer(capacity=5, state_dim=2, action_dim=1)
-    for i in range(8):
-        buf.add(np.full(2, i), np.zeros(1), float(i), np.zeros(2), False)
-    assert len(buf) == 5
-    s, a, r, s2, d = buf.sample(10, np.random.default_rng(25))
-    assert s.shape == (10, 2)
-    assert set(r.astype(int)) <= {3, 4, 5, 6, 7}
-
-
-def test_replay_buffer_validation():
-    with pytest.raises(ValueError):
-        ReplayBuffer(0, 2, 1)
-
-
-def test_sac_actions_bounded():
-    agent = SACAgent(4, 1, rng=np.random.default_rng(26))
-    for _ in range(20):
-        a = agent.act(np.random.default_rng(27).normal(size=4))
-        assert -1.0 <= a[0] <= 1.0
-
-
-def test_sac_update_runs_and_targets_move():
-    agent = SACAgent(4, 1, rng=np.random.default_rng(28))
-    buf = ReplayBuffer(256, 4, 1)
-    rng = np.random.default_rng(29)
-    for _ in range(128):
-        buf.add(rng.normal(size=4), rng.uniform(-1, 1, 1), rng.random(),
-                rng.normal(size=4), False)
-    t0 = agent.q1_target.parameters()[0].data.copy()
-    stats = agent.update(buf)
-    assert np.isfinite(stats["critic_loss"])
-    assert not np.allclose(t0, agent.q1_target.parameters()[0].data)
-
-
-def test_sac_update_skips_small_buffer():
-    agent = SACAgent(4, 1)
-    buf = ReplayBuffer(16, 4, 1)
-    stats = agent.update(buf)
-    assert stats == {"critic_loss": 0.0, "actor_loss": 0.0}

@@ -1,5 +1,5 @@
-"""Tests for neurons, spiking layers, flow models, DOTIE, conversion,
-and the neuromorphic energy model."""
+"""Tests for neurons, spiking layers, flow models, DOTIE and the
+neuromorphic energy model."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,9 @@ from repro.neuromorphic import (
     E_MAC_PJ,
     FLOW_MODEL_FAMILIES,
     LIFParameters,
-    RateCodedSNN,
     SpikingConv2d,
     ann_energy_pj,
     build_flow_model,
-    convert_ann_to_snn,
     energy_ratio_ann_over_snn,
     evaluate_aee,
     lif_step,
@@ -24,7 +22,6 @@ from repro.neuromorphic import (
     surrogate_gradient,
     train_flow_model,
 )
-from repro.nn import Adam, cross_entropy_with_logits, mlp, softmax
 from repro.sim import make_flow_dataset
 
 
@@ -270,43 +267,6 @@ def test_bounding_box_geometry():
     assert box.area == 5 * 6
     assert box.contains(4, 5)
     assert not box.contains(0, 0)
-
-
-# -------------------------------------------------------------- conversion
-def test_ann_to_snn_conversion_preserves_predictions():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(200, 6))
-    y = (x[:, 0] + x[:, 1] > 0).astype(int)
-    net = mlp([6, 16, 2], rng=rng)
-    opt = Adam(net.parameters(), lr=5e-3)
-    for _ in range(300):
-        logits = net.forward(x)
-        _, grad = cross_entropy_with_logits(logits, y)
-        opt.zero_grad()
-        net.backward(grad)
-        opt.step()
-    ann_acc = float((np.argmax(softmax(net.forward(x)), 1) == y).mean())
-    snn = convert_ann_to_snn(net, x[:64], timesteps=64)
-    snn_out = snn.forward(x)
-    snn_acc = float((np.argmax(snn_out, 1) == y).mean())
-    assert ann_acc > 0.9
-    assert snn_acc > ann_acc - 0.12  # rate coding costs a little accuracy
-
-
-def test_converted_snn_sparsity_measurable():
-    rng = np.random.default_rng(8)
-    net = mlp([4, 8, 2], rng=rng)
-    snn = convert_ann_to_snn(net, rng.normal(size=(32, 4)), timesteps=16)
-    rate = snn.mean_spike_rate(rng.normal(size=(16, 4)))
-    assert 0.0 <= rate <= 1.0
-
-
-def test_conversion_validation():
-    from repro.nn import ReLU, Sequential
-    with pytest.raises(ValueError):
-        convert_ann_to_snn(Sequential(ReLU()), np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        RateCodedSNN([np.zeros((2, 2))], [], timesteps=4)
 
 
 # ---------------------------------------------------------------- AEE math

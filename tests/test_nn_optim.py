@@ -1,9 +1,9 @@
-"""Unit tests for optimizers: SGD, Adam, SPSA, LoRA, grad clipping."""
+"""Unit tests for optimizers: SGD, Adam, SPSA, grad clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, SPSA, Adam, Dense, LoRAAdapter, Parameter, clip_grad_norm, mlp, mse_loss
+from repro.nn import SGD, SPSA, Adam, Parameter, clip_grad_norm, mlp, mse_loss
 
 RNG = np.random.default_rng(13)
 
@@ -125,47 +125,3 @@ def test_spsa_normalized_gradient_scale_invariance():
 
 def test_spsa_evaluations_per_step():
     assert SPSA().evaluations_per_step() == 3
-
-
-def test_lora_starts_as_identity():
-    base = Dense(6, 4, rng=np.random.default_rng(4))
-    adapter = LoRAAdapter(base.weight, rank=2)
-    np.testing.assert_allclose(adapter.effective_weight(), base.weight.data)
-
-
-def test_lora_freezes_base():
-    base = Dense(6, 4, rng=np.random.default_rng(4))
-    adapter = LoRAAdapter(base.weight, rank=2)
-    assert not base.weight.trainable
-    assert all(p.trainable for p in adapter.parameters())
-
-
-def test_lora_trainable_fraction():
-    base = Dense(100, 100, rng=np.random.default_rng(4))
-    adapter = LoRAAdapter(base.weight, rank=4)
-    assert adapter.trainable_fraction() == pytest.approx(
-        4 * 200 / 10000)
-
-
-def test_lora_learns_offset():
-    """LoRA factors can absorb a rank-limited weight correction."""
-    rng = np.random.default_rng(5)
-    base = Parameter(rng.normal(size=(5, 5)))
-    true_delta = np.outer(rng.normal(size=5), rng.normal(size=5))
-    target_w = base.data + true_delta
-    adapter = LoRAAdapter(base, rank=2, rng=rng)
-    opt = Adam(adapter.parameters(), lr=5e-2)
-    x = rng.normal(size=(64, 5))
-    y = x @ target_w
-    for _ in range(300):
-        pred = adapter.forward(x)
-        loss, grad = mse_loss(pred, y)
-        opt.zero_grad()
-        adapter.backward(grad)
-        opt.step()
-    assert loss < 1e-3
-
-
-def test_lora_rejects_non_matrix():
-    with pytest.raises(ValueError):
-        LoRAAdapter(Parameter(np.zeros(3)), rank=2)

@@ -1,12 +1,11 @@
 """Property-based tests for the extension modules."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.koopman import ConformalPredictor, RecursiveKoopman, uncertainty_to_coverage
-from repro.starnet import ContextAwareThreshold, DriftDetector, ReliabilityWeightedFusion
+from repro.starnet import ContextAwareThreshold, DriftDetector
 
 
 @given(st.integers(5, 60), st.floats(min_value=0.01, max_value=0.4),
@@ -38,20 +37,6 @@ def test_uncertainty_coverage_bounds(radius, nominal):
     assert 0.1 <= c <= 1.0
     # Monotone in the radius.
     assert uncertainty_to_coverage(radius * 2, nominal) >= c - 1e-12
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
-                max_size=6),
-       st.integers(0, 2 ** 20))
-@settings(max_examples=50, deadline=None)
-def test_fusion_weights_form_distribution(trust_values, seed):
-    modalities = {f"m{i}": 2 for i in range(len(trust_values))}
-    fusion = ReliabilityWeightedFusion(modalities)
-    weights = fusion.weights({f"m{i}": t
-                              for i, t in enumerate(trust_values)})
-    total = sum(weights.values())
-    assert total == pytest.approx(1.0)
-    assert all(w >= 0 for w in weights.values())
 
 
 @given(st.integers(1, 4), st.integers(0, 2 ** 20))

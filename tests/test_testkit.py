@@ -18,6 +18,7 @@ from repro.kernels import kernel_backend
 from repro.testkit import (
     CHECKS,
     EXACT,
+    CheckResult,
     FieldTolerance,
     GoldenError,
     GoldenIntegrityError,
@@ -111,6 +112,16 @@ def test_diff_list_paths_use_indices():
     (m,) = diff_payload({"r": [1.0, 2.0]}, {"r": [1.0, 2.5]})
     assert m.path == "r[1]" and m.kind == "value"
     assert "r[1]" in m.render()
+
+
+def test_failing_check_reports_its_mismatches():
+    mismatches = diff_payload({"r": [1.0, 2.0]}, {"r": [1.0, 2.5]})
+    row = CheckResult("s", "serial", "fail", mismatches).as_dict()
+    assert row["n_mismatches"] == 1
+    assert row["mismatches"] == [{"path": "r[1]", "kind": "value",
+                                  "golden": 2.0, "actual": 2.5,
+                                  "detail": ""}]
+    json.dumps(row)
 
 
 def test_diff_tolerance_mode_allows_bounded_drift():
