@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures, prints
-the same rows/series the paper reports, and writes them to
-``benchmarks/results/`` so runs leave an auditable record.  Absolute
+the same rows/series the paper reports, and writes its structured output
+to ``benchmarks/results/`` so runs leave an auditable record.  Absolute
 numbers come from our simulated substrates; the *shape* (who wins, by
 roughly what factor, where crossovers fall) is what each bench asserts.
 """
@@ -27,8 +27,7 @@ def save_result(name: str, payload: dict) -> str:
 
 def print_table(title: str, headers: Sequence[str],
                 rows: Sequence[Sequence[object]]) -> None:
-    """Render an aligned text table to stdout (shows under ``pytest -s``
-    and in the saved text mirror)."""
+    """Render an aligned text table to stdout (shows under ``pytest -s``)."""
     widths = [max(len(str(h)), *(len(str(r[i])) for r in rows))
               for i, h in enumerate(headers)]
     lines = [f"\n=== {title} ==="]
@@ -36,11 +35,7 @@ def print_table(title: str, headers: Sequence[str],
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    text = "\n".join(lines)
-    print(text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "tables.txt"), "a") as f:
-        f.write(text + "\n")
+    print("\n".join(lines))
 
 
 def assert_claims(claims, also: Sequence[str] = ()) -> None:

@@ -8,7 +8,8 @@ a module's inference forward into an explicit op graph (:func:`trace`),
 producing stage (:func:`~repro.compile.fusion.build_program`), and run
 it against a pre-planned :class:`~repro.compile.arena.BufferArena`, so
 steady-state inference does zero fresh allocations and returns a
-float64 copy that is bit-identical to eager.
+float64 copy that matches eager (bit for bit without BatchNorm, whose
+folded affine differs by rounding).
 
 Usage::
 

@@ -1,14 +1,13 @@
 """Pre-planned buffer arena: steady-state inference with zero fresh allocations.
 
 Every stage of a compiled program writes its output into an arena slot
-keyed by stage id, and takes its scratch (leaky-ReLU negative parts,
-layer-norm moments, per-layer affine parameters) from slots keyed off
-the stage's.  Slots are allocated on first use, sized by *capacity*
-along the leading axis, and handed back as ``buf[:batch]`` views on
-every subsequent call — so once the arena has seen the largest batch,
-repeated inference performs **zero** numpy allocations in the
-gemm/elementwise stages (opaque ``call_module`` stages still allocate
-inside their own ``forward_batch``).
+keyed by stage id, and takes its scratch (the BatchNorm affine's scale
+and shift) from slots keyed off the stage's.  Slots are allocated on
+first use, sized by *capacity* along the leading axis, and handed back
+as ``buf[:batch]`` views on every subsequent call — so once the arena
+has seen the largest batch, repeated inference performs **zero** numpy
+allocations in the gemm/elementwise stages (opaque ``call_module``
+stages still allocate inside their own ``forward_batch``).
 
 Capacity grows by doubling when a larger batch arrives, which amortizes
 replanning for workloads whose batch size ramps up (the serve layer's

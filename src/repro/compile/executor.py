@@ -17,8 +17,8 @@ Inside a :func:`compile_mode` scope, :class:`repro.nn.Sequential`
 forwards route here (see :func:`routed_forward`); artifacts are cached
 per live Sequential in a :class:`weakref.WeakKeyDictionary`,
 untraceable modules warn once (:class:`CompileFallbackWarning`) and
-fall back to eager, and graphs whose training-mode BatchNorm/Dropout
-make batched semantics diverge from the stateful per-sample ``forward``
+fall back to eager, and graphs whose training-mode BatchNorm makes
+batched semantics diverge from the stateful per-sample ``forward``
 bypass to eager for ``forward`` only.
 
 Counters live in a module-global :class:`CompileStats` (captures,
@@ -66,7 +66,7 @@ class CompileStats:
 
     captures: int = 0         # successful traces
     fallbacks: int = 0        # TraceError -> eager fallbacks
-    eager_bypasses: int = 0   # forward() bypasses (training-mode BN/dropout)
+    eager_bypasses: int = 0   # forward() bypasses (training-mode BN)
     runs: int = 0             # compiled executions
     fused_elementwise: int = 0
 
@@ -207,7 +207,7 @@ def routed_forward(seq, x: np.ndarray) -> np.ndarray:
     if artifact is None:
         return seq._eager_forward(x)
     if artifact.graph.forward_unsafe():
-        # Training-mode BatchNorm/Dropout: the stateful per-sample
+        # Training-mode BatchNorm: the stateful per-sample
         # forward is a different function — run it eagerly.
         _STATS.eager_bypasses += 1
         return seq._eager_forward(x)

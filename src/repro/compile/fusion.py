@@ -2,14 +2,13 @@
 
 The planner walks the straight-line graph once and groups it into
 stages.  Each stage has one producer and absorbs the **longest
-following chain of elementwise nodes** — bias add, activations,
-inference-mode dropout/BatchNorm affines — which then execute *in
-place* on the producer's output instead of allocating one array per op:
+following chain of elementwise nodes** — bias add, ReLU,
+inference-mode BatchNorm affines — which then execute *in place* on
+the producer's output instead of allocating one array per op:
 
 * ``gemm``        -> ``x @ W`` written into the stage's arena slot;
 * ``call_module`` -> the layer's own ``forward_batch`` (conv/pool/GRU/
   Norm2d);
-* ``layernorm``   -> a row-wise reduction into the stage's arena slot;
 * ``copy``        -> a leading (or post-flatten) run of elementwise
   nodes with no producer: one copy of the input into an arena slot,
   then the chain;
@@ -17,10 +16,10 @@ place* on the producer's output instead of allocating one array per op:
   may alias the caller's input, which must not be written in place.
 
 Chain application is pure in-place ufunc arithmetic (``np.maximum(out=)``
-etc.; sigmoid via a clip/negate/exp/reciprocal chain, leaky-ReLU via a
-scratch negative part) replaying the eager layers' arithmetic, so a
-program is bit-identical to eager and touches no allocator in steady
-state when run against a :class:`repro.compile.arena.BufferArena`.
+etc.) and touches no allocator in steady state when run against a
+:class:`repro.compile.arena.BufferArena`.  Bias adds and ReLU replay the
+eager arithmetic exactly; the BatchNorm affine folds into one scale and
+shift, so it matches eager to rounding (a few ulps), not bit for bit.
 """
 
 from __future__ import annotations
@@ -44,26 +43,6 @@ def _apply_chain(y: np.ndarray, chain: List[ChainOp], arena, key: str) -> None:
             np.add(y, layer.bias.data, out=y)
         elif op == "relu":
             np.maximum(y, 0.0, out=y)
-        elif op == "leaky_relu":
-            neg = arena.out(f"{key}.c{i}.neg", y.shape, y.dtype)
-            np.minimum(y, 0.0, out=neg)
-            neg *= layer.slope
-            np.maximum(y, 0.0, out=y)
-            y += neg
-        elif op == "tanh":
-            np.tanh(y, out=y)
-        elif op == "sigmoid":
-            # 1 / (1 + exp(-y)), clipped at +/-60 like the eager layer to
-            # avoid overflow at extreme logits (bit-identical to it).
-            np.clip(y, -60.0, 60.0, out=y)
-            np.negative(y, out=y)
-            np.exp(y, out=y)
-            y += 1.0
-            np.reciprocal(y, out=y)
-        elif op == "softplus":
-            np.logaddexp(0.0, y, out=y)
-        elif op in ("identity", "dropout"):
-            pass  # inference-mode no-ops
         elif op == "bn_affine":
             # y <- y * s + t with s = gamma/sqrt(var+eps), t = beta - mean*s.
             # Recomputed into per-stage scratch each call: cheap (O(dim))
@@ -95,25 +74,6 @@ def _call_module(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
     return stage.layer.forward_batch(x)
 
 
-def _layernorm(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
-    ln, key = stage.layer, stage.key
-    stat_shape = x.shape[:-1] + (1,)
-    y = arena.out(key, x.shape, x.dtype)
-    sq = arena.out(key + ".sq", x.shape, x.dtype)
-    mu = arena.out(key + ".mu", stat_shape, x.dtype)
-    var = arena.out(key + ".var", stat_shape, x.dtype)
-    np.mean(x, axis=-1, keepdims=True, out=mu)
-    np.subtract(x, mu, out=y)
-    np.multiply(y, y, out=sq)
-    np.mean(sq, axis=-1, keepdims=True, out=var)
-    np.add(var, ln.eps, out=var)
-    np.sqrt(var, out=var)
-    y /= var
-    y *= ln.gamma.data
-    y += ln.beta.data
-    return y
-
-
 def _copy(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
     y = arena.out(stage.key, x.shape, x.dtype)
     np.copyto(y, x)
@@ -124,8 +84,8 @@ def _flatten(stage: "Stage", x: np.ndarray, arena) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
-_PRODUCERS = {"gemm": _gemm, "call_module": _call_module,
-              "layernorm": _layernorm, "copy": _copy, "flatten": _flatten}
+_PRODUCERS = {"gemm": _gemm, "call_module": _call_module, "copy": _copy,
+              "flatten": _flatten}
 
 
 class Stage:

@@ -5,13 +5,10 @@ captured :class:`Graph` is an ordered list of :class:`Node` records, one
 per op.  Each layer class traces to fixed ops (subclasses inherit their
 nearest ancestor's):
 
-* ``Dense``                    -> ``gemm`` (+ ``bias_add``)
-* activations / ``Dropout``    -> elementwise nodes (dropout is an
-  inference-mode no-op)
+* ``Dense``                    -> ``gemm`` + ``bias_add``
+* ``ReLU``                     -> ``relu`` (an elementwise node)
 * ``BatchNorm``                -> ``bn_affine`` (running-stats affine,
   the :meth:`forward_batch` inference semantics)
-* ``LayerNorm``                -> ``layernorm`` (row-wise reduction,
-  its own stage)
 * ``Flatten``                  -> ``flatten`` (a reshape view)
 * conv / pool / GRU / Norm2d   -> opaque ``call_module`` nodes (their
   ``forward_batch`` already runs as one fused numpy expression; fusing
@@ -25,11 +22,10 @@ eager execution over an error use
 :func:`repro.compile.compile_module` with ``fallback="eager"``.
 
 The captured graph encodes ``forward_batch`` (pure inference) semantics.
-That matters for two stateful layers: ``BatchNorm`` in training mode
-normalizes with *batch* statistics and mutates its running estimates,
-and ``Dropout`` in training mode draws a random mask — neither is a pure
-function of the input, so a compiled artifact can stand in for their
-``forward`` only when the layers are in eval mode.
+That matters for the one stateful layer: ``BatchNorm`` in training mode
+normalizes with *batch* statistics and mutates its running estimates —
+not a pure function of the input, so a compiled artifact can stand in
+for its ``forward`` only when the layer is in eval mode.
 :meth:`Graph.forward_unsafe` reports exactly this condition and the
 mode-routing layer checks it on every ``forward`` call (``training``
 flags can flip after capture).
@@ -41,23 +37,15 @@ from typing import Dict, List, NamedTuple, Optional
 
 from ..generative.rmae import Norm2d
 from ..nn.layers import (
-    AvgPool2d,
     BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Dropout,
     Flatten,
     GRUCell,
-    Identity,
-    LayerNorm,
-    LeakyReLU,
     MaxPool2d,
     Module,
     ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
 )
 from ..nn.sequential import Sequential
 
@@ -71,22 +59,15 @@ class TraceError(RuntimeError):
 
 # Ops the planner folds onto the producing GEMM/conv output (all
 # row-wise, in-place-applicable transforms).
-ELEMENTWISE_OPS = frozenset({
-    "bias_add", "relu", "leaky_relu", "tanh", "sigmoid", "softplus",
-    "identity", "dropout", "bn_affine",
-})
+ELEMENTWISE_OPS = frozenset({"bias_add", "relu", "bn_affine"})
 
 # Layer class -> the one op it traces to (subclasses inherit their
 # nearest ancestor's entry).  ``Sequential`` and ``Dense`` have rules of
 # their own in :func:`_trace_into`.
 _LAYER_OPS: Dict[type, str] = {
-    ReLU: "relu", LeakyReLU: "leaky_relu", Tanh: "tanh",
-    Sigmoid: "sigmoid", Softplus: "softplus", Identity: "identity",
-    # Inference-mode dropout is the identity (inverted dropout pre-scales).
-    Dropout: "dropout",
+    ReLU: "relu",
     # Inference-mode BatchNorm is an affine transform of the running stats.
     BatchNorm: "bn_affine",
-    LayerNorm: "layernorm",
     Flatten: "flatten",
     # Opaque leaves: their forward_batch is already one fused numpy
     # expression (im2col GEMMs, pooling reductions, the GRU's gate
@@ -94,8 +75,7 @@ _LAYER_OPS: Dict[type, str] = {
     # treats each as a single stage and still fuses any elementwise
     # tail onto its output.
     Conv2d: "call_module", ConvTranspose2d: "call_module",
-    MaxPool2d: "call_module", AvgPool2d: "call_module",
-    GRUCell: "call_module", Norm2d: "call_module",
+    MaxPool2d: "call_module", GRUCell: "call_module", Norm2d: "call_module",
 }
 
 
@@ -120,18 +100,12 @@ class Graph:
 
         The graph encodes inference (``forward_batch``) semantics;
         training-mode ``BatchNorm`` (batch statistics + running-stat
-        mutation) and training-mode ``Dropout`` with ``p > 0`` (random
-        masking) make the per-sample ``forward`` a different function.
+        mutation) makes the per-sample ``forward`` a different function.
         Checked per call because ``train()``/``eval()`` can flip the
         flags after capture.
         """
-        for node in self.nodes:
-            layer = node.layer
-            if isinstance(layer, BatchNorm) and layer.training:
-                return True
-            if isinstance(layer, Dropout) and layer.training and layer.p > 0.0:
-                return True
-        return False
+        return any(isinstance(node.layer, BatchNorm) and node.layer.training
+                   for node in self.nodes)
 
 
 def supported_layers() -> List[str]:
@@ -145,8 +119,7 @@ def _trace_into(module: Module, graph: Graph) -> None:
         return
     if isinstance(module, Dense):
         graph.add("gemm", module)
-        if module.bias is not None:
-            graph.add("bias_add", module)
+        graph.add("bias_add", module)
         return
     for cls in type(module).__mro__:
         op = _LAYER_OPS.get(cls)

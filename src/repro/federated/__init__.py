@@ -7,7 +7,6 @@ from .async_sim import (
     DispatchRecord,
     participation_weights,
     staleness_decay,
-    staleness_weights,
 )
 from .client import (
     ClientReport,
@@ -30,7 +29,7 @@ __all__ = [
     "PrecisionSelector", "candidate_configs",
     "FLServer", "RoundSummary", "MODES", "client_plan", "payload_bytes",
     "AsyncFLServer", "DispatchRecord", "DECAY_KINDS",
-    "staleness_decay", "staleness_weights", "participation_weights",
+    "staleness_decay", "participation_weights",
     "JobStore", "JobHandle",
     "NGramLM", "speculative_decode", "autoregressive_decode",
     "SpeculativeStats",

@@ -8,10 +8,9 @@ that barrier wastes almost the whole fleet's time.  This module removes
 it:
 
 * **Virtual-time event scheduler** — each dispatched client finishes at
-  ``now + compute_s + comm_s`` on an injectable
-  :class:`~repro.core.clock.Clock` (a
-  :class:`~repro.core.clock.VirtualClock` by default, so a week of fleet
-  time simulates in seconds and every timestamp is exact);
+  ``now + compute_s + comm_s`` on a
+  :class:`~repro.core.clock.VirtualClock`, so a week of fleet time
+  simulates in seconds and every timestamp is exact;
 * **Staleness-weighted aggregation** — updates merge on arrival with
   weight ``n_samples * decay(versions_behind)``; no update is discarded,
   late ones just count less (:func:`staleness_decay`);
@@ -45,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.clock import Clock, VirtualClock
+from ..core.clock import VirtualClock
 from ..hardware.energy import mac_energy_pj
 from ..obs.registry import get_registry
 from ..runtime.seeding import assert_private_rngs
@@ -56,7 +55,7 @@ from .heterogeneity import uplink_mbps
 from .server import FLServer, payload_bytes
 
 __all__ = ["AsyncFLServer", "DispatchRecord", "DECAY_KINDS",
-           "staleness_decay", "staleness_weights", "participation_weights"]
+           "staleness_decay", "participation_weights"]
 
 DECAY_KINDS = ("poly", "exp")
 
@@ -82,26 +81,6 @@ def staleness_decay(staleness: Union[float, Sequence[float], np.ndarray],
         raise ValueError("staleness cannot be negative")
     out = (1.0 + s) ** (-alpha) if kind == "poly" else np.exp(-alpha * s)
     return float(out) if out.ndim == 0 else out
-
-
-def staleness_weights(staleness: Sequence[float], n_samples: Sequence[int],
-                      alpha: float = 0.5, kind: str = "poly") -> np.ndarray:
-    """Normalized merge weights for one buffered wave.
-
-    ``w_i ∝ n_i * decay(s_i)``; the returned vector sums to 1.  The
-    engine feeds the *unnormalized* effective weights to
-    :func:`~repro.federated.dcnas.merge_subnetwork` (which normalizes
-    coordinate-wise over covering clients); this helper exposes the
-    flat-merge normalization for analysis and property tests.
-    """
-    s = np.asarray(staleness, dtype=np.float64)
-    n = np.asarray(n_samples, dtype=np.float64)
-    if s.shape != n.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("need matching non-empty staleness/sample vectors")
-    if np.any(n <= 0):
-        raise ValueError("sample counts must be positive")
-    raw = n * staleness_decay(s, alpha=alpha, kind=kind)
-    return raw / raw.sum()
 
 
 def participation_weights(cost_s: Sequence[float],
@@ -163,8 +142,7 @@ class AsyncFLServer(FLServer):
                  buffer_size: int = 1, sample_fraction: float = 0.1,
                  staleness_alpha: float = 0.5, staleness_kind: str = "poly",
                  cost_aware: bool = True, participation_floor: float = 0.05,
-                 staleness_adaptive: bool = False, sampler_seed: int = 0,
-                 clock: Optional[Clock] = None):
+                 sampler_seed: int = 0):
         super().__init__(clients, test_data, hidden=hidden, mode=mode,
                          local_epochs=local_epochs, lr=lr, rng=rng)
         if buffer_size < 1:
@@ -179,9 +157,8 @@ class AsyncFLServer(FLServer):
         self.staleness_kind = staleness_kind
         self.cost_aware = bool(cost_aware)
         self.participation_floor = float(participation_floor)
-        self.staleness_adaptive = bool(staleness_adaptive)
         self.sampler_seed = int(sampler_seed)
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self._sampler = np.random.default_rng(self.sampler_seed)
 
         n = len(self.clients)
@@ -197,7 +174,6 @@ class AsyncFLServer(FLServer):
         self._idle = set(range(n))
         self.client_update_counts = np.zeros(n, dtype=np.int64)
         self.client_dispatch_counts = np.zeros(n, dtype=np.int64)
-        self._stale_ema = np.zeros(n)
         self._stale_sum = 0.0
         self._stale_count = 0
         self._stale_max = 0
@@ -232,10 +208,6 @@ class AsyncFLServer(FLServer):
 
     def _sampling_weights(self, idle: np.ndarray) -> np.ndarray:
         w = self._base_weights[idle]
-        if self.staleness_adaptive:
-            # CARMA-style adaptation: clients whose updates keep landing
-            # stale get sampled less, shrinking wasted dispatches.
-            w = w / (1.0 + self._stale_ema[idle])
         return w / w.sum()
 
     # ----------------------------------------------------------- dispatch
@@ -325,16 +297,13 @@ class AsyncFLServer(FLServer):
         self.version += 1
 
         # Virtual time jumps to the last arrival merged in this wave
-        # (pops come off the heap in ascending finish order).  Through
-        # Clock.sleep so a SystemClock would pace real time instead.
+        # (pops come off the heap in ascending finish order).
         advance = popped[-1][0] - self.clock.now()
         if advance > 0:
             self.clock.sleep(advance)
         for record, s in zip(records, staleness):
             self._idle.add(record.client_index)
             self.client_update_counts[record.client_index] += 1
-            self._stale_ema[record.client_index] = (
-                0.5 * self._stale_ema[record.client_index] + 0.5 * s)
             self._stale_sum += s
             self._stale_count += 1
             self._stale_max = max(self._stale_max, s)
@@ -357,7 +326,7 @@ class AsyncFLServer(FLServer):
                 self.buffer_size, self.sample_fraction,
                 self.staleness_alpha, self.staleness_kind,
                 self.cost_aware, self.participation_floor,
-                self.staleness_adaptive, self.sampler_seed,
+                self.sampler_seed,
                 [(len(c.data), c.profile.name) for c in self.clients],
                 self._initial_sha, limits]
 
@@ -374,7 +343,6 @@ class AsyncFLServer(FLServer):
             "sampler_state": self._sampler.bit_generator.state,
             "client_update_counts": self.client_update_counts.copy(),
             "client_dispatch_counts": self.client_dispatch_counts.copy(),
-            "stale_ema": self._stale_ema.copy(),
             "stale_sum": self._stale_sum, "stale_count": self._stale_count,
             "stale_max": self._stale_max,
             "updates": self.updates, "waves": self.waves,
@@ -399,7 +367,6 @@ class AsyncFLServer(FLServer):
         self._sampler.bit_generator.state = state["sampler_state"]
         self.client_update_counts = state["client_update_counts"].copy()
         self.client_dispatch_counts = state["client_dispatch_counts"].copy()
-        self._stale_ema = state["stale_ema"].copy()
         self._stale_sum = state["stale_sum"]
         self._stale_count = state["stale_count"]
         self._stale_max = state["stale_max"]

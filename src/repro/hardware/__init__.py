@@ -11,13 +11,12 @@ from .energy import (
 )
 from .imc import CrossbarModel, compare_architectures, digital_mvm_energy_pj
 from .latency import MAC_AREA_UM2, MAC_LATENCY_NS, HardwareProfile, mac_area_um2, mac_latency_ns
-from .lidar_power import LidarPowerModel, diffraction_limited_resolution
+from .lidar_power import LidarPowerModel
 
 __all__ = [
     "MAC_ENERGY_PJ", "MEMORY_ENERGY_PJ_PER_BYTE", "DRAM_ENERGY_PJ_PER_BYTE",
     "mac_energy_pj", "memory_energy_pj", "model_inference_energy_mj",
     "EnergyLedger", "MAC_LATENCY_NS", "MAC_AREA_UM2", "mac_latency_ns",
     "mac_area_um2", "HardwareProfile", "LidarPowerModel",
-    "diffraction_limited_resolution",
     "CrossbarModel", "digital_mvm_energy_pj", "compare_architectures",
 ]

@@ -108,14 +108,6 @@ class EnergyLedger:
         return (self.sensing_mj + self.compute_mj
                 + self.communication_mj + self.actuation_mj)
 
-    def merge(self, other: "EnergyLedger") -> "EnergyLedger":
-        return EnergyLedger(
-            self.sensing_mj + other.sensing_mj,
-            self.compute_mj + other.compute_mj,
-            self.communication_mj + other.communication_mj,
-            self.actuation_mj + other.actuation_mj,
-        )
-
     def as_dict(self) -> Dict[str, float]:
         s, c, m, a = (self.sensing_mj, self.compute_mj,
                       self.communication_mj, self.actuation_mj)

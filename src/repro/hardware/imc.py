@@ -61,14 +61,6 @@ class CrossbarModel:
     # Partial sums from every row-tile must each be converted and added
     # digitally, so ADC cost scales with the row-tile count.
 
-    def tiles(self, rows: int, cols: int) -> int:
-        """Number of array tiles a (rows x cols) matrix occupies."""
-        if rows <= 0 or cols <= 0:
-            raise ValueError("dimensions must be positive")
-        r = -(-rows // self.max_rows)
-        c = -(-cols // self.max_cols)
-        return r * c
-
     def mvm_energy_pj(self, rows: int, cols: int, batch: int = 1,
                       input_activity: float = 1.0) -> float:
         """Energy of ``batch`` MVMs; ``input_activity`` is the fraction
@@ -82,11 +74,6 @@ class CrossbarModel:
                    + cols * self.adc_pj * tiles_r
                    + rows * cols * input_activity * self.array_mac_fj * 1e-3)
         return per_vec * batch
-
-    def write_energy_pj(self, rows: int, cols: int,
-                        write_pj_per_cell: float = 10.0) -> float:
-        """One-time cost of programming the weights into the array."""
-        return rows * cols * write_pj_per_cell
 
 
 def compare_architectures(rows: int, cols: int, batch: int = 1,

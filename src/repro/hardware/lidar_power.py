@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LidarPowerModel", "diffraction_limited_resolution"]
-
-
-def diffraction_limited_resolution(wavelength_nm: float,
-                                   aperture_mm: float) -> float:
-    """Angular resolution Δθ (radians) of a diffraction-limited aperture."""
-    if wavelength_nm <= 0 or aperture_mm <= 0:
-        raise ValueError("wavelength and aperture must be positive")
-    return 1.22 * (wavelength_nm * 1e-9) / (aperture_mm * 1e-3)
+__all__ = ["LidarPowerModel"]
 
 
 @dataclass

@@ -25,7 +25,7 @@ with their generators, before dispatch).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

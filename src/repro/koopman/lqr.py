@@ -97,13 +97,3 @@ class LQRController:
     def act(self, x: np.ndarray) -> np.ndarray:
         u = -self.gain @ (np.asarray(x) - self.goal)
         return np.clip(u, -self.action_limit, self.action_limit)
-
-    def expected_cost(self, x: np.ndarray) -> float:
-        """Quadratic cost-to-go estimate x' P x.
-
-        Uses the horizon-0 Riccati matrix (recomputed on demand).
-        """
-        _, costs = riccati_recursion(self.a, self.b, self.q, self.r,
-                                     self.horizon)
-        dx = np.asarray(x) - self.goal
-        return float(dx @ costs[0] @ dx)

@@ -157,7 +157,3 @@ class SpectralKoopmanOperator(Module):
     def prediction_macs(self) -> int:
         """MACs per latent step: 4 per pair + B u."""
         return 4 * self.n_pairs + self.latent_dim * self.action_dim
-
-    def control_macs(self, horizon: int = 1) -> int:
-        """MACs for LQR feedback u = -K z over a horizon."""
-        return horizon * self.action_dim * self.latent_dim

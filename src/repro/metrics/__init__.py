@@ -1,7 +1,6 @@
 """``repro.metrics`` — shared evaluation metrics (AUC, optical flow)."""
 
-from .auc import roc_auc, roc_curve
-from .flow import average_endpoint_error, flow_outlier_fraction
+from .auc import roc_auc
+from .flow import average_endpoint_error
 
-__all__ = ["roc_auc", "roc_curve", "average_endpoint_error",
-           "flow_outlier_fraction"]
+__all__ = ["roc_auc", "average_endpoint_error"]

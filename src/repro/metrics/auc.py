@@ -2,37 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["roc_curve", "roc_auc"]
-
-
-def roc_curve(scores: Sequence[float], labels: Sequence[int]
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """False/true positive rates swept over all score thresholds.
-
-    ``labels``: 1 = anomalous (positive), 0 = nominal.  Higher scores
-    should indicate anomalies.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if scores.shape != labels.shape:
-        raise ValueError("scores and labels must have the same shape")
-    if not np.all(np.isin(labels, (0, 1))):
-        raise ValueError("labels must be binary")
-    order = np.argsort(-scores, kind="stable")
-    labels = labels[order]
-    tps = np.cumsum(labels)
-    fps = np.cumsum(1 - labels)
-    n_pos = int(labels.sum())
-    n_neg = int(len(labels) - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("need both positive and negative samples")
-    tpr = np.concatenate([[0.0], tps / n_pos])
-    fpr = np.concatenate([[0.0], fps / n_neg])
-    return fpr, tpr
+__all__ = ["roc_auc"]
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["average_endpoint_error", "flow_outlier_fraction"]
+__all__ = ["average_endpoint_error"]
 
 
 def average_endpoint_error(pred: np.ndarray, target: np.ndarray,
@@ -30,10 +30,3 @@ def average_endpoint_error(pred: np.ndarray, target: np.ndarray,
             return 0.0
         return float(err[mask].mean())
     return float(err.mean())
-
-
-def flow_outlier_fraction(pred: np.ndarray, target: np.ndarray,
-                          threshold: float = 3.0) -> float:
-    """Fraction of pixels whose endpoint error exceeds ``threshold`` px."""
-    err = np.sqrt(((np.asarray(pred) - np.asarray(target)) ** 2).sum(axis=0))
-    return float((err > threshold).mean())

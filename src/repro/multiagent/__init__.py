@@ -5,12 +5,11 @@ from .coverage import (
     minimal_radius,
     plan_coordinated_step,
     rectangular_partition,
-    voronoi_partition,
 )
 from .swarm import SwarmResult, compare_swarm_strategies, run_coordinated, run_uncoordinated
 
 __all__ = [
-    "voronoi_partition", "minimal_radius", "coverage_redundancy",
+    "minimal_radius", "coverage_redundancy",
     "plan_coordinated_step", "rectangular_partition",
     "SwarmResult", "run_uncoordinated", "run_coordinated",
     "compare_swarm_strategies",

@@ -3,10 +3,11 @@
 "One agent can reduce its sensing load if another has superior coverage
 or access to relevant data, improving overall system efficiency."
 
-The coordinator partitions the world among agents (nearest-agent /
-Voronoi cells) and gives each agent the *smallest sensing radius that
-still covers its own cell* — eliminating the overlapping observations an
-uncoordinated swarm pays for.
+The coordinator partitions the world into balanced rectangular cells,
+matches each agent to the nearest unclaimed one, and gives each agent
+the *smallest sensing radius that still covers its own cell* —
+eliminating the overlapping observations an uncoordinated swarm pays
+for.
 """
 
 from __future__ import annotations
@@ -15,24 +16,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["voronoi_partition", "minimal_radius", "coverage_redundancy",
+__all__ = ["minimal_radius", "coverage_redundancy",
            "rectangular_partition", "plan_coordinated_step"]
 
 Cell = Tuple[int, int]
-
-
-def voronoi_partition(size: int, positions: Sequence[Cell]
-                      ) -> Dict[int, List[Cell]]:
-    """Assign every grid cell to its nearest agent (ties -> lower index)."""
-    if not positions:
-        raise ValueError("need at least one agent position")
-    assignment: Dict[int, List[Cell]] = {i: [] for i in range(len(positions))}
-    pos = np.asarray(positions, dtype=np.float64)
-    for x in range(size):
-        for y in range(size):
-            d2 = ((pos[:, 0] - x) ** 2 + (pos[:, 1] - y) ** 2)
-            assignment[int(np.argmin(d2))].append((x, y))
-    return assignment
 
 
 def minimal_radius(position: Cell, cells: Sequence[Cell]) -> int:

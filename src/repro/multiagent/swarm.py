@@ -7,7 +7,7 @@ the same coverage task run by
 
 * an **uncoordinated** swarm — every agent senses at the radius needed
   to guarantee coverage alone (full overlap, full cost), and
-* a **coordinated** swarm — Voronoi partitioning + minimal radii.
+* a **coordinated** swarm — rectangular partitioning + minimal radii.
 
 Both are scored on event-detection rate and total sensing energy.
 """
@@ -35,10 +35,6 @@ class SwarmResult:
     total_energy_mj: float
     mean_redundancy: float
     steps: int
-
-    def energy_per_detection(self) -> float:
-        rate = max(self.detection_rate, 1e-9)
-        return self.total_energy_mj / rate
 
 
 def _solo_radius(config: GridWorldConfig) -> int:
@@ -72,7 +68,7 @@ def run_uncoordinated(config: Optional[GridWorldConfig] = None,
 
 def run_coordinated(config: Optional[GridWorldConfig] = None,
                     steps: int = 40, seed: int = 0) -> SwarmResult:
-    """Voronoi-partitioned coverage with minimal radii."""
+    """Rectangular-partitioned coverage with minimal radii."""
     config = config or GridWorldConfig()
     world = CoverageGridWorld(config, rng=np.random.default_rng(seed))
     redundancy = []

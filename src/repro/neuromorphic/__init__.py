@@ -5,10 +5,7 @@ from .energy import (
     E_AC_PJ,
     E_MAC_PJ,
     ann_energy_pj,
-    energy_ratio_ann_over_snn,
-    registry_snn_energy_pj,
     snn_energy_pj,
-    synop_energy_pj,
 )
 from .flow_models import (
     FLOW_MODEL_FAMILIES,
@@ -29,8 +26,6 @@ __all__ = [
     "lif_step", "surrogate_gradient", "LIFParameters",
     "SpikingConv2d", "spike_rate",
     "E_MAC_PJ", "E_AC_PJ", "ann_energy_pj", "snn_energy_pj",
-    "synop_energy_pj", "registry_snn_energy_pj",
-    "energy_ratio_ann_over_snn",
     "FlowModel", "EvFlowNet", "SpikeFlowNet", "FusionFlowNet",
     "AdaptiveSpikeNet", "FLOW_MODEL_FAMILIES", "build_flow_model",
     "train_flow_model", "per_sample_aee", "evaluate_aee",

@@ -14,9 +14,7 @@ input spike rate is the sparsity dividend event-driven processing earns.
 
 from __future__ import annotations
 
-__all__ = ["E_MAC_PJ", "E_AC_PJ", "ann_energy_pj", "snn_energy_pj",
-           "synop_energy_pj", "registry_snn_energy_pj",
-           "energy_ratio_ann_over_snn"]
+__all__ = ["E_MAC_PJ", "E_AC_PJ", "ann_energy_pj", "snn_energy_pj"]
 
 E_MAC_PJ = 4.6  # multiply-accumulate (float32, 45 nm)
 E_AC_PJ = 0.9   # accumulate only (what a binary spike costs)
@@ -42,35 +40,3 @@ def snn_energy_pj(macs_per_timestep: int, timesteps: int,
         raise ValueError("spike rate cannot be negative")
     synops = macs_per_timestep * timesteps * mean_spike_rate
     return synops * E_AC_PJ
-
-
-def synop_energy_pj(total_spikes: float, fanout_macs: float = 1.0) -> float:
-    """Energy of ``total_spikes`` events each driving ``fanout_macs``
-    accumulate-only synaptic operations."""
-    if total_spikes < 0 or fanout_macs < 0:
-        raise ValueError("op counts cannot be negative")
-    return total_spikes * fanout_macs * E_AC_PJ
-
-
-def registry_snn_energy_pj(registry=None, fanout_macs: float = 1.0) -> float:
-    """Event-driven energy from observed spike counters.
-
-    Reads the ``snn.spikes`` counter that :class:`repro.neuromorphic.snn.
-    SpikingConv2d` maintains on the active (or given) metrics registry,
-    so a profiled run prices exactly the spikes it actually emitted
-    rather than an assumed mean rate.
-    """
-    if registry is None:
-        from ..obs.registry import get_registry
-        registry = get_registry()
-    return synop_energy_pj(registry.counter("snn.spikes").value, fanout_macs)
-
-
-def energy_ratio_ann_over_snn(macs: int, macs_per_timestep: int,
-                              timesteps: int, mean_spike_rate: float
-                              ) -> float:
-    """How many times cheaper the spiking implementation runs."""
-    snn = snn_energy_pj(macs_per_timestep, timesteps, mean_spike_rate)
-    if snn <= 0:
-        return float("inf")
-    return ann_energy_pj(macs) / snn

@@ -85,8 +85,8 @@ class SpikingConv2d(Module):
             raise ValueError("spiking input must be (T, N, C, H, W)")
         with kernel_timer("snn_bptt", "forward"):
             out = get_kernel("snn_bptt").forward(self, x)
-        # Spike telemetry: counters feed the event-driven energy model
-        # (repro.neuromorphic.energy.registry_snn_energy_pj).
+        # Spike telemetry: the events the event-driven energy model
+        # (repro.neuromorphic.energy.snn_energy_pj) prices.
         obs = get_registry()
         if obs.enabled:
             obs.counter("snn.spikes").inc(float(out.sum()))

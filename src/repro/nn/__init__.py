@@ -7,34 +7,25 @@ precision-reconfigurable quantization, and analytic MAC/FLOP counting.
 
 from .counting import OpCount, count_conv2d, count_dense, count_macs, count_module
 from .layers import (
-    AvgPool2d,
     BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Dropout,
     Flatten,
     GRUCell,
-    Identity,
-    LayerNorm,
-    LeakyReLU,
     MaxPool2d,
     Module,
     ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
 )
 from .losses import (
     bce_with_logits,
     cross_entropy_with_logits,
     gaussian_kl,
-    huber_loss,
     info_nce,
     mse_loss,
     softmax,
 )
-from .optim import SGD, SPSA, Adam, clip_grad_norm
+from .optim import SGD, SPSA, Adam
 from .quantize import SUPPORTED_BITS, PrecisionConfig, quantization_noise_power, quantize
 from .sequential import Sequential, mlp
 from .sparse3d import (
@@ -44,18 +35,17 @@ from .sparse3d import (
     SparseSequential,
     SparseVoxelTensor,
 )
-from .tensor import Parameter, glorot_uniform, he_normal, orthogonal_init, zeros_init
+from .tensor import Parameter, glorot_uniform, he_normal, zeros_init
 from .vae import VAE, train_vae
 
 __all__ = [
-    "Parameter", "glorot_uniform", "he_normal", "orthogonal_init", "zeros_init",
-    "Module", "Dense", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Softplus",
-    "Identity", "Dropout", "LayerNorm", "BatchNorm", "Flatten", "Conv2d",
-    "ConvTranspose2d", "MaxPool2d", "AvgPool2d", "GRUCell",
+    "Parameter", "glorot_uniform", "he_normal", "zeros_init",
+    "Module", "Dense", "ReLU", "BatchNorm", "Flatten", "Conv2d",
+    "ConvTranspose2d", "MaxPool2d", "GRUCell",
     "Sequential", "mlp",
     "mse_loss", "bce_with_logits", "softmax", "cross_entropy_with_logits",
-    "huber_loss", "info_nce", "gaussian_kl",
-    "SGD", "Adam", "SPSA", "clip_grad_norm",
+    "info_nce", "gaussian_kl",
+    "SGD", "Adam", "SPSA",
     "OpCount", "count_dense", "count_conv2d", "count_module", "count_macs",
     "quantize", "quantization_noise_power", "PrecisionConfig", "SUPPORTED_BITS",
     "VAE", "train_vae",

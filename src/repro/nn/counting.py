@@ -15,23 +15,15 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .layers import (
-    AvgPool2d,
     BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Dropout,
     Flatten,
     GRUCell,
-    Identity,
-    LayerNorm,
-    LeakyReLU,
     MaxPool2d,
     Module,
     ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
 )
 from .sequential import Sequential
 
@@ -54,12 +46,9 @@ class OpCount:
         self.by_layer[name] = self.by_layer.get(name, 0) + macs
 
 
-def count_dense(in_features: int, out_features: int, bias: bool = True) -> int:
-    """MACs for one Dense forward at batch size 1."""
-    macs = in_features * out_features
-    if bias:
-        macs += out_features
-    return macs
+def count_dense(in_features: int, out_features: int) -> int:
+    """MACs for one Dense forward (bias included) at batch size 1."""
+    return in_features * out_features + out_features
 
 
 def count_conv2d(in_ch: int, out_ch: int, kernel: int, out_h: int,
@@ -94,8 +83,7 @@ def _count_into(module: Module, shape: Tuple[int, ...], count: OpCount
             shape = _count_into(layer, shape, count)
         return shape
     if isinstance(module, Dense):
-        count.add("dense", count_dense(module.in_features, module.out_features,
-                                       module.bias is not None))
+        count.add("dense", count_dense(module.in_features, module.out_features))
         return shape[:-1] + (module.out_features,)
     if isinstance(module, GRUCell):
         d = module.input_dim + module.hidden_dim
@@ -114,18 +102,17 @@ def _count_into(module: Module, shape: Tuple[int, ...], count: OpCount
         count.add("deconv2d", count_conv2d(module.in_ch, module.out_ch,
                                            module.kernel, h, w))
         return (module.out_ch, ho, wo)
-    if isinstance(module, (MaxPool2d, AvgPool2d)):
+    if isinstance(module, MaxPool2d):
         c, h, w = shape
         ho = _spatial_out(h, module.kernel, module.stride, 0)
         wo = _spatial_out(w, module.kernel, module.stride, 0)
         return (c, ho, wo)
     if isinstance(module, Flatten):
         return (int(np.prod(shape)),)
-    if isinstance(module, (BatchNorm, LayerNorm)):
+    if isinstance(module, BatchNorm):
         count.add("norm", 2 * int(np.prod(shape)))
         return shape
-    if isinstance(module, (ReLU, LeakyReLU, Tanh, Sigmoid, Softplus, Dropout,
-                           Identity)):
+    if isinstance(module, ReLU):
         return shape
     # Fallback: count parameters as MACs (each weight touched once).
     n = module.num_parameters()

@@ -18,19 +18,11 @@ __all__ = [
     "Module",
     "Dense",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softplus",
-    "Identity",
-    "Dropout",
-    "LayerNorm",
     "BatchNorm",
     "Flatten",
     "Conv2d",
     "ConvTranspose2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GRUCell",
 ]
 
@@ -63,7 +55,7 @@ class Module:
           statistics, and RNG streams are left exactly as they were, so
           a batched inference can interleave with an in-flight training
           forward/backward pair without corrupting it;
-        * stochastic layers (dropout) run in inference mode.
+        * stateful layers (BatchNorm) run in inference mode.
 
         Layers without an override are rejected loudly rather than
         silently falling back to the stateful ``forward``.
@@ -125,29 +117,8 @@ class Module:
             m.training = False
         return self
 
-    def num_parameters(self, trainable_only: bool = False) -> int:
-        params = self.parameters()
-        if trainable_only:
-            params = [p for p in params if p.trainable]
-        return sum(p.size for p in params)
-
-    def state_dict(self) -> dict:
-        """Flat name->array snapshot of all parameters (copies)."""
-        state = {}
-        for i, p in enumerate(self.parameters()):
-            state[f"{i}:{p.name}"] = p.data.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ValueError(
-                f"state has {len(state)} entries, model has {len(params)} parameters"
-            )
-        for (key, value), p in zip(state.items(), params):
-            if value.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {key}: {value.shape} vs {p.shape}")
-            p.data[...] = value
+    def num_parameters(self) -> int:
+        return sum(p.size for p in self.parameters())
 
 
 class Dense(Module):
@@ -155,28 +126,22 @@ class Dense(Module):
 
     def __init__(self, in_features: int, out_features: int,
                  rng: Optional[np.random.Generator] = None,
-                 bias: bool = True, name: str = "dense"):
+                 name: str = "dense"):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
             glorot_uniform(rng, in_features, out_features), name=f"{name}.weight"
         )
-        self.bias = Parameter(zeros_init((out_features,)), name=f"{name}.bias") if bias else None
+        self.bias = Parameter(zeros_init((out_features,)), name=f"{name}.bias")
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        y = x @ self.weight.data
-        if self.bias is not None:
-            y = y + self.bias.data
-        return y
+        return x @ self.weight.data + self.bias.data
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.weight.data
-        if self.bias is not None:
-            y = y + self.bias.data
-        return y
+        return x @ self.weight.data + self.bias.data
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._x
@@ -184,8 +149,7 @@ class Dense(Module):
         x2 = x.reshape(-1, self.in_features)
         g2 = grad.reshape(-1, self.out_features)
         self.weight.grad += x2.T @ g2
-        if self.bias is not None:
-            self.bias.grad += g2.sum(axis=0)
+        self.bias.grad += g2.sum(axis=0)
         return grad @ self.weight.data.T
 
 
@@ -202,148 +166,6 @@ class ReLU(Module):
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         return np.where(x > 0, x, 0.0)
-
-
-class LeakyReLU(Module):
-    def __init__(self, slope: float = 0.01):
-        self.slope = slope
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.slope * x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad, self.slope * grad)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, self.slope * x)
-
-
-class Tanh(Module):
-    def __init__(self):
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * (1.0 - self._y ** 2)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-
-class Sigmoid(Module):
-    def __init__(self):
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return self._y
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._y * (1.0 - self._y)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-
-class Softplus(Module):
-    """Numerically stable softplus, used for positive outputs (variances)."""
-
-    def __init__(self):
-        self._x: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return np.logaddexp(0.0, x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad / (1.0 + np.exp(-np.clip(self._x, -60.0, 60.0)))
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, x)
-
-
-class Identity(Module):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        # Inference semantics: inverted dropout is already rescaled, so
-        # serving simply passes activations through.
-        return x
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5, name: str = "ln"):
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
-        self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        xhat = (x - mu) / np.sqrt(var + self.eps)
-        self._cache = (xhat, var)
-        return xhat * self.gamma.data + self.beta.data
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, var = self._cache
-        n = self.dim
-        self.gamma.grad += (grad * xhat).reshape(-1, n).sum(axis=0)
-        self.beta.grad += grad.reshape(-1, n).sum(axis=0)
-        gx = grad * self.gamma.data
-        inv = 1.0 / np.sqrt(var + self.eps)
-        return inv * (
-            gx
-            - gx.mean(axis=-1, keepdims=True)
-            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        )
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        # Normalization is per-row over the last axis, so batching is
-        # free: the same expression, minus the backward cache.
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        xhat = (x - mu) / np.sqrt(var + self.eps)
-        return xhat * self.gamma.data + self.beta.data
 
 
 class BatchNorm(Module):
@@ -457,7 +279,7 @@ class Conv2d(Module):
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, stride: int = 1,
                  pad: int = 1, rng: Optional[np.random.Generator] = None,
-                 bias: bool = True, name: str = "conv"):
+                 name: str = "conv"):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
@@ -466,15 +288,14 @@ class Conv2d(Module):
             he_normal(rng, fan_in, (out_ch, in_ch, kernel, kernel)),
             name=f"{name}.weight",
         )
-        self.bias = Parameter(zeros_init((out_ch,)), name=f"{name}.bias") if bias else None
+        self.bias = Parameter(zeros_init((out_ch,)), name=f"{name}.bias")
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride, self.pad)
         w = self.weight.data.reshape(self.out_ch, -1)
         out = np.einsum("of,nfp->nop", w, cols)
-        if self.bias is not None:
-            out += self.bias.data[None, :, None]
+        out += self.bias.data[None, :, None]
         self._cache = (x.shape, cols)
         return out.reshape(x.shape[0], self.out_ch, ho, wo)
 
@@ -483,8 +304,7 @@ class Conv2d(Module):
                                self.pad)
         w = self.weight.data.reshape(self.out_ch, -1)
         out = np.einsum("of,nfp->nop", w, cols)
-        if self.bias is not None:
-            out += self.bias.data[None, :, None]
+        out += self.bias.data[None, :, None]
         return out.reshape(x.shape[0], self.out_ch, ho, wo)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -493,8 +313,7 @@ class Conv2d(Module):
         g = grad.reshape(n, self.out_ch, -1)
         w = self.weight.data.reshape(self.out_ch, -1)
         self.weight.grad += np.einsum("nop,nfp->of", g, cols).reshape(self.weight.shape)
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=(0, 2))
+        self.bias.grad += g.sum(axis=(0, 2))
         dcols = np.einsum("of,nop->nfp", w, g)
         return _col2im(dcols, x_shape, self.kernel, self.kernel, self.stride, self.pad)
 
@@ -508,7 +327,7 @@ class ConvTranspose2d(Module):
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 4, stride: int = 2,
                  pad: int = 1, rng: Optional[np.random.Generator] = None,
-                 bias: bool = True, name: str = "deconv"):
+                 name: str = "deconv"):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
@@ -517,7 +336,7 @@ class ConvTranspose2d(Module):
             he_normal(rng, fan_in, (in_ch, out_ch, kernel, kernel)),
             name=f"{name}.weight",
         )
-        self.bias = Parameter(zeros_init((out_ch,)), name=f"{name}.bias") if bias else None
+        self.bias = Parameter(zeros_init((out_ch,)), name=f"{name}.bias")
         self._cache = None
 
     def out_size(self, h: int) -> int:
@@ -531,8 +350,7 @@ class ConvTranspose2d(Module):
         dcols = np.einsum("if,nip->nfp", wmat, g)
         out = _col2im(dcols, (n, self.out_ch, ho, wo), self.kernel, self.kernel,
                       self.stride, self.pad)
-        if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
+        out += self.bias.data[None, :, None, None]
         self._cache = (x, (n, self.out_ch, ho, wo))
         return out
 
@@ -544,8 +362,7 @@ class ConvTranspose2d(Module):
         dcols = np.einsum("if,nip->nfp", wmat, g)
         out = _col2im(dcols, (n, self.out_ch, ho, wo), self.kernel,
                       self.kernel, self.stride, self.pad)
-        if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
+        out += self.bias.data[None, :, None, None]
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -554,8 +371,7 @@ class ConvTranspose2d(Module):
         cols, ho, wo = _im2col(grad, self.kernel, self.kernel, self.stride, self.pad)
         g = x.reshape(n, self.in_ch, -1)
         self.weight.grad += np.einsum("nip,nfp->if", g, cols).reshape(self.weight.shape)
-        if self.bias is not None:
-            self.bias.grad += grad.sum(axis=(0, 2, 3))
+        self.bias.grad += grad.sum(axis=(0, 2, 3))
         wmat = self.weight.data.reshape(self.in_ch, -1)
         dx = np.einsum("if,nfp->nip", wmat, cols)
         return dx.reshape(x.shape)
@@ -590,36 +406,6 @@ class MaxPool2d(Module):
         k2 = self.kernel * self.kernel
         dcols = np.zeros((n, c, k2, ho * wo))
         np.put_along_axis(dcols, idx[:, :, None, :], grad.reshape(n, c, 1, -1), axis=2)
-        return _col2im(dcols.reshape(n, c * k2, ho * wo), x_shape, self.kernel,
-                       self.kernel, self.stride, 0)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel: int = 2, stride: Optional[int] = None):
-        self.kernel = kernel
-        self.stride = stride if stride is not None else kernel
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride, 0)
-        n, c = x.shape[:2]
-        k2 = self.kernel * self.kernel
-        out = cols.reshape(n, c, k2, ho * wo).mean(axis=2)
-        self._cache = (x.shape, ho, wo)
-        return out.reshape(n, c, ho, wo)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride, 0)
-        n, c = x.shape[:2]
-        k2 = self.kernel * self.kernel
-        out = cols.reshape(n, c, k2, ho * wo).mean(axis=2)
-        return out.reshape(n, c, ho, wo)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        x_shape, ho, wo = self._cache
-        n, c = x_shape[:2]
-        k2 = self.kernel * self.kernel
-        dcols = np.repeat(grad.reshape(n, c, 1, -1) / k2, k2, axis=2)
         return _col2im(dcols.reshape(n, c * k2, ho * wo), x_shape, self.kernel,
                        self.kernel, self.stride, 0)
 

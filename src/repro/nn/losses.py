@@ -15,7 +15,6 @@ __all__ = [
     "bce_with_logits",
     "softmax",
     "cross_entropy_with_logits",
-    "huber_loss",
     "info_nce",
     "gaussian_kl",
 ]
@@ -29,17 +28,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
     loss = float(np.mean(diff ** 2))
     grad = 2.0 * diff / diff.size
     return loss, grad
-
-
-def huber_loss(pred: np.ndarray, target: np.ndarray,
-               delta: float = 1.0) -> Tuple[float, np.ndarray]:
-    """Huber loss: quadratic near zero, linear in the tails."""
-    diff = pred - target
-    absd = np.abs(diff)
-    quad = absd <= delta
-    vals = np.where(quad, 0.5 * diff ** 2, delta * (absd - 0.5 * delta))
-    grad = np.where(quad, diff, delta * np.sign(diff)) / diff.size
-    return float(vals.mean()), grad
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -8,51 +8,26 @@ devices where backprop through the VAE is too expensive.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
 from .tensor import Parameter
 
-__all__ = ["SGD", "Adam", "SPSA", "clip_grad_norm"]
-
-
-def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.
-    """
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for p in params:
-            p.grad *= scale
-    return total
+__all__ = ["SGD", "Adam", "SPSA"]
 
 
 class SGD:
-    """Stochastic gradient descent with optional momentum and weight decay."""
+    """Plain stochastic gradient descent."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2):
         self.params = [p for p in params]
         self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if not p.trainable:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
+        for p in self.params:
+            if p.trainable:
+                p.data -= self.lr * p.grad
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -63,13 +38,11 @@ class Adam:
     """Adam optimizer (Kingma & Ba) with bias correction."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 betas: tuple = (0.9, 0.999), eps: float = 1e-8):
         self.params = [p for p in params]
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -82,8 +55,6 @@ class Adam:
             if not p.trainable:
                 continue
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m *= self.beta1
             m += (1 - self.beta1) * g
             v *= self.beta2
@@ -152,7 +123,3 @@ class SPSA:
                 f_best = val
                 best = theta.copy()
         return best, f_best, history
-
-    def evaluations_per_step(self) -> int:
-        """Objective evaluations per iteration (2 perturbed + 1 tracking)."""
-        return 3

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "quantize",
-    "affine_qparams",
     "quantization_noise_power",
     "PrecisionConfig",
     "SUPPORTED_BITS",
@@ -24,45 +23,14 @@ __all__ = [
 SUPPORTED_BITS = (2, 4, 8, 16, 32)
 
 
-def affine_qparams(lo: float, hi: float, bits: int) -> "tuple[float, int]":
-    """Scale and zero-point for asymmetric affine quantization over [lo, hi].
+def quantize(x: np.ndarray, bits: int) -> np.ndarray:
+    """Symmetric uniform fake-quantization to ``bits`` bits.
 
-    The represented range is widened to include 0 so that zero is exactly
-    representable (padding, ReLU outputs, and all-zero channels round-trip
-    bit-exactly), and the zero-point is the rounded image of ``-lo/scale``
-    clipped to the integer grid — which makes both range endpoints land
-    within half a step of a grid point, i.e. the round-trip error is at
-    most ``scale / 2`` everywhere in ``[lo, hi]`` including the range
-    endpoints.  Degenerate ranges (``lo == hi == 0``, or a range so
-    small that the step underflows to zero) return the identity grid
-    ``(1.0, 0)``.
-    """
-    if bits >= 32:
-        raise ValueError("affine_qparams is for reduced precision (< 32 bits)")
-    qmax = 2 ** bits - 1
-    lo = min(float(lo), 0.0)
-    hi = max(float(hi), 0.0)
-    scale = (hi - lo) / qmax
-    if scale == 0.0:  # all-zero or subnormal range: identity grid
-        return 1.0, 0
-    zero_point = int(round(-lo / scale))
-    return scale, min(max(zero_point, 0), qmax)
-
-
-def quantize(x: np.ndarray, bits: int, symmetric: bool = True) -> np.ndarray:
-    """Uniform fake-quantization to ``bits`` bits.
-
-    At 32 bits this is the identity (full precision).  The symmetric path
-    (the default, used by every golden scenario) derives its scale from the
-    max-abs of ``x``; an all-zero tensor is returned unchanged, and it is
+    At 32 bits this is the identity (full precision).  Otherwise the
+    scale comes from the max-abs of ``x`` over a grid symmetric about
+    zero; an all-zero tensor is returned unchanged, and it is
     idempotent: quantizing an already-quantized tensor at the same
     precision returns it exactly.
-
-    The asymmetric path (``symmetric=False``) is a true affine grid over
-    ``[min(x), 0] .. [0, max(x)]`` via :func:`affine_qparams`: negative
-    values survive (they used to be clipped to zero), zero is always
-    exactly representable, and the round-trip error is bounded by half a
-    quantization step everywhere — including at the range boundaries.
     """
     if bits not in SUPPORTED_BITS:
         raise ValueError(f"unsupported precision {bits}; choose from {SUPPORTED_BITS}")
@@ -72,14 +40,6 @@ def quantize(x: np.ndarray, bits: int, symmetric: bool = True) -> np.ndarray:
     max_abs = float(np.max(np.abs(x))) if x.size else 0.0
     if max_abs == 0.0:
         return x.copy()
-    if not symmetric:
-        lo, hi = float(np.min(x)), float(np.max(x))
-        if (max(hi, 0.0) - min(lo, 0.0)) / (2 ** bits - 1) == 0.0:
-            return x.copy()  # range subnormal: grid underflows, keep exact
-        scale, zero_point = affine_qparams(lo, hi, bits)
-        q = np.round(x / scale) + zero_point
-        np.clip(q, 0, 2 ** bits - 1, out=q)
-        return (q - zero_point) * scale
     levels = 2 ** (bits - 1) - 1
     scale = max_abs / levels
     if scale == 0.0:  # max_abs subnormal: grid underflows, keep exact

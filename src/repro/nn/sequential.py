@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -69,15 +69,12 @@ class Sequential(Module):
         return grad
 
 
-def mlp(sizes: Sequence[int],
-        hidden_activation: Callable[[], Module] = ReLU,
-        output_activation: Optional[Callable[[], Module]] = None,
-        rng: Optional[np.random.Generator] = None,
+def mlp(sizes: Sequence[int], rng: Optional[np.random.Generator] = None,
         name: str = "mlp") -> Sequential:
     """Build a multilayer perceptron with the given layer sizes.
 
-    ``sizes = [in, h1, ..., out]``.  The output layer gets
-    ``output_activation`` (default: none).
+    ``sizes = [in, h1, ..., out]``: ReLU after every hidden layer, no
+    activation on the output layer.
     """
     if len(sizes) < 2:
         raise ValueError("mlp needs at least input and output sizes")
@@ -85,9 +82,6 @@ def mlp(sizes: Sequence[int],
     layers: List[Module] = []
     for i, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
         layers.append(Dense(a, b, rng=rng, name=f"{name}.fc{i}"))
-        last = i == len(sizes) - 2
-        if not last:
-            layers.append(hidden_activation())
-        elif output_activation is not None:
-            layers.append(output_activation())
+        if i < len(sizes) - 2:
+            layers.append(ReLU())
     return Sequential(*layers)

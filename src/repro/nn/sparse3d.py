@@ -57,8 +57,8 @@ class SparseVoxelTensor:
         self.grid_shape = grid_shape
         self._coords = coords
         self._matrix = matrix
-        # (kernel, stride) -> neighbor index, shared across the layers
-        # of a submanifold stack (the active set does not change).
+        # kernel size -> neighbor index, shared across the layers of a
+        # submanifold stack (the active set does not change).
         self._index_cache: dict = index_cache if index_cache is not None \
             else {}
 
@@ -183,19 +183,17 @@ class SparseConv3d(Module):
 
     Output features are computed only at the sites that are active in the
     input; each output gathers contributions from active neighbours within
-    the kernel footprint.  ``stride`` > 1 downsamples the coordinate grid
-    (coordinates are floor-divided), merging features that land on the
-    same coarse cell.
+    the kernel footprint.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3,
-                 stride: int = 1, rng: Optional[np.random.Generator] = None,
+                 rng: Optional[np.random.Generator] = None,
                  name: str = "spconv"):
         if kernel % 2 == 0:
             raise ValueError("submanifold convolution needs an odd kernel")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride = kernel, stride
+        self.kernel = kernel
         self.offsets = _kernel_offsets(kernel)
         fan_in = in_ch * len(self.offsets)
         self.weight = Parameter(

@@ -17,7 +17,6 @@ __all__ = [
     "glorot_uniform",
     "he_normal",
     "zeros_init",
-    "orthogonal_init",
 ]
 
 
@@ -34,8 +33,8 @@ class Parameter:
     name:
         Human-readable identifier used in checkpoints and debugging.
     trainable:
-        When ``False`` optimizers skip this parameter (used by LoRA to
-        freeze base weights and by quantized inference).
+        When ``False`` optimizers skip this parameter (the contrastive
+        Koopman encoder freezes its momentum key network this way).
     """
 
     def __init__(self, data: np.ndarray, name: str = "param", trainable: bool = True):
@@ -83,16 +82,3 @@ def he_normal(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray
 def zeros_init(shape: tuple) -> np.ndarray:
     """All-zeros initialization (biases, batch-norm shifts)."""
     return np.zeros(shape, dtype=np.float64)
-
-
-def orthogonal_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Orthogonal initialization, used by recurrent dynamics baselines.
-
-    For non-square matrices the result has orthonormal rows or columns
-    (whichever is smaller), which keeps recurrent state norms stable.
-    """
-    rows, cols = shape
-    flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, _ = np.linalg.qr(flat)
-    q = q[:rows, :cols] if rows >= cols else q[:cols, :rows].T
-    return np.ascontiguousarray(q)

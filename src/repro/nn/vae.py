@@ -3,7 +3,9 @@
 STARNet (Sec. V) models the distribution of intermediate task-network
 features with a VAE and flags inputs whose likelihood-regret is large.
 This VAE works on flat feature vectors: encoder -> (mu, logvar) ->
-reparameterize -> decoder -> Gaussian reconstruction likelihood.
+reparameterize -> decoder -> Gaussian reconstruction likelihood.  The
+monitor scores inputs through :func:`repro.starnet.per_sample_elbo`
+(the deterministic bound at ``z = mu``) and the regret kernels.
 """
 
 from __future__ import annotations
@@ -43,36 +45,8 @@ class VAE(Module):
         h = self.enc_act(self.encoder(x))
         return self.mu_head(h), self.logvar_head(h)
 
-    def reparameterize(self, mu: np.ndarray, logvar: np.ndarray,
-                       eps: Optional[np.ndarray] = None) -> np.ndarray:
-        if eps is None:
-            eps = self.rng.standard_normal(mu.shape)
-        return mu + np.exp(0.5 * np.clip(logvar, -30, 30)) * eps
-
     def decode(self, z: np.ndarray) -> np.ndarray:
         return self.decoder(z)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mu, logvar = self.encode(x)
-        z = self.reparameterize(mu, logvar)
-        return self.decode(z)
-
-    def elbo(self, x: np.ndarray, beta: float = 1.0,
-             n_samples: int = 1) -> float:
-        """Evidence lower bound (negated loss), averaged over the batch.
-
-        Higher is better.  Used directly as the likelihood proxy in the
-        regret computation.
-        """
-        mu, logvar = self.encode(x)
-        recon_total = 0.0
-        for _ in range(n_samples):
-            z = self.reparameterize(mu, logvar)
-            recon = self.decode(z)
-            recon_total += -np.mean(np.sum((recon - x) ** 2, axis=-1))
-        recon_term = recon_total / n_samples
-        kl, _, _ = gaussian_kl(mu, logvar)
-        return float(recon_term - beta * kl)
 
     def loss_and_grads(self, x: np.ndarray, beta: float = 1.0) -> float:
         """One training step's loss; accumulates gradients on parameters."""

@@ -26,11 +26,11 @@ from .datasets import ClassificationDataset, make_synthetic_cifar, shard_dirichl
 from .events import EventCameraConfig, EventCameraSimulator, FlowSample, make_flow_dataset
 from .gridworld import AgentState, CoverageGridWorld, GridWorldConfig
 from .lidar import LidarConfig, LidarScan, LidarScanner
-from .scenes import CLASS_DIMENSIONS, CLASS_NAMES, Scene, SceneObject, sample_dataset, sample_scene
+from .scenes import CLASS_DIMENSIONS, CLASS_NAMES, Scene, SceneObject, sample_scene
 
 __all__ = [
     "CLASS_NAMES", "CLASS_DIMENSIONS", "Scene", "SceneObject",
-    "sample_scene", "sample_dataset",
+    "sample_scene",
     "LidarConfig", "LidarScan", "LidarScanner",
     "CORRUPTIONS", "apply_corruption", "apply_corruption_stack",
     "normalize_stack", "corruption_names",

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 __all__ = ["CLASS_NAMES", "CLASS_DIMENSIONS", "SceneObject", "Scene",
-           "sample_scene", "sample_dataset"]
+           "sample_scene"]
 
 # Detection classes of Table I, in its order.
 CLASS_NAMES: Tuple[str, ...] = ("Car", "Pedestrian", "Cyclist")
@@ -69,20 +69,6 @@ class SceneObject:
         c, s = np.cos(-self.yaw), np.sin(-self.yaw)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return (points - self.center) @ rot.T
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of world points inside the box."""
-        local = self.world_to_box(np.atleast_2d(points))
-        half = self.size / 2.0
-        return np.all(np.abs(local) <= half + 1e-9, axis=1)
-
-    def corners_bev(self) -> np.ndarray:
-        """The 4 bird's-eye-view corners in world frame, (4, 2)."""
-        l, w = self.size[0] / 2.0, self.size[1] / 2.0
-        local = np.array([[l, w], [l, -w], [-l, -w], [-l, w]])
-        c, s = np.cos(self.yaw), np.sin(self.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + self.center[:2]
 
     def ray_intersect(self, origin: np.ndarray, direction: np.ndarray
                       ) -> Optional[float]:
@@ -195,11 +181,3 @@ def sample_scene(rng: np.random.Generator,
         if obj is not None:
             placed.append(obj)
     return Scene(objects=placed)
-
-
-def sample_dataset(seed: int, n_scenes: int, **kwargs) -> List[Scene]:
-    """Sample a reproducible list of scenes from one master seed."""
-    master = np.random.default_rng(seed)
-    return [sample_scene(np.random.default_rng(master.integers(2 ** 31)),
-                         **kwargs)
-            for _ in range(n_scenes)]

@@ -7,7 +7,7 @@ from .evaluation import (
     generate_scans,
     run_auc_experiment,
 )
-from .features import LidarFeatureExtractor, camera_features, scan_statistics
+from .features import LidarFeatureExtractor, scan_statistics
 from .fusion import GatedFilter, filter_backscatter, run_recovery_experiment
 from .likelihood_regret import (
     likelihood_regret_exact,
@@ -22,7 +22,7 @@ from .temporal import DriftDetector
 __all__ = [
     "per_sample_elbo", "likelihood_regret_spsa", "likelihood_regret_exact",
     "reconstruction_error_score",
-    "LidarFeatureExtractor", "camera_features", "scan_statistics",
+    "LidarFeatureExtractor", "scan_statistics",
     "STARNet",
     "AUCExperimentConfig", "generate_scans", "corruption_scores",
     "run_auc_experiment",

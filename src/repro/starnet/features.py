@@ -1,15 +1,14 @@
 """Feature extraction from the primary task network (Sec. V, Fig. 6).
 
 STARNet "evaluates intermediate sensor features from primary tasks".  The
-LiDAR branch pools the R-MAE sparse encoder's voxel features into a fixed
-vector; the camera branch summarizes a pseudo-camera view of the scene.
-Both extractors are deterministic given their inputs, so the monitor sees
+LiDAR extractor pools the R-MAE sparse encoder's voxel features into a
+fixed vector.  It is deterministic given its inputs, so the monitor sees
 exactly what the detector sees.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from ..nn.sparse3d import SparseGlobalPool
 from ..sim.lidar import LidarScan
 from ..voxel.grid import VoxelGridConfig, voxelize
 
-__all__ = ["LidarFeatureExtractor", "camera_features", "scan_statistics"]
+__all__ = ["LidarFeatureExtractor", "scan_statistics"]
 
 
 def scan_statistics(scan: LidarScan) -> np.ndarray:
@@ -88,27 +87,3 @@ class LidarFeatureExtractor:
 
     def extract_batch(self, scans: List[LidarScan]) -> np.ndarray:
         return np.stack([self.extract(s) for s in scans])
-
-
-def camera_features(scan: LidarScan, severity: float = 0.0,
-                    rng: Optional[np.random.Generator] = None,
-                    dim: int = 12) -> np.ndarray:
-    """Pseudo-camera features for the fusion experiments (Fig. 7).
-
-    A camera sees the same scene through a different physical channel:
-    snow degrades it much less than it degrades LiDAR (no backscatter
-    echoes), so its features stay informative when the LiDAR stream is
-    flagged.  We synthesize them as a coarse azimuth histogram of the
-    *true* returns (labels >= 0), lightly degraded with severity.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    feats = np.zeros(dim)
-    genuine = scan.labels >= 0
-    if genuine.any():
-        pts = scan.points[genuine]
-        az = np.arctan2(pts[:, 1], pts[:, 0])
-        hist, _ = np.histogram(az, bins=dim, range=(-np.pi, np.pi),
-                               weights=pts[:, 3])
-        feats = hist / max(hist.max(), 1e-9)
-    noise = rng.normal(0.0, 0.05 + 0.1 * severity, size=dim)
-    return np.clip(feats + noise, 0.0, None)

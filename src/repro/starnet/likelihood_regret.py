@@ -22,35 +22,23 @@ from ..nn.optim import SPSA
 from ..nn.vae import VAE
 
 __all__ = ["per_sample_elbo", "likelihood_regret_spsa",
-           "likelihood_regret_exact", "reconstruction_error_score",
-           "likelihood_regret_batch"]
+           "likelihood_regret_exact", "reconstruction_error_score"]
 
 
 def per_sample_elbo(vae: VAE, x: np.ndarray, mu: np.ndarray,
-                    logvar: np.ndarray, n_samples: int = 0,
-                    rng: Optional[np.random.Generator] = None) -> float:
+                    logvar: np.ndarray) -> float:
     """ELBO of one input under an arbitrary Gaussian posterior q(mu, logvar).
 
-    ``n_samples = 0`` (default) evaluates the *deterministic* bound at
-    ``z = mu`` — no Monte-Carlo noise, which matters because the SPSA
-    regret optimization compares ELBO values whose differences would
-    otherwise be swamped by sampling variance.
+    Evaluates the *deterministic* bound at ``z = mu`` — no Monte-Carlo
+    noise, which matters because the SPSA regret optimization compares
+    ELBO values whose differences would otherwise be swamped by sampling
+    variance.
     """
     x = np.atleast_2d(x)
     mu = np.atleast_2d(mu)
     logvar = np.atleast_2d(np.clip(logvar, -10.0, 10.0))
-    if n_samples <= 0:
-        recon = vae.decode(mu)
-        recon_term = -float(np.sum((recon - x) ** 2))
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        std = np.exp(0.5 * logvar)
-        recon_total = 0.0
-        for _ in range(n_samples):
-            z = mu + std * rng.standard_normal(mu.shape)
-            recon = vae.decode(z)
-            recon_total += -float(np.sum((recon - x) ** 2))
-        recon_term = recon_total / n_samples
+    recon = vae.decode(mu)
+    recon_term = -float(np.sum((recon - x) ** 2))
     var = np.exp(logvar)
     kl = 0.5 * float(np.sum(var + mu ** 2 - 1.0 - logvar))
     return recon_term - kl
@@ -128,27 +116,3 @@ def reconstruction_error_score(vae: VAE, x: np.ndarray,
     mu, _ = vae.encode(x)
     recon = vae.decode(mu)
     return float(np.sum((recon - x) ** 2))
-
-
-def likelihood_regret_batch(vae: VAE, x: np.ndarray,
-                            method: str = "spsa", steps: int = 30,
-                            rng: Optional[np.random.Generator] = None
-                            ) -> np.ndarray:
-    """Regret scores for a whole (B, D) batch of feature rows.
-
-    Dispatches through the active ``likelihood_regret`` kernel backend:
-    the reference backend calls the single-sample functions above row by
-    row (consuming ``rng`` in row order), the vectorized backend runs
-    the ELBO evaluations and the inner optimization across all rows at
-    once.  ``method`` is one of ``"spsa"``, ``"exact"``, ``"recon"``.
-    """
-    from ..kernels import get_kernel
-
-    if method not in ("spsa", "exact", "recon"):
-        raise ValueError(f"unknown score method {method!r}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
-        return np.zeros(0)
-    return get_kernel("likelihood_regret").score_rows(
-        vae, x, method, steps, rng)

@@ -7,14 +7,12 @@ A single-shot anomaly score misses slow drift: each individual reading
 looks plausible, but the *trend* is monotone.  :class:`DriftDetector`
 tracks two exponential moving averages of the anomaly score at different
 timescales and flags when the fast average departs from the slow one by
-a calibrated margin (a CUSUM-flavoured EWMA test), plus an absolute-trend
-check over a sliding window.
+a calibrated margin (a CUSUM-flavoured EWMA test).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,8 +23,7 @@ class DriftDetector:
     """Two-timescale EWMA drift test on a stream of anomaly scores."""
 
     def __init__(self, fast: float = 0.3, slow: float = 0.02,
-                 threshold_sigma: float = 3.0, window: int = 30,
-                 warmup: int = 10):
+                 threshold_sigma: float = 3.0, warmup: int = 10):
         if not 0 < slow < fast <= 1:
             raise ValueError("need 0 < slow < fast <= 1")
         if warmup < 2:
@@ -34,18 +31,15 @@ class DriftDetector:
         self.fast_alpha = fast
         self.slow_alpha = slow
         self.threshold_sigma = threshold_sigma
-        self.window = window
         self.warmup = warmup
         self._fast: Optional[float] = None
         self._slow: Optional[float] = None
         self._var: float = 0.0
         self._n = 0
-        self._recent: Deque[float] = deque(maxlen=window)
 
     def update(self, score: float) -> bool:
         """Feed one score; returns True when drift is detected."""
         score = float(score)
-        self._recent.append(score)
         self._n += 1
         if self._fast is None:
             self._fast = self._slow = score
@@ -72,16 +66,6 @@ class DriftDetector:
         if self._fast is None:
             return 0.0
         return self._fast - self._slow
-
-    def trend(self) -> float:
-        """Least-squares slope of the recent score window per step."""
-        if len(self._recent) < 3:
-            return 0.0
-        y = np.asarray(self._recent, dtype=np.float64)
-        x = np.arange(len(y), dtype=np.float64)
-        x -= x.mean()
-        denom = float(x @ x)
-        return float(x @ (y - y.mean()) / denom) if denom else 0.0
 
     def monitor_stream(self, scores: List[float]) -> Optional[int]:
         """Convenience: first index at which drift fires (None if never)."""

@@ -25,6 +25,19 @@ def _gate():
     return module
 
 
+def test_print_table_prints_and_writes_nothing(monkeypatch, tmp_path,
+                                               capsys):
+    # A bench run must not dirty the committed results directory.
+    path = os.path.join(REPO_ROOT, "benchmarks", "bench_utils.py")
+    spec = importlib.util.spec_from_file_location("bench_utils", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "RESULTS_DIR", str(tmp_path))
+    module.print_table("T", ["a", "b"], [[1, 22]])
+    assert "=== T ===" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def _claim_lines(text):
     return [line for line in text.splitlines() if line.startswith("  [")]
 

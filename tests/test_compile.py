@@ -21,23 +21,15 @@ from repro.compile import (
 )
 from repro.kernels import BACKENDS, kernel_backend
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Dropout,
     Flatten,
     GRUCell,
-    Identity,
-    LayerNorm,
-    LeakyReLU,
     MaxPool2d,
     Module,
     ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
 )
 from repro.nn.sequential import Sequential, mlp
 
@@ -53,20 +45,12 @@ def _rng(seed=0):
 LAYER_CASES = {
     "Dense": (lambda: Dense(6, 4, rng=_rng(1)), (3, 6)),
     "ReLU": (ReLU, (3, 5)),
-    "LeakyReLU": (lambda: LeakyReLU(0.1), (3, 5)),
-    "Tanh": (Tanh, (3, 5)),
-    "Sigmoid": (Sigmoid, (3, 5)),
-    "Softplus": (Softplus, (3, 5)),
-    "Identity": (Identity, (3, 5)),
-    "Dropout": (lambda: Dropout(0.4, rng=_rng(2)), (3, 5)),
-    "LayerNorm": (lambda: LayerNorm(5), (3, 5)),
     "BatchNorm": (lambda: BatchNorm(5), (3, 5)),
     "Flatten": (Flatten, (3, 2, 4)),
     "Conv2d": (lambda: Conv2d(2, 3, rng=_rng(3)), (2, 2, 6, 6)),
     "ConvTranspose2d": (lambda: ConvTranspose2d(2, 3, rng=_rng(4)),
                         (2, 2, 5, 5)),
     "MaxPool2d": (MaxPool2d, (2, 2, 6, 6)),
-    "AvgPool2d": (AvgPool2d, (2, 2, 6, 6)),
     "GRUCell": (lambda: GRUCell(4, 3, rng=_rng(5)), (3, 4)),
 }
 
@@ -110,11 +94,26 @@ def test_trace_error_names_offending_op():
 
 
 # ----------------------------------------------------------------- parity
+def _batchnorm(dim, seed):
+    """BatchNorm whose inference affine is not the identity."""
+    bn = BatchNorm(dim)
+    rng = _rng(seed)
+    bn.running_mean = rng.standard_normal(dim)
+    bn.running_var = rng.uniform(0.5, 2.0, dim)
+    bn.gamma.data[...] = rng.uniform(0.5, 1.5, dim)
+    bn.beta.data[...] = rng.standard_normal(dim)
+    return bn
+
+
 def _mixed_model():
+    # Every elementwise op the fusion pass keeps (bias_add, relu,
+    # bn_affine), and both stages without a producer: the leading chain
+    # and the chain after flatten run as copy stages.
     m = Sequential(
-        Dense(10, 16, rng=_rng(1), name="p.fc0"), LeakyReLU(0.05),
-        LayerNorm(16), Dense(16, 12, rng=_rng(2), name="p.fc1"), Tanh(),
-        BatchNorm(12), Dense(12, 4, rng=_rng(3), name="p.fc2"), Sigmoid())
+        BatchNorm(10), ReLU(),
+        Dense(10, 16, rng=_rng(1), name="p.fc0"), ReLU(), _batchnorm(16, 5),
+        Flatten(), _batchnorm(16, 6), ReLU(),
+        Dense(16, 4, rng=_rng(3), name="p.fc1"))
     m.eval()
     return m
 
@@ -122,6 +121,8 @@ def _mixed_model():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_compiled_matches_eager_under_both_kernel_backends(backend):
     model = _mixed_model()
+    assert [s.op for s in build_program(trace(model)).stages] == [
+        "copy", "gemm", "flatten", "copy", "gemm"]
     x = _rng(7).standard_normal((9, 10))
     with kernel_backend(backend):
         eager = model._eager_forward_batch(x)
@@ -273,12 +274,12 @@ def test_backward_after_routed_compiled_forward_raises():
     model.backward(np.ones((2, 3)))
 
 
-def test_training_mode_dropout_bypasses_forward_only():
-    model = Sequential(Dense(4, 4, rng=_rng(0)), Dropout(0.5, rng=_rng(1)))
+def test_training_mode_batchnorm_bypasses_forward_only():
+    model = Sequential(Dense(4, 4, rng=_rng(0)), BatchNorm(4))
     x = _rng(2).standard_normal((3, 4))
     before = compile_stats().snapshot()
     with compile_mode():
-        model.forward(x)          # training dropout: stateful, bypasses
+        model.forward(x)          # training BatchNorm: stateful, bypasses
         batched = model.forward_batch(x)  # pure inference: compiled
     delta = compile_stats().delta(before)
     assert delta["eager_bypasses"] == 1
@@ -335,7 +336,7 @@ def test_routed_sequential_cannot_go_stale():
         model.forward_batch(x)
     assert not hasattr(model, "append")
     with pytest.raises(TypeError):
-        model.layers[1] = Tanh()
+        model.layers[1] = ReLU()
     with compile_mode():
         np.testing.assert_array_equal(model.forward_batch(x),
                                       model._eager_forward_batch(x))

@@ -162,17 +162,6 @@ def test_drift_detector_quiet_on_stationary_noise():
     assert idx is None
 
 
-def test_drift_detector_trend_sign():
-    detector = DriftDetector()
-    for s in np.linspace(0, 1, 20):
-        detector.update(s)
-    assert detector.trend() > 0
-    detector2 = DriftDetector()
-    for s in np.linspace(1, 0, 20):
-        detector2.update(s)
-    assert detector2.trend() < 0
-
-
 def test_drift_detector_validation():
     with pytest.raises(ValueError):
         DriftDetector(fast=0.1, slow=0.5)

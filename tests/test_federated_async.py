@@ -3,8 +3,8 @@
 Three layers of guarantees:
 
 * property tests (Hypothesis) over the aggregation math —
-  :func:`staleness_decay` / :func:`staleness_weights` /
-  :func:`participation_weights` invariants hold for arbitrary inputs;
+  :func:`staleness_decay` / :func:`participation_weights` invariants
+  hold for arbitrary inputs;
 * the exact-reduction contract — with a full cohort, a fleet-sized
   buffer, and uniform sampling, :class:`AsyncFLServer` is bit-identical
   to ``FLServer.run_round`` for every mode and seed Hypothesis picks;
@@ -29,7 +29,6 @@ from repro.federated import (
     make_fleet,
     participation_weights,
     staleness_decay,
-    staleness_weights,
     uplink_mbps,
 )
 from repro.runtime import WorkerPool, spawn_rngs
@@ -56,27 +55,6 @@ def test_decay_monotone_non_increasing(s, alpha, kind):
 
 
 @given(st.data())
-@settings(deadline=None)
-def test_staleness_weights_invariants(data):
-    n = data.draw(st.integers(2, 24))
-    staleness = data.draw(st.lists(st.integers(0, 200),
-                                   min_size=n, max_size=n))
-    samples = data.draw(st.lists(st.integers(1, 500),
-                                 min_size=n, max_size=n))
-    alpha = data.draw(st.floats(0.0, 3.0))
-    kind = data.draw(st.sampled_from(("poly", "exp")))
-    w = staleness_weights(staleness, samples, alpha=alpha, kind=kind)
-    assert w.shape == (n,)
-    assert np.all(w > 0)
-    assert np.isclose(w.sum(), 1.0, rtol=0, atol=1e-12)
-    # Staler never outweighs fresher at equal shard size.
-    for i in range(n):
-        for j in range(n):
-            if samples[i] == samples[j] and staleness[i] <= staleness[j]:
-                assert w[i] >= w[j] - 1e-15
-
-
-@given(st.data())
 def test_participation_weights_floor(data):
     n = data.draw(st.integers(2, 32))
     costs = data.draw(st.lists(
@@ -98,8 +76,6 @@ def test_decay_and_weight_validation():
         staleness_decay(1.0, kind="linear")
     with pytest.raises(ValueError, match="negative"):
         staleness_decay(-1.0)
-    with pytest.raises(ValueError, match="positive"):
-        staleness_weights([0, 1], [0, 5])
     with pytest.raises(ValueError, match="uplink"):
         uplink_mbps("abacus")
 

@@ -38,7 +38,6 @@ from repro.sim import (
     apply_corruption,
     sample_scene,
 )
-from repro.starnet.likelihood_regret import likelihood_regret_batch
 from repro.voxel import VoxelGridConfig, voxelize
 
 # ---------------------------------------------------------------- dispatch
@@ -135,16 +134,15 @@ def _random_sparse(rng, grid, n_active, in_ch):
     return SparseVoxelTensor.from_coords(coords, in_ch, grid, values=values)
 
 
-@pytest.mark.parametrize("n_active", [0, 1, 9, 40])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_sparse_conv_backends_agree(n_active, stride):
-    rng = np.random.default_rng(100 + n_active + stride)
+# The "1-" ID prefix is the stride-1 axis the cases were written under.
+@pytest.mark.parametrize("n_active", [0, 1, 9, 40], ids=lambda n: f"1-{n}")
+def test_sparse_conv_backends_agree(n_active):
     grid = (6, 5, 3) if n_active else (1, 1, 1)  # degenerate too
     in_ch, out_ch = 3, 4
 
     outs, grads = {}, {}
     for backend in BACKENDS:
-        layer = SparseConv3d(in_ch, out_ch, kernel=3, stride=stride,
+        layer = SparseConv3d(in_ch, out_ch, kernel=3,
                              rng=np.random.default_rng(1))
         x = _random_sparse(np.random.default_rng(2), grid, n_active, in_ch)
         with kernel_backend(backend):
@@ -171,14 +169,12 @@ def test_sparse_conv_backends_agree(n_active, stride):
                                        rtol=1e-11, atol=1e-12)
 
 
-def _neighbor_index_per_offset(coords, offsets, stride):
+def _neighbor_index_per_offset(coords, offsets):
     """The per-offset loop :func:`build_neighbor_index` replaced."""
     n = coords.shape[0]
     empty = np.zeros(0, dtype=np.int64)
     if n == 0:
-        return coords.reshape(0, 3), [(empty, empty)] * len(offsets)
-    out_coords = (np.unique(coords // stride, axis=0) if stride > 1
-                  else coords)
+        return [(empty, empty)] * len(offsets)
     lo = coords.min(axis=0)
     dims = coords.max(axis=0) - lo + 1
 
@@ -187,10 +183,9 @@ def _neighbor_index_per_offset(coords, offsets, stride):
         return (q[:, 0] * dims[1] + q[:, 1]) * dims[2] + q[:, 2]
 
     keys = encode(coords)
-    base = out_coords * stride
     pairs = []
     for off in offsets:
-        q = base + off
+        q = coords + off
         valid = np.all((q >= lo) & (q < lo + dims), axis=1)
         if not valid.any():
             pairs.append((empty, empty))
@@ -199,18 +194,18 @@ def _neighbor_index_per_offset(coords, offsets, stride):
         pos = np.minimum(np.searchsorted(keys, qk), n - 1)
         found = keys[pos] == qk
         pairs.append((pos[found], np.nonzero(valid)[0][found]))
-    return out_coords, pairs
+    return pairs
 
 
-@pytest.mark.parametrize("kernel", [1, 3, 5])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_neighbor_index_matches_per_offset_loop(kernel, stride):
+# The "1-" ID prefix is the stride-1 axis the cases were written under.
+@pytest.mark.parametrize("kernel", [1, 3, 5], ids=lambda k: f"1-{k}")
+def test_neighbor_index_matches_per_offset_loop(kernel):
     """One-pass index = the per-offset loop, byte for byte: dtype and
     order of every offset's ``(in_idx, out_idx)``, on empty, sparse,
     dense and negative-coordinate sets."""
     offsets = np.asarray(SparseConv3d(1, 1, kernel=kernel).offsets,
                          dtype=np.int64)
-    rng = np.random.default_rng(60 + 10 * kernel + stride)
+    rng = np.random.default_rng(61 + 10 * kernel)
     cases = [np.zeros((0, 3), dtype=np.int64),
              np.array([[0, 0, 0]], dtype=np.int64),
              np.array([[-7, 3, -2]], dtype=np.int64)]
@@ -218,10 +213,8 @@ def test_neighbor_index_matches_per_offset_loop(kernel, stride):
         cases.append(np.unique(rng.integers(lo, hi, size=(n, 3)), axis=0))
     for coords in cases:
         coords = coords.astype(np.int64)
-        want_out, want = _neighbor_index_per_offset(coords, offsets, stride)
-        got_out, got = build_neighbor_index(coords, offsets, stride)
-        assert got_out.dtype == want_out.dtype
-        assert got_out.tobytes() == want_out.tobytes()
+        want = _neighbor_index_per_offset(coords, offsets)
+        got = build_neighbor_index(coords, offsets)
         assert len(got) == len(want) == len(offsets)
         for (gi, go), (wi, wo) in zip(got, want):
             assert gi.dtype == wi.dtype == go.dtype == wo.dtype == np.int64
@@ -299,16 +292,6 @@ def test_regret_decodes_each_iterate_once(method, steps):
     get_kernel("likelihood_regret", backend="vectorized").score_rows(
         vae, X, method, steps, np.random.default_rng(42))
     assert len(calls) <= steps + 1
-
-
-def test_likelihood_regret_batch_entry_point():
-    vae = VAE(9, latent_dim=4, hidden=(12,), rng=np.random.default_rng(40))
-    X = np.random.default_rng(41).normal(size=(3, 9))
-    out = likelihood_regret_batch(vae, X, method="recon")
-    assert out.shape == (3,) and np.all(out >= 0)
-    assert likelihood_regret_batch(vae, np.zeros((0, 9))).shape == (0,)
-    with pytest.raises(ValueError, match="unknown score method"):
-        likelihood_regret_batch(vae, X, method="bogus")
 
 
 # ------------------------------------------------------- BEV match parity

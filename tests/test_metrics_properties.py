@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.metrics import average_endpoint_error, flow_outlier_fraction, roc_auc
+from repro.metrics import average_endpoint_error, roc_auc
 
 flow_values = st.floats(min_value=-50.0, max_value=50.0,
                         allow_nan=False, allow_infinity=False)
@@ -119,12 +119,3 @@ def test_aee_scales_with_uniform_error(pred, delta):
     shifted = pred.copy()
     shifted[0] += delta
     assert average_endpoint_error(shifted, pred) == pytest.approx(delta)
-
-
-@given(arrays(np.float64, st.tuples(st.just(2), st.integers(2, 8),
-                                    st.integers(2, 8)),
-              elements=flow_values))
-@settings(max_examples=60, deadline=None)
-def test_outlier_fraction_bounded(pred):
-    frac = flow_outlier_fraction(pred, np.zeros_like(pred), threshold=3.0)
-    assert 0.0 <= frac <= 1.0

@@ -1,9 +1,9 @@
-"""Tests for multi-agent coordination and shared metrics (AUC, ROC)."""
+"""Tests for multi-agent coordination and shared metrics (AUC, AEE)."""
 
 import numpy as np
 import pytest
 
-from repro.metrics import average_endpoint_error, flow_outlier_fraction, roc_auc, roc_curve
+from repro.metrics import average_endpoint_error, roc_auc
 from repro.multiagent import (
     compare_swarm_strategies,
     coverage_redundancy,
@@ -11,26 +11,11 @@ from repro.multiagent import (
     plan_coordinated_step,
     rectangular_partition,
     run_coordinated,
-    voronoi_partition,
 )
 from repro.sim import GridWorldConfig
 
 
 # ---------------------------------------------------------------- coverage
-def test_voronoi_partition_covers_grid():
-    parts = voronoi_partition(6, [(1, 1), (4, 4)])
-    total = sum(len(cells) for cells in parts.values())
-    assert total == 36
-    # Cells near each agent belong to it.
-    assert (1, 1) in parts[0]
-    assert (4, 4) in parts[1]
-
-
-def test_voronoi_partition_requires_agents():
-    with pytest.raises(ValueError):
-        voronoi_partition(4, [])
-
-
 def test_minimal_radius_exact():
     assert minimal_radius((0, 0), [(0, 0)]) == 0
     assert minimal_radius((0, 0), [(3, 4)]) == 5
@@ -109,12 +94,6 @@ def test_swarm_coordination_reduces_redundancy():
             < res["uncoordinated"].mean_redundancy)
 
 
-def test_swarm_energy_per_detection():
-    res = run_coordinated(GridWorldConfig(size=10, n_agents=4), steps=20,
-                          seed=4)
-    assert res.energy_per_detection() > 0
-
-
 def test_swarm_runs_with_odd_agent_counts():
     cfg = GridWorldConfig(size=9, n_agents=3)
     res = run_coordinated(cfg, steps=10, seed=5)
@@ -153,26 +132,6 @@ def test_roc_auc_degenerate_single_class_is_chance_level():
 def test_roc_auc_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         roc_auc([0.5, 0.6, 0.7], [1, 0])
-
-
-def test_roc_curve_endpoints():
-    fpr, tpr = roc_curve([0.9, 0.1, 0.8, 0.2], [1, 0, 1, 0])
-    assert fpr[0] == 0.0 and tpr[0] == 0.0
-    assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-    assert np.all(np.diff(fpr) >= 0)
-
-
-def test_roc_curve_validation():
-    with pytest.raises(ValueError):
-        roc_curve([0.5], [2])
-
-
-def test_flow_outlier_fraction():
-    pred = np.zeros((2, 4, 4))
-    target = np.zeros((2, 4, 4))
-    target[0, 0, 0] = 10.0
-    assert flow_outlier_fraction(pred, target, threshold=3.0) == \
-        pytest.approx(1 / 16)
 
 
 def test_aee_shape_validation():

@@ -42,10 +42,10 @@ def _sparse_input(rng, grid=(5, 5, 3), in_ch=3, n_active=9):
     return SparseVoxelTensor.from_coords(coords, in_ch, grid, values=values)
 
 
-def _check_sparse_conv(stride):
-    rng = np.random.default_rng(7 + stride)
+def test_sparse_conv_gradients_submanifold():
+    rng = np.random.default_rng(8)
     in_ch, out_ch = 3, 2
-    layer = SparseConv3d(in_ch, out_ch, kernel=3, stride=stride, rng=rng)
+    layer = SparseConv3d(in_ch, out_ch, kernel=3, rng=rng)
     x = _sparse_input(rng, in_ch=in_ch)
     out = layer.forward(x)
     weights = {c: rng.normal(size=out_ch) for c in out.features}
@@ -63,23 +63,13 @@ def _check_sparse_conv(stride):
     for p in (layer.weight, layer.bias):
         np.testing.assert_allclose(
             p.grad, numeric_gradient(loss, p.data), rtol=1e-5, atol=1e-7,
-            err_msg=f"{p.name} gradient mismatch (stride={stride})")
+            err_msg=f"{p.name} gradient mismatch")
     # Input-feature gradients, one active site at a time.
     for coord in x.coords():
         np.testing.assert_allclose(
             din[coord], numeric_gradient(loss, x.features[coord]),
             rtol=1e-5, atol=1e-7,
-            err_msg=f"input gradient mismatch at {coord} (stride={stride})")
-
-
-def test_sparse_conv_gradients_submanifold():
-    _check_sparse_conv(stride=1)
-
-
-def test_sparse_conv_gradients_strided():
-    # stride=2 merges coordinates onto a coarser grid; the gather map
-    # must still route every contribution's gradient home.
-    _check_sparse_conv(stride=2)
+            err_msg=f"input gradient mismatch at {coord}")
 
 
 def test_sparse_conv_preserves_active_set():

@@ -5,23 +5,15 @@ import pytest
 
 from gradcheck import check_layer_gradients
 from repro.nn import (
-    AvgPool2d,
     BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Dropout,
     Flatten,
     GRUCell,
-    Identity,
-    LayerNorm,
-    LeakyReLU,
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Softplus,
-    Tanh,
     mlp,
 )
 
@@ -39,67 +31,19 @@ def test_dense_gradients():
     check_layer_gradients(layer, RNG.normal(size=(5, 4)))
 
 
-def test_dense_no_bias():
-    layer = Dense(4, 3, bias=False, rng=np.random.default_rng(1))
-    assert layer.bias is None
-    assert len(layer.parameters()) == 1
-    check_layer_gradients(layer, RNG.normal(size=(2, 4)))
-
-
 def test_dense_3d_input():
     layer = Dense(4, 3, rng=np.random.default_rng(1))
     y = layer.forward(RNG.normal(size=(2, 5, 4)))
     assert y.shape == (2, 5, 3)
 
 
-@pytest.mark.parametrize("cls", [ReLU, Tanh, Sigmoid, Softplus, Identity])
+@pytest.mark.parametrize("cls", [ReLU])
 def test_simple_activations_gradients(cls):
     layer = cls()
     # Offset away from the ReLU kink to keep numeric gradients exact.
     x = RNG.normal(size=(3, 6)) + 0.05
     x[np.abs(x) < 0.02] = 0.1
     check_layer_gradients(layer, x)
-
-
-def test_leaky_relu_negative_slope():
-    layer = LeakyReLU(slope=0.1)
-    x = np.array([[-2.0, 3.0]])
-    y = layer.forward(x)
-    np.testing.assert_allclose(y, [[-0.2, 3.0]])
-    check_layer_gradients(layer, RNG.normal(size=(3, 4)) + 0.05)
-
-
-def test_dropout_eval_mode_is_identity():
-    layer = Dropout(0.5, rng=np.random.default_rng(2))
-    layer.training = False
-    x = RNG.normal(size=(10, 10))
-    np.testing.assert_array_equal(layer.forward(x), x)
-
-
-def test_dropout_train_mode_scales():
-    layer = Dropout(0.5, rng=np.random.default_rng(2))
-    x = np.ones((2000,))
-    y = layer.forward(x)
-    # Inverted dropout preserves the expectation.
-    assert abs(y.mean() - 1.0) < 0.1
-    assert set(np.round(np.unique(y), 6)) <= {0.0, 2.0}
-
-
-def test_dropout_invalid_probability():
-    with pytest.raises(ValueError):
-        Dropout(1.0)
-
-
-def test_layernorm_normalizes_last_axis():
-    layer = LayerNorm(8)
-    y = layer.forward(RNG.normal(size=(5, 8)) * 10 + 3)
-    np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-9)
-    np.testing.assert_allclose(y.std(axis=-1), 1.0, atol=1e-2)
-
-
-def test_layernorm_gradients():
-    layer = LayerNorm(6)
-    check_layer_gradients(layer, RNG.normal(size=(4, 6)), rtol=1e-3)
 
 
 def test_batchnorm_train_statistics():
@@ -151,7 +95,7 @@ def test_conv2d_gradients():
 
 def test_conv2d_matches_manual_single_pixel():
     conv = Conv2d(1, 1, kernel=3, stride=1, pad=1,
-                  rng=np.random.default_rng(4), bias=False)
+                  rng=np.random.default_rng(4))  # bias starts at zero
     x = np.zeros((1, 1, 5, 5))
     x[0, 0, 2, 2] = 1.0
     y = conv.forward(x)
@@ -191,15 +135,6 @@ def test_maxpool_gradients_route_to_max():
     assert g.sum() == y.size
 
 
-def test_avgpool_values_and_gradients():
-    pool = AvgPool2d(2)
-    x = np.ones((1, 1, 4, 4))
-    y = pool.forward(x)
-    np.testing.assert_allclose(y, 1.0)
-    g = pool.backward(np.ones_like(y))
-    np.testing.assert_allclose(g, 0.25)
-
-
 def test_gru_cell_step_shapes():
     cell = GRUCell(3, 5, rng=np.random.default_rng(6))
     h = cell.step(RNG.normal(size=(2, 3)), np.zeros((2, 5)))
@@ -219,25 +154,8 @@ def test_module_parameter_discovery():
 
 
 def test_train_eval_propagates_to_children():
-    net = Sequential(Dense(3, 3), Dropout(0.5), Dense(3, 1))
+    net = Sequential(Dense(3, 3), BatchNorm(3), Dense(3, 1))
     net.eval()
     assert all(not m.training for m in net.modules())
     net.train()
     assert all(m.training for m in net.modules())
-
-
-def test_state_dict_roundtrip():
-    net = mlp([3, 5, 2], rng=np.random.default_rng(8))
-    state = net.state_dict()
-    for p in net.parameters():
-        p.data[...] = 0.0
-    net.load_state_dict(state)
-    total = sum(float(np.abs(p.data).sum()) for p in net.parameters())
-    assert total > 0
-
-
-def test_state_dict_shape_mismatch_raises():
-    net = mlp([3, 5, 2], rng=np.random.default_rng(8))
-    other = mlp([3, 6, 2], rng=np.random.default_rng(8))
-    with pytest.raises(ValueError):
-        net.load_state_dict(other.state_dict())

@@ -8,7 +8,6 @@ from repro.nn import (
     bce_with_logits,
     cross_entropy_with_logits,
     gaussian_kl,
-    huber_loss,
     info_nce,
     mse_loss,
     softmax,
@@ -30,19 +29,6 @@ def test_mse_gradient_numeric():
     _, grad = mse_loss(pred, target)
     num = numeric_gradient(lambda: mse_loss(pred, target)[0], pred)
     np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-8)
-
-
-def test_huber_quadratic_region_matches_half_mse():
-    pred = np.array([0.5, -0.3])
-    target = np.zeros(2)
-    loss, _ = huber_loss(pred, target, delta=1.0)
-    assert loss == pytest.approx(0.5 * np.mean(pred ** 2))
-
-
-def test_huber_linear_tail():
-    loss, grad = huber_loss(np.array([10.0]), np.zeros(1), delta=1.0)
-    assert loss == pytest.approx(10.0 - 0.5)
-    assert grad[0] == pytest.approx(1.0)
 
 
 def test_bce_with_logits_matches_manual():

@@ -1,9 +1,9 @@
-"""Unit tests for optimizers: SGD, Adam, SPSA, grad clipping."""
+"""Unit tests for optimizers: SGD, Adam, SPSA."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, SPSA, Adam, Parameter, clip_grad_norm, mlp, mse_loss
+from repro.nn import SGD, SPSA, Adam, Parameter, mlp, mse_loss
 
 RNG = np.random.default_rng(13)
 
@@ -30,24 +30,6 @@ def test_sgd_descends():
         step_loss()
         opt.step()
     assert mse_loss(p.data, target)[0] < first * 1e-4
-
-
-def test_sgd_momentum_converges():
-    p, target, step_loss = _quadratic_problem()
-    opt = SGD([p], lr=0.2, momentum=0.9)
-    for _ in range(200):
-        step_loss()
-        opt.step()
-    np.testing.assert_allclose(p.data, target, atol=1e-3)
-
-
-def test_sgd_weight_decay_shrinks():
-    p = Parameter(np.ones(4) * 10)
-    opt = SGD([p], lr=0.1, weight_decay=1.0)
-    for _ in range(100):
-        p.zero_grad()
-        opt.step()
-    assert np.all(np.abs(p.data) < 1.0)
 
 
 def test_sgd_skips_frozen():
@@ -83,21 +65,6 @@ def test_adam_trains_mlp():
     assert loss < first * 0.2
 
 
-def test_clip_grad_norm():
-    p = Parameter(np.zeros(4))
-    p.grad += 10.0
-    pre = clip_grad_norm([p], max_norm=1.0)
-    assert pre == pytest.approx(20.0)
-    assert np.linalg.norm(p.grad) == pytest.approx(1.0)
-
-
-def test_clip_grad_norm_noop_under_limit():
-    p = Parameter(np.zeros(4))
-    p.grad += 0.1
-    clip_grad_norm([p], max_norm=10.0)
-    np.testing.assert_allclose(p.grad, 0.1)
-
-
 def test_spsa_minimizes_quadratic():
     spsa = SPSA(a=0.5, c=0.1, rng=np.random.default_rng(2))
     target = np.array([2.0, -1.0, 0.5])
@@ -121,7 +88,3 @@ def test_spsa_normalized_gradient_scale_invariance():
         return f_best / scale
 
     assert run(1.0) == pytest.approx(run(1e6), rel=1e-6)
-
-
-def test_spsa_evaluations_per_step():
-    assert SPSA().evaluations_per_step() == 3

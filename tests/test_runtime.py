@@ -22,6 +22,7 @@ from repro.runtime import (
     run_suite,
     spawn_rngs,
     spawn_seeds,
+    store,
 )
 from repro.sim import make_synthetic_cifar, shard_iid
 from repro.starnet import STARNet
@@ -199,6 +200,13 @@ def test_assert_private_rngs_rejects_aliases():
 # ----------------------------------------------------------------- cache
 def _tmp_cache(tmp_path):
     return ArtifactCache(str(tmp_path / "cache"))
+
+
+def test_suite_runs_on_a_private_cache(tmp_path_factory):
+    root = os.path.realpath(store._default_root())
+    base = os.path.realpath(tmp_path_factory.getbasetemp())
+    assert os.environ.get("REPRO_CACHE_DIR")
+    assert os.path.commonpath([root, base]) == base
 
 
 def test_cache_roundtrip_and_counters(tmp_path):

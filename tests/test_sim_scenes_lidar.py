@@ -9,7 +9,6 @@ from repro.sim import (
     LidarScanner,
     Scene,
     SceneObject,
-    sample_dataset,
     sample_scene,
 )
 
@@ -27,20 +26,6 @@ def test_scene_object_validation():
         SceneObject("Car", np.zeros(2), np.ones(3))
     with pytest.raises(ValueError):
         SceneObject("Car", np.zeros(3), np.array([1.0, -1.0, 1.0]))
-
-
-def test_contains_axis_aligned():
-    obj = _box()
-    inside = np.array([[10.0, 0.0, 0.8]])
-    outside = np.array([[10.0, 3.0, 0.8]])
-    assert obj.contains(inside)[0]
-    assert not obj.contains(outside)[0]
-
-
-def test_contains_respects_yaw():
-    obj = _box(yaw=np.pi / 2)  # length now along y
-    assert obj.contains(np.array([[10.0, 1.8, 0.8]]))[0]
-    assert not obj.contains(np.array([[11.8, 0.0, 0.8]]))[0]
 
 
 def test_ray_intersect_hits_front_face():
@@ -62,14 +47,6 @@ def test_ray_intersect_from_inside():
     t = obj.ray_intersect(np.array([0.0, 0.0, 1.0]),
                           np.array([1.0, 0.0, 0.0]))
     assert t == pytest.approx(2.0)
-
-
-def test_corners_bev_shape_and_extent():
-    obj = _box(yaw=0.3)
-    corners = obj.corners_bev()
-    assert corners.shape == (4, 2)
-    center = corners.mean(axis=0)
-    np.testing.assert_allclose(center, obj.center[:2], atol=1e-9)
 
 
 def test_sample_scene_counts():
@@ -96,13 +73,6 @@ def test_sample_scene_azimuth_limit():
     for obj in scene.foreground():
         az = np.arctan2(obj.center[1], obj.center[0])
         assert abs(az) <= np.pi / 6 + 1e-9
-
-
-def test_sample_dataset_reproducible():
-    a = sample_dataset(42, 3)
-    b = sample_dataset(42, 3)
-    for sa, sb in zip(a, b):
-        assert sa.class_counts() == sb.class_counts()
 
 
 def test_scene_assigns_object_ids():
