@@ -19,17 +19,17 @@ ROUNDS = 8
 N_CLIENTS = 6
 
 
-def _run_with_policy(policy_name, seed=0):
-    ds = make_synthetic_cifar(n_per_class=40, seed=seed)
-    train, test = ds.split(0.25, np.random.default_rng(seed + 1))
+def _run_with_policy(policy_name):
+    ds = make_synthetic_cifar(n_per_class=40, seed=0)
+    train, test = ds.split(0.25, np.random.default_rng(1))
     shards = shard_dirichlet(train, N_CLIENTS, alpha=0.7,
-                             rng=np.random.default_rng(seed + 2))
-    fleet = make_fleet(N_CLIENTS, rng=np.random.default_rng(seed + 3))
-    clients = [FLClient(i, s, p, rng=np.random.default_rng(seed + 10 + i))
+                             rng=np.random.default_rng(2))
+    fleet = make_fleet(N_CLIENTS, rng=np.random.default_rng(3))
+    clients = [FLClient(i, s, p, rng=np.random.default_rng(10 + i))
                for i, (s, p) in enumerate(zip(shards, fleet))]
     mode = "halo" if policy_name == "halo" else "fedavg"
     server = FLServer(clients, test, hidden=32, mode=mode,
-                      rng=np.random.default_rng(seed + 4))
+                      rng=np.random.default_rng(4))
     if policy_name.startswith("uniform"):
         bits = int(policy_name.split("_")[1])
         cfg = PrecisionConfig(bits, bits, max(bits, 8))
@@ -42,17 +42,17 @@ def _run_with_policy(policy_name, seed=0):
     return server.totals()
 
 
-def run_ablation(seed: int = 0) -> dict:
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
     results = {}
     for bits in UNIFORM_BITS:
-        results[f"uniform_{bits}"] = _run_with_policy(f"uniform_{bits}",
-                                                      seed=seed)
-    results["halo"] = _run_with_policy("halo", seed=seed)
+        results[f"uniform_{bits}"] = _run_with_policy(f"uniform_{bits}")
+    results["halo"] = _run_with_policy("halo")
     return results
 
 
 def test_ablation_halo_precision(benchmark):
-    result = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
         "Ablation — uniform precision vs HaLo's hardware-aware selector",
         ["Policy", "Accuracy", "Energy (mJ)", "Latency (ms)"],

@@ -17,7 +17,8 @@ from bench_utils import print_table, save_result
 SEEDS = (0, 1, 2, 3)
 
 
-def run_swarm() -> dict:
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
     per_seed = []
     for seed in SEEDS:
         res = compare_swarm_strategies(
@@ -37,7 +38,7 @@ def run_swarm() -> dict:
 
 
 def test_claim_multiagent_energy(benchmark):
-    result = benchmark.pedantic(run_swarm, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     un, co = result["uncoordinated"], result["coordinated"]
     ratio = un["energy_mj"] / co["energy_mj"]
     print_table(

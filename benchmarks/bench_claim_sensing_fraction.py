@@ -20,8 +20,9 @@ LIDAR = LidarConfig(n_azimuth=48, n_elevation=8)
 KEEP_FRACTIONS = (0.10, 0.25, 0.5, 1.0)
 
 
-def run_sweep(seed: int = 0) -> dict:
-    rng = np.random.default_rng(seed)
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
+    rng = np.random.default_rng(0)
     scanner = LidarScanner(LIDAR, rng=rng)
     clouds = []
     for _ in range(14):
@@ -29,9 +30,9 @@ def run_sweep(seed: int = 0) -> dict:
         clouds.append(voxelize(scan.points, scan.labels, GRID))
     train, test = clouds[:10], clouds[10:]
 
-    model = RMAE(GRID, rng=np.random.default_rng(seed + 1))
+    model = RMAE(GRID, rng=np.random.default_rng(1))
     pretrain_rmae(model, train, RadialMaskConfig(), epochs=12,
-                  rng=np.random.default_rng(seed + 2))
+                  rng=np.random.default_rng(2))
 
     results = {}
     for keep_fraction in KEEP_FRACTIONS:
@@ -57,7 +58,7 @@ def run_sweep(seed: int = 0) -> dict:
 
 
 def test_claim_sensing_fraction(benchmark):
-    result = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     full_iou = result[1.0]["reconstruction_iou"]
     print_table(
         "Conclusion claim — reconstruction fidelity vs sensed fraction "

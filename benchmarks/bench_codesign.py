@@ -20,7 +20,8 @@ from bench_utils import print_table, save_result
 BUDGETS_MW = (2000, 4000, 8000, 15000, 30000)
 
 
-def run_codesign() -> dict:
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
     plant = LoopPlant()
     sweep = {}
     for budget in BUDGETS_MW:
@@ -41,7 +42,7 @@ def run_codesign() -> dict:
 
 
 def test_codesign_thesis(benchmark):
-    result = benchmark.pedantic(run_codesign, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     sweep = result["sweep"]
     print_table(
         "Thesis — end-to-end co-design vs modular optimization "

@@ -19,27 +19,28 @@ N_CLIENTS = 8
 ROUNDS = 10
 
 
-def run_fig11(seed: int = 0) -> dict:
-    ds = make_synthetic_cifar(n_per_class=50, seed=seed)
-    train, test = ds.split(0.25, np.random.default_rng(seed + 1))
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
+    ds = make_synthetic_cifar(n_per_class=50, seed=0)
+    train, test = ds.split(0.25, np.random.default_rng(1))
     shards = shard_dirichlet(train, N_CLIENTS, alpha=0.7,
-                             rng=np.random.default_rng(seed + 2))
-    fleet = make_fleet(N_CLIENTS, rng=np.random.default_rng(seed + 3))
+                             rng=np.random.default_rng(2))
+    fleet = make_fleet(N_CLIENTS, rng=np.random.default_rng(3))
 
     results = {}
     for mode in MODES:
         clients = [FLClient(i, s, p,
-                            rng=np.random.default_rng(seed + 100 + i))
+                            rng=np.random.default_rng(100 + i))
                    for i, (s, p) in enumerate(zip(shards, fleet))]
         server = FLServer(clients, test, hidden=32, mode=mode,
-                          rng=np.random.default_rng(seed + 4))
+                          rng=np.random.default_rng(4))
         server.run(ROUNDS)
         results[mode] = server.totals()
     return results
 
 
 def test_fig11_federated(benchmark):
-    result = benchmark.pedantic(run_fig11, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     base = result["fedavg"]
     rows = []
     for mode in MODES:

@@ -16,7 +16,8 @@ SIZES = (64, 256, 1024)
 ACTIVITIES = (1.0, 0.1)
 
 
-def run_imc() -> dict:
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
     results = {}
     for size in SIZES:
         for activity in ACTIVITIES:
@@ -27,7 +28,7 @@ def run_imc() -> dict:
 
 
 def test_fig2_imc(benchmark):
-    result = benchmark.pedantic(run_imc, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
     for key, out in result.items():
         rows.append([key, f"{out['digital_pj'] / 1e3:.1f}",

@@ -25,7 +25,8 @@ BACKBONES = ("second_lite", "pvrcnn_lite")
 SEEDS = (0, 1, 2)
 
 
-def run_table1() -> dict:
+def run(smoke: bool = False) -> dict:
+    """Single config: ``smoke`` is ignored."""
     results = {bb: {m: {c: [] for c in CLASS_NAMES} for m in METHODS}
                for bb in BACKBONES}
     for seed in SEEDS:
@@ -52,7 +53,7 @@ def _mean_ap(per_cls: dict) -> float:
 
 
 def test_table1_detection_ap(benchmark):
-    result = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
     for backbone in BACKBONES:
         for method in METHODS:

@@ -16,15 +16,21 @@ From the repository root::
     python benchmarks/reach_trace.py record --out reach/tests -- \\
         python -m pytest -q -p no:cacheprovider
 
-``report`` lists every function under ``--root`` that no ``--entry``
-record reached: the ones a ``--tests`` record reached are *test-only*,
-the rest *never run*.  Each comes with its body line count (the span
-of its ``def``, nested functions counted on their own); stubs (a body
-of only a docstring, ``pass``, ``...`` or ``raise NotImplementedError``,
-or an ``abstractmethod``) are flagged::
+Each record also holds the SHA-256 of every source file it has hits
+in, taken when the file's first function is entered.  ``report`` lists
+every function under ``--root`` that no ``--entry`` record reached: the
+ones a ``--tests`` record reached are *test-only*, the rest *never
+run*.  Each comes with its body line count (the span of its ``def``,
+nested functions counted on their own); stubs (a body of only a
+docstring, ``pass``, ``...`` or ``raise NotImplementedError``, or an
+``abstractmethod``) are flagged::
 
     python benchmarks/reach_trace.py report --entry reach/entry \\
         --tests reach/tests
+
+A record keys each function by its line, so ``report`` exits 1, naming
+the files, when a record's source hash differs from the file under
+``--root`` now: re-record after editing a traced file.
 
 Start each traced run from an empty ``REPRO_CACHE_DIR``: a warm artifact
 cache hides the training code it skips.  A flag that no traced run
@@ -36,12 +42,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_ROOT = os.path.join(ROOT, "src", "repro")
@@ -60,6 +67,15 @@ _module.install()
 
 
 # ------------------------------------------------------------------ record
+def file_sha256(path: str) -> Optional[str]:
+    """Hex SHA-256 of a file's bytes; None if it cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+    except OSError:
+        return None
+
+
 def install() -> None:
     """Start recording in this process (called from ``sitecustomize``)."""
     import atexit
@@ -69,6 +85,7 @@ def install() -> None:
     out = os.environ[OUT_ENV]
     seen: Dict[int, object] = {}    # id(code) -> code, kept so ids stay unique
     hits: Set[Key] = set()
+    sources: Dict[str, Optional[str]] = {}  # path -> SHA-256 at first entry
 
     def hook(frame, event, arg):
         if event == "call":
@@ -77,15 +94,18 @@ def install() -> None:
                 seen[id(code)] = code
                 path = code.co_filename
                 if path.startswith(root):
-                    hits.add((path[len(root):], code.co_firstlineno,
-                              code.co_name))
+                    rel = path[len(root):]
+                    if rel not in sources:
+                        sources[rel] = file_sha256(path)
+                    hits.add((rel, code.co_firstlineno, code.co_name))
 
     def flush() -> None:
         if hits:
             fd, path = tempfile.mkstemp(prefix=f"{os.getpid()}-",
                                         suffix=".json", dir=out)
             with os.fdopen(fd, "w") as f:
-                json.dump(sorted(hits), f)
+                json.dump({"sources": {p: sources[p] for p, _, _ in hits},
+                           "hits": sorted(hits)}, f)
             hits.clear()
 
     def after_fork_in_child() -> None:
@@ -120,15 +140,28 @@ def record(command: List[str], out: str, root: str) -> int:
         return subprocess.call(command, env=env)
 
 
-def load_records(dirs: Iterable[str]) -> Set[Key]:
-    """Union of every record file in ``dirs``."""
-    keys: Set[Key] = set()
+def _records(dirs: Iterable[str]) -> Iterator[dict]:
     for d in dirs:
         for name in sorted(os.listdir(d)):
             if name.endswith(".json"):
                 with open(os.path.join(d, name)) as f:
-                    keys.update((p, int(line), n) for p, line, n in json.load(f))
+                    yield json.load(f)
+
+
+def load_records(dirs: Iterable[str]) -> Set[Key]:
+    """Union of every record file's hits in ``dirs``."""
+    keys: Set[Key] = set()
+    for record in _records(dirs):
+        keys.update((p, int(line), n) for p, line, n in record["hits"])
     return keys
+
+
+def stale_sources(dirs: Iterable[str], root: str) -> List[str]:
+    """Files whose hash in a record in ``dirs`` differs from ``root`` now."""
+    recorded = {(path, digest) for record in _records(dirs)
+                for path, digest in record["sources"].items()}
+    return sorted({path for path, digest in recorded
+                   if digest != file_sha256(os.path.join(root, path))})
 
 
 # ------------------------------------------------------------------ report
@@ -272,6 +305,11 @@ def main(argv=None) -> int:
             parser.error("record needs a command after --")
         return record(command, args.out, args.root)
 
+    stale = stale_sources(args.entry + args.tests, args.root)
+    if stale:
+        print(f"records traced other versions of {', '.join(stale)} than "
+              f"{args.root} holds now; re-record them", file=sys.stderr)
+        return 1
     print(format_report(classify(functions(args.root),
                                  load_records(args.entry),
                                  load_records(args.tests))))

@@ -4,18 +4,17 @@ Gives downstream users one entry point for the common flows without
 writing any code:
 
 * ``demo <name>``       — run one of the example scenarios inline;
-* ``experiment <id>``   — regenerate one paper artifact (table2, fig5a,
-  fig5b, auc, fig11, swarm, speculative, codesign); the full table and
-  figure suite, including the heavier Table I / Fig. 7 / Fig. 9 runs,
-  lives in ``benchmarks/``;
-* ``profile <target>``  — run a scenario under a live metrics registry
-  and emit the span tree + metrics (JSON via ``--out``, JSONL via
-  ``--jsonl``, text summary to stdout); ``profile demo`` runs the
+* ``profile <target>``  — run a scenario or a bench under a live metrics
+  registry and emit the span tree + metrics (JSON via ``--out``, JSONL
+  via ``--jsonl``, text summary to stdout); ``profile demo`` runs the
   built-in five-stage loop scenario;
-* ``bench NAME...``     — run benches by name (or the ``default`` tag,
-  the fast shape-level subset, which is also what no name selects)
-  under a :class:`repro.runtime.WorkerPool` and check every gated
-  bench's claims against its committed baseline — the same claim lines
+* ``bench NAME...``     — regenerate paper artifacts: each table,
+  figure and claim of the paper has exactly one protocol, its bench
+  (``table2_lidar_energy``, ``fig5b_disturbance``, ``starnet_auc``,
+  ...).  Runs benches by name (or the ``default`` tag, the fast
+  shape-level subset, which is also what no name selects) under a
+  :class:`repro.runtime.WorkerPool` and checks every gated bench's
+  claims against its committed baseline — the same claim lines
   ``benchmarks/check_regressions.py`` prints.  ``--smoke`` runs each
   gated bench's seconds-scale CI config, ``--workers N`` fans the
   benches out over processes with results bit-identical to serial,
@@ -37,10 +36,10 @@ writing any code:
   (``--update-goldens`` re-records them).  Exit codes: 0 = all checks
   pass, 1 = mismatches, 2 = bad usage — the same contract the README
   documents, so CI can gate on it;
-* ``list``              — enumerate available demos and experiments.
+* ``list``              — enumerate available demos and benches.
 
-Every failure path (unknown demo/experiment/profile target, a demo
-whose ``main`` reports failure) exits non-zero so CI can gate on it.
+Every failure path (unknown demo/bench/profile target, a demo whose
+``main`` reports failure) exits non-zero so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -48,142 +47,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict
 
-import numpy as np
-
-__all__ = ["main", "EXPERIMENTS"]
-
-
-# --------------------------------------------------------------- commands
-def _table2() -> dict:
-    from repro.generative import compare_energy, energy_ratio
-    from repro.sim import LidarConfig, LidarScanner, sample_scene
-    from repro.voxel import (
-        RadialMaskConfig,
-        VoxelGridConfig,
-        beam_mask_from_segments,
-        radial_mask,
-        voxelize,
-    )
-    lidar = LidarConfig(n_azimuth=72, n_elevation=20)
-    grid = VoxelGridConfig(nx=24, ny=24, nz=2)
-    rng = np.random.default_rng(0)
-    scanner = LidarScanner(lidar, rng=rng)
-    scene = sample_scene(rng)
-    full = scanner.scan(scene)
-    cloud = voxelize(full.points, full.labels, grid)
-    cfg = RadialMaskConfig(n_segments=24, segment_keep_fraction=0.25,
-                           reference_range_m=10.0)
-    _, segments = radial_mask(cloud, cfg, np.random.default_rng(1))
-    expected = np.full(lidar.n_beams, lidar.max_range_m)
-    expected[full.beam_ids] = full.ranges
-    mask = beam_mask_from_segments(segments, lidar, cfg, expected,
-                                   np.random.default_rng(2))
-    masked = scanner.scan(scene, mask)
-    reports = compare_energy(full, masked, 830_000, 335_000_000)
-    return {
-        "conventional": reports["conventional"].as_row(),
-        "rmae": reports["rmae"].as_row(),
-        "energy_ratio": round(energy_ratio(reports), 2),
-    }
-
-
-def _fig5a() -> dict:
-    from repro.koopman import fig5a_macs
-    return fig5a_macs(16, 1)
-
-
-def _fig5b() -> dict:
-    from repro.koopman import run_disturbance_experiment
-    rewards = run_disturbance_experiment(
-        {"dense_koopman": 1, "spectral_koopman": 90, "mlp": 25},
-        n_train_episodes=12, eval_episodes=4)
-    return {name: {f"p={p}": round(r, 1) for p, r in by_p.items()}
-            for name, by_p in rewards.items()}
-
-
-def _auc() -> dict:
-    from repro.starnet import AUCExperimentConfig, run_auc_experiment
-    cfg = AUCExperimentConfig(n_fit_scans=24, n_test_scans=12,
-                              severity=0.45, spsa_steps=25, vae_epochs=35)
-    return {k: round(v, 4) for k, v in run_auc_experiment(cfg).items()}
-
-
-def _swarm() -> dict:
-    from repro.multiagent import compare_swarm_strategies
-    res = compare_swarm_strategies(steps=40, seed=0)
-    return {
-        name: {"detection_rate": round(r.detection_rate, 3),
-               "energy_mj": round(r.total_energy_mj, 1),
-               "redundancy": round(r.mean_redundancy, 2)}
-        for name, r in res.items()
-    }
-
-
-def _speculative() -> dict:
-    from repro.federated import NGramLM, speculative_decode
-    rng = np.random.default_rng(0)
-    tokens = [0]
-    for _ in range(5000):
-        tokens.append((tokens[-1] + 1) % 12 if rng.random() < 0.8
-                      else int(rng.integers(12)))
-    target = NGramLM(12, order=3).fit(tokens)
-    draft = NGramLM(12, order=1).fit(tokens)
-    out = {}
-    for k in (1, 2, 4, 8):
-        stats = speculative_decode(target, draft, tokens[:3], 200, k=k,
-                                   rng=np.random.default_rng(k))
-        out[f"k={k}"] = {"acceptance": round(stats.acceptance_rate, 3),
-                         "speedup": round(
-                             stats.speedup_vs_autoregressive(), 2)}
-    return out
-
-
-def _fig11() -> dict:
-    from repro.federated import MODES, FLClient, FLServer, make_fleet
-    from repro.sim import make_synthetic_cifar, shard_dirichlet
-    ds = make_synthetic_cifar(n_per_class=40, seed=0)
-    train, test = ds.split(0.25, np.random.default_rng(1))
-    shards = shard_dirichlet(train, 6, alpha=0.7,
-                             rng=np.random.default_rng(2))
-    fleet = make_fleet(6, rng=np.random.default_rng(3))
-    out = {}
-    for mode in MODES:
-        clients = [FLClient(i, s, p, rng=np.random.default_rng(10 + i))
-                   for i, (s, p) in enumerate(zip(shards, fleet))]
-        server = FLServer(clients, test, hidden=32, mode=mode,
-                          rng=np.random.default_rng(4))
-        server.run(8)
-        out[mode] = {k: round(v, 5) for k, v in server.totals().items()}
-    return out
-
-
-def _codesign() -> dict:
-    from repro.core import LoopPlant, end_to_end_codesign, modular_codesign
-    plant = LoopPlant()
-    out = {}
-    for budget in (2000, 4000, 8000, 15000, 30000):
-        e2e, ue = end_to_end_codesign(plant, budget)
-        _, um = modular_codesign(plant, budget)
-        out[f"{budget}mW"] = {
-            "e2e_utility": round(ue, 3),
-            "modular_utility": round(um, 3),
-            "e2e_design": str(e2e),
-        }
-    return out
-
-
-EXPERIMENTS: Dict[str, Callable[[], dict]] = {
-    "table2": _table2,
-    "codesign": _codesign,
-    "fig5a": _fig5a,
-    "fig5b": _fig5b,
-    "auc": _auc,
-    "fig11": _fig11,
-    "swarm": _swarm,
-    "speculative": _speculative,
-}
+__all__ = ["main"]
 
 DEMOS = ("quickstart", "generative_lidar_perception",
          "koopman_cartpole_control", "robust_monitored_autonomy",
@@ -219,10 +84,11 @@ PROFILE_BUILTIN = "demo"
 
 def _run_profile(target: str, out: str, jsonl: str, cycles: int) -> int:
     from repro import obs
+    from repro.runtime.bench import BENCHES, run_bench
 
     if (target != PROFILE_BUILTIN and target not in DEMOS
-            and target not in EXPERIMENTS):
-        choices = ", ".join([PROFILE_BUILTIN, *DEMOS, *sorted(EXPERIMENTS)])
+            and target not in BENCHES):
+        choices = ", ".join([PROFILE_BUILTIN, *DEMOS, *sorted(BENCHES)])
         print(f"unknown profile target {target!r}; choose from {choices}",
               file=sys.stderr)
         return 2
@@ -235,7 +101,7 @@ def _run_profile(target: str, out: str, jsonl: str, cycles: int) -> int:
         elif target in DEMOS:
             rc = _run_demo(target)
         else:
-            EXPERIMENTS[target]()
+            run_bench(target)
             rc = 0
     if rc != 0:
         return rc
@@ -343,18 +209,15 @@ def main(argv=None) -> int:
         description="Sensing-to-action loops for edge autonomy "
                     "(DATE 2025 reproduction)")
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("list", help="list demos and experiments")
+    sub.add_parser("list", help="list demos and benches")
     demo = sub.add_parser("demo", help="run an example scenario")
     demo.add_argument("name", choices=DEMOS)
-    exp = sub.add_parser("experiment",
-                         help="regenerate a paper artifact (JSON to stdout)")
-    exp.add_argument("id", choices=sorted(EXPERIMENTS))
     prof = sub.add_parser(
         "profile",
         help="run a scenario under live telemetry and emit span tree "
              "+ metrics ('demo' = built-in five-stage loop)")
     prof.add_argument("target",
-                      help="'demo', an example name, or an experiment id")
+                      help="'demo', an example name, or a bench name")
     prof.add_argument("--out", default="",
                       help="write span tree + metrics JSON here")
     prof.add_argument("--jsonl", default="",
@@ -363,9 +226,9 @@ def main(argv=None) -> int:
                       help="loop cycles for the built-in 'demo' target")
     bench = sub.add_parser(
         "bench",
-        help="run benches (optionally in parallel), aggregate their JSON "
-             "and check the gated benches' claims; exits 1 if a blocking "
-             "claim fails")
+        help="regenerate paper artifacts: run benches (optionally in "
+             "parallel), aggregate their JSON and check the gated benches' "
+             "claims; exits 1 if a blocking claim fails")
     bench.add_argument("names", nargs="*",
                        help="bench names or the 'default' tag (default: "
                             "'default'; 'repro list' shows every name)")
@@ -413,27 +276,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list":
         from repro.runtime import BENCHES, DEFAULT_BENCHES
-        print("demos:       ", ", ".join(DEMOS))
-        print("experiments: ", ", ".join(sorted(EXPERIMENTS)))
-        print("benches:     ", ", ".join(sorted(BENCHES)))
-        print("bench tags:   default =", ", ".join(DEFAULT_BENCHES))
-        print("profile:      demo (built-in loop), any demo name, or any "
-              "experiment id")
-        print("(the full table/figure suite lives in benchmarks/: "
-              "pytest benchmarks/ --benchmark-only -s; 'repro bench "
-              "--workers N' runs the fast subset in parallel)")
+        print("demos:      ", ", ".join(DEMOS))
+        print("benches:    ", ", ".join(sorted(BENCHES)))
+        print("bench tags:  default =", ", ".join(DEFAULT_BENCHES))
+        print("profile:     demo (built-in loop), any demo name, or any "
+              "bench name")
+        print("(each bench regenerates one paper artifact: 'repro bench "
+              "NAME'; 'pytest benchmarks/ --benchmark-only -s' also prints "
+              "their tables)")
         return 0
     if args.command == "demo":
         return _run_demo(args.name)
-    if args.command == "experiment":
-        if args.id not in EXPERIMENTS:
-            print(f"unknown experiment {args.id!r}; choose from "
-                  f"{', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
-            return 2
-        result = EXPERIMENTS[args.id]()
-        json.dump(result, sys.stdout, indent=2, default=str)
-        print()
-        return 0
     if args.command == "profile":
         return _run_profile(args.target, args.out, args.jsonl, args.cycles)
     if args.command == "bench":

@@ -1,7 +1,6 @@
 """``repro.hardware`` — analytic energy / latency / area / link-budget models."""
 
 from .energy import (
-    DRAM_ENERGY_PJ_PER_BYTE,
     MAC_ENERGY_PJ,
     MEMORY_ENERGY_PJ_PER_BYTE,
     EnergyLedger,
@@ -14,7 +13,7 @@ from .latency import MAC_AREA_UM2, MAC_LATENCY_NS, HardwareProfile, mac_area_um2
 from .lidar_power import LidarPowerModel
 
 __all__ = [
-    "MAC_ENERGY_PJ", "MEMORY_ENERGY_PJ_PER_BYTE", "DRAM_ENERGY_PJ_PER_BYTE",
+    "MAC_ENERGY_PJ", "MEMORY_ENERGY_PJ_PER_BYTE",
     "mac_energy_pj", "memory_energy_pj", "model_inference_energy_mj",
     "EnergyLedger", "MAC_LATENCY_NS", "MAC_AREA_UM2", "mac_latency_ns",
     "mac_area_um2", "HardwareProfile", "LidarPowerModel",

@@ -37,9 +37,6 @@ MAC_ENERGY_PJ: Dict[int, float] = {
 
 # SRAM access energy per byte (on-chip buffer, 45 nm class).
 MEMORY_ENERGY_PJ_PER_BYTE = 2.5
-# Off-chip DRAM access energy per byte — ~60x SRAM; used by the data-
-# movement accounting of in-memory-computing comparisons.
-DRAM_ENERGY_PJ_PER_BYTE = 160.0
 
 
 def mac_energy_pj(bits: int = 32) -> float:
@@ -49,10 +46,9 @@ def mac_energy_pj(bits: int = 32) -> float:
     return MAC_ENERGY_PJ[bits]
 
 
-def memory_energy_pj(num_bytes: float, dram: bool = False) -> float:
-    """Energy to move ``num_bytes`` through SRAM (or DRAM), in pJ."""
-    per_byte = DRAM_ENERGY_PJ_PER_BYTE if dram else MEMORY_ENERGY_PJ_PER_BYTE
-    return num_bytes * per_byte
+def memory_energy_pj(num_bytes: float) -> float:
+    """Energy to move ``num_bytes`` through SRAM, in pJ."""
+    return num_bytes * MEMORY_ENERGY_PJ_PER_BYTE
 
 
 def model_inference_energy_mj(macs: int, bits: int = 32,

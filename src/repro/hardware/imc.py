@@ -4,7 +4,7 @@ The paper: neuromorphic algorithms "benefit from hardware acceleration
 via in-memory (IMC) and near-memory (NMC) computing by efficiently
 implementing synaptic functionality", working "alongside CPU/GPU
 architectures".  The decisive physics: a von-Neumann MAC pays weight
-*movement* (SRAM/DRAM reads) on top of arithmetic, while a crossbar IMC
+*movement* (SRAM reads) on top of arithmetic, while a crossbar IMC
 array keeps weights stationary and computes the dot product in place —
 at the price of DAC/ADC conversion per activation/output.
 
@@ -25,20 +25,18 @@ __all__ = ["CrossbarModel", "digital_mvm_energy_pj", "compare_architectures"]
 
 
 def digital_mvm_energy_pj(rows: int, cols: int, bits: int = 8,
-                          batch: int = 1,
-                          weights_cached: bool = False) -> float:
+                          batch: int = 1) -> float:
     """Energy of a (rows x cols) matrix-vector product on a digital unit.
 
-    Compute (MACs) + weight traffic: without caching, every weight is
-    read from SRAM once per batch element; with caching, once total.
+    Compute (MACs) + weight traffic: every weight is read from SRAM once
+    per batch element.
     """
     if rows <= 0 or cols <= 0 or batch <= 0:
         raise ValueError("dimensions and batch must be positive")
     macs = rows * cols * batch
     compute = macs * mac_energy_pj(bits)
     weight_bytes = rows * cols * bits / 8.0
-    reads = 1 if weights_cached else batch
-    traffic = weight_bytes * reads * MEMORY_ENERGY_PJ_PER_BYTE
+    traffic = weight_bytes * batch * MEMORY_ENERGY_PJ_PER_BYTE
     return compute + traffic
 
 

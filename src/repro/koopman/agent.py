@@ -40,20 +40,16 @@ Controller = Callable[[np.ndarray], float]
 
 
 def collect_transitions(n_episodes: int = 20, steps: int = 60,
-                        rng: Optional[np.random.Generator] = None,
-                        exploring_controller: Optional[Controller] = None
+                        rng: Optional[np.random.Generator] = None
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roll random (or given) policies on the cart-pole; returns (S, U, S')."""
+    """Roll a uniform random policy on the cart-pole; returns (S, U, S')."""
     rng = rng if rng is not None else np.random.default_rng(0)
     states, actions, next_states = [], [], []
     for _ in range(n_episodes):
         env = CartPole(rng=np.random.default_rng(rng.integers(2 ** 31)))
         s = env.reset(noise_scale=0.1)
         for _ in range(steps):
-            if exploring_controller is not None and rng.random() < 0.5:
-                a = float(exploring_controller(s))
-            else:
-                a = float(rng.uniform(-1.0, 1.0))
+            a = float(rng.uniform(-1.0, 1.0))
             s2, _, done = env.step(a)
             states.append(s)
             actions.append([a])

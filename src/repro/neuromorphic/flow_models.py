@@ -330,8 +330,8 @@ def train_flow_model(model: FlowModel, samples: Sequence[FlowSample],
     return losses
 
 
-def per_sample_aee(model: FlowModel, samples: Sequence[FlowSample],
-                   masked: bool = True) -> List[float]:
+def per_sample_aee(model: FlowModel,
+                   samples: Sequence[FlowSample]) -> List[float]:
     """Endpoint error of every sample individually (trace-level view).
 
     :func:`evaluate_aee` reduces this to its mean; golden-trace
@@ -342,13 +342,12 @@ def per_sample_aee(model: FlowModel, samples: Sequence[FlowSample],
     errors: List[float] = []
     for sample in samples:
         pred = model.predict(sample)
-        mask = sample.has_event_mask if masked else None
-        errors.append(average_endpoint_error(pred, sample.flow, mask=mask))
+        errors.append(average_endpoint_error(pred, sample.flow,
+                                             mask=sample.has_event_mask))
     return errors
 
 
-def evaluate_aee(model: FlowModel, samples: Sequence[FlowSample],
-                 masked: bool = True) -> float:
+def evaluate_aee(model: FlowModel, samples: Sequence[FlowSample]) -> float:
     """Mean AEE over the samples (events-mask restricted, MVSEC-style)."""
-    errors = per_sample_aee(model, samples, masked=masked)
+    errors = per_sample_aee(model, samples)
     return sum(errors) / max(len(errors), 1)

@@ -1,11 +1,13 @@
 """Bench registry and the one bench contract.
 
-Every benchmark under ``benchmarks/`` exposes a pure, explicitly seeded
-entry point that returns a plain dict.  The *gated* benches (``GATED``)
-share one contract:
+Every benchmark under ``benchmarks/`` is registered in ``BENCHES`` and
+exposes one pure, explicitly seeded entry point:
 
-* ``run(smoke=False) -> payload`` — ``smoke`` selects the seconds-scale
-  CI config; a bench with a single config ignores it;
+* ``run(smoke=False) -> payload`` — a plain dict; ``smoke`` selects the
+  seconds-scale CI config, and a bench with a single config ignores it.
+
+The *gated* benches (``GATED``) also expose
+
 * ``claims(payload, baseline) -> [Claim]`` — every pass/fail statement
   the bench makes about a payload, given its committed
   ``benchmarks/results/`` baseline.
@@ -64,41 +66,36 @@ class Claim:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-# name -> (module file under benchmarks/, run function).  Every function
-# is pure and explicitly seeded; gated benches use ``run(smoke)``.
-BENCHES: Dict[str, Tuple[str, str]] = {
-    "fig1_loop_adaptation": ("bench_fig1_loop_adaptation", "run"),
-    "fig2_imc": ("bench_fig2_imc", "run_imc"),
-    "fig5a_model_macs": ("bench_fig5a_model_macs", "run"),
-    "fig5b_disturbance": ("bench_fig5b_disturbance", "run_fig5b"),
-    "fig11_federated": ("bench_fig11_federated", "run_fig11"),
-    "table2_lidar_energy": ("bench_table2_lidar_energy", "run_table2"),
-    "starnet_auc": ("bench_starnet_auc", "run"),
-    "codesign": ("bench_codesign", "run_codesign"),
-    "speculative_decoding": ("bench_speculative_decoding",
-                             "run_speculative"),
-    "multiagent_energy": ("bench_claim_multiagent_energy", "run_swarm"),
-    "sensing_fraction": ("bench_claim_sensing_fraction", "run_sweep"),
-    "lora_adaptation": ("bench_lora_adaptation", "run_lora"),
-    "ablation_halo_precision": ("bench_ablation_halo_precision",
-                                "run_ablation"),
-    "ablation_koopman_spectrum": ("bench_ablation_koopman_spectrum",
-                                  "run_ablation"),
-    "ablation_snn_dynamics": ("bench_ablation_snn_dynamics",
-                              "run_ablation"),
-    "ablation_starnet_scores": ("bench_ablation_starnet_scores",
-                                "run_ablation"),
-    "table1_detection_ap": ("bench_table1_detection_ap", "run_table1"),
-    "fig7_starnet_recovery": ("bench_fig7_starnet_recovery", "run_fig7"),
-    "fig9_optical_flow": ("bench_fig9_optical_flow", "run_fig9"),
-    "ablation_masking": ("bench_ablation_masking", "run_ablation"),
-    "kernel_hotpaths": ("bench_kernel_hotpaths", "run"),
-    "serving_throughput": ("bench_serving_throughput", "run"),
-    "fleet_scaling": ("bench_fleet_scaling", "run"),
-    "compile_stages": ("bench_compile", "run"),
-    "control_adaptation": ("bench_control_adaptation", "run"),
-    "federated_async": ("bench_federated_async", "run"),
-    "scenario_sweep": ("bench_scenario_sweep", "run"),
+# name -> module file under benchmarks/.
+BENCHES: Dict[str, str] = {
+    "fig1_loop_adaptation": "bench_fig1_loop_adaptation",
+    "fig2_imc": "bench_fig2_imc",
+    "fig5a_model_macs": "bench_fig5a_model_macs",
+    "fig5b_disturbance": "bench_fig5b_disturbance",
+    "fig11_federated": "bench_fig11_federated",
+    "table2_lidar_energy": "bench_table2_lidar_energy",
+    "starnet_auc": "bench_starnet_auc",
+    "codesign": "bench_codesign",
+    "speculative_decoding": "bench_speculative_decoding",
+    "multiagent_energy": "bench_claim_multiagent_energy",
+    "sensing_fraction": "bench_claim_sensing_fraction",
+    "lora_adaptation": "bench_lora_adaptation",
+    "ablation_halo_precision": "bench_ablation_halo_precision",
+    "ablation_koopman_spectrum": "bench_ablation_koopman_spectrum",
+    "ablation_snn_dynamics": "bench_ablation_snn_dynamics",
+    "ablation_starnet_scores": "bench_ablation_starnet_scores",
+    "table1_detection_ap": "bench_table1_detection_ap",
+    "fig7_starnet_recovery": "bench_fig7_starnet_recovery",
+    "fig9_optical_flow": "bench_fig9_optical_flow",
+    "ablation_masking": "bench_ablation_masking",
+    "kernel_hotpaths": "bench_kernel_hotpaths",
+    "serving_throughput": "bench_serving_throughput",
+    "fleet_scaling": "bench_fleet_scaling",
+    "runtime_scaling": "bench_runtime_scaling",
+    "compile_stages": "bench_compile",
+    "control_adaptation": "bench_control_adaptation",
+    "federated_async": "bench_federated_async",
+    "scenario_sweep": "bench_scenario_sweep",
 }
 
 # The fast, CI-friendly subset (seconds each, minutes total serial),
@@ -147,7 +144,7 @@ def load_bench(name: str) -> ModuleType:
     if name not in BENCHES:
         raise KeyError(f"unknown bench {name!r}; choose from "
                        f"{', '.join(sorted(BENCHES))}")
-    module_name = BENCHES[name][0]
+    module_name = BENCHES[name]
     if module_name in sys.modules:
         return sys.modules[module_name]
     bench_dir = benchmarks_dir()
@@ -192,12 +189,10 @@ def run_bench(name: str, smoke: bool = False) -> Tuple[str, dict, float]:
     """Execute one registered bench; returns ``(name, result, wall_s)``.
 
     Module-level and argument-pure so it can cross a process boundary.
-    ``smoke`` reaches only the gated benches; the others have one config.
     """
     module = load_bench(name)
-    fn = getattr(module, BENCHES[name][1])
     t0 = time.perf_counter()
-    result = fn(smoke) if name in GATED else fn()
+    result = module.run(smoke)
     return name, result, time.perf_counter() - t0
 
 

@@ -3,6 +3,7 @@ evaluate the same claims and agree on what "passing" means."""
 
 import copy
 import importlib.util
+import inspect
 import json
 import os
 import sys
@@ -60,7 +61,7 @@ def fake_registry(monkeypatch, tmp_path):
                   f"value {payload['value']} vs baseline {base['value']}"),
         ]
         monkeypatch.setitem(sys.modules, module.__name__, module)
-        monkeypatch.setitem(bench.BENCHES, name, (module.__name__, "run"))
+        monkeypatch.setitem(bench.BENCHES, name, module.__name__)
         bench.GATED[name] = (name, False)
         (tmp_path / "results" / f"{name}.json").write_text(
             json.dumps(baseline))
@@ -116,13 +117,54 @@ def test_gate_runs_every_bench_after_a_harness_error(fake_registry, capsys):
     assert "broken_gate  ERROR" in out
 
 
+def test_every_bench_module_is_registered_with_run():
+    bench_dir = os.path.join(REPO_ROOT, "benchmarks")
+    modules = sorted(f[:-3] for f in os.listdir(bench_dir)
+                     if f.startswith("bench_") and f.endswith(".py")
+                     and f != "bench_utils.py")
+    assert sorted(bench.BENCHES.values()) == modules
+    for name in bench.BENCHES:
+        params = inspect.signature(bench.load_bench(name).run).parameters
+        assert list(params) == ["smoke"], name
+        assert params["smoke"].default is False, name
+
+
 def test_every_gated_bench_exposes_the_contract():
     assert set(bench.GATED) <= set(bench.BENCHES)
     for name in bench.GATED:
-        module = bench.load_bench(name)
-        assert bench.BENCHES[name][1] == "run", name
-        assert callable(module.run) and callable(module.claims), name
+        assert callable(bench.load_bench(name).claims), name
         assert isinstance(bench.load_baseline(name), dict), name
+
+
+# The benches that run in about a second -> their committed result file.
+FAST_RESULTS = {
+    "fig2_imc": "fig2_imc",
+    "table2_lidar_energy": "table2_lidar_energy",
+    "codesign": "codesign_thesis",
+    "speculative_decoding": "speculative_decoding",
+    "multiagent_energy": "claim_multiagent_energy",
+    "sensing_fraction": "claim_sensing_fraction",
+    "lora_adaptation": "lora_adaptation",
+    "ablation_halo_precision": "ablation_halo_precision",
+    "ablation_masking": "ablation_masking",
+    "fig11_federated": "fig11_federated",
+}
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        return {k: _keys(v) for k, v in value.items()}
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(FAST_RESULTS))
+def test_committed_result_has_the_fresh_payload_keys(name):
+    # Keys only: a float may differ in its last digit across hosts.
+    fresh = json.loads(json.dumps(bench.load_bench(name).run(), default=str))
+    path = os.path.join(REPO_ROOT, "benchmarks", "results",
+                        f"{FAST_RESULTS[name]}.json")
+    with open(path) as f:
+        assert _keys(fresh) == _keys(json.load(f))
 
 
 def _compile_claims(payload):

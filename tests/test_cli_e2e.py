@@ -28,8 +28,7 @@ def _repro(*args, env_extra=None, timeout=180):
 def test_list_exit_code_and_inventory():
     proc = _repro("list")
     assert proc.returncode == 0
-    for token in ("demos:", "experiments:", "benches:", "quickstart",
-                  "table2"):
+    for token in ("demos:", "benches:", "quickstart", "table2"):
         assert token in proc.stdout
 
 
@@ -55,6 +54,16 @@ def test_profile_demo_json_artifact(tmp_path):
     assert set(payload["metrics"]) == {"counters", "gauges", "histograms"}
     assert payload["metrics"]["counters"]  # the loop counted something
     assert isinstance(payload["spans"], list) and payload["spans"]
+
+
+def test_profile_bench_json_artifact(tmp_path):
+    # Fig. 11's bench runs four federated modes of ten rounds each.
+    out = tmp_path / "trace.json"
+    proc = _repro("profile", "fig11_federated", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(out.read_text())
+    assert payload["target"] == "fig11_federated"
+    assert [s["name"] for s in payload["spans"]] == ["federated.round"] * 40
 
 
 def test_profile_unknown_target_exits_nonzero():

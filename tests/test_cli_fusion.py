@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import DEMOS, EXPERIMENTS, main
+from repro.cli import DEMOS, main
 from repro.starnet import ContextAwareThreshold
 
 
@@ -18,27 +18,22 @@ def test_cli_list(capsys):
 
 
 def test_cli_experiment_fig5a(capsys):
-    assert main(["experiment", "fig5a"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    assert main(["bench", "fig5a_model_macs"]) == 0
+    payload = json.loads(capsys.readouterr().out)["fig5a_model_macs"]
     assert payload["spectral_koopman"]["total"] < payload["mlp"]["total"]
 
 
 def test_cli_experiment_swarm(capsys):
-    assert main(["experiment", "swarm"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    assert main(["bench", "multiagent_energy"]) == 0
+    payload = json.loads(capsys.readouterr().out)["multiagent_energy"]
     assert payload["uncoordinated"]["energy_mj"] > \
         payload["coordinated"]["energy_mj"]
 
 
 def test_cli_experiment_speculative(capsys):
-    assert main(["experiment", "speculative"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["k=4"]["speedup"] > 1.0
-
-
-def test_cli_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
-        main(["experiment", "figure99"])
+    assert main(["bench", "speculative_decoding"]) == 0
+    payload = json.loads(capsys.readouterr().out)["speculative_decoding"]
+    assert payload["4"]["speedup"] > 1.0
 
 
 def test_cli_no_command_shows_help(capsys):
@@ -46,8 +41,6 @@ def test_cli_no_command_shows_help(capsys):
 
 
 def test_cli_registries_complete():
-    assert set(EXPERIMENTS) == {"table2", "fig5a", "fig5b", "auc", "fig11",
-                                "swarm", "speculative", "codesign"}
     assert len(DEMOS) == 7
 
 

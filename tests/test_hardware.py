@@ -10,7 +10,6 @@ from repro.hardware import (
     mac_area_um2,
     mac_energy_pj,
     mac_latency_ns,
-    memory_energy_pj,
     model_inference_energy_mj,
 )
 
@@ -24,10 +23,6 @@ def test_mac_energy_monotone_in_bits():
 def test_mac_energy_unknown_precision():
     with pytest.raises(ValueError):
         mac_energy_pj(12)
-
-
-def test_memory_energy_dram_dominates_sram():
-    assert memory_energy_pj(100, dram=True) > 10 * memory_energy_pj(100)
 
 
 def test_model_inference_energy_scales_with_macs():
@@ -197,14 +192,6 @@ def test_imc_advantage_grows_with_spike_sparsity():
     dense = compare_architectures(256, 256, input_activity=1.0)
     sparse = compare_architectures(256, 256, input_activity=0.1)
     assert sparse["imc_advantage"] > dense["imc_advantage"]
-
-
-def test_digital_weight_caching_amortizes_traffic():
-    from repro.hardware import digital_mvm_energy_pj
-    uncached = digital_mvm_energy_pj(256, 256, batch=16,
-                                     weights_cached=False)
-    cached = digital_mvm_energy_pj(256, 256, batch=16, weights_cached=True)
-    assert cached < uncached
 
 
 def test_imc_validation():

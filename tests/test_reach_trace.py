@@ -88,6 +88,26 @@ def test_reach_trace_classifies_entry_test_only_and_never_run(tmp_path):
     assert never["per_file"] == {"mod.py": {"test_only": 0, "never_run": 2}}
 
 
+def test_reach_trace_report_refuses_edited_sources(tmp_path, capsys):
+    pkg = _fixture(tmp_path)
+    assert _record(tmp_path, pkg, "entry", "main.py") == 0
+    assert _record(tmp_path, pkg, "tests", "check.py") == 0
+    rt = _reach_trace()
+    args = ["report", "--root", str(pkg),
+            "--entry", str(tmp_path / "entry"),
+            "--tests", str(tmp_path / "tests")]
+    assert rt.main(args) == 0
+    capsys.readouterr()
+
+    # One added line moves every function the records keyed by line.
+    mod = pkg / "mod.py"
+    mod.write_text('"""Edited after the trace."""\n' + mod.read_text())
+    assert rt.main(args) == 1
+    captured = capsys.readouterr()
+    assert "mod.py" in captured.err
+    assert captured.out == ""
+
+
 def test_reach_trace_flags_stubs(tmp_path):
     (tmp_path / "stubs.py").write_text(textwrap.dedent('''\
         import abc
