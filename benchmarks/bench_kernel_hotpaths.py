@@ -1,9 +1,9 @@
 """Kernel hot-path micro-benchmarks — reference vs vectorized wall clock.
 
 Times each ``repro.kernels`` pair (sparse 3-D conv, SNN surrogate-BPTT,
-likelihood regret, BEV matching) on scenario-sized seeded inputs under
-both backends, and records the speedup alongside the numerical gap
-between them.  The committed JSON is the before/after evidence for the
+likelihood regret, BEV matching, dense conv GEMMs) on scenario-sized
+seeded inputs under both backends, and records the speedup alongside
+the numerical gap between them.  The committed JSON is the before/after evidence for the
 vectorized backend.  Claims: the backends stay numerically equivalent
 and the best speedup stays >= 2x (blocking); per-kernel no-slowdown is
 a warning (wall clock jitters on shared hosts).
@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.detect import BEVDetector
 from repro.detect.ap import Detection
 from repro.kernels import BACKENDS, get_kernel, kernel_backend
 from repro.neuromorphic.snn import SpikingConv2d
@@ -25,6 +26,7 @@ from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseReLU,
                                SparseSequential, SparseVoxelTensor)
 from repro.nn.vae import VAE
 from repro.runtime.bench import Claim, check
+from repro.voxel import VoxelGridConfig
 
 from bench_utils import assert_claims, print_table, save_result
 
@@ -37,6 +39,12 @@ REPS = 5
 EQUIV_TOL = 1e-6
 # The best per-kernel speedup, well under the committed headline.
 SPEEDUP_FLOOR = 2.0
+# The dense conv arm runs at the end-to-end benchmark's geometry (a
+# 24x24x2 voxel grid, so 12x12 BEV maps) and at the batch its
+# ``log_replay`` workload serves.
+CONV_GRID = VoxelGridConfig(nx=24, ny=24, nz=2, x_range=(0.0, 60.0),
+                            y_range=(-30.0, 30.0))
+CONV_BATCH = 16
 
 
 def _median_wall_s(fn: Callable[[], object], reps: int = REPS) -> float:
@@ -126,6 +134,28 @@ def _bev_run(backend: str,
     return out
 
 
+def _conv_gemm_setup() -> Tuple[list, np.ndarray]:
+    """The R-MAE decoder and the detector neck, and a batch of BEV maps."""
+    det = BEVDetector(CONV_GRID, rng=np.random.default_rng(9))
+    ds = det.rmae.config.bev_downsample
+    bev = np.random.default_rng(10).standard_normal(
+        (CONV_BATCH, det.rmae.config.encoder_channels[1],
+         CONV_GRID.nx // ds, CONV_GRID.ny // ds))
+    return [det.rmae.decoder, det.neck], bev
+
+
+def _conv_gemm_run(backend: str, nets: list, bev: np.ndarray) -> np.ndarray:
+    """Forward and backward of both nets: outputs, input and weight grads."""
+    out = []
+    with kernel_backend(backend):
+        for net in nets:
+            net.zero_grad()
+            y = net.forward(bev)
+            out += [y.ravel(), net.backward(np.ones_like(y)).ravel()]
+            out += [p.grad.ravel() for p in net.parameters()]
+    return np.concatenate(out)
+
+
 # --------------------------------------------------------------- the bench
 def run(smoke: bool = False) -> dict:
     """Single config: ``smoke`` is ignored."""
@@ -179,6 +209,18 @@ def run(smoke: bool = False) -> dict:
         "workload": "greedy BEV matching, 40 scenes, 30 preds / 12 GTs",
         "max_abs_diff": 0.0 if matches["reference"] == matches["vectorized"]
         else float("nan"),
+        **_timing(walls),
+    }
+
+    nets, bev = _conv_gemm_setup()
+    outs = {b: _conv_gemm_run(b, *_conv_gemm_setup()) for b in BACKENDS}
+    walls = {b: _median_wall_s(lambda b=b: _conv_gemm_run(b, nets, bev))
+             for b in BACKENDS}
+    results["conv_gemm"] = {
+        "workload": f"R-MAE decoder + detector neck fwd+bwd, batch "
+                    f"{CONV_BATCH}, 24-ch 12x12 BEV maps",
+        "max_abs_diff": float(np.max(np.abs(
+            outs["reference"] - outs["vectorized"]))),
         **_timing(walls),
     }
 

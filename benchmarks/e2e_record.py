@@ -17,6 +17,17 @@ must come from one source tree and one host.  A change measured before
 it is committed reports its parent's git sha; ``source_sha256`` tells
 the two records apart.  Traced runs report per-layer metrics and are
 refused.
+
+After appending, the script prints the trajectory as a trend.  A change
+is measured back to back with its parent, alternating runs, so
+consecutive records that share a ``sha`` form a (before, change) pair,
+and the ratio of their ``throughput_per_s`` medians is free of the
+drift between measurements taken on different days.  Per workload, the
+script chains (multiplies) those ratios over consecutive pairs.  Where
+a pair's "before" tree (``source_sha256``) is not the previous pair's
+change tree, some change between them was never measured: the script
+names that gap and starts a new chain after it rather than chaining
+across it.
 """
 
 from __future__ import annotations
@@ -26,11 +37,12 @@ import json
 import os
 import statistics
 import sys
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAJECTORY = os.path.join(ROOT, "BENCH_e2e.json")
 HOST_KEYS = ("python", "numpy", "blas", "blas_threads", "nproc")
+TREND_METRIC = "throughput_per_s"
 
 
 def end_to_end_metrics() -> Dict[str, str]:
@@ -103,6 +115,66 @@ def append_record(path: str, record: dict) -> None:
         f.write("\n")
 
 
+def pairs(records: List[dict]) -> List[Tuple[dict, dict]]:
+    """Consecutive (before, change) records that share a ``sha``."""
+    out, k = [], 0
+    while k + 1 < len(records):
+        if records[k]["sha"] == records[k + 1]["sha"]:
+            out.append((records[k], records[k + 1]))
+            k += 2
+        else:
+            k += 1
+    return out
+
+
+def trend(records: List[dict]) -> List[dict]:
+    """Chains of (before, change) ratios, split at unmeasured gaps.
+
+    Each chain holds its first and last label, its pair count, the
+    product per workload of change/before ``throughput_per_s`` medians,
+    and ``gap_before``: the change record and the source hash it left
+    unmeasured before this chain, or None.
+    """
+    chains: List[dict] = []
+    last_change = None
+    for before, change in pairs(records):
+        if last_change is None or \
+                before["source_sha256"] != last_change["source_sha256"]:
+            gap = None if last_change is None else {
+                "after": last_change["label"],
+                "from": last_change["source_sha256"],
+                "to": before["source_sha256"]}
+            chains.append({"first": before["label"], "pairs": 0,
+                           "ratio": {}, "gap_before": gap})
+        chain = chains[-1]
+        chain["last"] = change["label"]
+        chain["pairs"] += 1
+        for name, w in change["workloads"].items():
+            if name in before["workloads"]:
+                ratio = (w["metrics"][TREND_METRIC]["median"]
+                         / before["workloads"][name]["metrics"][
+                             TREND_METRIC]["median"])
+                chain["ratio"][name] = chain["ratio"].get(name, 1.0) * ratio
+        last_change = change
+    return chains
+
+
+def format_trend(chains: List[dict]) -> str:
+    lines = [f"chained change/before {TREND_METRIC} ratios:"]
+    for chain in chains:
+        gap = chain["gap_before"]
+        if gap is not None:
+            lines.append(f"  gap: no record measures the change from source "
+                         f"{gap['from'][:8]}... (after {gap['after']!r}) to "
+                         f"{gap['to'][:8]}...; not chained across")
+        ratios = ", ".join(f"{name} {r:.3f}x"
+                           for name, r in sorted(chain["ratio"].items()))
+        n = chain["pairs"]
+        lines.append(f"  {chain['first']!r} -> {chain['last']!r} "
+                     f"({n} pair{'s' * (n != 1)}): {ratios}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True,
@@ -117,9 +189,12 @@ def main(argv=None) -> int:
                 runs.append(parse_run(f.read()))
         append_record(args.out, build_record(args.label, runs,
                                              end_to_end_metrics()))
+        with open(args.out) as f:
+            records = json.load(f)["records"]
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(format_trend(trend(records)))
     return 0
 
 

@@ -15,7 +15,7 @@ encoder transfers directly — the property Table I measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -111,54 +111,56 @@ class BEVDetector(Module):
         self.rmae.encoder.backward(grad_sparse)
         return loss
 
-    def _cell_centroids(self, cloud: VoxelizedCloud) -> Dict[Tuple[int, int],
-                                                             np.ndarray]:
+    def _cell_centroids(self, cloud: VoxelizedCloud, h: int, w: int
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean world position of occupied voxels per BEV cell.
 
         Gives sub-cell localization: a detected pedestrian's centre snaps
         to where the points actually cluster instead of the cell centre.
+        Returns row-major ``(h * w,)`` arrays: the x and y centroids (0
+        in cells without voxels) and the voxel counts.  Each cell sums
+        its voxel centres in cloud order, as a running sum would.
         """
         ds = self.rmae.config.bev_downsample
-        sums: Dict[Tuple[int, int], np.ndarray] = {}
-        counts: Dict[Tuple[int, int], int] = {}
-        for coord in cloud.coords:
-            cell = (coord[0] // ds, coord[1] // ds)
-            center = self.grid.voxel_center(coord)[:2]
-            if cell in sums:
-                sums[cell] += center
-                counts[cell] += 1
-            else:
-                sums[cell] = center.copy()
-                counts[cell] = 1
-        return {cell: sums[cell] / counts[cell] for cell in sums}
+        sx, sy, _ = self.grid.voxel_size
+        coords = np.array(list(cloud.features), dtype=np.int64).reshape(-1, 3)
+        cell = (coords[:, 0] // ds) * w + coords[:, 1] // ds
+        counts = np.bincount(cell, minlength=h * w)
+        n = np.maximum(counts, 1)
+        cx = np.bincount(cell, self.grid.x_range[0] + (coords[:, 0] + 0.5) * sx,
+                         minlength=h * w) / n
+        cy = np.bincount(cell, self.grid.y_range[0] + (coords[:, 1] + 0.5) * sy,
+                         minlength=h * w) / n
+        return cx, cy, counts
 
     def _peak_pick(self, logits: np.ndarray, cloud: VoxelizedCloud,
                    thr: float) -> List[Detection]:
-        """Threshold + 3x3 local-maximum suppression on one logit map."""
+        """Threshold + 3x3 local-maximum suppression on one logit map.
+
+        A cell is kept unless its probability is below ``thr`` or more
+        than 1e-12 below the largest in its 3x3 neighbourhood (cut at the
+        map border); detections come in class, then row-major order.
+        """
         probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
         ds = self.rmae.config.bev_downsample
         sx, sy, _ = self.grid.voxel_size
-        centroids = self._cell_centroids(cloud)
-        detections: List[Detection] = []
-        for ci, cls in enumerate(CLASS_NAMES):
-            pm = probs[ci]
-            h, w = pm.shape
-            for i in range(h):
-                for j in range(w):
-                    p = pm[i, j]
-                    if p < thr:
-                        continue
-                    # 3x3 local-maximum suppression.
-                    nb = pm[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
-                    if p < nb.max() - 1e-12:
-                        continue
-                    if (i, j) in centroids:
-                        x, y = centroids[(i, j)]
-                    else:
-                        x = self.grid.x_range[0] + (i + 0.5) * sx * ds
-                        y = self.grid.y_range[0] + (j + 0.5) * sy * ds
-                    detections.append(Detection(cls, x, y, float(p)))
-        return detections
+        n_cls, h, w = probs.shape
+        padded = np.full((n_cls, h + 2, w + 2), -np.inf)
+        padded[:, 1:-1, 1:-1] = probs
+        rows = np.maximum(np.maximum(padded[:, :-2], padded[:, 1:-1]),
+                          padded[:, 2:])
+        nbmax = np.maximum(np.maximum(rows[:, :, :-2], rows[:, :, 1:-1]),
+                           rows[:, :, 2:])
+        ci, i, j = np.nonzero(~(probs < thr) & ~(probs < nbmax - 1e-12))
+        if not ci.size:
+            return []
+        cx, cy, counts = self._cell_centroids(cloud, h, w)
+        cell = i * w + j
+        has = counts[cell] > 0
+        xs = np.where(has, cx[cell], self.grid.x_range[0] + (i + 0.5) * sx * ds)
+        ys = np.where(has, cy[cell], self.grid.y_range[0] + (j + 0.5) * sy * ds)
+        return [Detection(CLASS_NAMES[c], x, y, p) for c, x, y, p in zip(
+            ci.tolist(), xs.tolist(), ys.tolist(), probs[ci, i, j].tolist())]
 
     def detect(self, cloud: VoxelizedCloud,
                score_threshold: Optional[float] = None) -> List[Detection]:

@@ -6,9 +6,11 @@ paths were interpreter-bound: the submanifold sparse 3-D convolution
 walked Python dicts of ``(i, j, k)`` tuples per layer, SNN
 surrogate-BPTT re-ran one small convolution per timestep, STARNet's
 likelihood regret optimized one sample at a time, the LiDAR scanner
-raycast one beam against one box at a time (``lidar_raycast``), and
-voxelization binned one point at a time (``voxelize``).  This package
-hosts **two complete implementations** of each path:
+raycast one beam against one box at a time (``lidar_raycast``),
+voxelization binned one point at a time (``voxelize``), and the dense
+convolutions contracted their im2col patches with ``np.einsum``, which
+does not call BLAS (``conv_gemm``).  This package hosts **two complete
+implementations** of each path:
 
 * ``reference``  — the original implementations, moved here verbatim.
   Their op order is untouched, so a run under ``REPRO_KERNELS=reference``
@@ -150,6 +152,7 @@ def kernel_timer(name: str, op: str):
 
 # Kernel modules register themselves on import; keep these at the bottom
 # so the registry helpers above exist when they run.
+from . import conv_gemm  # noqa: E402,F401
 from . import corruption_stack  # noqa: E402,F401
 from . import lidar_raycast  # noqa: E402,F401
 from . import matching  # noqa: E402,F401

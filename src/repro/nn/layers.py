@@ -11,7 +11,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from ..kernels import get_kernel, kernel_timer
 from .tensor import Parameter, glorot_uniform, he_normal, zeros_init
 
 __all__ = [
@@ -242,19 +244,23 @@ class Flatten(Module):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Rearrange image patches into columns for convolution-as-matmul."""
+    """Rearrange image patches into columns for convolution-as-matmul.
+
+    One strided window over the (zero-padded) input, copied once; the
+    columns never share memory with ``x``.
+    """
     n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + stride * ho
-        for j in range(kw):
-            j_end = j + stride * wo
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(x, shape=(n, c, kh, kw, ho, wo),
+                         strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+                         writeable=False)
+    return windows.copy().reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int):
@@ -272,6 +278,13 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int):
     if pad:
         x = x[:, :, pad:-pad, pad:-pad]
     return x
+
+
+def _conv_gemm(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One conv contraction (``matmul``, ``matmul_t`` or ``weight_grad``)
+    on the active ``conv_gemm`` kernel backend."""
+    with kernel_timer("conv_gemm", op):
+        return getattr(get_kernel("conv_gemm"), op)(a, b)
 
 
 class Conv2d(Module):
@@ -294,7 +307,7 @@ class Conv2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride, self.pad)
         w = self.weight.data.reshape(self.out_ch, -1)
-        out = np.einsum("of,nfp->nop", w, cols)
+        out = _conv_gemm("matmul", w, cols)
         out += self.bias.data[None, :, None]
         self._cache = (x.shape, cols)
         return out.reshape(x.shape[0], self.out_ch, ho, wo)
@@ -303,7 +316,7 @@ class Conv2d(Module):
         cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride,
                                self.pad)
         w = self.weight.data.reshape(self.out_ch, -1)
-        out = np.einsum("of,nfp->nop", w, cols)
+        out = _conv_gemm("matmul", w, cols)
         out += self.bias.data[None, :, None]
         return out.reshape(x.shape[0], self.out_ch, ho, wo)
 
@@ -312,9 +325,10 @@ class Conv2d(Module):
         n = grad.shape[0]
         g = grad.reshape(n, self.out_ch, -1)
         w = self.weight.data.reshape(self.out_ch, -1)
-        self.weight.grad += np.einsum("nop,nfp->of", g, cols).reshape(self.weight.shape)
+        self.weight.grad += _conv_gemm("weight_grad", g, cols).reshape(
+            self.weight.shape)
         self.bias.grad += g.sum(axis=(0, 2))
-        dcols = np.einsum("of,nop->nfp", w, g)
+        dcols = _conv_gemm("matmul_t", w, g)
         return _col2im(dcols, x_shape, self.kernel, self.kernel, self.stride, self.pad)
 
 
@@ -347,7 +361,7 @@ class ConvTranspose2d(Module):
         ho, wo = self.out_size(h), self.out_size(w)
         wmat = self.weight.data.reshape(self.in_ch, -1)  # (in, out*k*k)
         g = x.reshape(n, self.in_ch, -1)  # (n, in, h*w)
-        dcols = np.einsum("if,nip->nfp", wmat, g)
+        dcols = _conv_gemm("matmul_t", wmat, g)
         out = _col2im(dcols, (n, self.out_ch, ho, wo), self.kernel, self.kernel,
                       self.stride, self.pad)
         out += self.bias.data[None, :, None, None]
@@ -359,7 +373,7 @@ class ConvTranspose2d(Module):
         ho, wo = self.out_size(h), self.out_size(w)
         wmat = self.weight.data.reshape(self.in_ch, -1)
         g = x.reshape(n, self.in_ch, -1)
-        dcols = np.einsum("if,nip->nfp", wmat, g)
+        dcols = _conv_gemm("matmul_t", wmat, g)
         out = _col2im(dcols, (n, self.out_ch, ho, wo), self.kernel,
                       self.kernel, self.stride, self.pad)
         out += self.bias.data[None, :, None, None]
@@ -370,10 +384,11 @@ class ConvTranspose2d(Module):
         n = x.shape[0]
         cols, ho, wo = _im2col(grad, self.kernel, self.kernel, self.stride, self.pad)
         g = x.reshape(n, self.in_ch, -1)
-        self.weight.grad += np.einsum("nip,nfp->if", g, cols).reshape(self.weight.shape)
+        self.weight.grad += _conv_gemm("weight_grad", g, cols).reshape(
+            self.weight.shape)
         self.bias.grad += grad.sum(axis=(0, 2, 3))
         wmat = self.weight.data.reshape(self.in_ch, -1)
-        dx = np.einsum("if,nfp->nip", wmat, cols)
+        dx = _conv_gemm("matmul", wmat, cols)
         return dx.reshape(x.shape)
 
 

@@ -8,7 +8,7 @@ exactly what the detector sees.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 

@@ -32,6 +32,8 @@ def test_trajectory_schema():
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     assert len(records) >= 2
     assert len({r["label"] for r in records}) == len(records)
+    # Every record has its (before, change) partner of the same sha.
+    assert 2 * len(_recorder().pairs(records)) == len(records)
     for r in records:
         assert len(r["sha"]) == 40 and int(r["sha"], 16) >= 0
         assert len(r["source_sha256"]) == 64
@@ -89,3 +91,37 @@ def test_recorder_refuses_mixed_trees_and_traced_runs():
             rec.parse_run(_run_text(2, source="b" * 64))]
     with pytest.raises(ValueError, match="source tree"):
         rec.build_record("mixed", runs, rec.end_to_end_metrics())
+
+
+def _record(label, sha, source, **throughput):
+    return {"label": label, "sha": sha, "source_sha256": source,
+            "workloads": {name: {"metrics": {"throughput_per_s": {
+                "median": value}}} for name, value in throughput.items()}}
+
+
+def test_trend_chains_pairs_and_names_gaps():
+    rec = _recorder()
+    records = [
+        _record("before A", "1" * 40, "a" * 64, closed_loop=100.0,
+                log_replay=50.0),
+        _record("A", "1" * 40, "b" * 64, closed_loop=120.0, log_replay=60.0),
+        _record("before B", "2" * 40, "b" * 64, closed_loop=110.0,
+                log_replay=40.0),
+        _record("B", "2" * 40, "c" * 64, closed_loop=121.0, log_replay=30.0),
+        # Tree "c" -> "d" was never measured: a gap, not a link.
+        _record("before C", "3" * 40, "d" * 64, closed_loop=200.0),
+        _record("C", "3" * 40, "e" * 64, closed_loop=300.0),
+    ]
+    chains = rec.trend(records)
+    assert [(c["first"], c["last"], c["pairs"]) for c in chains] == [
+        ("before A", "B", 2), ("before C", "C", 1)]
+    assert chains[0]["gap_before"] is None
+    assert chains[0]["ratio"] == pytest.approx(
+        {"closed_loop": 1.2 * 1.1, "log_replay": 1.2 * 0.75})
+    assert chains[1]["gap_before"] == {"after": "B", "from": "c" * 64,
+                                       "to": "d" * 64}
+    assert chains[1]["ratio"] == pytest.approx({"closed_loop": 1.5})
+    text = rec.format_trend(chains)
+    assert "closed_loop 1.320x" in text and "log_replay 0.900x" in text
+    assert "gap: no record measures the change from source cccccccc" in text
+

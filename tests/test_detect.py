@@ -15,8 +15,8 @@ from repro.detect import (
     make_detection_data,
     run_detection_experiment,
 )
-from repro.sim import Scene, SceneObject
-from repro.voxel import VoxelGridConfig, voxelize
+from repro.sim import CLASS_NAMES, Scene, SceneObject
+from repro.voxel import VoxelGridConfig, VoxelizedCloud, voxelize
 
 
 GRID = VoxelGridConfig(nx=16, ny=16, nz=2, x_range=(0.0, 60.0),
@@ -136,6 +136,94 @@ def test_detect_returns_detections_with_scores():
     for d in det.detect(cloud, score_threshold=0.0):
         assert 0.0 <= d.score <= 1.0
         assert d.cls in ("Car", "Pedestrian", "Cyclist")
+
+
+def _cell_centroids_loop(det, cloud):
+    """The per-voxel centroid loop: the oracle for ``_cell_centroids``."""
+    ds = det.rmae.config.bev_downsample
+    sums, counts = {}, {}
+    for coord in cloud.coords:
+        cell = (coord[0] // ds, coord[1] // ds)
+        center = det.grid.voxel_center(coord)[:2]
+        if cell in sums:
+            sums[cell] += center
+            counts[cell] += 1
+        else:
+            sums[cell] = center.copy()
+            counts[cell] = 1
+    return {cell: sums[cell] / counts[cell] for cell in sums}
+
+
+def _peak_pick_loop(det, logits, cloud, thr):
+    """The per-cell peak-picking loop: the oracle for ``_peak_pick``."""
+    probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+    ds = det.rmae.config.bev_downsample
+    sx, sy, _ = det.grid.voxel_size
+    centroids = _cell_centroids_loop(det, cloud)
+    detections = []
+    for ci, cls in enumerate(CLASS_NAMES):
+        pm = probs[ci]
+        h, w = pm.shape
+        for i in range(h):
+            for j in range(w):
+                p = pm[i, j]
+                if p < thr:
+                    continue
+                nb = pm[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
+                if p < nb.max() - 1e-12:
+                    continue
+                if (i, j) in centroids:
+                    x, y = centroids[(i, j)]
+                else:
+                    x = det.grid.x_range[0] + (i + 0.5) * sx * ds
+                    y = det.grid.y_range[0] + (j + 0.5) * sy * ds
+                detections.append(Detection(cls, x, y, float(p)))
+    return detections
+
+
+def _peak_pick_cases():
+    """(logits, cloud, threshold) cases on the 8x8 BEV map of ``GRID``."""
+    rng = np.random.default_rng(70)
+    empty = VoxelizedCloud(GRID, {}, {})
+    flat = rng.choice(GRID.nx * GRID.ny * GRID.nz, size=40, replace=False)
+    coords = [tuple(int(v) for v in c) for c in
+              np.stack(np.unravel_index(flat, GRID.shape), axis=1)]
+    # Several voxels per cell, so centroids are real means; cells
+    # without a voxel fall back to the cell centre.
+    cloud = VoxelizedCloud(GRID, {c: np.zeros(4) for c in coords},
+                           {c: -1 for c in coords})
+    # Plateaus and exact ties: whole-number logits repeat.
+    plateau = rng.integers(-2, 3, size=(3, 8, 8)).astype(float)
+    # Peaks on every border and corner, and near-ties inside 1e-12.
+    border = np.full((3, 8, 8), -3.0)
+    border[:, 0, 0] = border[:, 7, 7] = border[:, 0, 4] = 2.0
+    border[:, 4, 0] = border[:, 7, 3] = border[:, 3, 7] = 2.0
+    border[1, 5, 5], border[1, 5, 6] = 1.0, 1.0 + 1e-13
+    border[2, 2, 2], border[2, 2, 3] = 1.0, 1.0 + 1e-9
+    noise = rng.normal(0.0, 2.0, size=(3, 8, 8))
+    cases = []
+    for logits in (plateau, border, noise):
+        probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+        # A threshold some cell's probability equals exactly.
+        for thr in (0.0, 0.3, 0.9, float(np.median(probs))):
+            cases.extend([(logits, cloud, thr), (logits, empty, thr)])
+    return cases
+
+
+@pytest.mark.parametrize("backbone", ["second_lite", "pvrcnn_lite"])
+def test_peak_pick_matches_the_per_cell_loop(backbone):
+    det = BEVDetector(GRID, DetectorConfig(backbone=backbone),
+                      rng=np.random.default_rng(6))
+    seen = 0
+    for logits, cloud, thr in _peak_pick_cases():
+        want = _peak_pick_loop(det, logits, cloud, thr)
+        got = det._peak_pick(logits, cloud, thr)
+        assert [(d.cls, float(d.x).hex(), float(d.y).hex(), d.score.hex())
+                for d in got] == \
+            [(d.cls, float(d.x).hex(), float(d.y).hex(), d.score.hex())
+             for d in want]
+        seen += len(want)
+    assert seen > 100
 
 
 # ---------------------------------------------------------------- pipeline

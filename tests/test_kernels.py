@@ -27,6 +27,8 @@ from repro.kernels import (
 )
 from repro.kernels.sparse_conv import build_neighbor_index
 from repro.neuromorphic.snn import SpikingConv2d
+from repro.nn import Conv2d, ConvTranspose2d
+from repro.nn.layers import _col2im, _im2col
 from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseVoxelTensor)
 from repro.nn.vae import VAE
 from repro.scenario.spec import PLATFORMS
@@ -86,7 +88,7 @@ def test_unknown_kernel_and_backend_errors():
 
 def test_registry_covers_the_hot_paths():
     hot = ("sparse_conv3d", "snn_bptt", "likelihood_regret", "bev_match",
-           "lidar_raycast", "voxelize")
+           "lidar_raycast", "voxelize", "conv_gemm")
     assert set(hot) <= set(available_kernels())
     for name in hot:
         for backend in BACKENDS:
@@ -316,6 +318,88 @@ def test_bev_match_backends_agree():
         vec = get_kernel("bev_match", backend="vectorized").match_scene(
             preds, gts, 4.0)
         assert ref == vec  # scores and TP flags, exactly
+
+
+# ------------------------------------------------------- conv GEMM parity
+
+CONV_LAYERS = {
+    "conv-stride1": lambda rng: Conv2d(3, 5, kernel=3, stride=1, pad=1,
+                                       rng=rng),
+    "conv-stride2": lambda rng: Conv2d(3, 5, kernel=3, stride=2, pad=1,
+                                       rng=rng),
+    "deconv": lambda rng: ConvTranspose2d(3, 5, kernel=4, stride=2, pad=1,
+                                          rng=rng),
+}
+
+
+def _conv_pass(layer, x: np.ndarray, backend: str) -> dict:
+    """Forward, batched forward and both backward gradients of one layer
+    under one backend."""
+    with kernel_backend(backend):
+        out = layer.forward(x)
+        batched = layer.forward_batch(x)
+        layer.zero_grad()
+        grad = np.random.default_rng(61).standard_normal(out.shape)
+        dx = layer.backward(grad)
+    return {"forward": out, "forward_batch": batched, "input_grad": dx,
+            "weight_grad": layer.weight.grad.copy()}
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("layer", sorted(CONV_LAYERS))
+def test_conv_gemm_backends_agree(layer, batch):
+    x = np.random.default_rng(60).standard_normal((batch, 3, 8, 8))
+    ref, vec = (_conv_pass(CONV_LAYERS[layer](np.random.default_rng(5)), x, b)
+                for b in ("reference", "vectorized"))
+    for name in ref:
+        assert ref[name].shape == vec[name].shape
+        np.testing.assert_allclose(vec[name], ref[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def _einsum_conv_pass(layer, x: np.ndarray) -> dict:
+    """``_conv_pass`` written with the layers' original ``einsum``
+    contractions."""
+    n, k, s, p = x.shape[0], layer.kernel, layer.stride, layer.pad
+    grad_rng = np.random.default_rng(61)
+    if isinstance(layer, ConvTranspose2d):
+        wmat = layer.weight.data.reshape(layer.in_ch, -1)
+        g = x.reshape(n, layer.in_ch, -1)
+        ho = layer.out_size(x.shape[2])
+        out_shape = (n, layer.out_ch, ho, layer.out_size(x.shape[3]))
+        out = _col2im(np.einsum("if,nip->nfp", wmat, g), out_shape, k, k, s, p)
+        out += layer.bias.data[None, :, None, None]
+        cols, _, _ = _im2col(grad_rng.standard_normal(out.shape), k, k, s, p)
+        return {"forward": out, "forward_batch": out,
+                "input_grad": np.einsum("if,nfp->nip", wmat,
+                                        cols).reshape(x.shape),
+                "weight_grad": np.einsum("nip,nfp->if", g, cols).reshape(
+                    layer.weight.shape)}
+    w = layer.weight.data.reshape(layer.out_ch, -1)
+    cols, ho, wo = _im2col(x, k, k, s, p)
+    out = np.einsum("of,nfp->nop", w, cols)
+    out += layer.bias.data[None, :, None]
+    out = out.reshape(n, layer.out_ch, ho, wo)
+    g = grad_rng.standard_normal(out.shape).reshape(n, layer.out_ch, -1)
+    return {"forward": out, "forward_batch": out,
+            "input_grad": _col2im(np.einsum("of,nop->nfp", w, g), x.shape,
+                                  k, k, s, p),
+            "weight_grad": np.einsum("nop,nfp->of", g, cols).reshape(
+                layer.weight.shape)}
+
+
+@pytest.mark.parametrize("layer", sorted(CONV_LAYERS))
+def test_conv_gemm_reference_is_the_einsum_contractions(layer):
+    """Under the reference backend the layers compute exactly what their
+    original ``einsum`` contractions did, byte for byte, so the goldens
+    recorded with them hold."""
+    x = np.random.default_rng(60).standard_normal((2, 3, 8, 8))
+    ref = _conv_pass(CONV_LAYERS[layer](np.random.default_rng(5)), x,
+                     "reference")
+    oracle = _einsum_conv_pass(CONV_LAYERS[layer](np.random.default_rng(5)),
+                               x)
+    for name in ref:
+        assert ref[name].tobytes() == oracle[name].tobytes(), name
 
 
 # ---------------------------------------------------- LiDAR raycast parity

@@ -16,6 +16,7 @@ from repro.nn import (
     Sequential,
     mlp,
 )
+from repro.nn.layers import _im2col
 
 RNG = np.random.default_rng(7)
 
@@ -104,6 +105,43 @@ def test_conv2d_matches_manual_single_pixel():
     k = conv.weight.data[0, 0]
     np.testing.assert_allclose(y[0, 0, 1:4, 1:4], k[::-1, ::-1],
                                atol=1e-12)
+
+
+def _im2col_per_offset(x, kh, kw, stride, pad):
+    """The per-kernel-offset im2col loop: the oracle ``_im2col``'s one
+    strided copy must match."""
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        i_end = i + stride * ho
+        for j in range(kw):
+            j_end = j + stride * wo
+            cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
+    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+def test_im2col_matches_the_per_offset_loop(kernel, stride, pad, contiguous):
+    x = np.random.default_rng(kernel).standard_normal((2, 3, 7, 6))
+    if not contiguous:  # a transposed view: no axis has unit stride
+        x = np.random.default_rng(kernel).standard_normal(
+            (6, 7, 3, 2)).transpose(3, 2, 1, 0)
+    cols, ho, wo = _im2col(x, kernel, kernel, stride, pad)
+    want, want_ho, want_wo = _im2col_per_offset(x, kernel, kernel, stride,
+                                                pad)
+    assert (ho, wo) == (want_ho, want_wo)
+    assert cols.shape == want.shape and cols.dtype == want.dtype
+    assert cols.tobytes() == want.tobytes()
+    # The columns are a copy: writing them must never reach the input.
+    assert not np.shares_memory(cols, x)
+    assert cols.flags.writeable
 
 
 def test_conv_transpose_upsamples():
