@@ -94,8 +94,11 @@ def _snn_setup() -> Tuple[SpikingConv2d, np.ndarray]:
 
 def _snn_run(backend: str, layer: SpikingConv2d,
              x: np.ndarray) -> np.ndarray:
-    with kernel_backend(backend):
-        out = layer.forward(x)
+    # Only the SNN kernel switches (``backward`` follows the backend its
+    # forward cached): the inner Conv2d runs its reference GEMMs on both
+    # sides, so the conv_gemm arm's gain does not leak into this row.
+    with kernel_backend("reference"):
+        out = get_kernel("snn_bptt", backend=backend).forward(layer, x)
         return layer.backward(np.ones_like(out))
 
 

@@ -13,7 +13,7 @@ roughly quadratically with operand width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 __all__ = [
     "MAC_ENERGY_PJ",
@@ -53,7 +53,7 @@ def memory_energy_pj(num_bytes: float) -> float:
 
 def model_inference_energy_mj(macs: int, bits: int = 32,
                               params: int = 0,
-                              weight_bits: int | None = None) -> float:
+                              weight_bits: Optional[int] = None) -> float:
     """Total inference energy in millijoules: compute + weight traffic.
 
     ``macs`` at ``bits`` precision, plus one read of every parameter at

@@ -17,7 +17,7 @@ matrices are large enough to amortize the converters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from .energy import MEMORY_ENERGY_PJ_PER_BYTE, mac_energy_pj
 
@@ -76,7 +76,7 @@ class CrossbarModel:
 
 def compare_architectures(rows: int, cols: int, batch: int = 1,
                           bits: int = 8, input_activity: float = 1.0,
-                          crossbar: CrossbarModel | None = None
+                          crossbar: Optional[CrossbarModel] = None
                           ) -> Dict[str, float]:
     """Energy of one workload on digital vs IMC, plus the ratio.
 

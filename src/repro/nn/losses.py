@@ -6,7 +6,7 @@ the *mean* loss over the batch unless noted otherwise.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def bce_with_logits(logits: np.ndarray, target: np.ndarray,
-                    weight: np.ndarray | None = None) -> Tuple[float, np.ndarray]:
+                    weight: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
     """Binary cross-entropy on logits (stable log-sum-exp form).
 
     Used by the R-MAE occupancy decoder: each voxel is an independent

@@ -216,7 +216,7 @@ class SparseConv3d(Module):
             return get_kernel("sparse_conv3d",
                               backend=backend).backward(self, grad)
 
-    def macs_per_active_voxel(self, mean_neighbors: float | None = None) -> int:
+    def macs_per_active_voxel(self, mean_neighbors: Optional[float] = None) -> int:
         """Analytic MACs per active output voxel.
 
         If ``mean_neighbors`` is omitted, assumes a full kernel footprint

@@ -10,6 +10,8 @@ functions.  Everything is deterministic given a seed.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
@@ -61,7 +63,7 @@ class Parameter:
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple | None = None) -> np.ndarray:
+                   shape: Optional[tuple] = None) -> np.ndarray:
     """Glorot/Xavier uniform initialization.
 
     Keeps activation variance roughly constant across layers, which matters

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ def numeric_gradient(f: Callable[[], float], array: np.ndarray,
 
 def check_layer_gradients(layer: Module, x: np.ndarray,
                           rtol: float = 1e-4, atol: float = 1e-6,
-                          loss_weight: np.ndarray | None = None) -> None:
+                          loss_weight: Optional[np.ndarray] = None) -> None:
     """Assert analytic grads (input + parameters) match numeric ones.
 
     Loss = sum(w * layer(x)) for a fixed random weight tensor w, which

