@@ -29,13 +29,12 @@ writing any code:
 * ``verify``            — golden-trace differential verification: replay
   the seven golden scenarios (five paper pillars plus the
   ``control_adaptation`` decision-trace episode and the
-  ``scenario_sweep`` engine trace) serially, pooled,
-  cached, quantized, under both kernel backends, and compiled (fused
-  float ``repro.compile`` artifacts vs the eager float runs), diffing
-  each against the committed goldens under ``tests/goldens/``
-  (``--update-goldens`` re-records them).  Exit codes: 0 = all checks
-  pass, 1 = mismatches, 2 = bad usage — the same contract the README
-  documents, so CI can gate on it;
+  ``scenario_sweep`` engine trace) serially, pooled, cached, quantized
+  and under both kernel backends, diffing each against the committed
+  goldens under ``tests/goldens/`` (``--update-goldens`` re-records
+  them).  Exit codes: 0 = all checks pass, 1 = mismatches, 2 = bad
+  usage — the same contract the README documents, so CI can gate on
+  it;
 * ``list``              — enumerate available demos and benches.
 
 Every failure path (unknown demo/bench/profile target, a demo whose
@@ -250,8 +249,7 @@ def main(argv=None) -> int:
     verify = sub.add_parser(
         "verify",
         help="golden-trace differential verification (serial / pooled / "
-             "cached / quantized / kernels / compiled) against "
-             "tests/goldens/")
+             "cached / quantized / kernels) against tests/goldens/")
     verify.add_argument("scenarios", nargs="*",
                         help="scenario names (default: all seven scenarios)")
     verify.add_argument("--update-goldens", action="store_true",
@@ -270,8 +268,7 @@ def main(argv=None) -> int:
                         help="emit the report as JSON on stdout")
     verify.add_argument("--skip", default="",
                         help="comma-separated checks to skip "
-                             "(serial,pooled,cache,quantized,kernels,"
-                             "compiled)")
+                             "(serial,pooled,cache,quantized,kernels)")
 
     args = parser.parse_args(argv)
     if args.command == "list":

@@ -11,9 +11,7 @@ from .layers import (
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Flatten,
     GRUCell,
-    MaxPool2d,
     Module,
     ReLU,
 )
@@ -40,8 +38,8 @@ from .vae import VAE, train_vae
 
 __all__ = [
     "Parameter", "glorot_uniform", "he_normal", "zeros_init",
-    "Module", "Dense", "ReLU", "BatchNorm", "Flatten", "Conv2d",
-    "ConvTranspose2d", "MaxPool2d", "GRUCell",
+    "Module", "Dense", "ReLU", "BatchNorm", "Conv2d", "ConvTranspose2d",
+    "GRUCell",
     "Sequential", "mlp",
     "mse_loss", "bce_with_logits", "softmax", "cross_entropy_with_logits",
     "info_nce", "gaussian_kl",

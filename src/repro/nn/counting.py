@@ -19,9 +19,7 @@ from .layers import (
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Flatten,
     GRUCell,
-    MaxPool2d,
     Module,
     ReLU,
 )
@@ -102,13 +100,6 @@ def _count_into(module: Module, shape: Tuple[int, ...], count: OpCount
         count.add("deconv2d", count_conv2d(module.in_ch, module.out_ch,
                                            module.kernel, h, w))
         return (module.out_ch, ho, wo)
-    if isinstance(module, MaxPool2d):
-        c, h, w = shape
-        ho = _spatial_out(h, module.kernel, module.stride, 0)
-        wo = _spatial_out(w, module.kernel, module.stride, 0)
-        return (c, ho, wo)
-    if isinstance(module, Flatten):
-        return (int(np.prod(shape)),)
     if isinstance(module, BatchNorm):
         count.add("norm", 2 * int(np.prod(shape)))
         return shape

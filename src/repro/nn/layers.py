@@ -21,10 +21,8 @@ __all__ = [
     "Dense",
     "ReLU",
     "BatchNorm",
-    "Flatten",
     "Conv2d",
     "ConvTranspose2d",
-    "MaxPool2d",
     "GRUCell",
 ]
 
@@ -228,21 +226,6 @@ class BatchNorm(Module):
         return xhat * self.gamma.data + self.beta.data
 
 
-class Flatten(Module):
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(self._shape)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], -1)
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     """Rearrange image patches into columns for convolution-as-matmul.
 
@@ -390,39 +373,6 @@ class ConvTranspose2d(Module):
         wmat = self.weight.data.reshape(self.in_ch, -1)
         dx = _conv_gemm("matmul", wmat, cols)
         return dx.reshape(x.shape)
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel: int = 2, stride: Optional[int] = None):
-        self.kernel = kernel
-        self.stride = stride if stride is not None else kernel
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride, 0)
-        n, c = x.shape[:2]
-        k2 = self.kernel * self.kernel
-        cols = cols.reshape(n, c, k2, ho * wo)
-        idx = cols.argmax(axis=2)
-        out = np.take_along_axis(cols, idx[:, :, None, :], axis=2).squeeze(2)
-        self._cache = (x.shape, idx, ho, wo)
-        return out.reshape(n, c, ho, wo)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride, 0)
-        n, c = x.shape[:2]
-        k2 = self.kernel * self.kernel
-        out = cols.reshape(n, c, k2, ho * wo).max(axis=2)
-        return out.reshape(n, c, ho, wo)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        x_shape, idx, ho, wo = self._cache
-        n, c = x_shape[:2]
-        k2 = self.kernel * self.kernel
-        dcols = np.zeros((n, c, k2, ho * wo))
-        np.put_along_axis(dcols, idx[:, :, None, :], grad.reshape(n, c, 1, -1), axis=2)
-        return _col2im(dcols.reshape(n, c * k2, ho * wo), x_shape, self.kernel,
-                       self.kernel, self.stride, 0)
 
 
 class GRUCell(Module):

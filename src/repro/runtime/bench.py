@@ -92,7 +92,6 @@ BENCHES: Dict[str, str] = {
     "serving_throughput": "bench_serving_throughput",
     "fleet_scaling": "bench_fleet_scaling",
     "runtime_scaling": "bench_runtime_scaling",
-    "compile_stages": "bench_compile",
     "control_adaptation": "bench_control_adaptation",
     "federated_async": "bench_federated_async",
     "scenario_sweep": "bench_scenario_sweep",
@@ -118,7 +117,6 @@ GATED: Dict[str, Tuple[str, bool]] = {
     "kernel_hotpaths": ("bench_kernel_hotpaths", False),
     "serving_throughput": ("bench_serving_throughput", False),
     "fleet_scaling": ("bench_fleet_scaling", False),
-    "compile_stages": ("bench_compile", False),
     "control_adaptation": ("bench_control_adaptation", False),
     "federated_async": ("bench_federated_async", False),
     # The full 10^4-scenario sweep takes minutes: the gate re-runs the

@@ -21,7 +21,7 @@ recording its intermediate tensors and metrics into a
   decision trace (rule, actuator, old -> new, context snapshot).  The
   episode is purely analytic (no kernel-dispatched numerics) and never
   touches process-wide overrides, so its trace is bit-identical across
-  kernel backends and all three variants;
+  kernel backends and both variants;
 * ``scenario_sweep`` — a corruption-stack sweep through the
   :mod:`repro.scenario` engine (Sec. V at sweep scale): grid expansion,
   content-addressed replay against a temp store, fused stack
@@ -29,15 +29,12 @@ recording its intermediate tensors and metrics into a
   kernel make the whole trace — metric matrix, content-address keys,
   payload hash — exact under every check.
 
-Every scenario supports three variants: ``float`` (the golden
-reference), ``quantized`` (identical training, then all learned
+Every scenario supports two variants: ``float`` (the golden
+reference) and ``quantized`` (identical training, then all learned
 parameters are fake-quantized to :data:`QUANT_BITS` bits before
-evaluation), and ``compiled`` (identical training, then the evaluation
-phase executes through :mod:`repro.compile` — traced, fused,
-arena-backed artifacts; the SNN model exercises the loud
-fallback-to-eager path).  The training-phase records of all variants
-must be bit-identical; only the evaluation fields named in each
-scenario's tolerance spec may drift.
+evaluation).  The training-phase records of both variants must be
+bit-identical; only the evaluation fields named in each scenario's
+tolerance spec may drift.
 
 Determinism contract: every random draw comes from an explicitly seeded
 generator, no wall-clock values are recorded, and telemetry is captured
@@ -47,8 +44,6 @@ the code, regardless of pooling or caching.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -60,7 +55,7 @@ from .golden import Trace, TraceRecorder
 __all__ = ["SCENARIOS", "VARIANTS", "QUANT_BITS", "run_scenario",
            "run_scenario_task", "scenario_names"]
 
-VARIANTS = ("float", "quantized", "compiled")
+VARIANTS = ("float", "quantized")
 # Evaluation-phase fake-quantization width for the "quantized" variant:
 # wide enough that drift stays within declared tolerances, narrow
 # enough that an unquantized run cannot pass by accident.
@@ -73,17 +68,6 @@ def _quantize_parameters(*modules) -> None:
     for module in modules:
         for p in module.parameters():
             p.data[...] = quantize(p.data, QUANT_BITS)
-
-
-def _compiled_eval(variant: str):
-    """Context for the evaluation phase: compiled-mode routing when the
-    ``compiled`` variant is running, a no-op otherwise.  Training always
-    stays eager — only the eval phase sits inside this scope, mirroring
-    how ``quantized`` perturbs parameters after training."""
-    if variant != "compiled":
-        return nullcontext()
-    from ..compile import compile_mode
-    return compile_mode()
 
 
 # ------------------------------------------------------------ scenarios
@@ -122,20 +106,17 @@ def _rmae_detect(rec: TraceRecorder, variant: str, pool=None) -> None:
     if variant == "quantized":
         _quantize_parameters(model, detector)
 
-    # Under the compiled variant the R-MAE decoder stack and the
-    # detector neck route through traced/fused/arena-backed artifacts.
-    with _compiled_eval(variant):
-        keep, _ = radial_mask(clouds[3], mask_cfg, np.random.default_rng(106))
-        masked = clouds[3].masked(keep)
-        prob = model.occupancy_probability(masked)
-        iou = reconstruction_iou(prob > 0.5, clouds[3].occupancy_dense())
-        rec.add("reconstruct", probability=prob, iou=iou)
+    keep, _ = radial_mask(clouds[3], mask_cfg, np.random.default_rng(106))
+    masked = clouds[3].masked(keep)
+    prob = model.occupancy_probability(masked)
+    iou = reconstruction_iou(prob > 0.5, clouds[3].occupancy_dense())
+    rec.add("reconstruct", probability=prob, iou=iou)
 
-        score_maps = detector.score_maps(clouds[3])
-        detections = detector.detect(clouds[3])
-        rec.add("detect", score_maps=score_maps,
-                n_detections=len(detections),
-                score_sum=float(sum(d.score for d in detections)))
+    score_maps = detector.score_maps(clouds[3])
+    detections = detector.detect(clouds[3])
+    rec.add("detect", score_maps=score_maps,
+            n_detections=len(detections),
+            score_sum=float(sum(d.score for d in detections)))
 
 
 _RMAE_TOLERANCES = {
@@ -170,15 +151,6 @@ def _koopman_lqr(rec: TraceRecorder, variant: str, pool=None) -> None:
 
     if variant == "quantized":
         _quantize_parameters(model.op, model.lift, model.proj)
-    elif variant == "compiled":
-        # Explicit artifacts (the lift/proj are bare Dense layers, not
-        # Sequentials, so mode routing alone would not engage): the LQR
-        # design reads model.proj.weight through attribute delegation
-        # and the rollout encodes every observation through the compiled
-        # lift.
-        from ..compile import compile_module
-        model.lift = compile_module(model.lift)
-        model.proj = compile_module(model.proj)
 
     controller = make_controller(model, np.random.default_rng(204))
     traj_states, traj_actions, reward = rollout_controller(
@@ -223,20 +195,17 @@ def _starnet_monitor(rec: TraceRecorder, variant: str, pool=None) -> None:
     if variant == "quantized":
         _quantize_parameters(monitor.vae)
 
-    # Under the compiled variant the VAE encoder/decoder MLPs route
-    # through compiled artifacts for every trust score.
-    with _compiled_eval(variant):
-        clean = [monitor.score(extractor.extract(s)) for s in test_scans]
-        results: Dict[str, List[float]] = {"clean": clean}
-        aucs: Dict[str, float] = {}
-        for name, seed in (("snow", 306), ("fog", 307)):
-            bad = corruption_scores(monitor, extractor, test_scans, name,
-                                    severity=0.6, seed=seed)
-            results[name] = bad
-            aucs[name] = roc_auc(np.array(clean + bad),
-                                 np.array([0] * len(clean) + [1] * len(bad)))
-        rec.add("scores", **results)
-        rec.add("auc", **aucs)
+    clean = [monitor.score(extractor.extract(s)) for s in test_scans]
+    results: Dict[str, List[float]] = {"clean": clean}
+    aucs: Dict[str, float] = {}
+    for name, seed in (("snow", 306), ("fog", 307)):
+        bad = corruption_scores(monitor, extractor, test_scans, name,
+                                severity=0.6, seed=seed)
+        results[name] = bad
+        aucs[name] = roc_auc(np.array(clean + bad),
+                             np.array([0] * len(clean) + [1] * len(bad)))
+    rec.add("scores", **results)
+    rec.add("auc", **aucs)
 
 
 _STARNET_TOLERANCES = {
@@ -260,16 +229,6 @@ def _snn_flow(rec: TraceRecorder, variant: str, pool=None) -> None:
 
     if variant == "quantized":
         _quantize_parameters(model)
-    elif variant == "compiled":
-        # Control path: the spiking flow net has no trace rules, so
-        # compilation must *loudly* fall back to eager — the verify
-        # ``compiled`` check asserts the fallback counter moved.  The
-        # warning itself is silenced here to keep scenario output
-        # deterministic.
-        from ..compile import CompileFallbackWarning, compile_module
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CompileFallbackWarning)
-            model = compile_module(model, fallback="eager")
 
     errors = per_sample_aee(model, test)
     rec.add("evaluate", per_sample_aee=errors,
@@ -313,12 +272,6 @@ def _federated_round(rec: TraceRecorder, variant: str, pool=None) -> None:
     if variant == "quantized":
         server.global_weights = [quantize(w, QUANT_BITS)
                                  for w in server.global_weights]
-    elif variant == "compiled":
-        # The evaluation template becomes a compiled artifact.
-        # evaluate() streams the global weights into the template
-        # parameters in place, and the program reads them live.
-        from ..compile import compile_module
-        server._template = compile_module(server._template)
 
     rec.add("global_model",
             weights=np.concatenate([w.ravel()
@@ -608,33 +561,6 @@ KERNEL_DRIFT_TOLERANCES: Dict[str, Dict[str, Dict[str, float]]] = {
     "control_adaptation": {},
     # The fused corruption stack is bit-identical to the reference by
     # construction (same draws, same ufuncs, same order): zero drift.
-    "scenario_sweep": {},
-}
-
-
-# Extra per-field tolerances for the ``compiled`` differential
-# (compiled-vs-eager under the same kernel backend).  The compiled
-# executor is engineered for bit-identity on pure Dense/activation
-# chains (same ufunc sequence, in-place into arena views), so most
-# entries are empty and the scenario's own eval-field tolerances do the
-# work.  The only systematic drift source is Norm2d under training-mode
-# statistics: the eager path reduces over a transposed (H*W, C) view
-# while the batched compiled path reduces over axis (2, 3) — identical
-# math, different summation order, last-ulp drift that then crosses a
-# detection threshold only at the 1e-15 level.  rmae_detect's eval
-# fields already carry 5e-3 tolerances, so nothing extra is declared;
-# the empty dicts keep the declaration explicit per scenario (fields
-# not listed anywhere must match bit-for-bit, e.g. every training
-# record).
-COMPILED_DRIFT_TOLERANCES: Dict[str, Dict[str, Dict[str, float]]] = {
-    "rmae_detect": {},
-    "koopman_lqr": {},
-    "starnet_monitor": {},
-    "snn_flow": {},
-    "federated_round": {},
-    "control_adaptation": {},
-    # No model, no compiled path: the compiled variant runs the same
-    # sweep and must match bit-for-bit.
     "scenario_sweep": {},
 }
 

@@ -1,4 +1,4 @@
-"""Differential verification: one scenario, six execution strategies.
+"""Differential verification: one scenario, five execution strategies.
 
 For every golden scenario this driver runs the checks the runtime and
 kernel layers must keep true:
@@ -25,14 +25,7 @@ kernel layers must keep true:
   reference (it reproduces the recording), within the declared
   kernel-drift tolerances when it is the vectorized one.  This is the
   standing differential that keeps the two implementations of every
-  hot-path kernel equivalent at scenario scale;
-* ``compiled``  — the scenario's ``compiled`` variant (evaluation
-  through :mod:`repro.compile`: traced, fused, arena-backed artifacts)
-  must agree with a same-backend float anchor within the scenario
-  tolerances.  The check also asserts the machinery actually engaged:
-  graph captures happened for every scenario with traceable eval
-  paths, and the spiking-flow scenario — whose model has no trace
-  rules by design — took the loud fallback-to-eager path.
+  hot-path kernel equivalent at scenario scale.
 
 ``run_verify`` is the library entry point; ``main_verify`` backs the
 ``repro verify`` CLI subcommand, including ``--update-goldens`` (record
@@ -63,7 +56,6 @@ from .golden import (
     write_golden,
 )
 from .scenarios import (
-    COMPILED_DRIFT_TOLERANCES,
     KERNEL_DRIFT_TOLERANCES,
     SCENARIOS,
     run_scenario,
@@ -72,20 +64,15 @@ from .scenarios import (
 )
 from .tolerance import Mismatch
 
-__all__ = ["CHECKS", "CACHED_SCENARIOS", "COMPILED_CAPTURE_SCENARIOS",
-           "CheckResult", "VerifyReport", "run_verify", "main_verify"]
+__all__ = ["CHECKS", "CACHED_SCENARIOS", "CheckResult", "VerifyReport",
+           "run_verify", "main_verify"]
 
-CHECKS = ("serial", "pooled", "cache", "quantized", "kernels", "compiled")
+CHECKS = ("serial", "pooled", "cache", "quantized", "kernels")
 # Scenarios whose training paths are memoized by repro.runtime.cache;
 # their cold runs must create at least one artifact or the cache
 # differential is vacuous.  (snn_flow's trainer is deliberately
 # uncached — it is the control that fresh computation also verifies.)
 CACHED_SCENARIOS = frozenset(
-    {"rmae_detect", "koopman_lqr", "starnet_monitor", "federated_round"})
-# Scenarios whose compiled variant must produce at least one graph
-# capture (snn_flow is the deliberately untraceable control — it must
-# instead take the loud fallback path).
-COMPILED_CAPTURE_SCENARIOS = frozenset(
     {"rmae_detect", "koopman_lqr", "starnet_monitor", "federated_round"})
 
 # Mismatches kept per failing check in reports/artifacts.
@@ -374,41 +361,6 @@ def run_verify(scenarios: Optional[Sequence[str]] = None,
                            "golden, kernel-drift tolerances",
                     extra_tolerances=KERNEL_DRIFT_TOLERANCES.get(name)))
 
-    # Phase 7 — compiled: the traced/fused/arena execution must agree
-    # with a same-backend float anchor, and the compile machinery must
-    # demonstrably engage (captures / loud fallback), so a silently
-    # unwired compiled path fails loudly rather than passing vacuously.
-    with _cache_env(enabled=False):
-        for name in active:
-            if "compiled" in skip:
-                report.results.append(CheckResult(name, "compiled", "skip"))
-                continue
-            from ..compile import compile_stats
-            before = compile_stats().snapshot()
-            compiled = run_scenario(name, variant="compiled")
-            delta = compile_stats().delta(before)
-            result = _compare(
-                name, "compiled", _anchor(name), compiled, "tolerance",
-                detail=(f"compiled evaluation vs float {anchor_desc} "
-                        f"(captures={delta['captures']}, "
-                        f"runs={delta['runs']}, "
-                        f"fused={delta['fused_elementwise']}, "
-                        f"fallbacks={delta['fallbacks']})"),
-                extra_tolerances=COMPILED_DRIFT_TOLERANCES.get(name))
-            if result.ok and name in COMPILED_CAPTURE_SCENARIOS \
-                    and delta["captures"] == 0:
-                result = CheckResult(
-                    name, "compiled", "fail", [],
-                    detail="scenario is expected to capture at least one "
-                           "graph but the compile layer recorded none")
-            if result.ok and name == "snn_flow" \
-                    and delta["fallbacks"] == 0:
-                result = CheckResult(
-                    name, "compiled", "fail", [],
-                    detail="spiking flow model is the untraceable "
-                           "control and must take the loud eager "
-                           "fallback, but no fallback was recorded")
-            report.results.append(result)
     return report
 
 

@@ -22,9 +22,7 @@ from repro.nn import (
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Flatten,
     GRUCell,
-    MaxPool2d,
     ReLU,
     Sequential,
     mlp,
@@ -50,19 +48,17 @@ LAYER_CASES = [
     ("dense", lambda rng: Dense(5, 3, rng=rng), (5,)),
     ("relu", lambda rng: ReLU(), (7,)),
     ("batchnorm", _primed_batchnorm, (5,)),
-    ("flatten", lambda rng: Flatten(), (2, 3, 4)),
     ("conv2d", lambda rng: Conv2d(2, 3, kernel=3, stride=1, pad=1,
                                   rng=rng), (2, 6, 6)),
     ("conv2d_stride2", lambda rng: Conv2d(2, 3, kernel=3, stride=2,
                                           pad=1, rng=rng), (2, 8, 8)),
     ("deconv", lambda rng: ConvTranspose2d(2, 3, kernel=4, stride=2,
                                            pad=1, rng=rng), (2, 5, 5)),
-    ("maxpool", lambda rng: MaxPool2d(2), (2, 6, 6)),
     ("gru", lambda rng: GRUCell(4, 6, rng=rng), (4,)),
     ("mlp", lambda rng: mlp([5, 8, 3], rng=rng), (5,)),
     ("sequential_conv", lambda rng: Sequential(
         Conv2d(2, 4, kernel=3, stride=1, pad=1, rng=rng), ReLU(),
-        MaxPool2d(2), Flatten(), Dense(4 * 3 * 3, 2, rng=rng)), (2, 6, 6)),
+        Conv2d(4, 2, kernel=3, stride=2, pad=1, rng=rng)), (2, 6, 6)),
 ]
 
 

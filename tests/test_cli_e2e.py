@@ -150,7 +150,7 @@ def test_verify_single_scenario_json_report(tmp_path):
               for r in report["results"]}
     assert checks == {("koopman_lqr", c, "pass")
                       for c in ("serial", "pooled", "cache", "quantized",
-                                "kernels", "compiled")}
+                                "kernels")}
     assert report["kernel_backend"] in ("reference", "vectorized")
 
 

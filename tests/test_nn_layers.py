@@ -9,9 +9,7 @@ from repro.nn import (
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Flatten,
     GRUCell,
-    MaxPool2d,
     ReLU,
     Sequential,
     mlp,
@@ -67,14 +65,6 @@ def test_batchnorm_eval_uses_running_stats():
 def test_batchnorm_gradients():
     layer = BatchNorm(3)
     check_layer_gradients(layer, RNG.normal(size=(6, 3)), rtol=1e-3)
-
-
-def test_flatten_roundtrip():
-    layer = Flatten()
-    x = RNG.normal(size=(2, 3, 4, 5))
-    y = layer.forward(x)
-    assert y.shape == (2, 60)
-    assert layer.backward(y).shape == x.shape
 
 
 def test_conv2d_output_shape():
@@ -155,22 +145,6 @@ def test_conv_transpose_gradients():
     deconv = ConvTranspose2d(2, 2, kernel=4, stride=2, pad=1,
                              rng=np.random.default_rng(5))
     check_layer_gradients(deconv, RNG.normal(size=(1, 2, 3, 3)), rtol=1e-3)
-
-
-def test_maxpool_values():
-    pool = MaxPool2d(2)
-    x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-    y = pool.forward(x)
-    np.testing.assert_array_equal(y[0, 0], [[5, 7], [13, 15]])
-
-
-def test_maxpool_gradients_route_to_max():
-    pool = MaxPool2d(2)
-    x = RNG.normal(size=(1, 2, 4, 4))
-    y = pool.forward(x)
-    g = pool.backward(np.ones_like(y))
-    # Each 2x2 window contributes exactly one gradient unit.
-    assert g.sum() == y.size
 
 
 def test_gru_cell_step_shapes():

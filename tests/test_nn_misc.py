@@ -6,8 +6,6 @@ import pytest
 from repro.nn import (
     VAE,
     Conv2d,
-    Dense,
-    Flatten,
     GRUCell,
     Parameter,
     PrecisionConfig,
@@ -72,9 +70,10 @@ def test_count_module_mlp():
 
 def test_count_module_conv_stack():
     net = Sequential(Conv2d(1, 4, kernel=3, stride=1, pad=1), ReLU(),
-                     Flatten(), Dense(4 * 8 * 8, 2))
+                     Conv2d(4, 2, kernel=3, stride=2, pad=1))
     count = count_module(net, (1, 8, 8))
-    assert count.macs == count_conv2d(1, 4, 3, 8, 8) + count_dense(256, 2)
+    assert count.macs == (count_conv2d(1, 4, 3, 8, 8)
+                          + count_conv2d(4, 2, 3, 4, 4))
 
 
 def test_count_macs_gru():

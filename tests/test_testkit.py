@@ -282,8 +282,7 @@ def test_scenario_registry_shape():
                                      "federated_round",
                                      "control_adaptation",
                                      "scenario_sweep"}
-    assert CHECKS == ("serial", "pooled", "cache", "quantized", "kernels",
-                      "compiled")
+    assert CHECKS == ("serial", "pooled", "cache", "quantized", "kernels")
 
 
 def test_run_scenario_validates_name_and_variant():
@@ -347,27 +346,11 @@ def test_run_verify_update_then_verify_round_trip(tmp_path):
     statuses = {(r.check, r.status) for r in report.results}
     assert statuses == {("serial", "pass"), ("pooled", "skip"),
                         ("cache", "skip"), ("quantized", "pass"),
-                        ("kernels", "pass"), ("compiled", "pass")}
+                        ("kernels", "pass")}
     as_dict = report.as_dict()
-    assert as_dict["ok"] is True and len(as_dict["results"]) == 6
+    assert as_dict["ok"] is True and len(as_dict["results"]) == 5
     assert as_dict["kernel_backend"] in ("reference", "vectorized")
     assert "koopman_lqr" in report.render()
-
-
-def test_compiled_check_fails_when_compilation_does_not_engage(monkeypatch):
-    """A compiled variant that silently runs eager must not pass: the
-    traceable scenarios must capture a graph, and snn_flow must take the
-    loud eager fallback."""
-    import repro.compile
-    monkeypatch.setattr(repro.compile, "compile_module",
-                        lambda module, fallback="error": module)
-    report = run_verify(["koopman_lqr", "snn_flow"],
-                        skip=("serial", "pooled", "cache", "quantized",
-                              "kernels"))
-    details = {r.scenario: r.detail for r in report.failures()}
-    assert set(details) == {"koopman_lqr", "snn_flow"}
-    assert "capture" in details["koopman_lqr"]
-    assert "fallback" in details["snn_flow"]
 
 
 def test_run_verify_catches_injected_regression(tmp_path):
@@ -384,8 +367,7 @@ def test_run_verify_catches_injected_regression(tmp_path):
 def _injected_regression_body(tmp_path):
     run_verify(["koopman_lqr"], update_goldens=True,
                goldens_dir=str(tmp_path), skip=("pooled", "cache",
-                                                "quantized", "kernels",
-                                                "compiled"))
+                                                "quantized", "kernels"))
     golden = read_golden("koopman_lqr", str(tmp_path))
     drifted = Trace(scenario=golden.scenario,
                     records=json.loads(json.dumps(golden.records)),
@@ -415,8 +397,7 @@ def _injected_regression_body(tmp_path):
     assert any(_bump_first_float(r["payload"]) for r in drifted.records)
     write_golden(drifted, str(tmp_path))  # re-hash: file is "valid"
     report = run_verify(["koopman_lqr"], goldens_dir=str(tmp_path),
-                        skip=("pooled", "cache", "quantized", "kernels",
-                              "compiled"))
+                        skip=("pooled", "cache", "quantized", "kernels"))
     assert not report.ok
     (failure,) = report.failures()
     assert failure.check == "serial" and failure.mismatches
