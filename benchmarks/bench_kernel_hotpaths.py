@@ -31,7 +31,7 @@ from repro.voxel import VoxelGridConfig
 from bench_utils import assert_claims, print_table, save_result
 
 # Median-of-REPS wall times.  The sparse arm builds a fresh input tensor
-# every rep, as each R-MAE encode does, so the neighbor index the
+# every rep, as each R-MAE encode does, so the rulebook table the
 # vectorized backend caches per tensor is built (and timed) every rep:
 # the cost the pipelines actually pay.
 REPS = 5

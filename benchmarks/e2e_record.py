@@ -15,8 +15,15 @@ operation counts and the median, quartiles and run count ``n`` of every
 end-to-end metric ``BENCHMARK.json`` declares.  Every run of a record
 must come from one source tree and one host.  A change measured before
 it is committed reports its parent's git sha; ``source_sha256`` tells
-the two records apart.  Traced runs report per-layer metrics and are
-refused.
+the two records apart.  Traced runs report per-layer metrics, so they
+never feed the medians: give at most one per workload with
+``--traced FILE`` (a ``--trace 1`` run's saved stdout, from the same
+tree and host), and the record keeps its seed, its
+``layer_self_ms_per_op`` and, where the workload has a ``loop`` layer,
+the loop's share of their sum beside that workload's medians::
+
+    python benchmarks/e2e_record.py --label "stacked SPSA" \
+        --traced runs/closed_loop-traced.txt runs/*.txt
 
 After appending, the script prints the trajectory as a trend.  A change
 is measured back to back with its parent, alternating runs, so
@@ -51,14 +58,19 @@ def end_to_end_metrics() -> Dict[str, str]:
         return {m["name"]: m["unit"] for m in json.load(f)["end_to_end"]}
 
 
-def parse_run(text: str) -> dict:
-    """The details and result lines of one run's standard output."""
+def parse_run(text: str, traced: bool = False) -> dict:
+    """The details and result lines of one run's standard output;
+    ``traced`` says which kind of run it must be."""
     lines = [line for line in text.splitlines() if line.startswith("{")]
     if len(lines) < 2:
         raise ValueError("expected the details and result JSON lines")
     details, result = json.loads(lines[-2]), json.loads(lines[-1])
-    if details.get("trace"):
-        raise ValueError("traced run: its metrics are per-layer")
+    if bool(details.get("trace")) != traced:
+        raise ValueError("traced run: its metrics are per-layer" if not traced
+                         else "untraced run given as a traced one")
+    if traced and "layer_self_ms_per_op" not in details["details"]:
+        raise ValueError(f"traced run has no per-layer self times "
+                         f"(check: {details['details'].get('check')})")
     return {"details": details, "result": result}
 
 
@@ -72,12 +84,24 @@ def summarize(values: List[float]) -> dict:
             "n": len(values)}
 
 
+def traced_summary(run: dict) -> dict:
+    """What a record keeps of a traced run: its seed, per-layer self
+    times and, with a ``loop`` layer, that layer's share of them."""
+    layers = run["details"]["details"]["layer_self_ms_per_op"]
+    out = {"seed": run["details"]["fingerprint"]["seed"],
+           "layer_self_ms_per_op": layers}
+    if "loop" in layers:
+        out["loop_share"] = layers["loop"] / sum(layers.values())
+    return out
+
+
 def build_record(label: str, runs: Iterable[dict],
-                 metrics: Dict[str, str]) -> dict:
-    runs = list(runs)
+                 metrics: Dict[str, str],
+                 traced: Iterable[dict] = ()) -> dict:
+    runs, traced = list(runs), list(traced)
     if not runs:
         raise ValueError("no runs given")
-    prints = [r["details"]["fingerprint"] for r in runs]
+    prints = [r["details"]["fingerprint"] for r in runs + traced]
     tree = {(p["git_sha"], p["source_sha256"]) for p in prints}
     host = {tuple(p[k] for k in HOST_KEYS) for p in prints}
     if len(tree) != 1 or len(host) != 1:
@@ -96,6 +120,13 @@ def build_record(label: str, runs: Iterable[dict],
             name: {"unit": unit,
                    **summarize([m[name]["value"] for m in per_run])}
             for name, unit in metrics.items()}
+    for run in traced:
+        name = run["details"]["workload"]
+        if name not in workloads:
+            raise ValueError(f"traced {name} run has no untraced runs")
+        if "traced" in workloads[name]:
+            raise ValueError(f"more than one traced {name} run")
+        workloads[name]["traced"] = traced_summary(run)
     return {"label": label, "sha": prints[0]["git_sha"],
             "source_sha256": prints[0]["source_sha256"],
             "host": {k: prints[0][k] for k in HOST_KEYS},
@@ -180,6 +211,10 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True,
                    help="names the measured tree, e.g. the change it holds")
     p.add_argument("--out", default=TRAJECTORY)
+    p.add_argument("--traced", action="append", default=[],
+                   metavar="FILE",
+                   help="saved stdout of one traced run of a workload "
+                        "(repeat for other workloads)")
     p.add_argument("runs", nargs="+", help="saved stdout of e2ebench runs")
     args = p.parse_args(argv)
     try:
@@ -187,8 +222,12 @@ def main(argv=None) -> int:
         for path in args.runs:
             with open(path) as f:
                 runs.append(parse_run(f.read()))
+        traced = []
+        for path in args.traced:
+            with open(path) as f:
+                traced.append(parse_run(f.read(), traced=True))
         append_record(args.out, build_record(args.label, runs,
-                                             end_to_end_metrics()))
+                                             end_to_end_metrics(), traced))
         with open(args.out) as f:
             records = json.load(f)["records"]
     except (OSError, ValueError, KeyError) as exc:

@@ -13,7 +13,7 @@ roughly quadratically with operand width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
 __all__ = [
     "MAC_ENERGY_PJ",
@@ -111,6 +111,16 @@ class EnergyLedger:
                 "actuation_mj": a, "total_mj": s + c + m + a}
 
     # -------------------------------------------------- windowed readings
+    def meters(self) -> Tuple[float, float, float, float]:
+        """Sensing, compute, communication and actuation meters, as a
+        tuple: the cheapest point-in-time reading.
+
+        :meth:`delta` takes it in place of a :meth:`snapshot`, with the
+        same result bit for bit; trace spans read the ledger this way.
+        """
+        return (self.sensing_mj, self.compute_mj, self.communication_mj,
+                self.actuation_mj)
+
     def snapshot(self) -> Dict[str, float]:
         """Point-in-time copy of every meter (including the total).
 
@@ -119,17 +129,25 @@ class EnergyLedger:
         """
         return self.as_dict()
 
-    def delta(self, since: Dict[str, float]) -> Dict[str, float]:
-        """Per-meter consumption since a :meth:`snapshot`.
+    def delta(self, since: Union[Dict[str, float],
+                                 Tuple[float, float, float, float]]
+              ) -> Dict[str, float]:
+        """Per-meter consumption since a :meth:`snapshot` (or a
+        :meth:`meters` reading).
 
-        Meters absent from ``since`` are treated as starting at zero, so
-        a snapshot taken from an older/foreign ledger still yields a
-        well-formed delta over this ledger's meters.
+        Meters absent from a snapshot ``since`` are treated as starting
+        at zero, so a snapshot taken from an older/foreign ledger still
+        yields a well-formed delta over this ledger's meters.
         """
         # Spelled out: every ledger-metered trace span calls this.
-        get = since.get
         s, c, m, a = (self.sensing_mj, self.compute_mj,
                       self.communication_mj, self.actuation_mj)
+        if isinstance(since, tuple):
+            s0, c0, m0, a0 = since
+            return {"sensing_mj": s - s0, "compute_mj": c - c0,
+                    "communication_mj": m - m0, "actuation_mj": a - a0,
+                    "total_mj": s + c + m + a - (s0 + c0 + m0 + a0)}
+        get = since.get
         return {"sensing_mj": s - float(get("sensing_mj", 0.0)),
                 "compute_mj": c - float(get("compute_mj", 0.0)),
                 "communication_mj": m - float(get("communication_mj", 0.0)),

@@ -78,14 +78,15 @@ class LidarPowerModel:
     def _pulse_energies_uj(self, ranges_m: np.ndarray) -> np.ndarray:
         """:meth:`pulse_energy_uj` of every range, as one array.
 
-        Bit-for-bit the scalar method's values.  Range ratios at or past
-        1 price at the cap, and ratios below the knee
-        ``(min_pulse_uj / reference_pulse_uj) ** 0.25`` (less a 1e-9
-        relative margin, far wider than the rounding of the R^4 term) at
-        the floor, so only the band between the two clamps is priced
-        range by range, as the scalar method prices it: the R^4 term is
-        Python's float ``**`` (libm ``pow``), since numpy's array power
-        can differ in the last ulp.
+        Bit-for-bit the scalar method's values.  Range ratios below the
+        knee ``(min_pulse_uj / reference_pulse_uj) ** 0.25`` (less a 1e-9
+        relative margin, far wider than the rounding of the R^4 term)
+        price at the floor, so only ratios from the knee up are priced
+        range by range, as the scalar method prices them: the R^4 term
+        is Python's float ``**`` (libm ``pow``), since numpy's array
+        power can differ in the last ulp.  Ratios at or past 1 are
+        priced as 1, whose R^4 term is exactly 1: the clamps then give
+        the scalar method's cap.
         """
         ranges_m = np.asarray(ranges_m, dtype=np.float64).ravel()
         if ranges_m.size and not ranges_m.min() > 0:  # also rejects NaN
@@ -98,10 +99,13 @@ class LidarPowerModel:
         else:
             knee = 1.0
         ratios = ranges_m / self.reference_range_m
-        energies = np.where(ratios >= 1.0, float(max(floor, ref)),
-                            float(floor))
-        band = np.flatnonzero((ratios >= knee) & (ratios < 1.0))
-        if band.size:
-            scaled = ref * np.array([q ** 4 for q in ratios[band].tolist()])
-            energies[band] = np.maximum(floor, np.minimum(scaled, ref))
+        # Array methods, not the np.full/np.flatnonzero wrappers: this
+        # runs once per scan, on a cold cache, inside the live loop.
+        energies = np.empty_like(ratios)
+        energies.fill(floor)
+        priced = (ratios >= knee).nonzero()[0]
+        if priced.size:
+            q = np.minimum(ratios[priced], 1.0).tolist()
+            scaled = ref * np.array([r ** 4 for r in q])
+            energies[priced] = np.maximum(floor, np.minimum(scaled, ref))
         return energies

@@ -2,17 +2,18 @@
 
 The reference backend is the original dict-walking implementation from
 ``repro.nn.sparse3d`` (same op order → bit-identical to the committed
-goldens).  The vectorized backend is the SECOND/spconv
-move: build a sorted-coordinate neighbor index once per point set, then
-run the whole layer as dense gathers, one GEMM per kernel offset, and
-unique-index scatters.
+goldens).  The vectorized backend is the SECOND/spconv rulebook: an
+``(n, K)`` table per point set whose entry ``[r, i]`` is the input row
+feeding output ``r`` at kernel offset ``i``.  A layer's forward is then
+one gather into an ``(n, K·Cin)`` matrix and one GEMM; its backward is
+two GEMMs, the input grad's over a gather through the mirrored table,
+with no scatter.
 
-The index is cached on the input tensor keyed by kernel size and
+The table is cached on the input tensor keyed by kernel size and
 shared with the output (a submanifold layer keeps the active set), so
 a stack of submanifold layers (the R-MAE encoder, the detect neck)
 builds it once.  Every encode starts from a fresh tensor and pays that
-build, so it is one vectorized pass over all kernel offsets rather than
-a loop over them.
+build: one ``searchsorted`` over all ``n·K`` queries.
 
 Both backends speak through duck-typed ``layer`` objects (weight/bias
 Parameters, kernel, offsets) and :class:`~repro.nn.sparse3d.SparseVoxelTensor`
@@ -69,29 +70,22 @@ class ReferenceSparseConv3d:
         return din
 
 
-def build_neighbor_index(coords: np.ndarray, offsets: np.ndarray):
-    """Gather/scatter index for one kernel footprint.
+def neighbor_table(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Rulebook of one kernel footprint, as an ``(n, K)`` int64 table.
 
     ``coords`` must be lexicographically sorted (n, 3) int64 — the order
     :meth:`SparseVoxelTensor.packed` guarantees; the output sites are
-    the same coordinates.  Returns ``pairs`` where ``pairs[oi] =
-    (in_idx, out_idx)`` lists, for kernel offset ``oi``, which input
-    rows feed which output rows.
+    the same coordinates.  Entry ``[r, i]`` is the input row that feeds
+    output row ``r`` at kernel offset ``i``, or ``n`` when that
+    neighbour is not active (row ``n`` of a zero-padded feature matrix).
 
-    Submanifold structure makes the scatter side trivially parallel:
-    for a fixed offset every output site queries exactly one neighbor
-    coordinate, so ``out_idx`` (and symmetrically ``in_idx``) contain no
-    duplicates and plain fancy-index ``+=`` is exact.
-
-    Every offset's queries resolve in one pass: one ``searchsorted`` of
-    the whole (offsets, n) query block, then the hits split per offset
-    (both index arrays int64, ascending ``out_idx`` within an offset).
+    Every query resolves in one ``searchsorted`` of the whole (n, K)
+    query block against the sorted input keys.
     """
     offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
     n = coords.shape[0]
-    empty = np.zeros(0, dtype=np.int64)
     if n == 0:
-        return [(empty, empty)] * len(offsets)
+        return np.zeros((0, len(offsets)), dtype=np.int64)
     # Shift-to-nonnegative row-major ravel over a box holding every
     # input coordinate and every query: scalar keys that ascend with the
     # lexicographic coordinate order and never collide, so searchsorted
@@ -105,35 +99,40 @@ def build_neighbor_index(coords: np.ndarray, offsets: np.ndarray):
 
     keys = encode(coords - lo)
     # The ravel is linear, so query keys are input keys plus offset keys.
-    queries = encode(offsets)[:, None] + keys[None, :]
+    queries = keys[:, None] + encode(offsets)[None, :]
     pos = np.minimum(np.searchsorted(keys, queries), n - 1)
-    found = keys[pos] == queries
-    hit_off, out_idx = np.nonzero(found)
-    in_idx = pos[hit_off, out_idx]
-    bounds = [0, *np.cumsum(np.count_nonzero(found, axis=1)).tolist()]
-    return [(in_idx[a:b], out_idx[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.where(keys[pos] == queries, pos, n)
+
+
+def _zero_padded(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with one zero row appended (the absent neighbour)."""
+    padded = np.zeros((rows.shape[0] + 1, rows.shape[1]))
+    padded[:-1] = rows
+    return padded
 
 
 class VectorizedSparseConv3d:
-    """Sorted-key neighbor index + one GEMM per kernel offset."""
+    """Rulebook table: one gather and one GEMM per layer."""
 
     def forward(self, layer, x):
         from ..nn.sparse3d import SparseVoxelTensor
 
         coords, X = x.packed()
-        pairs = x._index_cache.get(layer.kernel)
-        if pairs is None:
-            pairs = build_neighbor_index(coords, layer.offsets)
-            x._index_cache[layer.kernel] = pairs
-        W = layer.weight.data
-        out = np.tile(layer.bias.data, (coords.shape[0], 1))
-        for oi, (in_idx, out_idx) in enumerate(pairs):
-            if in_idx.size:
-                out[out_idx] += X[in_idx] @ W[oi]
-        layer._cache = ("vectorized", coords, X, pairs)
+        table = x._index_cache.get(layer.kernel)
+        if table is None:
+            table = neighbor_table(coords, layer.offsets)
+            x._index_cache[layer.kernel] = table
+        n, k = table.shape
+        kc = k * layer.in_ch
+        # np.take copies whole rows: several times faster than X[table].
+        cols = np.take(_zero_padded(X), table, axis=0).reshape(n, kc)
+        out = cols @ layer.weight.data.reshape(kc, layer.out_ch) \
+            + layer.bias.data
+        # The (n, K*Cin) gather is rebuilt in backward, not kept: models
+        # deep-copied after a forward would carry it.
+        layer._cache = ("vectorized", coords, X, table)
         # The output keeps the input's active set, so downstream
-        # submanifold layers reuse the cached neighbor index.
+        # submanifold layers reuse the cached table.
         return SparseVoxelTensor(None, layer.out_ch, x.grid_shape,
                                  coords=coords, matrix=out,
                                  index_cache=x._index_cache)
@@ -141,16 +140,16 @@ class VectorizedSparseConv3d:
     def backward(self, layer, grad):
         from ..nn.sparse3d import SparseGrad
 
-        _, coords, X, pairs = layer._cache
-        n_out = coords.shape[0]
-        if isinstance(grad, SparseGrad) and grad.matrix.shape[0] == n_out \
+        _, coords, X, table = layer._cache
+        n, k = table.shape
+        if isinstance(grad, SparseGrad) and grad.matrix.shape[0] == n \
                 and np.array_equal(grad.coords_arr, coords):
             G = grad.matrix
         else:
-            # Dict-shaped grads (tests, pool backward): scatter known
-            # coords into rows; unknown coords contribute nothing, like
-            # the reference's `oc not in gather` skip.
-            G = np.zeros((n_out, layer.out_ch))
+            # Dict-shaped grads (tests): scatter known coords into rows;
+            # unknown coords contribute nothing, like the reference's
+            # `oc not in gather` skip.
+            G = np.zeros((n, layer.out_ch))
             lookup = {(int(c[0]), int(c[1]), int(c[2])): i
                       for i, c in enumerate(coords)}
             for oc, g in grad.items():
@@ -158,12 +157,17 @@ class VectorizedSparseConv3d:
                 if row is not None:
                     G[row] = g
         layer.bias.grad += G.sum(axis=0)
-        W = layer.weight.data
-        din = np.zeros_like(X)
-        for oi, (in_idx, out_idx) in enumerate(pairs):
-            if in_idx.size:
-                layer.weight.grad[oi] += X[in_idx].T @ G[out_idx]
-                din[in_idx] += G[out_idx] @ W[oi].T
+        cols = np.take(_zero_padded(X), table, axis=0).reshape(
+            n, k * layer.in_ch)
+        layer.weight.grad += (cols.T @ G).reshape(layer.weight.grad.shape)
+        # Offset i's mirror -d sits at index K-1-i, so input j receives
+        # from output table[j, K-1-i] at offset i: the input grad is a
+        # gather through the mirrored table and one GEMM with the
+        # channel-transposed weights, no scatter.
+        gcols = np.take(_zero_padded(G), table[:, ::-1], axis=0).reshape(
+            n, k * layer.out_ch)
+        din = gcols @ layer.weight.data.transpose(0, 2, 1).reshape(
+            k * layer.out_ch, layer.in_ch)
         return SparseGrad(coords, din)
 
 

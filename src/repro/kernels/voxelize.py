@@ -12,12 +12,15 @@ labels — because:
 
 * cell indices are computed with the reference's scalar expression,
   elementwise, and bounds-checked before the integer cast;
-* each per-voxel mean is taken by ``ndarray.mean`` over a contiguous
-  ``(k, count)`` block of the voxels that hold ``count`` points, whose
-  last-axis reduction sums each row in the same (pairwise) order as the
-  reference's 1-D mean — ``np.add.reduceat`` would sum in another order;
-* the majority label breaks ties towards the smallest id, as
-  ``np.unique`` + ``argmax`` does.
+* the points are sorted once by their voxel's point count, so the
+  voxels that hold ``count`` points form one contiguous run of points;
+  each mean is ``ndarray.mean`` over a ``(k, count)`` reshape view of
+  that run, whose last-axis reduction sums each row in the same
+  (pairwise) order as the reference's 1-D mean — ``np.add.reduceat``
+  would sum in another order;
+* the majority label counts votes over one ``voxel * span + label`` key
+  per point and breaks ties towards the smallest id, as ``np.unique`` +
+  ``argmax`` does.
 
 Both backends take ``(N, 4)`` float64 points with finite coordinates
 (``repro.voxel.voxelize`` rejects the others), ``(N,)`` labels and the
@@ -69,7 +72,8 @@ class ReferenceVoxelize:
 
 
 class VectorizedVoxelize:
-    """Array binning and per-count block means (byte-identical)."""
+    """Array binning, count-blocked means and 1-D label keys
+    (byte-identical)."""
 
     def voxelize(self, points: np.ndarray, labels: np.ndarray, config):
         sz = config.voxel_size[2]
@@ -93,22 +97,28 @@ class VectorizedVoxelize:
         voxel = rank[inverse]
         counts = counts[by_first]
         heads = first[by_first]
-        # Point indices grouped by voxel, in point order within a voxel.
-        order = kept[np.argsort(voxel, kind="stable")]
+        # Voxels by point count, then by voxel; points grouped by voxel in
+        # that order, in point order within a voxel: the voxels of each
+        # count hold one contiguous run of points.
+        by_count = np.argsort(counts, kind="stable")
+        order = kept[np.argsort(counts[voxel] * counts.size + voxel,
+                                kind="stable")]
 
         center_z = config.z_range[0] + (k[heads] + 0.5) * sz
         per_point = np.stack([
             points[order, 3],
-            points[order, 2] - np.repeat(center_z, counts),
+            points[order, 2] - np.repeat(center_z[by_count],
+                                         counts[by_count]),
             np.hypot(points[order, 0], points[order, 1])])
         means = np.empty((3, counts.size))
-        starts = np.cumsum(counts) - counts
-        for count in np.unique(counts):
-            voxels = np.flatnonzero(counts == count)
-            block = np.take(per_point,
-                            starts[voxels][:, None] + np.arange(count),
-                            axis=1)
-            means[:, voxels] = block.mean(axis=-1)
+        sizes, voxels_per_size = np.unique(counts, return_counts=True)
+        v = p = 0
+        for count, m in zip(sizes.tolist(), voxels_per_size.tolist()):
+            # A (3, m, count) view: the same last-axis reduction as the
+            # reference's per-voxel 1-D mean.
+            block = per_point[:, p:p + m * count].reshape(3, m, count)
+            means[:, by_count[v:v + m]] = block.mean(axis=-1)
+            v, p = v + m, p + m * count
         feats = np.stack([np.log1p(counts), means[0],
                           means[1] / max(sz, 1e-9), means[2] / 100.0],
                          axis=1)
@@ -117,8 +127,11 @@ class VectorizedVoxelize:
         lbls = labels[kept]
         fg = lbls >= 0
         if fg.any():
-            (pv, pl), votes = np.unique(np.stack([voxel[fg], lbls[fg]]),
-                                        axis=1, return_counts=True)
+            # One key per (voxel, label) pair, in the pairs' order.
+            span = int(lbls[fg].max()) + 1
+            pairs, votes = np.unique(voxel[fg] * span + lbls[fg],
+                                     return_counts=True)
+            pv, pl = np.divmod(pairs, span)
             # Most votes first, smallest id among ties: each voxel's
             # first pair after this sort is its majority label.
             best = np.lexsort((pl, -votes, pv))

@@ -9,17 +9,17 @@ spconv-style encoders).
 
 The numerical work is dispatched through :mod:`repro.kernels`:
 ``REPRO_KERNELS=reference`` runs the original per-voxel dict loops,
-``vectorized`` (the default) runs a sorted-coordinate neighbor index
-with dense gather/scatter over ``(n_active,)`` index arrays.  To make
-the vectorized path allocation-free between layers,
-:class:`SparseVoxelTensor` holds features in one of two equivalent
-representations — the coordinate dict, or a packed ``(coords, matrix)``
-pair — and converts lazily.  Reading :attr:`features` on a packed
-tensor materializes the dict (and makes it authoritative from then on);
+``vectorized`` (the default) an ``(n_active, K)`` rulebook table: one
+gather and one GEMM per layer.  To keep the vectorized path in arrays
+between layers, :class:`SparseVoxelTensor` holds features in one of two
+equivalent representations — the coordinate dict, or a packed
+``(coords, matrix)`` pair — and converts lazily.  Reading
+:attr:`features` on a packed tensor materializes the dict (and makes it
+authoritative from then on);
 :meth:`packed` on a dict tensor re-packs on every call (one
 ``np.lexsort`` of the coordinates), because callers (gradcheck, tests)
 mutate the dict's arrays in place between forwards.
-Adding or removing active sites after a neighbor index has been cached
+Adding or removing active sites after a rulebook table has been cached
 on the tensor is not supported.
 """
 
@@ -57,7 +57,7 @@ class SparseVoxelTensor:
         self.grid_shape = grid_shape
         self._coords = coords
         self._matrix = matrix
-        # kernel size -> neighbor index, shared across the layers of a
+        # kernel size -> rulebook table, shared across the layers of a
         # submanifold stack (the active set does not change).
         self._index_cache: dict = index_cache if index_cache is not None \
             else {}
@@ -133,11 +133,6 @@ class SparseVoxelTensor:
         if coords.shape[0]:
             out[:, coords[:, 0], coords[:, 1], coords[:, 2]] = mat.T
         return out
-
-    def feature_matrix(self) -> Tuple[List[Coord], np.ndarray]:
-        """Coordinates and a (N, C) stacked feature matrix, sorted."""
-        coords, mat = self.packed()
-        return [(int(c[0]), int(c[1]), int(c[2])) for c in coords], mat
 
 
 class SparseGrad(Mapping):
@@ -272,16 +267,16 @@ class SparseGlobalPool(Module):
         self._cache = None
 
     def forward(self, x: SparseVoxelTensor) -> np.ndarray:
-        coords, mat = x.feature_matrix()
-        self._cache = (coords, x.channels, max(len(coords), 1))
-        if not coords:
+        coords, mat = x.packed()
+        self._cache = coords
+        if not coords.shape[0]:
             return np.zeros(x.channels)
         return mat.mean(axis=0)
 
-    def backward(self, grad: np.ndarray) -> Dict[Coord, np.ndarray]:
-        coords, channels, n = self._cache
-        share = grad / n
-        return {c: share.copy() for c in coords}
+    def backward(self, grad: np.ndarray) -> SparseGrad:
+        coords = self._cache
+        n = coords.shape[0]
+        return SparseGrad(coords, np.tile(grad / max(n, 1), (n, 1)))
 
 
 class SparseSequential(Module):

@@ -3,10 +3,12 @@
 A :class:`Span` is one timed region; spans opened while another is live
 become its children, so a profiled run produces a tree mirroring the
 call structure (cycle -> sense/perceive/monitor/act/actuate).  When a
-span is given an energy ledger (anything with an ``as_dict()`` of float
-meters, i.e. :class:`repro.hardware.energy.EnergyLedger`), it snapshots
-the meters on entry and records the per-meter delta on exit — the
-paper's "energy per loop stage" accounting for free.
+span is given an energy ledger (anything with the ``snapshot()`` /
+``delta(since)`` pair of :class:`repro.hardware.energy.EnergyLedger`),
+it snapshots the meters on entry and records the per-meter delta on
+exit — the paper's "energy per loop stage" accounting for free.  A
+ledger with a ``meters()`` tuple reading (an ``EnergyLedger``) is read
+through it on entry instead: the same delta, one dict per span.
 """
 
 from __future__ import annotations
@@ -33,33 +35,23 @@ class Span:
         self.energy_mj: Optional[Dict[str, float]] = None
         self._tracer = tracer
         self._ledger = ledger
-        self._energy_before: Optional[Dict[str, float]] = None
+        self._energy_before = None
 
     # ------------------------------------------------------------ protocol
     def __enter__(self) -> "Span":
         self._tracer._stack.append(self)
-        if self._ledger is not None:
-            # snapshot() hands out a fresh dict; as_dict() may not.
-            snapshot = getattr(self._ledger, "snapshot", None)
-            self._energy_before = (snapshot() if snapshot is not None
-                                   else dict(self._ledger.as_dict()))
+        ledger = self._ledger
+        if ledger is not None:
+            meters = getattr(ledger, "meters", None)
+            self._energy_before = (meters() if meters is not None
+                                   else ledger.snapshot())
         self.start_s = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.end_s = time.perf_counter()
         if self._ledger is not None:
-            # EnergyLedger-style objects provide windowed readings via
-            # snapshot()/delta(); anything else with as_dict() gets the
-            # same subtraction done here.
-            before = self._energy_before
-            delta = getattr(self._ledger, "delta", None)
-            if delta is not None:
-                self.energy_mj = delta(before)
-            else:
-                after = self._ledger.as_dict()
-                self.energy_mj = {k: after[k] - before.get(k, 0.0)
-                                  for k in after}
+            self.energy_mj = self._ledger.delta(self._energy_before)
         self._tracer._pop(self)
         return False
 

@@ -48,15 +48,29 @@ def test_trajectory_schema():
                 assert all(math.isfinite(m[k]) for k in ("q1", "median",
                                                          "q3"))
                 assert m["q1"] <= m["median"] <= m["q3"]
+            # Older records carry no traced run; a traced seed never
+            # counts among the medians' seeds.
+            traced = w.get("traced")
+            if traced is not None:
+                assert set(traced) <= {"seed", "layer_self_ms_per_op",
+                                       "loop_share"}
+                assert isinstance(traced["seed"], int)
+                layers = traced["layer_self_ms_per_op"]
+                assert layers and all(math.isfinite(v) and v >= 0
+                                      for v in layers.values())
+                if "loop" in layers:
+                    assert traced["loop_share"] == pytest.approx(
+                        layers["loop"] / sum(layers.values()))
 
 
 def _run_text(seed, workload="closed_loop", trace=0, source="a" * 64,
-              throughput=10.0):
+              throughput=10.0, layers=None):
     fingerprint = {"git_sha": "f" * 40, "source_sha256": source,
                    "python": "3.11.7", "numpy": "2.4.6", "blas": "openblas",
                    "blas_threads": 1, "nproc": 2, "seed": seed}
     details = {"fingerprint": fingerprint, "workload": workload,
-               "trace": trace, "details": {}}
+               "trace": trace, "details": {} if layers is None else {
+                   "layer_self_ms_per_op": layers}}
     metrics = {name: {"unit": unit, "value": throughput}
                for name, unit in _recorder().end_to_end_metrics().items()}
     result = {"correct": True, "attempted": 150, "failed": 0,
@@ -91,6 +105,51 @@ def test_recorder_refuses_mixed_trees_and_traced_runs():
             rec.parse_run(_run_text(2, source="b" * 64))]
     with pytest.raises(ValueError, match="source tree"):
         rec.build_record("mixed", runs, rec.end_to_end_metrics())
+
+
+def test_recorder_keeps_one_traced_run_beside_the_medians(tmp_path):
+    rec = _recorder()
+    runs = [rec.parse_run(_run_text(s, workload=w))
+            for s, w in [(1, "closed_loop"), (2, "closed_loop"),
+                         (3, "log_replay")]]
+    traced = [rec.parse_run(_run_text(
+        7, trace=1, layers={"loop": 0.15, "rmae": 1.2, "sim": 1.65}),
+        traced=True), rec.parse_run(_run_text(
+            8, workload="log_replay", trace=1,
+            layers={"serve": 0.5, "rmae": 2.0}), traced=True)]
+    out = tmp_path / "BENCH_e2e.json"
+    rec.append_record(str(out), rec.build_record(
+        "change", runs, rec.end_to_end_metrics(), traced))
+    workloads = json.loads(out.read_text())["records"][0]["workloads"]
+    loop = workloads["closed_loop"]
+    # The traced seed feeds no median.
+    assert loop["seeds"] == [1, 2] and loop["metrics"][
+        "throughput_per_s"]["n"] == 2
+    assert loop["traced"]["seed"] == 7
+    assert loop["traced"]["loop_share"] == pytest.approx(0.05)
+    assert workloads["log_replay"]["traced"] == {
+        "seed": 8, "layer_self_ms_per_op": {"serve": 0.5, "rmae": 2.0}}
+
+
+def test_recorder_refuses_traced_runs_it_cannot_place():
+    rec = _recorder()
+    runs = [rec.parse_run(_run_text(1))]
+    layers = {"loop": 0.1, "sim": 1.0}
+    with pytest.raises(ValueError, match="untraced run given"):
+        rec.parse_run(_run_text(2), traced=True)
+    with pytest.raises(ValueError, match="no per-layer self times"):
+        rec.parse_run(_run_text(2, trace=1), traced=True)
+    cases = [
+        ([_run_text(2, trace=1, layers=layers)] * 2, "more than one"),
+        ([_run_text(2, workload="log_replay", trace=1, layers=layers)],
+         "no untraced runs"),
+        ([_run_text(2, trace=1, layers=layers, source="b" * 64)],
+         "source tree"),
+    ]
+    for texts, message in cases:
+        traced = [rec.parse_run(t, traced=True) for t in texts]
+        with pytest.raises(ValueError, match=message):
+            rec.build_record("x", runs, rec.end_to_end_metrics(), traced)
 
 
 def _record(label, sha, source, **throughput):

@@ -60,6 +60,23 @@ def test_energy_ledger_snapshot_delta_window():
     assert since["sensing_mj"] == pytest.approx(1.0)
 
 
+def test_energy_ledger_delta_from_meters_is_the_snapshot_delta():
+    """A meters() tuple (what trace spans read) and a snapshot() give
+    the same delta, bit for bit."""
+    ledger = EnergyLedger()
+    ledger.charge_sensing(0.1)
+    ledger.charge_compute(1.0 / 3.0)
+    ledger.charge_actuation(7e-17)
+    since, meters = ledger.snapshot(), ledger.meters()
+    ledger.charge_sensing(0.2)
+    ledger.charge_compute(2.0 / 7.0)
+    ledger.charge_communication(1e-300)
+    assert meters == tuple(since[k] for k in (
+        "sensing_mj", "compute_mj", "communication_mj", "actuation_mj"))
+    assert ledger.delta(meters) == ledger.delta(since)
+    assert ledger.delta(meters)["total_mj"] != 0.0
+
+
 def test_energy_ledger_delta_tolerates_foreign_snapshot():
     ledger = EnergyLedger(compute_mj=3.0)
     # Missing meters read as zero, so a partial/foreign snapshot still

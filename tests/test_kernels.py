@@ -25,10 +25,10 @@ from repro.kernels import (
     kernel_timer,
     register_kernel,
 )
-from repro.kernels.sparse_conv import build_neighbor_index
+from repro.kernels.sparse_conv import neighbor_table
 from repro.neuromorphic.snn import SpikingConv2d
 from repro.nn import Conv2d, ConvTranspose2d
-from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseVoxelTensor)
+from repro.nn.sparse3d import SparseConv3d, SparseGrad, SparseVoxelTensor, _kernel_offsets
 from repro.nn.vae import VAE
 from repro.scenario.spec import PLATFORMS
 from repro.sim import (
@@ -171,7 +171,8 @@ def test_sparse_conv_backends_agree(n_active):
 
 
 def _neighbor_index_per_offset(coords, offsets):
-    """The per-offset loop :func:`build_neighbor_index` replaced."""
+    """Per-offset ``(in_idx, out_idx)`` lists from one lookup loop per
+    kernel offset: the oracle :func:`neighbor_table` must agree with."""
     n = coords.shape[0]
     empty = np.zeros(0, dtype=np.int64)
     if n == 0:
@@ -201,9 +202,9 @@ def _neighbor_index_per_offset(coords, offsets):
 # The "1-" ID prefix is the stride-1 axis the cases were written under.
 @pytest.mark.parametrize("kernel", [1, 3, 5], ids=lambda k: f"1-{k}")
 def test_neighbor_index_matches_per_offset_loop(kernel):
-    """One-pass index = the per-offset loop, byte for byte: dtype and
-    order of every offset's ``(in_idx, out_idx)``, on empty, sparse,
-    dense and negative-coordinate sets."""
+    """The (n, K) rulebook holds exactly the per-offset loop's pairs:
+    ``table[out, i] == in`` for each, ``n`` everywhere else, on empty,
+    sparse, dense and negative-coordinate sets."""
     offsets = np.asarray(SparseConv3d(1, 1, kernel=kernel).offsets,
                          dtype=np.int64)
     rng = np.random.default_rng(61 + 10 * kernel)
@@ -214,13 +215,68 @@ def test_neighbor_index_matches_per_offset_loop(kernel):
         cases.append(np.unique(rng.integers(lo, hi, size=(n, 3)), axis=0))
     for coords in cases:
         coords = coords.astype(np.int64)
-        want = _neighbor_index_per_offset(coords, offsets)
-        got = build_neighbor_index(coords, offsets)
-        assert len(got) == len(want) == len(offsets)
-        for (gi, go), (wi, wo) in zip(got, want):
-            assert gi.dtype == wi.dtype == go.dtype == wo.dtype == np.int64
-            assert gi.tobytes() == wi.tobytes()
-            assert go.tobytes() == wo.tobytes()
+        n = coords.shape[0]
+        table = neighbor_table(coords, offsets)
+        assert table.dtype == np.int64
+        assert table.shape == (n, len(offsets))
+        want = np.full((n, len(offsets)), n, dtype=np.int64)
+        for i, (in_idx, out_idx) in enumerate(
+                _neighbor_index_per_offset(coords, offsets)):
+            want[out_idx, i] = in_idx
+        assert table.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_kernel_offsets_list_each_mirror_at_the_mirrored_index(kernel):
+    """Offset ``-d`` sits at index ``K-1-i``: the vectorized backward
+    gathers input grads through the reversed rulebook on this."""
+    offsets = np.array(_kernel_offsets(kernel))
+    np.testing.assert_array_equal(offsets[::-1], -offsets)
+
+
+def _sparse_conv_case(case, in_ch):
+    rng = np.random.default_rng(63)
+    if case == "isolated":      # no voxel has an active neighbour
+        coords = [(2 * i, 2 * j, 2 * k) for i in range(3)
+                  for j in range(3) for k in range(2)]
+        grid = (6, 6, 4)
+    elif case == "dense-block":  # every site of a 3x3x3 block active
+        coords = [(i, j, k) for i in range(3) for j in range(3)
+                  for k in range(3)]
+        grid = (3, 3, 3)
+    else:
+        coords, grid = [], (2, 2, 2)
+    return SparseVoxelTensor.from_coords(
+        coords, in_ch, grid, values=rng.normal(size=(len(coords), in_ch)))
+
+
+@pytest.mark.parametrize("case", ["isolated", "dense-block", "empty"])
+def test_sparse_conv_backends_agree_on_structured_sets(case):
+    """Forward, input grad and weight/bias grads within 1e-12 on sets
+    where every neighbour is absent, every one present, or no site."""
+    in_ch, out_ch = 3, 4
+    got = {}
+    for backend in BACKENDS:
+        layer = SparseConv3d(in_ch, out_ch, kernel=3,
+                             rng=np.random.default_rng(64))
+        x = _sparse_conv_case(case, in_ch)
+        with kernel_backend(backend):
+            out = layer.forward(x)
+            oc, om = out.packed()
+            g = np.random.default_rng(65).normal(size=om.shape)
+            din = layer.backward(SparseGrad(oc, g))
+        got[backend] = (oc, om, SparseVoxelTensor(
+            {c: din[c] for c in din}, in_ch, x.grid_shape).packed(),
+            layer.weight.grad, layer.bias.grad)
+    (rc, rm, (rdc, rdm), rw, rb) = got["reference"]
+    (vc, vm, (vdc, vdm), vw, vb) = got["vectorized"]
+    np.testing.assert_array_equal(rc, vc)
+    np.testing.assert_array_equal(rdc, vdc)
+    for want, have in [(rm, vm), (rdm, vdm), (rw, vw), (rb, vb)]:
+        assert want.shape == have.shape
+        np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
+    if case != "empty":
+        assert np.abs(vw).sum() > 0 and np.abs(vdm).sum() > 0
 
 
 # ------------------------------------------------------- SNN BPTT parity
@@ -466,6 +522,32 @@ def _voxelize_cases():
                              rng.uniform(0.0, sy, 40),
                              rng.uniform(0.5, 0.5 + sz, 40),
                              rng.random(40)])
+
+    def in_cells(counts):
+        """``counts[v]`` points inside cell ``(5 + v, 3 + v % 4, 1)``,
+        shuffled so that the voxels interleave in point order."""
+        corner = np.array([[grid.x_range[0] + (5 + v) * sx,
+                            grid.y_range[0] + (3 + v % 4) * sy,
+                            grid.z_range[0] + sz]
+                           for v, c in enumerate(counts) for _ in range(c)])
+        pts = np.column_stack([corner + rng.uniform(0.01, 0.99, corner.shape)
+                               * (sx, sy, sz), rng.random(len(corner))])
+        return rng.permutation(pts)
+
+    # Three to four voxels share each of the counts 2, 5 and 9.
+    shared = in_cells([2, 5, 9, 2, 5, 9, 2, 5, 9, 5])
+    # 300 points in one voxel: numpy's recursive pairwise branch (> 128).
+    crowded = in_cells([300, 3, 1])
+    # Votes tied within a voxel: the smallest id wins; the largest label
+    # wins the last voxel outright.
+    tied_labels = [[1, 2, 2, 1], [4, 3, -1, 3, 4], [0, 5, 5, 0, -2, 7],
+                   [6, 6, 2, 2], [-1, -2], [9, 1, 9]]
+    tied = np.concatenate([
+        np.column_stack([np.full((len(l), 3), [(5 + v) * sx, 3 * sy, 1.0])
+                         + rng.uniform(0.01, 0.5, (len(l), 3)),
+                         rng.random(len(l))])
+        for v, l in enumerate(tied_labels)])
+    tied_order = rng.permutation(len(tied))
     return {
         "scan": (scan.points, scan.labels),
         "no-labels": (scan.points, None),
@@ -476,6 +558,10 @@ def _voxelize_cases():
         "single": (np.array([[12.0, 1.0, 1.0, 0.4]]), np.array([3])),
         # 40 points in one voxel: numpy's pairwise-sum branch (> 8).
         "dense": (dense, rng.integers(-2, 4, size=40)),
+        "shared-counts": (shared, rng.integers(-2, 4, size=len(shared))),
+        "crowded": (crowded, rng.integers(-1, 3, size=len(crowded))),
+        "tied-labels": (tied[tied_order],
+                        np.concatenate(tied_labels)[tied_order]),
     }
 
 
@@ -491,9 +577,17 @@ def test_voxelize_backends_agree(case):
                          for f in cloud.features.values()],
                         list(cloud.point_labels.items()))
     assert out["reference"] == out["vectorized"]
+    counts = sorted(round(float(np.expm1(f[0]))) for f in
+                    voxelize(points, labels).features.values())
     if case == "dense":
-        assert max(np.expm1(f[0]) for f in
-                   voxelize(points, labels).features.values()) > 8.5
+        assert counts[-1] > 8
+    if case == "shared-counts":
+        assert counts == [2] * 3 + [5] * 4 + [9] * 3
+    if case == "crowded":
+        assert counts[-1] == 300
+    if case == "tied-labels":
+        labels_by_x = sorted(voxelize(points, labels).point_labels.items())
+        assert [label for _, label in labels_by_x] == [1, 3, 0, 2, -1, 9]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
