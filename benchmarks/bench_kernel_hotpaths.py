@@ -1,12 +1,13 @@
 """Kernel hot-path micro-benchmarks — reference vs vectorized wall clock.
 
 Times each ``repro.kernels`` pair (sparse 3-D conv, SNN surrogate-BPTT,
-likelihood regret, BEV matching, dense conv GEMMs) on scenario-sized
-seeded inputs under both backends, and records the speedup alongside
-the numerical gap between them.  The committed JSON is the before/after evidence for the
-vectorized backend.  Claims: the backends stay numerically equivalent
-and the best speedup stays >= 2x (blocking); per-kernel no-slowdown is
-a warning (wall clock jitters on shared hosts).
+likelihood regret, BEV matching, dense conv GEMMs, LiDAR raycast) on
+scenario-sized seeded inputs under both backends, and records the
+speedup alongside the numerical gap between them.  The committed JSON
+is the before/after evidence for the vectorized backend.  Claims: the
+backends stay numerically equivalent and the best speedup stays >= 2x
+(blocking); per-kernel no-slowdown is a warning (wall clock jitters on
+shared hosts).
 
 The reference backend *is* the pre-vectorization implementation (moved
 verbatim into ``repro.kernels``), so ``reference_s`` here is a faithful
@@ -26,15 +27,18 @@ from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseReLU,
                                SparseSequential, SparseVoxelTensor)
 from repro.nn.vae import VAE
 from repro.runtime.bench import Claim, check
+from repro.sim import LidarConfig, LidarScanner, sample_scene
 from repro.voxel import VoxelGridConfig
 
 from bench_utils import assert_claims, print_table, save_result
 
-# Median-of-REPS wall times.  The sparse arm builds a fresh input tensor
+# Median-of-REPS wall times, the two backends interleaved rep by rep so
+# host drift reaches both alike: enough reps that two runs of one tree
+# agree within ~10% per arm.  The sparse arm builds a fresh input tensor
 # every rep, as each R-MAE encode does, so the rulebook table the
 # vectorized backend caches per tensor is built (and timed) every rep:
 # the cost the pipelines actually pay.
-REPS = 5
+REPS = 31
 # Backends must agree to last-ulp drift at scenario-sized inputs.
 EQUIV_TOL = 1e-6
 # The best per-kernel speedup, well under the committed headline.
@@ -45,15 +49,27 @@ SPEEDUP_FLOOR = 2.0
 CONV_GRID = VoxelGridConfig(nx=24, ny=24, nz=2, x_range=(0.0, 60.0),
                             y_range=(-30.0, 30.0))
 CONV_BATCH = 16
+# The raycast arm scans the end-to-end benchmark's scenes with its LiDAR
+# (64x14 beams over 100 degrees), in full and through stage-1 frugal
+# masks (a quarter of the azimuth columns), as its live loop does.
+RAYCAST_LIDAR = LidarConfig(n_azimuth=64, n_elevation=14,
+                            azimuth_fov_deg=100.0)
+RAYCAST_SCENE = dict(n_cars=3, n_pedestrians=2, n_cyclists=2,
+                     max_range=30.0, azimuth_limit=np.pi / 4)
+RAYCAST_SCENES = 2
 
 
-def _median_wall_s(fn: Callable[[], object], reps: int = REPS) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+def _median_walls(run: Callable[[str], object],
+                  reps: int = REPS) -> Dict[str, float]:
+    """Median wall time of ``run(backend)`` per backend, the backends
+    interleaved rep by rep with alternating order."""
+    times: Dict[str, List[float]] = {b: [] for b in BACKENDS}
+    for rep in range(reps):
+        for b in (BACKENDS if rep % 2 == 0 else BACKENDS[::-1]):
+            t0 = time.perf_counter()
+            run(b)
+            times[b].append(time.perf_counter() - t0)
+    return {b: float(np.median(t)) for b, t in times.items()}
 
 
 # ------------------------------------------------------- workload builders
@@ -159,6 +175,33 @@ def _conv_gemm_run(backend: str, nets: list, bev: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _raycast_setup() -> list:
+    """Seeded scenes, each with a full and a stage-1 frugal beam mask."""
+    rng = np.random.default_rng(12)
+    columns = RAYCAST_LIDAR.n_azimuth
+    cases = []
+    for _ in range(RAYCAST_SCENES):
+        scene = sample_scene(rng, **RAYCAST_SCENE)
+        frugal = np.repeat(rng.random(columns) < 0.25,
+                           RAYCAST_LIDAR.n_elevation)
+        cases += [(scene, None), (scene, frugal)]
+    return cases
+
+
+def _raycast_run(backend: str, cases: list) -> list:
+    """Every case's scan as bytes (points, labels, beams, ranges) and
+    the generator's state after it."""
+    rng = np.random.default_rng(13)
+    scanner = LidarScanner(RAYCAST_LIDAR, rng=rng)
+    out = []
+    with kernel_backend(backend):
+        for scene, mask in cases:
+            scan = scanner.scan(scene, mask)
+            out += [a.tobytes() for a in (scan.points, scan.labels,
+                                          scan.beam_ids, scan.ranges)]
+    return out + [rng.bit_generator.state]
+
+
 # --------------------------------------------------------------- the bench
 def run(smoke: bool = False) -> dict:
     """Single config: ``smoke`` is ignored."""
@@ -166,9 +209,7 @@ def run(smoke: bool = False) -> dict:
 
     model, make_x = _sparse_conv_setup()
     outs = {b: _sparse_conv_run(b, *_sparse_conv_setup()) for b in BACKENDS}
-    walls = {b: _median_wall_s(lambda b=b: _sparse_conv_run(b, model,
-                                                            make_x))
-             for b in BACKENDS}
+    walls = _median_walls(lambda b: _sparse_conv_run(b, model, make_x))
     results["sparse_conv3d"] = {
         "workload": "2-layer submanifold conv fwd+bwd, 220 sites, "
                     "16x16x2 grid, 4->16->24 ch, fresh tensor per rep",
@@ -182,8 +223,7 @@ def run(smoke: bool = False) -> dict:
     for b in BACKENDS:
         lyr, xi = _snn_setup()
         grads[b] = _snn_run(b, lyr, xi)
-    walls = {b: _median_wall_s(lambda b=b: _snn_run(b, layer, xt))
-             for b in BACKENDS}
+    walls = _median_walls(lambda b: _snn_run(b, layer, xt))
     results["snn_bptt"] = {
         "workload": "SpikingConv2d fwd+BPTT, T=8, N=2, 2->6 ch, 16x16, "
                     "learnable dynamics",
@@ -194,8 +234,7 @@ def run(smoke: bool = False) -> dict:
 
     vae, X = _regret_setup()
     scores = {b: _regret_run(b, vae, X) for b in BACKENDS}
-    walls = {b: _median_wall_s(lambda b=b: _regret_run(b, vae, X))
-             for b in BACKENDS}
+    walls = _median_walls(lambda b: _regret_run(b, vae, X))
     results["likelihood_regret"] = {
         "workload": "SPSA regret, batch of 12 rows, feature_dim=33, "
                     "25 steps",
@@ -206,8 +245,7 @@ def run(smoke: bool = False) -> dict:
 
     scenes = _bev_setup()
     matches = {b: _bev_run(b, scenes) for b in BACKENDS}
-    walls = {b: _median_wall_s(lambda b=b: _bev_run(b, scenes))
-             for b in BACKENDS}
+    walls = _median_walls(lambda b: _bev_run(b, scenes))
     results["bev_match"] = {
         "workload": "greedy BEV matching, 40 scenes, 30 preds / 12 GTs",
         "max_abs_diff": 0.0 if matches["reference"] == matches["vectorized"]
@@ -217,13 +255,24 @@ def run(smoke: bool = False) -> dict:
 
     nets, bev = _conv_gemm_setup()
     outs = {b: _conv_gemm_run(b, *_conv_gemm_setup()) for b in BACKENDS}
-    walls = {b: _median_wall_s(lambda b=b: _conv_gemm_run(b, nets, bev))
-             for b in BACKENDS}
+    walls = _median_walls(lambda b: _conv_gemm_run(b, nets, bev))
     results["conv_gemm"] = {
         "workload": f"R-MAE decoder + detector neck fwd+bwd, batch "
                     f"{CONV_BATCH}, 24-ch 12x12 BEV maps",
         "max_abs_diff": float(np.max(np.abs(
             outs["reference"] - outs["vectorized"]))),
+        **_timing(walls),
+    }
+
+    cases = _raycast_setup()
+    scans = {b: _raycast_run(b, cases) for b in BACKENDS}
+    walls = _median_walls(lambda b: _raycast_run(b, cases))
+    results["lidar_raycast"] = {
+        "workload": f"{RAYCAST_SCENES} scenes at the e2ebench geometry, "
+                    f"64x14 beams over 100 deg, full + stage-1 frugal scan "
+                    f"each",
+        "max_abs_diff": 0.0 if scans["reference"] == scans["vectorized"]
+        else float("nan"),
         **_timing(walls),
     }
 

@@ -5,16 +5,17 @@ Reference: the original per-beam loop from
 ``SceneObject.ray_intersect`` slab test per beam and object, one scalar
 range-noise draw per hit, in beam order.
 
-Vectorized: every fired beam is tested against one object at a time as
-an array, with the same per-axis slab arithmetic.  Because one beam
-flipping between hit and miss would shift every later noise draw, this
-backend is **byte-identical** to the reference, not tolerance-close;
-that rests on three choices:
+Vectorized: every fired beam is tested against every object in one
+``(n_objects, n_beams)`` slab test, with the same per-axis arithmetic,
+and each beam keeps the first object at its nearest in-range hit.
+Because one beam flipping between hit and miss would shift every later
+noise draw, this backend is **byte-identical** to the reference, not
+tolerance-close; that rests on three choices:
 
-* beam directions are rotated into each box frame with the stacked
-  ``(d[:, None, :] @ rot.T)[:, 0, :]``, which runs the reference's
-  per-vector product row by row — a plain ``d @ rot.T`` is one GEMM that
-  rounds differently in the last ulp;
+* beam directions are rotated into every box frame with the stacked
+  ``d[None, :, None, :] @ rot_t[:, None]``, which runs the reference's
+  per-vector product once per (object, beam) — a plain ``d @ rot.T`` is
+  one GEMM that rounds differently in the last ulp;
 * the range noise is one ``rng.normal(0, std, size=n_hits)`` draw with
   hits in beam order, which yields the reference's scalar draws in turn;
 * the intensity square uses Python-float ``**`` (libm ``pow``, as the
@@ -81,25 +82,33 @@ class ReferenceLidarRaycast:
                 np.asarray(ranges, dtype=np.float64))
 
 
-def _box_hits(obj, origin: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``obj.ray_intersect`` for every row of ``d`` at once; ``inf``
-    where the reference returns ``None``."""
-    o = obj.world_to_box(origin[None, :])[0]
-    c, s = np.cos(-obj.yaw), np.sin(-obj.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    d = (d[:, None, :] @ rot.T)[:, 0, :]
-    half = obj.size / 2.0
-    t_min = np.zeros(d.shape[0])
-    t_max = np.full(d.shape[0], np.inf)
-    valid = np.ones(d.shape[0], dtype=bool)
+def _slab_ranges(objects, origin: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``obj.ray_intersect`` for every object (rows) and every row of
+    ``d`` (columns) at once; ``inf`` where the reference returns
+    ``None``."""
+    yaw = -np.array([obj.yaw for obj in objects])
+    c, s = np.cos(yaw), np.sin(yaw)
+    rot = np.zeros((len(objects), 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1] = c, -s
+    rot[:, 1, 0], rot[:, 1, 1] = s, c
+    rot[:, 2, 2] = 1.0
+    rot_t = rot.transpose(0, 2, 1)
+    centers = np.array([obj.center for obj in objects])
+    o = ((origin - centers)[:, None, :] @ rot_t)[:, 0, :]
+    d = (d[None, :, None, :] @ rot_t[:, None])[:, :, 0, :]
+    half = np.array([obj.size for obj in objects]) / 2.0
+    shape = d.shape[:2]
+    t_min = np.zeros(shape)
+    t_max = np.full(shape, np.inf)
+    valid = np.ones(shape, dtype=bool)
     for axis in range(3):
-        da = d[:, axis]
+        da = d[:, :, axis]
+        oa, ha = o[:, axis, None], half[:, axis, None]
         parallel = np.abs(da) < 1e-12
-        if abs(o[axis]) > half[axis]:
-            valid &= ~parallel
+        valid &= ~(parallel & (np.abs(oa) > ha))
         da = np.where(parallel, 1.0, da)
-        t1 = (-half[axis] - o[axis]) / da
-        t2 = (half[axis] - o[axis]) / da
+        t1 = (-ha - oa) / da
+        t2 = (ha - oa) / da
         # t_min only grows and t_max only shrinks, so the reference's
         # early ``t_min > t_max`` exit is the same test made at the end.
         t_min = np.where(parallel, t_min,
@@ -111,7 +120,8 @@ def _box_hits(obj, origin: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 class VectorizedLidarRaycast:
-    """All fired beams against one object at a time (byte-identical)."""
+    """Every fired beam against every object in one slab test
+    (byte-identical)."""
 
     def scan(self, cfg, dirs: np.ndarray, scene, fired_mask: np.ndarray,
              rng: np.random.Generator):
@@ -125,11 +135,19 @@ class VectorizedLidarRaycast:
         t_ground[down] = (scene.ground_z - origin[2]) / d[down, 2]
         on_ground = (0 < t_ground) & (t_ground < cfg.max_range_m)
         best_t[on_ground] = t_ground[on_ground]
-        for obj in scene.objects:
-            t = _box_hits(obj, origin, d)
-            closer = (t < best_t) & (t < cfg.max_range_m)
+        if scene.objects:
+            t = _slab_ranges(scene.objects, origin, d)
+            t[~(t < cfg.max_range_m)] = np.inf
+            # The first object at the nearest range, as the reference's
+            # strict ``<`` over objects in order keeps it; the ground
+            # keeps a tie too.
+            first = np.argmin(t, axis=0)
+            t = t[first, np.arange(beams.size)]
+            closer = t < best_t
             best_t[closer] = t[closer]
-            best_obj[closer] = obj.object_id
+            ids = np.array([obj.object_id for obj in scene.objects],
+                           dtype=np.int64)
+            best_obj[closer] = ids[first[closer]]
 
         hit = np.isfinite(best_t)
         n_hits = int(hit.sum())

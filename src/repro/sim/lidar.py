@@ -16,6 +16,7 @@ import numpy as np
 
 from ..hardware.lidar_power import LidarPowerModel
 from ..kernels import get_kernel, kernel_timer
+from ..obs.registry import get_registry
 from .scenes import Scene
 
 __all__ = ["LidarConfig", "LidarScan", "LidarScanner"]
@@ -115,17 +116,18 @@ class LidarScan:
 
         Missed pulses (no echo) still cost full energy: they were emitted
         at max-range power.  Hits under adaptive transmission cost the
-        range-scaled energy.
+        range-scaled energy.  The pricing runs in a ``sim.energy`` span.
         """
-        power = power or LidarPowerModel()
-        n_fired = int(np.count_nonzero(self.fired_mask))
-        n_hits = self.num_points
-        # Corrupted scans can carry more returns than fired pulses
-        # (spurious backscatter/ghost echoes), so clamp at zero.
-        n_misses = max(n_fired - n_hits, 0)
-        miss_mj = n_misses * power.reference_pulse_uj * 1e-3
-        hit_mj = power.scan_energy_mj(self.ranges, adaptive=adaptive)
-        return float(miss_mj + max(hit_mj, 0.0))
+        with get_registry().trace_span("sim.energy"):
+            power = power or LidarPowerModel()
+            n_fired = int(np.count_nonzero(self.fired_mask))
+            n_hits = self.num_points
+            # Corrupted scans can carry more returns than fired pulses
+            # (spurious backscatter/ghost echoes), so clamp at zero.
+            n_misses = max(n_fired - n_hits, 0)
+            miss_mj = n_misses * power.reference_pulse_uj * 1e-3
+            hit_mj = power.scan_energy_mj(self.ranges, adaptive=adaptive)
+            return float(miss_mj + max(hit_mj, 0.0))
 
     def subset(self, mask: np.ndarray) -> "LidarScan":
         """A new scan containing only the selected points."""

@@ -59,10 +59,48 @@ class RadialMaskConfig:
         return float((r0 / range_m) ** self.range_exponent)
 
 
+def _segments(azimuth_rad: np.ndarray, n_segments: int) -> np.ndarray:
+    """Angular segment index of each azimuth in [-pi, pi)."""
+    frac = (azimuth_rad + np.pi) / (2 * np.pi)
+    return np.clip(frac * n_segments, 0, n_segments - 1).astype(np.int64)
+
+
 def segment_of_azimuth(azimuth_rad: float, n_segments: int) -> int:
     """Angular segment index of an azimuth in [-pi, pi)."""
-    frac = (azimuth_rad + np.pi) / (2 * np.pi)
-    return int(np.clip(frac * n_segments, 0, n_segments - 1))
+    return int(_segments(azimuth_rad, n_segments))
+
+
+def _voxel_polar(cloud: VoxelizedCloud) -> Tuple[np.ndarray, np.ndarray]:
+    """``voxel_azimuth`` and ``voxel_range`` of every occupied voxel, in
+    ``cloud.coords`` order, with the same float operations."""
+    grid = cloud.config
+    sx, sy, _ = grid.voxel_size
+    ij = np.array(cloud.coords, dtype=np.float64).reshape(-1, 3)
+    x = grid.x_range[0] + (ij[:, 0] + 0.5) * sx
+    y = grid.y_range[0] + (ij[:, 1] + 0.5) * sy
+    return np.arctan2(y, x), np.hypot(x, y)
+
+
+def _keep_probability(config: RadialMaskConfig,
+                      ranges_m: np.ndarray) -> np.ndarray:
+    """``range_keep_probability`` of each range.  The power stays
+    Python's float ``**`` (libm ``pow``): numpy's array power may round
+    differently in the last ulp."""
+    return np.array([config.range_keep_probability(r)
+                     for r in ranges_m.tolist()], dtype=np.float64)
+
+
+def _stage2(keep: np.ndarray, ranges_m: np.ndarray,
+            config: RadialMaskConfig, rng: np.random.Generator) -> None:
+    """Stage 2 in place: the i-th True entry of ``keep``, at range
+    ``ranges_m[i]``, stays True if the i-th uniform drawn falls below its
+    keep probability."""
+    p = _keep_probability(config, ranges_m)
+    keep[keep] = rng.random(p.size) < p
+
+
+def _keep_dict(cloud: VoxelizedCloud, keep: np.ndarray) -> Dict[Coord, bool]:
+    return dict(zip(cloud.coords, keep.tolist()))
 
 
 def _sample_segments(config: RadialMaskConfig,
@@ -86,16 +124,10 @@ def radial_mask(cloud: VoxelizedCloud, config: Optional[RadialMaskConfig] = None
     config = config or RadialMaskConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     segment_mask = _sample_segments(config, rng)
-    keep: Dict[Coord, bool] = {}
-    for coord in cloud.coords:
-        az = cloud.config.voxel_azimuth(coord)
-        seg = segment_of_azimuth(az, config.n_segments)
-        if not segment_mask[seg]:
-            keep[coord] = False
-            continue
-        r = cloud.config.voxel_range(coord)
-        keep[coord] = bool(rng.random() < config.range_keep_probability(r))
-    return keep, segment_mask
+    azimuth, ranges = _voxel_polar(cloud)
+    keep = segment_mask[_segments(azimuth, config.n_segments)]
+    _stage2(keep, ranges[keep], config, rng)
+    return _keep_dict(cloud, keep), segment_mask
 
 
 def uniform_mask(cloud: VoxelizedCloud, keep_fraction: float,
@@ -105,7 +137,7 @@ def uniform_mask(cloud: VoxelizedCloud, keep_fraction: float,
     if not 0.0 <= keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in [0, 1]")
     rng = rng if rng is not None else np.random.default_rng(0)
-    return {c: bool(rng.random() < keep_fraction) for c in cloud.coords}
+    return _keep_dict(cloud, rng.random(cloud.num_occupied) < keep_fraction)
 
 
 def angular_only_mask(cloud: VoxelizedCloud,
@@ -116,11 +148,9 @@ def angular_only_mask(cloud: VoxelizedCloud,
     config = config or RadialMaskConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     segment_mask = _sample_segments(config, rng)
-    keep = {}
-    for coord in cloud.coords:
-        az = cloud.config.voxel_azimuth(coord)
-        keep[coord] = bool(segment_mask[segment_of_azimuth(az, config.n_segments)])
-    return keep
+    azimuth, _ = _voxel_polar(cloud)
+    return _keep_dict(cloud, segment_mask[_segments(azimuth,
+                                                    config.n_segments)])
 
 
 def beam_mask_from_segments(segment_mask: np.ndarray,
@@ -138,19 +168,11 @@ def beam_mask_from_segments(segment_mask: np.ndarray,
     applied per beam as well.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    fired = np.zeros(lidar.n_beams, dtype=bool)
     az_angles = np.linspace(-np.pi, np.pi, lidar.n_azimuth, endpoint=False)
-    for az_idx, az in enumerate(az_angles):
-        seg = segment_of_azimuth(az, mask_config.n_segments)
-        if not segment_mask[seg]:
-            continue
-        start = az_idx * lidar.n_elevation
-        for el in range(lidar.n_elevation):
-            beam = start + el
-            if expected_ranges is not None:
-                p = mask_config.range_keep_probability(
-                    float(expected_ranges[beam]))
-                fired[beam] = bool(rng.random() < p)
-            else:
-                fired[beam] = True
+    columns = np.asarray(segment_mask, dtype=bool)[
+        _segments(az_angles, mask_config.n_segments)]
+    fired = np.repeat(columns, lidar.n_elevation)
+    if expected_ranges is not None:
+        _stage2(fired, np.asarray(expected_ranges, dtype=np.float64)[
+            np.flatnonzero(fired)], mask_config, rng)
     return fired

@@ -351,6 +351,69 @@ def test_regret_decodes_each_iterate_once(method, steps):
     assert len(calls) <= steps + 1
 
 
+def _spsa_concatenating_oracle(vae, X, steps, rng):
+    """The vectorized SPSA stepping as it was before its stack was
+    preallocated: a fresh concatenation, ``elbo_rows`` (with
+    ``np.clip``), ``np.linalg.norm`` and a list of iterate values per
+    step."""
+    from repro.kernels import regret
+
+    latent = vae.latent_dim
+    b = X.shape[0]
+    mu0, logvar0 = vae.encode(X)
+    theta = np.concatenate([mu0, logvar0], axis=1)
+    signs = np.stack([
+        np.random.default_rng(rng.integers(2 ** 31)).integers(
+            0, 2, size=(steps, theta.shape[1]))
+        for _ in range(b)], axis=1) * 2.0 - 1.0
+    X3 = np.concatenate([X, X, X])
+
+    def neg_elbo(th, rows):
+        return -regret.elbo_rows(vae, rows, th[:, :latent],
+                                 th[:, latent:])[0]
+
+    f_iterates = []
+    for k in range(steps):
+        ak = regret._SPSA_A / (k + 1 + regret._SPSA_STABILITY) \
+            ** regret._SPSA_ALPHA
+        ck = regret._SPSA_C / (k + 1) ** regret._SPSA_GAMMA
+        delta = signs[k]
+        f = neg_elbo(np.concatenate(
+            [theta, theta + ck * delta, theta - ck * delta]), X3)
+        f_iterates.append(f[:b])
+        ghat = ((f[b:2 * b] - f[2 * b:]) / (2.0 * ck))[:, None] * delta
+        norms = np.linalg.norm(ghat, axis=1)
+        scale = np.where(norms > 0, norms, 1.0)
+        theta = theta - ak * (ghat / scale[:, None])
+    f_iterates.append(neg_elbo(theta, X))
+    base = -f_iterates[0]
+    return np.maximum(-np.min(f_iterates, axis=0) - base, 0.0)
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_spsa_stepping_matches_the_concatenating_step_bit_for_bit(batch):
+    """The preallocated stack and inline ELBO make the same ops in the
+    same order as the stepping they replaced, at the test VAE's shape
+    and at the monitor's (latent 6, hidden 48/24)."""
+    kernel = get_kernel("likelihood_regret", backend="vectorized")
+    vaes = (VAE(9, latent_dim=4, hidden=(12,), rng=np.random.default_rng(40)),
+            VAE(40, latent_dim=6, hidden=(48, 24),
+                rng=np.random.default_rng(44)))
+    for vae in vaes:
+        data = np.random.default_rng(45).normal(size=(batch, vae.input_dim))
+        for X in (data, 4.0 * data + 3.0):        # in and out of range
+            for steps in (1, 8, 25):
+                rng, oracle_rng = (np.random.default_rng(46),
+                                   np.random.default_rng(46))
+                got = kernel.score_rows(vae, X, "spsa", steps, rng)
+                want = _spsa_concatenating_oracle(vae, X, steps, oracle_rng)
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes())
+                assert rng.bit_generator.state == \
+                    oracle_rng.bit_generator.state
+        assert (want > 0).any()
+
+
 # ------------------------------------------------------- BEV match parity
 
 
@@ -454,6 +517,22 @@ def _raycast_scenes():
                          box((12.0, 3.0, 0.8), yaw=0.4)]),
         "behind": Scene([box((-10.0, 0.0, 0.8), yaw=1.0)]),
         "street": sample_scene(np.random.default_rng(60)),
+        # Two boxes at one pose hit every beam at exactly the same range:
+        # the earlier object wins, as the reference's strict ``<`` keeps it.
+        "tie": Scene([box((14.0, 1.0, 0.8), size=(4.0, 2.0, 30.0), yaw=0.3),
+                      SceneObject("Pedestrian", np.array([14.0, 1.0, 0.8]),
+                                  np.array([4.0, 2.0, 30.0]), 0.3)]),
+        # A box sunk so its top face is the ground plane: downward beams
+        # hit both at the same range, exactly on some beams (the ground
+        # keeps those, as the reference's strict ``<`` does) and an ulp
+        # apart on others.
+        "ground-tie": Scene([box((12.0, 0.0, -0.5), size=(30.0, 30.0, 1.0))]),
+        # A wall reaching below the ground whose face straddles the
+        # maximum range (120 m): its far hits must not count, while
+        # downward beams keep their nearer ground returns and beams past
+        # its edge hit a car well in range.
+        "beyond-range": Scene([box((121.0, 0.0, 0.0), size=(6.0, 90.0, 40.0)),
+                               box((40.0, 30.0, 0.8), yaw=0.2)]),
     }
 
 
@@ -490,6 +569,8 @@ def test_lidar_raycast_backends_agree(geometry):
             assert out["reference"] == out["vectorized"], (scene_name,
                                                            mask_name)
             hits += len(out["reference"][0][0][2])
+            if scene_name == "tie" and mask is None:
+                assert 1 not in scan.labels.tolist()
     assert hits > 0
 
 

@@ -14,6 +14,7 @@ from repro.voxel import (
     uniform_mask,
     voxelize,
 )
+from repro.voxel.masking import _sample_segments
 
 
 GRID = VoxelGridConfig(nx=16, ny=16, nz=2)
@@ -190,3 +191,172 @@ def test_beam_mask_with_expected_ranges_thins_far():
     fired_near = beam_mask_from_segments(segments, lidar, config, near, rng)
     fired_far = beam_mask_from_segments(segments, lidar, config, far, rng)
     assert fired_near.sum() > fired_far.sum()
+
+
+# ----------------------------------------------- array masks vs the loops
+#
+# The mask builders are array passes; the per-voxel and per-column loops
+# they replaced are kept here as oracles.  Masks, their key order and
+# the generator's state afterwards must match the loops byte for byte:
+# R-MAE pretraining, Table II and the live loop's frugal scans all read
+# them, and one extra or missing draw shifts every later mask.
+
+def _segment_loop(azimuth_rad, n_segments):
+    frac = (azimuth_rad + np.pi) / (2 * np.pi)
+    return int(np.clip(frac * n_segments, 0, n_segments - 1))
+
+
+def _radial_mask_loop(cloud, config, rng):
+    segment_mask = _sample_segments(config, rng)
+    keep = {}
+    for coord in cloud.coords:
+        az = cloud.config.voxel_azimuth(coord)
+        seg = _segment_loop(az, config.n_segments)
+        if not segment_mask[seg]:
+            keep[coord] = False
+            continue
+        r = cloud.config.voxel_range(coord)
+        keep[coord] = bool(rng.random() < config.range_keep_probability(r))
+    return keep, segment_mask
+
+
+def _angular_only_loop(cloud, config, rng):
+    segment_mask = _sample_segments(config, rng)
+    return {c: bool(segment_mask[_segment_loop(
+        cloud.config.voxel_azimuth(c), config.n_segments)])
+        for c in cloud.coords}
+
+
+def _beam_mask_loop(segment_mask, lidar, mask_config, expected_ranges, rng):
+    fired = np.zeros(lidar.n_beams, dtype=bool)
+    az_angles = np.linspace(-np.pi, np.pi, lidar.n_azimuth, endpoint=False)
+    for az_idx, az in enumerate(az_angles):
+        if not segment_mask[_segment_loop(az, mask_config.n_segments)]:
+            continue
+        start = az_idx * lidar.n_elevation
+        for el in range(lidar.n_elevation):
+            beam = start + el
+            if expected_ranges is not None:
+                p = mask_config.range_keep_probability(
+                    float(expected_ranges[beam]))
+                fired[beam] = bool(rng.random() < p)
+            else:
+                fired[beam] = True
+    return fired
+
+
+# The end-to-end benchmark's geometry (Table I) and Table II's.
+E2E_GRID = VoxelGridConfig(nx=24, ny=24, nz=2, x_range=(0.0, 60.0),
+                           y_range=(-30.0, 30.0))
+E2E_LIDAR = LidarConfig(n_azimuth=64, n_elevation=14, azimuth_fov_deg=100.0)
+E2E_SCENE = dict(n_cars=3, n_pedestrians=2, n_cyclists=2, max_range=30.0,
+                 azimuth_limit=np.pi / 4)
+TABLE2_LIDAR = LidarConfig(n_azimuth=72, n_elevation=20)
+TABLE2_GRID = VoxelGridConfig(nx=24, ny=24, nz=2)
+TABLE2_MASK = RadialMaskConfig(n_segments=24, segment_keep_fraction=0.25,
+                               reference_range_m=10.0)
+
+
+def _mask_clouds():
+    """Full and frugal ``e2ebench``-geometry clouds, Table II clouds, a
+    cloud with voxels on the grid edges and an empty cloud."""
+    rng = np.random.default_rng(70)
+    scanner = LidarScanner(E2E_LIDAR, rng=rng)
+    clouds = {}
+    for i in range(6):
+        scan = scanner.scan(sample_scene(rng, **E2E_SCENE))
+        if i % 2:
+            scan = scanner.scan(sample_scene(rng, **E2E_SCENE),
+                                rng.random(E2E_LIDAR.n_beams) < 0.25)
+        clouds[f"e2e-{i}"] = voxelize(scan.points, scan.labels, E2E_GRID)
+    for i in range(2):
+        scan = LidarScanner(TABLE2_LIDAR, rng=rng).scan(
+            sample_scene(np.random.default_rng(10 + i)))
+        clouds[f"table2-{i}"] = voxelize(scan.points, scan.labels,
+                                         TABLE2_GRID)
+    edges = np.array([[0.01, -29.99, 0.1, 0.5], [59.99, 29.99, 1.0, 0.5],
+                      [0.01, 0.01, 0.1, 0.5], [30.0, -0.01, 0.1, 0.5]])
+    clouds["edges"] = voxelize(edges, config=E2E_GRID)
+    clouds["empty"] = voxelize(np.zeros((0, 4)), config=E2E_GRID)
+    return clouds
+
+
+MASK_CONFIGS = {
+    "default": RadialMaskConfig(),
+    "table2": TABLE2_MASK,
+    "all-segments": RadialMaskConfig(n_segments=8,
+                                     segment_keep_fraction=1.0),
+    "steep": RadialMaskConfig(n_segments=5, segment_keep_fraction=0.4,
+                              range_exponent=4.0, reference_range_m=3.0),
+}
+
+
+def _same_keep(got, want):
+    assert list(got) == list(want)              # key order
+    assert list(got.values()) == list(want.values())
+    assert all(type(v) is bool for v in got.values())
+
+
+@pytest.mark.parametrize("config_name", sorted(MASK_CONFIGS))
+def test_radial_mask_matches_the_voxel_loop(config_name):
+    config = MASK_CONFIGS[config_name]
+    for name, cloud in _mask_clouds().items():
+        rng, oracle_rng = np.random.default_rng(71), np.random.default_rng(71)
+        keep, segments = radial_mask(cloud, config, rng)
+        want_keep, want_segments = _radial_mask_loop(cloud, config,
+                                                     oracle_rng)
+        _same_keep(keep, want_keep)
+        assert (segments.dtype, segments.tobytes()) == \
+            (want_segments.dtype, want_segments.tobytes()), name
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, name
+        # Masking the same cloud again continues the same stream.
+        _same_keep(radial_mask(cloud, config, rng)[0],
+                   _radial_mask_loop(cloud, config, oracle_rng)[0])
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_ablation_masks_match_their_loops():
+    config = RadialMaskConfig(n_segments=6, segment_keep_fraction=0.5)
+    for name, cloud in _mask_clouds().items():
+        rng, oracle_rng = np.random.default_rng(72), np.random.default_rng(72)
+        _same_keep(angular_only_mask(cloud, config, rng),
+                   _angular_only_loop(cloud, config, oracle_rng))
+        _same_keep(uniform_mask(cloud, 0.3, rng),
+                   {c: bool(oracle_rng.random() < 0.3) for c in cloud.coords})
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, name
+
+
+def test_segment_of_azimuth_matches_the_scalar_loop():
+    azimuths = [-np.pi, -np.pi + 1e-12, -1.0, 0.0, 0.5, np.pi - 1e-9,
+                np.pi, *np.random.default_rng(73).uniform(-np.pi, np.pi, 50)]
+    for n in (1, 5, 24):
+        for az in azimuths:
+            got = segment_of_azimuth(az, n)
+            assert type(got) is int and got == _segment_loop(az, n)
+
+
+@pytest.mark.parametrize("geometry", ["e2e", "table2"])
+def test_beam_mask_matches_the_column_loop(geometry):
+    lidar, grid, config = {
+        "e2e": (E2E_LIDAR, E2E_GRID, RadialMaskConfig()),
+        "table2": (TABLE2_LIDAR, TABLE2_GRID, TABLE2_MASK)}[geometry]
+    for i in range(4):
+        # Table II's stage 2: each beam expects the full scan's range,
+        # and the maximum range where the full scan had no return.
+        scene = sample_scene(np.random.default_rng(10 + i))
+        full = LidarScanner(lidar, rng=np.random.default_rng(74)).scan(scene)
+        cloud = voxelize(full.points, full.labels, grid)
+        _, segments = radial_mask(cloud, config, np.random.default_rng(20 + i))
+        expected = np.full(lidar.n_beams, lidar.max_range_m)
+        expected[full.beam_ids] = full.ranges
+        for ranges in (None, expected):
+            rng, oracle_rng = (np.random.default_rng(30 + i),
+                               np.random.default_rng(30 + i))
+            fired = beam_mask_from_segments(segments, lidar, config, ranges,
+                                            rng)
+            want = _beam_mask_loop(segments, lidar, config, ranges,
+                                   oracle_rng)
+            assert (fired.dtype, fired.shape, fired.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes())
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert fired.any()
