@@ -28,35 +28,34 @@ from repro.nn.sparse3d import (SparseConv3d, SparseGrad, SparseReLU,
 from repro.nn.vae import VAE
 from repro.runtime.bench import Claim, check
 from repro.sim import LidarConfig, LidarScanner, sample_scene
-from repro.voxel import VoxelGridConfig
+from repro.voxel import (RadialMaskConfig, VoxelGridConfig,
+                         beam_mask_from_segments, radial_mask, voxelize)
 
 from bench_utils import assert_claims, print_table, save_result
 
 # Median-of-REPS wall times, the two backends interleaved rep by rep so
 # host drift reaches both alike: enough reps that two runs of one tree
-# agree within ~10% per arm.  The sparse arm builds a fresh input tensor
+# agree within ~5% per arm.  The sparse arm builds a fresh input tensor
 # every rep, as each R-MAE encode does, so the rulebook table the
 # vectorized backend caches per tensor is built (and timed) every rep:
 # the cost the pipelines actually pay.
-REPS = 31
+REPS = 15
 # Backends must agree to last-ulp drift at scenario-sized inputs.
 EQUIV_TOL = 1e-6
 # The best per-kernel speedup, well under the committed headline.
 SPEEDUP_FLOOR = 2.0
-# The dense conv arm runs at the end-to-end benchmark's geometry (a
-# 24x24x2 voxel grid, so 12x12 BEV maps) and at the batch its
+# The dense conv and raycast arms run at the end-to-end benchmark's
+# geometry: a 24x24x2 voxel grid (so 12x12 BEV maps) and 64x14 LiDAR
+# beams over 100 degrees.  The conv arm serves the batch its
 # ``log_replay`` workload serves.
-CONV_GRID = VoxelGridConfig(nx=24, ny=24, nz=2, x_range=(0.0, 60.0),
-                            y_range=(-30.0, 30.0))
+E2E_GRID = VoxelGridConfig(nx=24, ny=24, nz=2, x_range=(0.0, 60.0),
+                           y_range=(-30.0, 30.0))
+E2E_LIDAR = LidarConfig(n_azimuth=64, n_elevation=14, azimuth_fov_deg=100.0)
 CONV_BATCH = 16
-# The raycast arm scans the end-to-end benchmark's scenes with its LiDAR
-# (64x14 beams over 100 degrees), in full and through stage-1 frugal
-# masks (a quarter of the azimuth columns), as its live loop does.
-RAYCAST_LIDAR = LidarConfig(n_azimuth=64, n_elevation=14,
-                            azimuth_fov_deg=100.0)
+# The raycast arm scans one of that benchmark's scenes in full and
+# through a frugal mask built as its live loop builds one.
 RAYCAST_SCENE = dict(n_cars=3, n_pedestrians=2, n_cyclists=2,
                      max_range=30.0, azimuth_limit=np.pi / 4)
-RAYCAST_SCENES = 2
 
 
 def _median_walls(run: Callable[[str], object],
@@ -155,11 +154,11 @@ def _bev_run(backend: str,
 
 def _conv_gemm_setup() -> Tuple[list, np.ndarray]:
     """The R-MAE decoder and the detector neck, and a batch of BEV maps."""
-    det = BEVDetector(CONV_GRID, rng=np.random.default_rng(9))
+    det = BEVDetector(E2E_GRID, rng=np.random.default_rng(9))
     ds = det.rmae.config.bev_downsample
     bev = np.random.default_rng(10).standard_normal(
         (CONV_BATCH, det.rmae.config.encoder_channels[1],
-         CONV_GRID.nx // ds, CONV_GRID.ny // ds))
+         E2E_GRID.nx // ds, E2E_GRID.ny // ds))
     return [det.rmae.decoder, det.neck], bev
 
 
@@ -176,23 +175,23 @@ def _conv_gemm_run(backend: str, nets: list, bev: np.ndarray) -> np.ndarray:
 
 
 def _raycast_setup() -> list:
-    """Seeded scenes, each with a full and a stage-1 frugal beam mask."""
+    """A seeded scene with no mask and with a frugal one: R-MAE's
+    stage-1 segments of the full scan's voxels, as beam columns."""
     rng = np.random.default_rng(12)
-    columns = RAYCAST_LIDAR.n_azimuth
-    cases = []
-    for _ in range(RAYCAST_SCENES):
-        scene = sample_scene(rng, **RAYCAST_SCENE)
-        frugal = np.repeat(rng.random(columns) < 0.25,
-                           RAYCAST_LIDAR.n_elevation)
-        cases += [(scene, None), (scene, frugal)]
-    return cases
+    scene = sample_scene(rng, **RAYCAST_SCENE)
+    full = LidarScanner(E2E_LIDAR, rng=rng).scan(scene)
+    mask = RadialMaskConfig()
+    _, segments = radial_mask(voxelize(full.points, full.labels, E2E_GRID),
+                              mask, rng)
+    frugal = beam_mask_from_segments(segments, E2E_LIDAR, mask, rng=rng)
+    return [(scene, None), (scene, frugal)]
 
 
 def _raycast_run(backend: str, cases: list) -> list:
     """Every case's scan as bytes (points, labels, beams, ranges) and
     the generator's state after it."""
     rng = np.random.default_rng(13)
-    scanner = LidarScanner(RAYCAST_LIDAR, rng=rng)
+    scanner = LidarScanner(E2E_LIDAR, rng=rng)
     out = []
     with kernel_backend(backend):
         for scene, mask in cases:
@@ -268,9 +267,9 @@ def run(smoke: bool = False) -> dict:
     scans = {b: _raycast_run(b, cases) for b in BACKENDS}
     walls = _median_walls(lambda b: _raycast_run(b, cases))
     results["lidar_raycast"] = {
-        "workload": f"{RAYCAST_SCENES} scenes at the e2ebench geometry, "
-                    f"64x14 beams over 100 deg, full + stage-1 frugal scan "
-                    f"each",
+        "workload": f"1 scene at the e2ebench geometry, 64x14 beams over "
+                    f"100 deg, a full and a frugal scan "
+                    f"({int(cases[1][1].sum())} beams)",
         "max_abs_diff": 0.0 if scans["reference"] == scans["vectorized"]
         else float("nan"),
         **_timing(walls),

@@ -61,11 +61,14 @@ class ReferenceLikelihoodRegret:
 def elbo_rows(vae, X: np.ndarray, mu: np.ndarray, logvar: np.ndarray
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Deterministic per-row ELBO at z = mu (batched per_sample_elbo),
-    and the reconstruction its one decode made."""
-    logvar = np.clip(logvar, -10.0, 10.0)
+    and the reconstruction its one decode made.  Written as the ufunc
+    calls that ``np.clip`` and ``np.sum`` make (the same values bit for
+    bit), since the SPSA step calls it once per step."""
+    logvar = np.minimum(np.maximum(logvar, -10.0), 10.0)
     recon = vae.decode(mu)
-    recon_term = -np.sum((recon - X) ** 2, axis=1)
-    kl = 0.5 * np.sum(np.exp(logvar) + mu ** 2 - 1.0 - logvar, axis=1)
+    recon_term = -np.add.reduce((recon - X) ** 2, axis=1)
+    kl = 0.5 * np.add.reduce(np.exp(logvar) + mu ** 2 - 1.0 - logvar,
+                             axis=1)
     return recon_term - kl, recon
 
 
@@ -93,9 +96,8 @@ class VectorizedLikelihoodRegret:
         and δ_k, so they share one decoder pass (``steps + 1`` decodes
         per score; step 0's θ_0 rows are also the base ELBO).  The three
         blocks live in one preallocated array, θ_k updated in place, and
-        the ELBO is written out inline with the ufunc calls ``np.clip``,
-        ``np.sum`` and ``np.linalg.norm`` would make: the same values bit
-        for bit, in fewer Python calls per step.
+        the row norms are the ufunc calls ``np.linalg.norm`` would make:
+        the same values bit for bit, in fewer Python calls per step.
         """
         latent = vae.latent_dim
         b = X.shape[0]
@@ -117,14 +119,7 @@ class VectorizedLikelihoodRegret:
         f_iterates = np.empty((steps + 1, b))   # f(θ_0) .. f(θ_steps)
 
         def neg_elbo(th: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            """Negated deterministic ELBO at z = mu, per row."""
-            mu = th[:, :latent]
-            logvar = np.minimum(np.maximum(th[:, latent:], -10.0), 10.0)
-            recon_term = -np.add.reduce((vae.decode(mu) - rows) ** 2,
-                                        axis=1)
-            kl = 0.5 * np.add.reduce(
-                np.exp(logvar) + mu ** 2 - 1.0 - logvar, axis=1)
-            return -(recon_term - kl)
+            return -elbo_rows(vae, rows, th[:, :latent], th[:, latent:])[0]
 
         for k in range(steps):
             ak = _SPSA_A / (k + 1 + _SPSA_STABILITY) ** _SPSA_ALPHA

@@ -9,7 +9,7 @@ resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,23 +60,29 @@ class VoxelGridConfig:
             return (i, j, k)
         return None
 
+    def voxel_centers(self, coords: Sequence[Coord]) -> np.ndarray:
+        """World centres of the given voxels, one ``(x, y, z)`` row each."""
+        ijk = np.array(coords, dtype=np.float64).reshape(-1, 3)
+        lower = np.array([self.x_range[0], self.y_range[0], self.z_range[0]])
+        return lower + (ijk + 0.5) * self.voxel_size
+
+    def voxel_polar(self, coords: Sequence[Coord]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Azimuth (radians) and horizontal distance from the sensor of
+        each voxel centre."""
+        c = self.voxel_centers(coords)
+        return np.arctan2(c[:, 1], c[:, 0]), np.hypot(c[:, 0], c[:, 1])
+
     def voxel_center(self, coord: Coord) -> np.ndarray:
-        sx, sy, sz = self.voxel_size
-        return np.array([
-            self.x_range[0] + (coord[0] + 0.5) * sx,
-            self.y_range[0] + (coord[1] + 0.5) * sy,
-            self.z_range[0] + (coord[2] + 0.5) * sz,
-        ])
+        return self.voxel_centers([coord])[0]
 
     def voxel_range(self, coord: Coord) -> float:
         """Horizontal distance from the sensor to the voxel centre."""
-        c = self.voxel_center(coord)
-        return float(np.hypot(c[0], c[1]))
+        return float(self.voxel_polar([coord])[1][0])
 
     def voxel_azimuth(self, coord: Coord) -> float:
         """Azimuth angle (radians) of the voxel centre from the sensor."""
-        c = self.voxel_center(coord)
-        return float(np.arctan2(c[1], c[0]))
+        return float(self.voxel_polar([coord])[0][0])
 
 
 @dataclass

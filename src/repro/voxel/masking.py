@@ -70,17 +70,6 @@ def segment_of_azimuth(azimuth_rad: float, n_segments: int) -> int:
     return int(_segments(azimuth_rad, n_segments))
 
 
-def _voxel_polar(cloud: VoxelizedCloud) -> Tuple[np.ndarray, np.ndarray]:
-    """``voxel_azimuth`` and ``voxel_range`` of every occupied voxel, in
-    ``cloud.coords`` order, with the same float operations."""
-    grid = cloud.config
-    sx, sy, _ = grid.voxel_size
-    ij = np.array(cloud.coords, dtype=np.float64).reshape(-1, 3)
-    x = grid.x_range[0] + (ij[:, 0] + 0.5) * sx
-    y = grid.y_range[0] + (ij[:, 1] + 0.5) * sy
-    return np.arctan2(y, x), np.hypot(x, y)
-
-
 def _keep_probability(config: RadialMaskConfig,
                       ranges_m: np.ndarray) -> np.ndarray:
     """``range_keep_probability`` of each range.  The power stays
@@ -124,7 +113,7 @@ def radial_mask(cloud: VoxelizedCloud, config: Optional[RadialMaskConfig] = None
     config = config or RadialMaskConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     segment_mask = _sample_segments(config, rng)
-    azimuth, ranges = _voxel_polar(cloud)
+    azimuth, ranges = cloud.config.voxel_polar(cloud.coords)
     keep = segment_mask[_segments(azimuth, config.n_segments)]
     _stage2(keep, ranges[keep], config, rng)
     return _keep_dict(cloud, keep), segment_mask
@@ -148,7 +137,7 @@ def angular_only_mask(cloud: VoxelizedCloud,
     config = config or RadialMaskConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     segment_mask = _sample_segments(config, rng)
-    azimuth, _ = _voxel_polar(cloud)
+    azimuth, _ = cloud.config.voxel_polar(cloud.coords)
     return _keep_dict(cloud, segment_mask[_segments(azimuth,
                                                     config.n_segments)])
 

@@ -25,6 +25,7 @@ from repro.kernels import (
     kernel_timer,
     register_kernel,
 )
+from repro.kernels.lidar_raycast import _slab_ranges
 from repro.kernels.sparse_conv import neighbor_table
 from repro.neuromorphic.snn import SpikingConv2d
 from repro.nn import Conv2d, ConvTranspose2d
@@ -353,8 +354,8 @@ def test_regret_decodes_each_iterate_once(method, steps):
 
 def _spsa_concatenating_oracle(vae, X, steps, rng):
     """The vectorized SPSA stepping as it was before its stack was
-    preallocated: a fresh concatenation, ``elbo_rows`` (with
-    ``np.clip``), ``np.linalg.norm`` and a list of iterate values per
+    preallocated: a fresh concatenation, an ELBO with ``np.clip`` and
+    ``np.sum``, ``np.linalg.norm`` and a list of iterate values per
     step."""
     from repro.kernels import regret
 
@@ -369,8 +370,10 @@ def _spsa_concatenating_oracle(vae, X, steps, rng):
     X3 = np.concatenate([X, X, X])
 
     def neg_elbo(th, rows):
-        return -regret.elbo_rows(vae, rows, th[:, :latent],
-                                 th[:, latent:])[0]
+        mu, logvar = th[:, :latent], np.clip(th[:, latent:], -10.0, 10.0)
+        recon_term = -np.sum((vae.decode(mu) - rows) ** 2, axis=1)
+        kl = 0.5 * np.sum(np.exp(logvar) + mu ** 2 - 1.0 - logvar, axis=1)
+        return -(recon_term - kl)
 
     f_iterates = []
     for k in range(steps):
@@ -522,11 +525,13 @@ def _raycast_scenes():
         "tie": Scene([box((14.0, 1.0, 0.8), size=(4.0, 2.0, 30.0), yaw=0.3),
                       SceneObject("Pedestrian", np.array([14.0, 1.0, 0.8]),
                                   np.array([4.0, 2.0, 30.0]), 0.3)]),
-        # A box sunk so its top face is the ground plane: downward beams
-        # hit both at the same range, exactly on some beams (the ground
-        # keeps those, as the reference's strict ``<`` does) and an ulp
-        # apart on others.
-        "ground-tie": Scene([box((12.0, 0.0, -0.5), size=(30.0, 30.0, 1.0))]),
+        # A thin slab whose top face is the ground plane, wide enough to
+        # hold every ground return in range: its half height 2**-10 adds
+        # to the sensor height exactly, so each downward beam meets its
+        # top face at exactly the ground's range, and the ground keeps
+        # every such beam, as the reference's strict ``<`` does.
+        "ground-tie": Scene([box((0.0, 0.0, -2.0 ** -10),
+                                 size=(250.0, 250.0, 2.0 ** -9))]),
         # A wall reaching below the ground whose face straddles the
         # maximum range (120 m): its far hits must not count, while
         # downward beams keep their nearer ground returns and beams past
@@ -569,9 +574,30 @@ def test_lidar_raycast_backends_agree(geometry):
             assert out["reference"] == out["vectorized"], (scene_name,
                                                            mask_name)
             hits += len(out["reference"][0][0][2])
-            if scene_name == "tie" and mask is None:
-                assert 1 not in scan.labels.tolist()
+            if mask is None and scene_name in ("tie", "ground-tie"):
+                # Every tie goes to the first surface: object 0 over
+                # object 1, the ground over the slab.
+                assert _exact_ties(config, scene) > 0, scene_name
+                first, second = (0, 1) if scene_name == "tie" else (-1, 0)
+                labels = scan.labels.tolist()
+                assert first in labels and second not in labels, scene_name
     assert hits > 0
+
+
+def _exact_ties(config, scene):
+    """How many beams meet two surfaces at exactly one in-range distance:
+    two boxes, or a box and the ground."""
+    origin = np.array([0.0, 0.0, config.sensor_height_m])
+    d = config.beam_directions()
+    t = _slab_ranges(scene.objects, origin, d)
+    with np.errstate(divide="ignore"):
+        t_ground = np.where(d[:, 2] < -1e-9,
+                            (scene.ground_z - origin[2]) / d[:, 2], np.inf)
+    t = np.vstack([t, t_ground])
+    t[~((0 < t) & (t < config.max_range_m))] = np.inf
+    nearest = t.min(axis=0)
+    return int((np.isfinite(nearest)
+                & ((t == nearest).sum(axis=0) > 1)).sum())
 
 
 # ------------------------------------------------------- voxelize parity

@@ -206,16 +206,30 @@ def _segment_loop(azimuth_rad, n_segments):
     return int(np.clip(frac * n_segments, 0, n_segments - 1))
 
 
+def _center_loop(grid, coord):
+    """A voxel's centre with the scalar arithmetic ``voxel_center`` had."""
+    sx, sy, sz = grid.voxel_size
+    return np.array([grid.x_range[0] + (coord[0] + 0.5) * sx,
+                     grid.y_range[0] + (coord[1] + 0.5) * sy,
+                     grid.z_range[0] + (coord[2] + 0.5) * sz])
+
+
+def _polar_loop(grid, coord):
+    """``(azimuth, range)`` of a voxel centre, as ``voxel_azimuth`` and
+    ``voxel_range`` computed them one voxel at a time."""
+    c = _center_loop(grid, coord)
+    return float(np.arctan2(c[1], c[0])), float(np.hypot(c[0], c[1]))
+
+
 def _radial_mask_loop(cloud, config, rng):
     segment_mask = _sample_segments(config, rng)
     keep = {}
     for coord in cloud.coords:
-        az = cloud.config.voxel_azimuth(coord)
+        az, r = _polar_loop(cloud.config, coord)
         seg = _segment_loop(az, config.n_segments)
         if not segment_mask[seg]:
             keep[coord] = False
             continue
-        r = cloud.config.voxel_range(coord)
         keep[coord] = bool(rng.random() < config.range_keep_probability(r))
     return keep, segment_mask
 
@@ -223,7 +237,7 @@ def _radial_mask_loop(cloud, config, rng):
 def _angular_only_loop(cloud, config, rng):
     segment_mask = _sample_segments(config, rng)
     return {c: bool(segment_mask[_segment_loop(
-        cloud.config.voxel_azimuth(c), config.n_segments)])
+        _polar_loop(cloud.config, c)[0], config.n_segments)])
         for c in cloud.coords}
 
 
@@ -289,6 +303,24 @@ MASK_CONFIGS = {
     "steep": RadialMaskConfig(n_segments=5, segment_keep_fraction=0.4,
                               range_exponent=4.0, reference_range_m=3.0),
 }
+
+
+def test_voxel_polar_matches_the_scalar_loop():
+    """Centres, azimuths and ranges of a whole cloud at once, and of one
+    voxel at a time, equal the per-voxel scalar arithmetic bit for bit."""
+    for name, cloud in _mask_clouds().items():
+        grid, coords = cloud.config, cloud.coords
+        centers = grid.voxel_centers(coords)
+        azimuth, ranges = grid.voxel_polar(coords)
+        assert centers.shape == (len(coords), 3), name
+        for i, coord in enumerate(coords):
+            want = _center_loop(grid, coord)
+            assert centers[i].tobytes() == want.tobytes(), name
+            assert grid.voxel_center(coord).tobytes() == want.tobytes()
+            az, r = _polar_loop(grid, coord)
+            assert (azimuth[i], ranges[i]) == (az, r), name
+            assert (grid.voxel_azimuth(coord), grid.voxel_range(coord)) \
+                == (az, r)
 
 
 def _same_keep(got, want):
