@@ -202,79 +202,71 @@ def _raycast_run(backend: str, cases: list) -> list:
 
 
 # --------------------------------------------------------------- the bench
+def _max_abs_diff(outs: Dict[str, np.ndarray]) -> float:
+    return float(np.max(np.abs(outs["reference"] - outs["vectorized"])))
+
+
+def _equal(outs: Dict[str, list]) -> float:
+    return 0.0 if outs["reference"] == outs["vectorized"] else float("nan")
+
+
 def run(smoke: bool = False) -> dict:
     """Single config: ``smoke`` is ignored."""
-    results: Dict[str, dict] = {}
-
     model, make_x = _sparse_conv_setup()
-    outs = {b: _sparse_conv_run(b, *_sparse_conv_setup()) for b in BACKENDS}
-    walls = _median_walls(lambda b: _sparse_conv_run(b, model, make_x))
-    results["sparse_conv3d"] = {
-        "workload": "2-layer submanifold conv fwd+bwd, 220 sites, "
-                    "16x16x2 grid, 4->16->24 ch, fresh tensor per rep",
-        "max_abs_diff": float(np.max(np.abs(
-            outs["reference"] - outs["vectorized"]))),
-        **_timing(walls),
-    }
-
     layer, xt = _snn_setup()
-    grads = {}
-    for b in BACKENDS:
-        lyr, xi = _snn_setup()
-        grads[b] = _snn_run(b, lyr, xi)
-    walls = _median_walls(lambda b: _snn_run(b, layer, xt))
-    results["snn_bptt"] = {
-        "workload": "SpikingConv2d fwd+BPTT, T=8, N=2, 2->6 ch, 16x16, "
-                    "learnable dynamics",
-        "max_abs_diff": float(np.max(np.abs(
-            grads["reference"] - grads["vectorized"]))),
-        **_timing(walls),
-    }
-
     vae, X = _regret_setup()
-    scores = {b: _regret_run(b, vae, X) for b in BACKENDS}
-    walls = _median_walls(lambda b: _regret_run(b, vae, X))
-    results["likelihood_regret"] = {
-        "workload": "SPSA regret, batch of 12 rows, feature_dim=33, "
-                    "25 steps",
-        "max_abs_diff": float(np.max(np.abs(
-            scores["reference"] - scores["vectorized"]))),
-        **_timing(walls),
-    }
-
     scenes = _bev_setup()
-    matches = {b: _bev_run(b, scenes) for b in BACKENDS}
-    walls = _median_walls(lambda b: _bev_run(b, scenes))
-    results["bev_match"] = {
-        "workload": "greedy BEV matching, 40 scenes, 30 preds / 12 GTs",
-        "max_abs_diff": 0.0 if matches["reference"] == matches["vectorized"]
-        else float("nan"),
-        **_timing(walls),
-    }
-
     nets, bev = _conv_gemm_setup()
-    outs = {b: _conv_gemm_run(b, *_conv_gemm_setup()) for b in BACKENDS}
-    walls = _median_walls(lambda b: _conv_gemm_run(b, nets, bev))
-    results["conv_gemm"] = {
-        "workload": f"R-MAE decoder + detector neck fwd+bwd, batch "
-                    f"{CONV_BATCH}, 24-ch 12x12 BEV maps",
-        "max_abs_diff": float(np.max(np.abs(
-            outs["reference"] - outs["vectorized"]))),
-        **_timing(walls),
-    }
-
     cases = _raycast_setup()
-    scans = {b: _raycast_run(b, cases) for b in BACKENDS}
-    walls = _median_walls(lambda b: _raycast_run(b, cases))
-    results["lidar_raycast"] = {
-        "workload": f"1 scene at the e2ebench geometry, 64x14 beams over "
-                    f"100 deg, a full and a frugal scan "
-                    f"({int(cases[1][1].sum())} beams)",
-        "max_abs_diff": 0.0 if scans["reference"] == scans["vectorized"]
-        else float("nan"),
-        **_timing(walls),
+    # name -> (workload, timed run(backend), output(backend) from fresh
+    # inputs, backend gap of those outputs)
+    arms = {
+        "sparse_conv3d": (
+            "2-layer submanifold conv fwd+bwd, 220 sites, 16x16x2 grid, "
+            "4->16->24 ch, fresh tensor per rep",
+            lambda b: _sparse_conv_run(b, model, make_x),
+            lambda b: _sparse_conv_run(b, *_sparse_conv_setup()),
+            _max_abs_diff),
+        "snn_bptt": (
+            "SpikingConv2d fwd+BPTT, T=8, N=2, 2->6 ch, 16x16, "
+            "learnable dynamics",
+            lambda b: _snn_run(b, layer, xt),
+            lambda b: _snn_run(b, *_snn_setup()),
+            _max_abs_diff),
+        "likelihood_regret": (
+            "SPSA regret, batch of 12 rows, feature_dim=33, 25 steps",
+            lambda b: _regret_run(b, vae, X),
+            lambda b: _regret_run(b, *_regret_setup()),
+            _max_abs_diff),
+        "bev_match": (
+            "greedy BEV matching, 40 scenes, 30 preds / 12 GTs",
+            lambda b: _bev_run(b, scenes),
+            lambda b: _bev_run(b, _bev_setup()),
+            _equal),
+        "conv_gemm": (
+            f"R-MAE decoder + detector neck fwd+bwd, batch {CONV_BATCH}, "
+            f"24-ch 12x12 BEV maps",
+            lambda b: _conv_gemm_run(b, nets, bev),
+            lambda b: _conv_gemm_run(b, *_conv_gemm_setup()),
+            _max_abs_diff),
+        "lidar_raycast": (
+            f"1 scene at the e2ebench geometry, 64x14 beams over 100 deg, "
+            f"a full and a frugal scan ({int(cases[1][1].sum())} beams)",
+            lambda b: _raycast_run(b, cases),
+            lambda b: _raycast_run(b, _raycast_setup()),
+            _equal),
     }
-
+    gaps = {name: diff({b: fresh(b) for b in BACKENDS})
+            for name, (_, _, fresh, diff) in arms.items()}
+    # One untimed pass over every arm before any is timed: without it
+    # the arm timed first reads ~45% slower in a fresh process than on
+    # a second run in the same one.
+    for _, timed, _, _ in arms.values():
+        for b in BACKENDS:
+            timed(b)
+    results = {name: {"workload": workload, "max_abs_diff": gaps[name],
+                      **_timing(_median_walls(timed))}
+               for name, (workload, timed, _, _) in arms.items()}
     return {"reps": REPS, "kernels": results}
 
 

@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..generative.rmae import RMAE, Norm2d
-from ..nn.layers import Conv2d, Module, ReLU
+from ..generative.rmae import RMAE
+from ..nn.layers import Conv2d, Module, Norm2d, ReLU
 from ..nn.losses import bce_with_logits
 from ..nn.optim import Adam
 from ..nn.sequential import Sequential
@@ -78,7 +78,11 @@ class BEVDetector(Module):
         self.neck = Sequential(*layers)
 
     def score_maps(self, cloud: VoxelizedCloud) -> np.ndarray:
-        """Per-class logit maps, shape (n_classes, nx/ds, ny/ds)."""
+        """Per-class logit maps, shape (n_classes, nx/ds, ny/ds).
+
+        The training forward: it arms the neck's backward caches.
+        Inference goes through :meth:`score_maps_batch`.
+        """
         sparse = self.rmae.encode(cloud)
         bev = self.rmae.bev_scatter(sparse)
         return self.neck.forward(bev)[0]
@@ -89,9 +93,9 @@ class BEVDetector(Module):
         Each cloud still runs the sparse encoder individually (active
         sites differ per cloud), but the dense neck — the detector's
         dominant dense compute — runs once over the stacked BEV maps.
-        Pure inference: training caches are untouched, and row ``i``
-        matches :meth:`score_maps` on ``clouds[i]`` within kernel drift
-        tolerances.
+        Pure inference: the neck's backward caches are untouched, and
+        row ``i`` equals :meth:`score_maps` on ``clouds[i]`` bit for
+        bit.
         """
         if not clouds:
             nc = len(CLASS_NAMES)
@@ -164,19 +168,20 @@ class BEVDetector(Module):
 
     def detect(self, cloud: VoxelizedCloud,
                score_threshold: Optional[float] = None) -> List[Detection]:
-        """Peak-pick the score maps into detections with 3x3 NMS."""
-        thr = (self.config.score_threshold if score_threshold is None
-               else score_threshold)
-        return self._peak_pick(self.score_maps(cloud), cloud, thr)
+        """Peak-pick the score maps into detections with 3x3 NMS.
+
+        A batch of one through :meth:`detect_batch`, so the live loop
+        and the server run the same code.
+        """
+        return self.detect_batch([cloud], score_threshold)[0]
 
     def detect_batch(self, clouds: List[VoxelizedCloud],
                      score_threshold: Optional[float] = None
                      ) -> List[List[Detection]]:
         """Batched detection: one neck pass, per-cloud peak-picking.
 
-        ``result[i]`` matches :meth:`detect` on ``clouds[i]`` up to
-        kernel drift in the logits; the serving runtime uses this as the
-        detector's micro-batch runner.
+        ``result[i]`` equals :meth:`detect` on ``clouds[i]``; the serving
+        runtime uses this as the detector's micro-batch runner.
         """
         thr = (self.config.score_threshold if score_threshold is None
                else score_threshold)

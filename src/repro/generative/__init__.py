@@ -8,10 +8,10 @@ from .energy_account import (
     energy_ratio,
     reconstruction_energy_mj,
 )
-from .rmae import RMAE, Norm2d, RMAEConfig, pretrain_rmae, reconstruction_iou
+from .rmae import RMAE, RMAEConfig, pretrain_rmae, reconstruction_iou
 
 __all__ = [
-    "RMAE", "RMAEConfig", "Norm2d", "pretrain_rmae", "reconstruction_iou",
+    "RMAE", "RMAEConfig", "pretrain_rmae", "reconstruction_iou",
     "pretrain_occmae", "pretrain_also", "PRETRAIN_METHODS",
     "EnergyReport", "compare_energy", "energy_ratio",
     "reconstruction_energy_mj", "EDGE_GPU_PJ_PER_FLOP",

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.layers import BatchNorm, Conv2d, ConvTranspose2d, Module, ReLU
+from ..nn.layers import Conv2d, ConvTranspose2d, Module, Norm2d, ReLU
 from ..nn.losses import bce_with_logits
 from ..nn.optim import Adam
 from ..nn.sequential import Sequential
@@ -29,50 +29,7 @@ from ..obs.registry import get_registry
 from ..voxel.grid import VoxelGridConfig, VoxelizedCloud
 from ..voxel.masking import RadialMaskConfig, radial_mask
 
-__all__ = ["Norm2d", "RMAEConfig", "RMAE", "pretrain_rmae",
-           "reconstruction_iou"]
-
-
-class Norm2d(Module):
-    """Channel-wise batch norm for NCHW tensors (wraps BatchNorm)."""
-
-    def __init__(self, channels: int, name: str = "bn2d"):
-        self.bn = BatchNorm(channels, name=name)
-        self._shape = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        self._shape = x.shape
-        flat = x.transpose(0, 2, 3, 1).reshape(-1, c)
-        out = self.bn.forward(flat)
-        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._shape
-        flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)
-        out = self.bn.backward(flat)
-        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Pure batched inference normalization.
-
-        In training mode the per-sample ``forward`` normalizes each map
-        with statistics over its *own* spatial positions (its batch axis
-        is ``H*W``), so the batched equivalent computes per-sample
-        per-channel statistics — row ``i`` sees exactly what a
-        single-sample forward would, and served requests never couple
-        through their batch-mates.  Eval mode uses the frozen running
-        statistics.  Neither path mutates them.
-        """
-        if self.bn.training:
-            mu = x.mean(axis=(2, 3), keepdims=True)
-            var = x.var(axis=(2, 3), keepdims=True)
-        else:
-            mu = self.bn.running_mean[None, :, None, None]
-            var = self.bn.running_var[None, :, None, None]
-        xhat = (x - mu) / np.sqrt(var + self.bn.eps)
-        return (xhat * self.bn.gamma.data[None, :, None, None]
-                + self.bn.beta.data[None, :, None, None])
+__all__ = ["RMAEConfig", "RMAE", "pretrain_rmae", "reconstruction_iou"]
 
 
 @dataclass(frozen=True)
@@ -191,7 +148,11 @@ class RMAE(Module):
 
     # ---------------------------------------------------------- full forward
     def forward(self, cloud: VoxelizedCloud) -> np.ndarray:
-        """Occupancy logits (nz, nx, ny) reconstructed from the cloud."""
+        """Occupancy logits (nz, nx, ny) reconstructed from the cloud.
+
+        The training forward: it arms every layer's backward cache.
+        Inference goes through :meth:`occupancy_probability_batch`.
+        """
         obs = get_registry()
         t0 = time.perf_counter()
         sparse = self.encode(cloud)
@@ -208,11 +169,11 @@ class RMAE(Module):
         The continuous output behind :meth:`reconstruct_occupancy`;
         exposed separately so evaluation harnesses (and the golden-trace
         recorder) can diff the full probability field rather than its
-        thresholding.
+        thresholding.  A batch of one through
+        :meth:`occupancy_probability_batch`, so the live loop and the
+        server run the same code.
         """
-        logits = self.forward(cloud)
-        prob = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
-        return prob.transpose(1, 2, 0)
+        return self.occupancy_probability_batch([cloud])[0]
 
     def reconstruct_occupancy(self, cloud: VoxelizedCloud,
                               threshold: float = 0.5) -> np.ndarray:
@@ -240,15 +201,21 @@ class RMAE(Module):
                                     ) -> np.ndarray:
         """Batched occupancy probabilities, (B, nx, ny, nz).
 
-        One decoder pass over the stacked BEV latents replaces B
-        per-sample passes; row ``i`` matches
-        :meth:`occupancy_probability` on ``clouds[i]`` within kernel
-        drift tolerances.
+        One pure decoder pass over the stacked BEV latents replaces B
+        per-sample passes; row ``i`` equals the sigmoid of
+        :meth:`forward` on ``clouds[i]`` bit for bit, and the decoder's
+        backward caches are left as they were.
         """
         if not clouds:
             return np.zeros((0, self.grid.nx, self.grid.ny, self.grid.nz))
+        obs = get_registry()
+        t0 = time.perf_counter()
         bev = self.bev_scatter_batch(clouds)
         logits = self.decoder.forward_batch(bev)
+        obs.histogram("rmae.reconstruct_s").observe(time.perf_counter() - t0)
+        obs.counter("rmae.reconstructions").inc(len(clouds))
+        obs.counter("rmae.active_voxels").inc(
+            sum(cloud.num_occupied for cloud in clouds))
         prob = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
         return prob.transpose(0, 2, 3, 1)
 

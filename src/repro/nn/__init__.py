@@ -7,12 +7,12 @@ precision-reconfigurable quantization, and analytic MAC/FLOP counting.
 
 from .counting import OpCount, count_conv2d, count_dense, count_macs, count_module
 from .layers import (
-    BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
     GRUCell,
     Module,
+    Norm2d,
     ReLU,
 )
 from .losses import (
@@ -38,7 +38,7 @@ from .vae import VAE, train_vae
 
 __all__ = [
     "Parameter", "glorot_uniform", "he_normal", "zeros_init",
-    "Module", "Dense", "ReLU", "BatchNorm", "Conv2d", "ConvTranspose2d",
+    "Module", "Dense", "ReLU", "Norm2d", "Conv2d", "ConvTranspose2d",
     "GRUCell",
     "Sequential", "mlp",
     "mse_loss", "bce_with_logits", "softmax", "cross_entropy_with_logits",

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-import numpy as np
-
 from .layers import (
-    BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
@@ -100,9 +97,6 @@ def _count_into(module: Module, shape: Tuple[int, ...], count: OpCount
         count.add("deconv2d", count_conv2d(module.in_ch, module.out_ch,
                                            module.kernel, h, w))
         return (module.out_ch, ho, wo)
-    if isinstance(module, BatchNorm):
-        count.add("norm", 2 * int(np.prod(shape)))
-        return shape
     if isinstance(module, ReLU):
         return shape
     # Fallback: count parameters as MACs (each weight touched once).

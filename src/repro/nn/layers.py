@@ -1,7 +1,8 @@
 """Core layers of the numpy NN substrate.
 
 Every layer implements an explicit ``forward``/``backward`` pair and caches
-whatever it needs for the backward pass on the instance.  Layers are
+whatever it needs for the backward pass on the instance; the pure
+``forward_batch`` computes the same output and caches nothing.  Layers are
 deliberately stateful-but-simple: one in-flight forward at a time, which is
 all the training loops in this repository require.
 """
@@ -20,7 +21,7 @@ __all__ = [
     "Module",
     "Dense",
     "ReLU",
-    "BatchNorm",
+    "Norm2d",
     "Conv2d",
     "ConvTranspose2d",
     "GRUCell",
@@ -34,8 +35,6 @@ class Module:
     child modules as attributes; :meth:`parameters` discovers both
     recursively.
     """
-
-    training: bool = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -51,11 +50,12 @@ class Module:
         * a leading batch axis is carried through — row ``i`` of the
           output is what the per-sample :meth:`forward` would produce
           for row ``i`` alone (up to BLAS re-association);
-        * **no instance state is touched**: backward caches, running
-          statistics, and RNG streams are left exactly as they were, so
-          a batched inference can interleave with an in-flight training
-          forward/backward pair without corrupting it;
-        * stateful layers (BatchNorm) run in inference mode.
+        * **no instance state is touched**: backward caches and RNG
+          streams are left exactly as they were, so a batched inference
+          can interleave with an in-flight training forward/backward
+          pair without corrupting it;
+        * no layer has an inference mode: the batched forward computes
+          what the training forward computes.
 
         Layers without an override are rejected loudly rather than
         silently falling back to the stateful ``forward``.
@@ -107,16 +107,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def train(self) -> "Module":
-        for m in self.modules():
-            m.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for m in self.modules():
-            m.training = False
-        return self
-
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
@@ -138,7 +128,7 @@ class Dense(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.weight.data + self.bias.data
+        return self.forward_batch(x)
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.data + self.bias.data
@@ -168,62 +158,69 @@ class ReLU(Module):
         return np.where(x > 0, x, 0.0)
 
 
-class BatchNorm(Module):
-    """Batch normalization over axis 0 (features on the last axis).
+class Norm2d(Module):
+    """Per-map normalization for NCHW tensors (the decoders' "batch-norm").
 
-    Works for 2-D inputs ``(batch, features)``; the decoder stacks in the
-    R-MAE occupancy decoder use it exactly this way after flattening
-    spatial dims into the batch.
+    Each (sample, channel) map is normalized over its own ``H*W``
+    positions, then scaled by ``gamma`` and shifted by ``beta``: the
+    statistics never pool samples, so a served request's answer does
+    not depend on its batch-mates, and there are no running statistics
+    to keep.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
-                 name: str = "bn"):
-        self.dim = dim
-        self.momentum = momentum
+    def __init__(self, channels: int, eps: float = 1e-5,
+                 name: str = "norm2d"):
         self.eps = eps
-        self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
-        self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self.gamma = Parameter(np.ones(channels), name=f"{name}.gamma")
+        self.beta = Parameter(np.zeros(channels), name=f"{name}.beta")
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(-1, self.dim)
-        if self.training:
-            mu = flat.mean(axis=0)
-            var = flat.var(axis=0)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mu, var = self.running_mean, self.running_var
-        xhat = (x - mu) / np.sqrt(var + self.eps)
-        self._cache = (xhat, var, x.shape)
-        return xhat * self.gamma.data + self.beta.data
+    @staticmethod
+    def _positions(x: np.ndarray) -> np.ndarray:
+        """``x`` as positions-major columns, ``(H*W, N*C)``: one column
+        per map.  A view where the layout allows one, so numpy's
+        summation order follows ``x``'s memory layout the same way for
+        every batch size."""
+        n, c, h, w = x.shape
+        return x.transpose(2, 3, 0, 1).reshape(h * w, n * c)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, var, shape = self._cache
-        flat_g = grad.reshape(-1, self.dim)
-        flat_xhat = xhat.reshape(-1, self.dim)
-        m = flat_g.shape[0]
-        self.gamma.grad += (flat_g * flat_xhat).sum(axis=0)
-        self.beta.grad += flat_g.sum(axis=0)
-        gx = flat_g * self.gamma.data
-        inv = 1.0 / np.sqrt(var + self.eps)
-        dx = inv * (gx - gx.mean(axis=0) - flat_xhat * (gx * flat_xhat).mean(axis=0))
-        return dx.reshape(shape)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        # Normalized in the positions-major layout, channels-last at
+        # N = 1: the layouts of the arrays forward and backward return
+        # set the order of the neighbouring layers' reductions (the
+        # deconv's bias gradient sums what backward returns).
+        n, c, h, w = x.shape
+        flat = self._positions(x)
+        mu, var = flat.mean(axis=0), flat.var(axis=0)
+        xhat = (flat - mu) / np.sqrt(var + self.eps)
+        self._cache = (xhat, var, x.shape)
+        out = xhat.reshape(-1, n, c) * self.gamma.data + self.beta.data
+        return out.reshape(h, w, n, c).transpose(2, 3, 0, 1)
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Inference normalization against the frozen running statistics.
+        # The same statistics, normalized in NCHW: no positions-major
+        # copy of the normalized batch is written, and elementwise
+        # results do not depend on layout, so rows equal ``forward``'s
+        # bit for bit.
+        n, c = x.shape[:2]
+        flat = self._positions(x)
+        mu, var = flat.mean(axis=0), flat.var(axis=0)
+        xhat = ((x - mu.reshape(n, c, 1, 1))
+                / np.sqrt(var + self.eps).reshape(n, c, 1, 1))
+        return (xhat * self.gamma.data[:, None, None]
+                + self.beta.data[:, None, None])
 
-        Per-sample batch statistics would couple the rows of a served
-        batch to each other (a request's answer would depend on its
-        batch-mates), so batched inference always normalizes with the
-        running estimates — matching the per-sample ``forward`` in eval
-        mode and leaving them untouched.
-        """
-        mu, var = self.running_mean, self.running_var
-        xhat = (x - mu) / np.sqrt(var + self.eps)
-        return xhat * self.gamma.data + self.beta.data
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        xhat, var, (n, c, h, w) = self._cache
+        g = self._positions(grad)
+        per_channel = g.reshape(-1, n, c)
+        self.gamma.grad += (per_channel * xhat.reshape(-1, n, c)).sum(
+            axis=(0, 1))
+        self.beta.grad += per_channel.sum(axis=(0, 1))
+        gx = (per_channel * self.gamma.data).reshape(g.shape)
+        inv = 1.0 / np.sqrt(var + self.eps)
+        dx = inv * (gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0))
+        return dx.reshape(h, w, n, c).transpose(2, 3, 0, 1)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
@@ -287,21 +284,22 @@ class Conv2d(Module):
         self.bias = Parameter(zeros_init((out_ch,)), name=f"{name}.bias")
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride, self.pad)
-        w = self.weight.data.reshape(self.out_ch, -1)
-        out = _conv_gemm("matmul", w, cols)
-        out += self.bias.data[None, :, None]
-        self._cache = (x.shape, cols)
-        return out.reshape(x.shape[0], self.out_ch, ho, wo)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+    def _conv(self, x: np.ndarray):
+        """The output and the im2col columns the backward pass reuses."""
         cols, ho, wo = _im2col(x, self.kernel, self.kernel, self.stride,
                                self.pad)
         w = self.weight.data.reshape(self.out_ch, -1)
         out = _conv_gemm("matmul", w, cols)
         out += self.bias.data[None, :, None]
-        return out.reshape(x.shape[0], self.out_ch, ho, wo)
+        return out.reshape(x.shape[0], self.out_ch, ho, wo), cols
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out, cols = self._conv(x)
+        self._cache = (x.shape, cols)
+        return out
+
+    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+        return self._conv(x)[0]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x_shape, cols = self._cache
@@ -334,28 +332,20 @@ class ConvTranspose2d(Module):
             name=f"{name}.weight",
         )
         self.bias = Parameter(zeros_init((out_ch,)), name=f"{name}.bias")
-        self._cache = None
+        self._x: Optional[np.ndarray] = None
 
     def out_size(self, h: int) -> int:
         return (h - 1) * self.stride - 2 * self.pad + self.kernel
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        ho, wo = self.out_size(h), self.out_size(w)
-        wmat = self.weight.data.reshape(self.in_ch, -1)  # (in, out*k*k)
-        g = x.reshape(n, self.in_ch, -1)  # (n, in, h*w)
-        dcols = _conv_gemm("matmul_t", wmat, g)
-        out = _col2im(dcols, (n, self.out_ch, ho, wo), self.kernel, self.kernel,
-                      self.stride, self.pad)
-        out += self.bias.data[None, :, None, None]
-        self._cache = (x, (n, self.out_ch, ho, wo))
-        return out
+        self._x = x
+        return self.forward_batch(x)
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         ho, wo = self.out_size(h), self.out_size(w)
-        wmat = self.weight.data.reshape(self.in_ch, -1)
-        g = x.reshape(n, self.in_ch, -1)
+        wmat = self.weight.data.reshape(self.in_ch, -1)  # (in, out*k*k)
+        g = x.reshape(n, self.in_ch, -1)  # (n, in, h*w)
         dcols = _conv_gemm("matmul_t", wmat, g)
         out = _col2im(dcols, (n, self.out_ch, ho, wo), self.kernel,
                       self.kernel, self.stride, self.pad)
@@ -363,7 +353,7 @@ class ConvTranspose2d(Module):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x, out_shape = self._cache
+        x = self._x
         n = x.shape[0]
         cols, ho, wo = _im2col(grad, self.kernel, self.kernel, self.stride, self.pad)
         g = x.reshape(n, self.in_ch, -1)
@@ -399,28 +389,24 @@ class GRUCell(Module):
     def _sig(x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
 
-    def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def _step(self, x: np.ndarray, h: np.ndarray):
+        """The new hidden state and the backward cache of one step."""
         xh = np.concatenate([x, h], axis=-1)
         z = self._sig(xh @ self.w_z.data + self.b_z.data)
         r = self._sig(xh @ self.w_r.data + self.b_r.data)
         xrh = np.concatenate([x, r * h], axis=-1)
         hbar = np.tanh(xrh @ self.w_h.data + self.b_h.data)
-        h_new = (1 - z) * h + z * hbar
-        self._cache = (x, h, z, r, hbar, xh, xrh)
+        return (1 - z) * h + z * hbar, (x, h, z, r, hbar, xh, xrh)
+
+    def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        h_new, self._cache = self._step(x, h)
         return h_new
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = np.zeros(x.shape[:-1] + (self.hidden_dim,))
-        return self.step(x, h)
+        return self.step(x, np.zeros(x.shape[:-1] + (self.hidden_dim,)))
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        h = np.zeros(x.shape[:-1] + (self.hidden_dim,))
-        xh = np.concatenate([x, h], axis=-1)
-        z = self._sig(xh @ self.w_z.data + self.b_z.data)
-        r = self._sig(xh @ self.w_r.data + self.b_r.data)
-        xrh = np.concatenate([x, r * h], axis=-1)
-        hbar = np.tanh(xrh @ self.w_h.data + self.b_h.data)
-        return (1 - z) * h + z * hbar
+        return self._step(x, np.zeros(x.shape[:-1] + (self.hidden_dim,)))[0]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x, h, z, r, hbar, xh, xrh = self._cache

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -201,7 +201,8 @@ def run_verify(scenarios: Optional[Sequence[str]] = None,
     check genuinely crosses a process boundary); ``skip`` names checks
     to omit (e.g. ``("pooled",)`` on hosts without ``multiprocessing``).
     ``cache_root`` overrides the private cache directory used by the
-    cache differential (a fresh temporary directory by default).
+    cache differential (by default a fresh temporary directory per
+    scenario, removed after its cold and warm runs).
 
     Checks are backend-aware: goldens are always recorded under the
     reference kernel backend, so against-golden comparisons are exact
@@ -307,8 +308,10 @@ def run_verify(scenarios: Optional[Sequence[str]] = None,
         if "cache" in skip:
             report.results.append(CheckResult(name, "cache", "skip"))
             continue
-        root = cache_root or tempfile.mkdtemp(prefix="repro-verify-cache-")
-        with _cache_env(enabled=True, cache_dir=root):
+        # A private directory lives only as long as its cold/warm pair.
+        with (nullcontext(cache_root) if cache_root else
+              tempfile.TemporaryDirectory(prefix="repro-verify-cache-")
+              ) as root, _cache_env(enabled=True, cache_dir=root):
             cold = run_scenario(name)
             entries = ArtifactCache(root).info()["entries"]
             warm = run_scenario(name)

@@ -4,39 +4,36 @@ detection pipeline grid handling, and disturbance harness."""
 import numpy as np
 import pytest
 
-from gradcheck import numeric_gradient
-from repro.generative.rmae import Norm2d
+from gradcheck import check_layer_gradients
 from repro.koopman import RoboKoopAgent, build_model, run_disturbance_experiment
 from repro.koopman.agent import _stage_cost
 from repro.koopman.encoder import ContrastiveKoopmanEncoder
+from repro.nn import Norm2d
 from repro.sim import CartPole
 
 
 # ------------------------------------------------------------ Norm2d
 def test_norm2d_normalizes_channels():
+    # Each (sample, channel) map is normalized over its own positions,
+    # by the training and the batched forward alike.
     norm = Norm2d(3)
     rng = np.random.default_rng(0)
-    x = rng.normal(3.0, 2.0, size=(2, 3, 4, 4))
-    y = norm.forward(x)
-    flat = y.transpose(0, 2, 3, 1).reshape(-1, 3)
-    np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-9)
-    np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-2)
+    x = rng.normal(3.0, 2.0, size=(2, 3, 4, 4)) * np.arange(1, 3)[:, None,
+                                                                None, None]
+    for y in (norm.forward(x), norm.forward_batch(x)):
+        np.testing.assert_allclose(y.mean(axis=(2, 3)), 0.0, atol=1e-9)
+        np.testing.assert_allclose(y.std(axis=(2, 3)), 1.0, atol=1e-2)
 
 
 def test_norm2d_gradients_numeric():
-    norm = Norm2d(2)
+    # Input, gamma and beta gradients, for one map per channel and for a
+    # batch of two, whose maps are normalized apart.
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 2, 3, 3))
-    w = rng.normal(size=x.shape)
-
-    def loss():
-        return float(np.sum(w * norm.forward(x)))
-
-    norm.zero_grad()
-    norm.forward(x)
-    dx = norm.backward(w)
-    np.testing.assert_allclose(dx, numeric_gradient(loss, x), rtol=1e-3,
-                               atol=1e-6)
+    for n in (1, 2):
+        norm = Norm2d(2)
+        norm.gamma.data[:] = rng.normal(size=2)
+        check_layer_gradients(norm, rng.normal(size=(n, 2, 3, 3)),
+                              rtol=1e-3)
 
 
 # ------------------------------------------------------------ stage cost

@@ -5,7 +5,8 @@ The serving runtime's whole correctness story is the
 produce, row for row, exactly what the per-sample ``forward`` would
 (up to BLAS re-association), without touching any instance state.
 These properties pin that down for every ``repro.nn`` layer and for
-each pillar's batched serving entry point.
+each pillar's batched serving entry point, and check that no inference
+entry point changes the model it runs.
 """
 
 import copy
@@ -17,12 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Percept
+from repro.kernels import BACKENDS, kernel_backend
 from repro.nn import (
-    BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
     GRUCell,
+    Module,
+    Norm2d,
+    Parameter,
     ReLU,
     Sequential,
     mlp,
@@ -34,20 +38,20 @@ seeds = st.integers(min_value=0, max_value=10_000)
 batch_sizes = st.integers(min_value=1, max_value=5)
 
 
-def _primed_batchnorm(rng):
-    """BatchNorm with non-trivial running statistics (one training step)."""
-    bn = BatchNorm(5)
-    bn.forward(rng.normal(size=(8, 5)))
-    bn.zero_grad()
-    bn._cache = None
-    return bn
+def _norm2d(rng):
+    """Norm2d with non-trivial scale and shift."""
+    norm = Norm2d(3)
+    norm.gamma.data[:] = rng.normal(size=3)
+    norm.beta.data[:] = rng.normal(size=3)
+    return norm
 
 
 # (name, builder(rng) -> layer, per-sample input shape sans batch axis)
 LAYER_CASES = [
     ("dense", lambda rng: Dense(5, 3, rng=rng), (5,)),
     ("relu", lambda rng: ReLU(), (7,)),
-    ("batchnorm", _primed_batchnorm, (5,)),
+    ("norm2d", _norm2d, (3, 5, 4)),
+    ("norm2d_strided", _norm2d, (3, 5, 4)),
     ("conv2d", lambda rng: Conv2d(2, 3, kernel=3, stride=1, pad=1,
                                   rng=rng), (2, 6, 6)),
     ("conv2d_stride2", lambda rng: Conv2d(2, 3, kernel=3, stride=2,
@@ -62,6 +66,15 @@ LAYER_CASES = [
 ]
 
 
+def _inputs(name, rng, batch, shape):
+    """A batch of inputs; a ``_strided`` case gets the interior of a
+    padded map, a strided view like a padded deconv's output."""
+    if not name.endswith("_strided"):
+        return rng.normal(size=(batch,) + shape)
+    c, h, w = shape
+    return rng.normal(size=(batch, c, h + 2, w + 2))[:, :, 1:-1, 1:-1]
+
+
 @pytest.mark.parametrize("name,build,shape",
                          LAYER_CASES, ids=[c[0] for c in LAYER_CASES])
 @given(batch=batch_sizes, seed=seeds)
@@ -69,8 +82,8 @@ LAYER_CASES = [
 def test_forward_batch_matches_stacked_per_sample(name, build, shape,
                                                   batch, seed):
     rng = np.random.default_rng(seed)
-    layer = build(rng).eval()
-    x = rng.normal(size=(batch,) + shape)
+    layer = build(rng)
+    x = _inputs(name, rng, batch, shape)
     batched = layer.forward_batch(x)
     per_sample = np.concatenate(
         [layer.forward(x[i:i + 1]) for i in range(batch)])
@@ -83,14 +96,14 @@ def test_forward_batch_matches_stacked_per_sample(name, build, shape,
 @settings(max_examples=10, deadline=None)
 def test_forward_batch_touches_no_state(name, build, shape, batch, seed):
     rng = np.random.default_rng(seed)
-    layer = build(rng).eval()
+    layer = build(rng)
     before = {k: v.copy() for module in layer.modules()
               for k, v in vars(module).items()
               if isinstance(v, np.ndarray)}
     caches_before = {id(m): [k for k, v in vars(m).items()
                              if k.startswith("_") and v is None]
                      for m in layer.modules()}
-    layer.forward_batch(rng.normal(size=(batch,) + shape))
+    layer.forward_batch(_inputs(name, rng, batch, shape))
     for module in layer.modules():
         for k, v in vars(module).items():
             if isinstance(v, np.ndarray):
@@ -160,7 +173,7 @@ def test_starnet_assess_batch_parity(batch, seed):
 
 
 @functools.lru_cache(maxsize=1)
-def _clouds_and_detector():
+def _scans_clouds_and_detector():
     from repro.detect import BEVDetector
     from repro.sim import LidarConfig, LidarScanner, sample_scene
     from repro.voxel import VoxelGridConfig, voxelize
@@ -169,36 +182,120 @@ def _clouds_and_detector():
     rng = np.random.default_rng(3)
     scanner = LidarScanner(LidarConfig(n_azimuth=48, n_elevation=8),
                            rng=rng)
-    clouds = tuple(voxelize(scanner.scan(sample_scene(rng)).points,
-                            config=grid) for _ in range(4))
+    scans = tuple(scanner.scan(sample_scene(rng)) for _ in range(4))
+    clouds = tuple(voxelize(scan.points, config=grid) for scan in scans)
     detector = BEVDetector(grid, rng=np.random.default_rng(4))
-    return clouds, detector
+    return scans, clouds, detector
 
 
+def _sigmoid(logits):
+    return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+
+
+# Batched rows equal the training forward bit for bit on every backend:
+# the live loop's batch of one and the server's batches are one path.
 @given(picks=st.lists(st.integers(min_value=0, max_value=3),
                       min_size=1, max_size=4))
 @settings(max_examples=8, deadline=None)
 def test_detector_batch_parity(picks):
-    clouds, detector = _clouds_and_detector()
+    _, clouds, detector = _scans_clouds_and_detector()
     chosen = [clouds[i] for i in picks]
-    batched_maps = detector.score_maps_batch(chosen)
-    batched_dets = detector.detect_batch(chosen)
-    for i, cloud in enumerate(chosen):
-        np.testing.assert_allclose(batched_maps[i],
-                                   detector.score_maps(cloud),
-                                   atol=1e-9)
-        assert batched_dets[i] == detector.detect(cloud)
+    for backend in BACKENDS:
+        with kernel_backend(backend):
+            batched_maps = detector.score_maps_batch(chosen)
+            batched_dets = detector.detect_batch(chosen)
+            for i, cloud in enumerate(chosen):
+                np.testing.assert_array_equal(batched_maps[i],
+                                              detector.score_maps(cloud))
+                assert batched_dets[i] == detector.detect(cloud)
 
 
 @given(picks=st.lists(st.integers(min_value=0, max_value=3),
                       min_size=1, max_size=3))
 @settings(max_examples=8, deadline=None)
 def test_rmae_occupancy_batch_parity(picks):
-    clouds, detector = _clouds_and_detector()
+    _, clouds, detector = _scans_clouds_and_detector()
     rmae = detector.rmae
     chosen = [clouds[i] for i in picks]
-    batched = rmae.occupancy_probability_batch(chosen)
-    for i, cloud in enumerate(chosen):
-        np.testing.assert_allclose(batched[i],
-                                   rmae.occupancy_probability(cloud),
-                                   atol=1e-9)
+    for backend in BACKENDS:
+        with kernel_backend(backend):
+            batched = rmae.occupancy_probability_batch(chosen)
+            for i, cloud in enumerate(chosen):
+                np.testing.assert_array_equal(
+                    batched[i], _sigmoid(rmae.forward(cloud)).transpose(1, 2, 0))
+                np.testing.assert_array_equal(
+                    batched[i], rmae.occupancy_probability(cloud))
+
+
+# ------------------------------------------------- inference is pure
+def _modules(model):
+    roots = [model] if isinstance(model, Module) else [
+        v for v in vars(model).values() if isinstance(v, Module)]
+    return [m for root in roots for m in root.modules()]
+
+
+def _public_state(model):
+    """Copies of every parameter's values and every public array
+    attribute of ``model``'s modules."""
+    state = {}
+    for m in _modules(model):
+        for k, v in vars(m).items():
+            if isinstance(v, Parameter):
+                state[id(m), k] = v.data.copy()
+            elif isinstance(v, np.ndarray) and not k.startswith("_"):
+                state[id(m), k] = v.copy()
+    return state
+
+
+def _caches(module):
+    """The private (backward-cache) attributes of a module tree."""
+    return {(id(m), k): v for m in module.modules()
+            for k, v in vars(m).items() if k.startswith("_")}
+
+
+def _entry_points():
+    from repro.starnet.features import LidarFeatureExtractor
+    scans, clouds, detector = _scans_clouds_and_detector()
+    rmae = detector.rmae
+    extractor = LidarFeatureExtractor(rmae)
+    monitor = _starnet()
+    feats = np.random.default_rng(5).normal(size=(3, 6))
+    # name -> (model, call, module whose backward caches must survive)
+    return {
+        "occupancy_probability": (
+            rmae, lambda: rmae.occupancy_probability(clouds[0]),
+            rmae.decoder),
+        "occupancy_probability_batch": (
+            rmae, lambda: rmae.occupancy_probability_batch(clouds[:3]),
+            rmae.decoder),
+        "detect": (detector, lambda: detector.detect(clouds[0]),
+                   detector.neck),
+        "detect_batch": (detector, lambda: detector.detect_batch(clouds[:3]),
+                         detector.neck),
+        "extract": (extractor, lambda: extractor.extract(scans[0]), None),
+        "extract_batch": (extractor,
+                          lambda: extractor.extract_batch(scans[:3]), None),
+        "score_batch": (monitor, lambda: monitor.score_batch(feats), None),
+    }
+
+
+@pytest.mark.parametrize("entry", [
+    "occupancy_probability", "occupancy_probability_batch", "detect",
+    "detect_batch", "extract", "extract_batch", "score_batch"])
+def test_inference_leaves_the_model_unchanged(entry):
+    model, call, cached = _entry_points()[entry]
+    if cached is not None:
+        # Arm the backward caches with a training forward first.
+        _, clouds, detector = _scans_clouds_and_detector()
+        detector.rmae.forward(clouds[1])
+        detector.score_maps(clouds[1])
+        caches = _caches(cached)
+    before = _public_state(model)
+    call()
+    after = _public_state(model)
+    assert after.keys() == before.keys()
+    for key, old in before.items():
+        np.testing.assert_array_equal(after[key], old)
+    if cached is not None:
+        for key, value in _caches(cached).items():
+            assert value is caches[key], f"{key[1]} was rewritten"

@@ -5,13 +5,11 @@ import pytest
 
 from gradcheck import check_layer_gradients
 from repro.nn import (
-    BatchNorm,
     Conv2d,
     ConvTranspose2d,
     Dense,
     GRUCell,
     ReLU,
-    Sequential,
     mlp,
 )
 from repro.nn.layers import _im2col
@@ -43,28 +41,6 @@ def test_simple_activations_gradients(cls):
     x = RNG.normal(size=(3, 6)) + 0.05
     x[np.abs(x) < 0.02] = 0.1
     check_layer_gradients(layer, x)
-
-
-def test_batchnorm_train_statistics():
-    layer = BatchNorm(4)
-    x = RNG.normal(size=(64, 4)) * 3 + 1
-    y = layer.forward(x)
-    np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-9)
-    np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
-
-
-def test_batchnorm_eval_uses_running_stats():
-    layer = BatchNorm(4, momentum=1.0)
-    x = RNG.normal(size=(64, 4)) * 2 + 5
-    layer.forward(x)
-    layer.training = False
-    y = layer.forward(x)
-    np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=0.1)
-
-
-def test_batchnorm_gradients():
-    layer = BatchNorm(3)
-    check_layer_gradients(layer, RNG.normal(size=(6, 3)), rtol=1e-3)
 
 
 def test_conv2d_output_shape():
@@ -163,11 +139,3 @@ def test_module_parameter_discovery():
     params = net.parameters()
     assert len(params) == 4  # two Dense layers: weight + bias each
     assert net.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
-
-
-def test_train_eval_propagates_to_children():
-    net = Sequential(Dense(3, 3), BatchNorm(3), Dense(3, 1))
-    net.eval()
-    assert all(not m.training for m in net.modules())
-    net.train()
-    assert all(m.training for m in net.modules())

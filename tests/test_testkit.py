@@ -10,6 +10,7 @@ deliberate drift is injected here and must come back as a failure.
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -351,6 +352,18 @@ def test_run_verify_update_then_verify_round_trip(tmp_path):
     assert as_dict["ok"] is True and len(as_dict["results"]) == 5
     assert as_dict["kernel_backend"] in ("reference", "vectorized")
     assert "koopman_lqr" in report.render()
+
+
+def test_run_verify_cache_check_leaves_no_directory(tmp_path, monkeypatch):
+    # The cache check's private directory goes with its cold/warm pair.
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    report = run_verify(["koopman_lqr"],
+                        skip=("pooled", "quantized", "kernels"))
+    (cache,) = [r for r in report.results if r.check == "cache"]
+    assert cache.status == "pass", cache.detail
+    assert list(temp_root.iterdir()) == []
 
 
 def test_run_verify_catches_injected_regression(tmp_path):
