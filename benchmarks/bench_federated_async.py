@@ -29,8 +29,8 @@ Three claims come out, all blocking:
 
 A fourth, informational arm re-runs a capped async segment with clients
 padded to an emulated per-round device floor
-(:attr:`FLClient.emulated_round_s`, the single-CPU honesty methodology
-of ``bench_fleet_scaling.py``) to show the *real* wall-clock benefit of
+(:attr:`FLClient.emulated_round_s`, so the overlap shows even on a
+single CPU) to show the *real* wall-clock benefit of
 sharding client training across a :class:`~repro.runtime.WorkerPool` —
 reported as a warning-level claim, because wall ratios jitter on shared
 hosts.

@@ -6,9 +6,9 @@
 (``sys.setprofile`` plus ``threading.setprofile``) notes every code
 object entered whose file lies under ``--root``.  Each process writes
 its own record to ``--out`` as it exits: normal exits through
-``atexit``, forked ``multiprocessing`` workers (pool workers, fleet
-replicas) through a ``multiprocessing`` finalizer registered after the
-fork.  Child interpreters inherit the hook through the environment.
+``atexit``, forked ``multiprocessing`` workers (pool workers) through
+a ``multiprocessing`` finalizer registered after the fork.  Child
+interpreters inherit the hook through the environment.
 From the repository root::
 
     python benchmarks/reach_trace.py record --out reach/entry -- \\

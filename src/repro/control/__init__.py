@@ -7,9 +7,8 @@ package closes that loop over a running sensing-to-action loop:
 
 * **Actuators** (:mod:`repro.control.actuators`) wrap the knobs a loop
   can reach — any plain attribute (e.g. the sensing fraction),
-  STARNet's exact-vs-SPSA likelihood-regret method, HaLo-style
-  precision bits — behind declared bounds/choices with scoped
-  apply/revert (:meth:`ActuatorRegistry.scope`).
+  HaLo-style precision bits — behind declared bounds/choices with
+  scoped apply/revert (:meth:`ActuatorRegistry.scope`).
 * **Signals** (:mod:`repro.control.signals`) are what context looks
   like: trust scores, coverage, windowed energy-ledger deltas.
 * The **Controller** (:mod:`repro.control.controller`) maps signals to
@@ -32,7 +31,6 @@ from .actuators import (
     RuntimeActuator,
     attr_actuator,
     precision_bits_actuator,
-    score_method_actuator,
 )
 from .bindings import LoopControlBinding
 from .controller import Controller, Decision, Rule
@@ -40,7 +38,7 @@ from .signals import ContextSnapshot, EnergyWindow
 
 __all__ = [
     "ControlError", "RuntimeActuator", "ActuatorRegistry",
-    "attr_actuator", "score_method_actuator", "precision_bits_actuator",
+    "attr_actuator", "precision_bits_actuator",
     "ContextSnapshot", "EnergyWindow",
     "Rule", "Decision", "Controller",
     "LoopControlBinding",

@@ -10,8 +10,8 @@ touched when a :meth:`ActuatorRegistry.scope` block exits, so a control
 experiment can never leak settings into the rest of the process.
 
 The factory helpers at the bottom wire the knobs a loop can reach: any
-plain attribute (the sensing fraction, a monitor's method), STARNet's
-exact-vs-SPSA likelihood-regret method, and HaLo-style precision bits.
+plain attribute (the sensing fraction, a threshold) and HaLo-style
+precision bits.
 
 No wall-clock access anywhere in this package: time only ever arrives
 through :class:`~repro.control.signals.ContextSnapshot`.
@@ -23,8 +23,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = ["ControlError", "RuntimeActuator", "ActuatorRegistry",
-           "attr_actuator", "score_method_actuator",
-           "precision_bits_actuator"]
+           "attr_actuator", "precision_bits_actuator"]
 
 
 class ControlError(RuntimeError):
@@ -166,15 +165,6 @@ def attr_actuator(registry: ActuatorRegistry, name: str, obj: Any,
     return registry.register(
         name, lambda: getattr(obj, attr),
         lambda v: setattr(obj, attr, v), bounds=bounds, choices=choices)
-
-
-def score_method_actuator(registry: ActuatorRegistry, monitor: Any,
-                          name: str = "score_method") -> RuntimeActuator:
-    """Actuate a STARNet monitor's exact-vs-SPSA-vs-recon regret method."""
-    return registry.register(
-        name, lambda: monitor.score_method,
-        lambda v: monitor.set_score_method(v),
-        choices=("spsa", "exact", "recon"))
 
 
 def precision_bits_actuator(registry: ActuatorRegistry, obj: Any,

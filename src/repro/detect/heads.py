@@ -80,10 +80,11 @@ class BEVDetector(Module):
     def score_maps(self, cloud: VoxelizedCloud) -> np.ndarray:
         """Per-class logit maps, shape (n_classes, nx/ds, ny/ds).
 
-        The training forward: it arms the neck's backward caches.
-        Inference goes through :meth:`score_maps_batch`.
+        The training forward: it arms the encoder's, the scatter's and
+        the neck's backward caches.  Inference goes through
+        :meth:`score_maps_batch`.
         """
-        sparse = self.rmae.encode(cloud)
+        sparse = self.rmae.encoder.forward(self.rmae.sparse_input(cloud))
         bev = self.rmae.bev_scatter(sparse)
         return self.neck.forward(bev)[0]
 
@@ -93,9 +94,8 @@ class BEVDetector(Module):
         Each cloud still runs the sparse encoder individually (active
         sites differ per cloud), but the dense neck — the detector's
         dominant dense compute — runs once over the stacked BEV maps.
-        Pure inference: the neck's backward caches are untouched, and
-        row ``i`` equals :meth:`score_maps` on ``clouds[i]`` bit for
-        bit.
+        Pure inference: no backward cache is touched, and row ``i``
+        equals :meth:`score_maps` on ``clouds[i]`` bit for bit.
         """
         if not clouds:
             nc = len(CLASS_NAMES)

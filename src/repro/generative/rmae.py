@@ -84,19 +84,25 @@ class RMAE(Module):
         self._bev_cache = None
 
     # ---------------------------------------------------------------- encode
+    def sparse_input(self, cloud: VoxelizedCloud) -> SparseVoxelTensor:
+        """The encoder's input: the cloud's occupied voxels.
+
+        The tensor reads the cloud's own feature dict, in its order: no
+        encoder layer writes to its input.
+        """
+        return SparseVoxelTensor(cloud.features, self.config.feature_dim,
+                                 self.grid.shape)
+
     def encode(self, cloud: VoxelizedCloud) -> SparseVoxelTensor:
         """Sparse features over the (possibly masked) occupied voxels.
 
-        The input tensor reads the cloud's own feature dict, in its
-        order: no encoder layer writes to its input.
+        Pure inference: the encoder's backward caches are left as they
+        were.  The training forwards run ``encoder.forward`` instead.
         """
-        sparse_in = SparseVoxelTensor(cloud.features,
-                                      self.config.feature_dim,
-                                      self.grid.shape)
-        return self.encoder.forward(sparse_in)
+        return self.encoder.forward_batch(self.sparse_input(cloud))
 
-    def bev_scatter(self, sparse: SparseVoxelTensor) -> np.ndarray:
-        """Mean-scatter sparse voxel features into a BEV map (1, C, H, W).
+    def _scatter(self, sparse: SparseVoxelTensor):
+        """The BEV map (1, C, H, W) and the routing its backward needs.
 
         Packed tensors (the vectorized sparse-conv output) take a
         bincount/``np.add.at`` path; dict tensors (the reference conv's
@@ -114,8 +120,8 @@ class RMAE(Module):
             counts_flat = np.bincount(cell_id, minlength=h * w)
             nz = counts_flat > 0
             acc[nz] /= counts_flat[nz][:, None]
-            self._bev_cache = ("packed", coords, cell_id, counts_flat)
-            return acc.T.reshape(1, c, h, w)
+            return acc.T.reshape(1, c, h, w), \
+                ("packed", coords, cell_id, counts_flat)
         bev = np.zeros((c, h, w))
         counts = np.zeros((h, w))
         cells: Dict[Tuple[int, int], List] = {}
@@ -126,8 +132,16 @@ class RMAE(Module):
             cells.setdefault(cell, []).append((i, j, k))
         nz = counts > 0
         bev[:, nz] /= counts[nz]
-        self._bev_cache = ("dict", cells, counts)
-        return bev[None, :, :, :]
+        return bev[None, :, :, :], ("dict", cells, counts)
+
+    def bev_scatter(self, sparse: SparseVoxelTensor) -> np.ndarray:
+        """Mean-scatter sparse voxel features into a BEV map (1, C, H, W).
+
+        The training scatter: it keeps the routing
+        :meth:`bev_scatter_backward` follows.
+        """
+        bev, self._bev_cache = self._scatter(sparse)
+        return bev
 
     def bev_scatter_backward(self, grad_bev: np.ndarray):
         """Route BEV gradients back to the sparse voxels that fed them."""
@@ -155,7 +169,7 @@ class RMAE(Module):
         """
         obs = get_registry()
         t0 = time.perf_counter()
-        sparse = self.encode(cloud)
+        sparse = self.encoder.forward(self.sparse_input(cloud))
         bev = self.bev_scatter(sparse)
         logits = self.decoder.forward(bev)
         obs.histogram("rmae.reconstruct_s").observe(time.perf_counter() - t0)
@@ -187,15 +201,12 @@ class RMAE(Module):
         The submanifold encoder is inherently per-cloud (each cloud has
         its own active-site set), but everything after the scatter is a
         dense stack — callers batch the expensive dense stages over the
-        result.  Pure: the per-sample scatter cache used by training
-        backward passes is left untouched.
+        result.  Pure: the encoder's and the scatter's backward caches
+        are left as they were.
         """
-        saved = self._bev_cache
-        try:
-            maps = [self.bev_scatter(self.encode(cloud)) for cloud in clouds]
-        finally:
-            self._bev_cache = saved
-        return np.concatenate(maps, axis=0)
+        return np.concatenate(
+            [self._scatter(self.encode(cloud))[0] for cloud in clouds],
+            axis=0)
 
     def occupancy_probability_batch(self, clouds: List[VoxelizedCloud]
                                     ) -> np.ndarray:
@@ -203,8 +214,8 @@ class RMAE(Module):
 
         One pure decoder pass over the stacked BEV latents replaces B
         per-sample passes; row ``i`` equals the sigmoid of
-        :meth:`forward` on ``clouds[i]`` bit for bit, and the decoder's
-        backward caches are left as they were.
+        :meth:`forward` on ``clouds[i]`` bit for bit, and no backward
+        cache is touched.
         """
         if not clouds:
             return np.zeros((0, self.grid.nx, self.grid.ny, self.grid.nz))

@@ -18,7 +18,9 @@ build: one ``searchsorted`` over all ``n·K`` queries.
 Both backends speak through duck-typed ``layer`` objects (weight/bias
 Parameters, kernel, offsets) and :class:`~repro.nn.sparse3d.SparseVoxelTensor`
 inputs; imports of ``repro.nn`` stay function-local to keep this package
-import-cycle-free.
+import-cycle-free.  A forward writes nothing on the layer: it returns
+the output tensor and the backward cache, which the layer's training
+``forward`` keeps and its pure ``forward_batch`` drops.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class ReferenceSparseConv3d:
             for oi, nb in contribs:
                 acc = acc + feats[nb] @ layer.weight.data[oi]
             out_sites[oc] = acc
-        layer._cache = ("reference", x, gather)
-        return SparseVoxelTensor(out_sites, layer.out_ch, x.grid_shape)
+        return (SparseVoxelTensor(out_sites, layer.out_ch, x.grid_shape),
+                ("reference", x, gather))
 
     def backward(self, layer, grad):
         _, x, gather = layer._cache
@@ -128,14 +130,14 @@ class VectorizedSparseConv3d:
         cols = np.take(_zero_padded(X), table, axis=0).reshape(n, kc)
         out = cols @ layer.weight.data.reshape(kc, layer.out_ch) \
             + layer.bias.data
-        # The (n, K*Cin) gather is rebuilt in backward, not kept: models
-        # deep-copied after a forward would carry it.
-        layer._cache = ("vectorized", coords, X, table)
         # The output keeps the input's active set, so downstream
-        # submanifold layers reuse the cached table.
-        return SparseVoxelTensor(None, layer.out_ch, x.grid_shape,
-                                 coords=coords, matrix=out,
-                                 index_cache=x._index_cache)
+        # submanifold layers reuse the cached table.  The backward cache
+        # leaves out the (n, K*Cin) gather, which backward rebuilds:
+        # models deep-copied after a training forward would carry it.
+        return (SparseVoxelTensor(None, layer.out_ch, x.grid_shape,
+                                  coords=coords, matrix=out,
+                                  index_cache=x._index_cache),
+                ("vectorized", coords, X, table))
 
     def backward(self, layer, grad):
         from ..nn.sparse3d import SparseGrad

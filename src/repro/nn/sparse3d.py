@@ -21,6 +21,12 @@ authoritative from then on);
 mutate the dict's arrays in place between forwards.
 Adding or removing active sites after a rulebook table has been cached
 on the tensor is not supported.
+
+Each layer's ``forward`` keeps its backward cache and its
+``forward_batch`` computes the same output with no instance state
+touched (the :meth:`~repro.nn.layers.Module.forward_batch` contract).
+A sparse tensor holds one cloud's active sites, so its batch is that
+one cloud.
 """
 
 from __future__ import annotations
@@ -197,9 +203,17 @@ class SparseConv3d(Module):
         self.bias = Parameter(zeros_init((out_ch,)), name=f"{name}.bias")
         self._cache = None
 
-    def forward(self, x: SparseVoxelTensor) -> SparseVoxelTensor:
+    def _forward(self, x: SparseVoxelTensor):
+        """The output tensor and its backward cache."""
         with kernel_timer("sparse_conv3d", "forward"):
             return get_kernel("sparse_conv3d").forward(self, x)
+
+    def forward(self, x: SparseVoxelTensor) -> SparseVoxelTensor:
+        out, self._cache = self._forward(x)
+        return out
+
+    def forward_batch(self, x: SparseVoxelTensor) -> SparseVoxelTensor:
+        return self._forward(x)[0]
 
     def backward(self, grad):
         """Backward pass; ``grad`` maps output coords to dL/d(out feature)."""
@@ -225,23 +239,31 @@ class SparseReLU(Module):
     def __init__(self):
         self._mask = None
 
-    def forward(self, x: SparseVoxelTensor) -> SparseVoxelTensor:
+    @staticmethod
+    def _forward(x: SparseVoxelTensor):
+        """The output tensor and its backward mask."""
         if x.is_packed:
             coords, mat = x.packed()
             m = mat > 0
-            self._mask = ("packed", coords, m)
             return SparseVoxelTensor(
                 None, x.channels, x.grid_shape, coords=coords,
                 matrix=np.where(m, mat, 0.0),
-                index_cache=x._index_cache)
+                index_cache=x._index_cache), ("packed", coords, m)
         out = {}
         mask: Dict[Coord, np.ndarray] = {}
         for c, f in x.features.items():
             m = f > 0
             mask[c] = m
             out[c] = np.where(m, f, 0.0)
-        self._mask = ("dict", mask)
-        return SparseVoxelTensor(out, x.channels, x.grid_shape)
+        return SparseVoxelTensor(out, x.channels, x.grid_shape), \
+            ("dict", mask)
+
+    def forward(self, x: SparseVoxelTensor) -> SparseVoxelTensor:
+        out, self._mask = self._forward(x)
+        return out
+
+    def forward_batch(self, x: SparseVoxelTensor) -> SparseVoxelTensor:
+        return self._forward(x)[0]
 
     def backward(self, grad):
         if self._mask is None:
@@ -266,12 +288,19 @@ class SparseGlobalPool(Module):
     def __init__(self):
         self._cache = None
 
-    def forward(self, x: SparseVoxelTensor) -> np.ndarray:
+    @staticmethod
+    def _forward(x: SparseVoxelTensor):
+        """The pooled vector and the coordinates backward spreads over."""
         coords, mat = x.packed()
-        self._cache = coords
-        if not coords.shape[0]:
-            return np.zeros(x.channels)
-        return mat.mean(axis=0)
+        pooled = mat.mean(axis=0) if coords.shape[0] else np.zeros(x.channels)
+        return pooled, coords
+
+    def forward(self, x: SparseVoxelTensor) -> np.ndarray:
+        out, self._cache = self._forward(x)
+        return out
+
+    def forward_batch(self, x: SparseVoxelTensor) -> np.ndarray:
+        return self._forward(x)[0]
 
     def backward(self, grad: np.ndarray) -> SparseGrad:
         coords = self._cache
@@ -288,6 +317,11 @@ class SparseSequential(Module):
     def forward(self, x):
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def forward_batch(self, x):
+        for layer in self.layers:
+            x = layer.forward_batch(x)
         return x
 
     def backward(self, grad):

@@ -90,7 +90,6 @@ BENCHES: Dict[str, str] = {
     "ablation_masking": "bench_ablation_masking",
     "kernel_hotpaths": "bench_kernel_hotpaths",
     "serving_throughput": "bench_serving_throughput",
-    "fleet_scaling": "bench_fleet_scaling",
     "runtime_scaling": "bench_runtime_scaling",
     "control_adaptation": "bench_control_adaptation",
     "federated_async": "bench_federated_async",
@@ -99,8 +98,8 @@ BENCHES: Dict[str, str] = {
 
 # The fast, CI-friendly subset (seconds each, minutes total serial),
 # selected by passing the tag as a name or no name at all.  The timing
-# benches stay out of it: their results are wall clock, and several
-# spawn pools or replica fleets of their own.
+# benches stay out of it: their results are wall clock, and some spawn
+# process pools of their own.
 DEFAULT_TAG = "default"
 DEFAULT_BENCHES: Tuple[str, ...] = (
     "fig1_loop_adaptation", "fig2_imc", "fig5a_model_macs", "codesign",
@@ -116,7 +115,6 @@ GATED: Dict[str, Tuple[str, bool]] = {
     "fig5a_model_macs": ("fig5a_model_macs", False),
     "kernel_hotpaths": ("bench_kernel_hotpaths", False),
     "serving_throughput": ("bench_serving_throughput", False),
-    "fleet_scaling": ("bench_fleet_scaling", False),
     "control_adaptation": ("bench_control_adaptation", False),
     "federated_async": ("bench_federated_async", False),
     # The full 10^4-scenario sweep takes minutes: the gate re-runs the

@@ -105,8 +105,8 @@ class MicroBatcher:
     """Deterministic batching core: queue, coalescing policy, routing.
 
     Not thread-safe by itself — :class:`BatchedService` serializes
-    access; single-threaded tests, virtual-time simulations and
-    :mod:`repro.fleet` replicas drive it directly.
+    access; single-threaded tests and virtual-time simulations drive it
+    directly.
     """
 
     def __init__(self, runner: BatchRunner,

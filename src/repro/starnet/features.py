@@ -81,8 +81,7 @@ class LidarFeatureExtractor:
         if cloud.num_occupied == 0:
             pooled = np.zeros(self.rmae.config.encoder_channels[1])
         else:
-            sparse = self.rmae.encode(cloud)
-            pooled = self.pool.forward(sparse)
+            pooled = self.pool.forward_batch(self.rmae.encode(cloud))
         return np.concatenate([pooled, scan_statistics(scan)])
 
     def extract_batch(self, scans: List[LidarScan]) -> np.ndarray:

@@ -47,12 +47,6 @@ class STARNet(Monitor):
         self._cal_mean = 0.0
         self._cal_std = 1.0
         self._fitted = False
-        # Held-out calibration rows (normalized) plus the per-method
-        # calibration cache that makes the score method a runtime knob:
-        # switching methods re-normalizes against that method's own
-        # nominal score distribution instead of reusing a stale one.
-        self._cal_rows: Optional[np.ndarray] = None
-        self._cal_stats: dict = {}
 
     # ------------------------------------------------------------- training
     def fit(self, nominal_features: np.ndarray, epochs: int = 40,
@@ -75,41 +69,10 @@ class STARNet(Monitor):
         losses = train_vae(self.vae, train, epochs=epochs,
                            rng=np.random.default_rng(self.rng.integers(2 ** 31)))
         self._fitted = True
-        self._cal_rows = cal
-        self._cal_stats = {}
         cal_scores = self._raw_score_batch(cal)
         self._cal_mean = float(cal_scores.mean())
         self._cal_std = float(cal_scores.std() + 1e-6)
-        self._cal_stats[self.score_method] = (self._cal_mean, self._cal_std)
         return losses
-
-    def set_score_method(self, method: ScoreMethod) -> ScoreMethod:
-        """Switch the scoring method at runtime; returns the previous one.
-
-        The exact-vs-SPSA-vs-reconstruction choice is an accuracy/energy
-        actuator (``repro.control`` flips it as context shifts).  Each
-        method produces raw scores on its own scale, so on first switch
-        to a method after :meth:`fit` the held-out calibration slice is
-        re-scored under it (cached thereafter) — trust values stay
-        comparable across methods.  Note the SPSA calibration consumes
-        ``self.rng``, so switching order matters for bit-reproducibility
-        of later SPSA scores.
-        """
-        if method not in ("spsa", "exact", "recon"):
-            raise ValueError(f"unknown score method {method!r}")
-        previous = self.score_method
-        if method == previous:
-            return previous
-        self.score_method = method
-        if self._fitted and self._cal_rows is not None:
-            stats = self._cal_stats.get(method)
-            if stats is None:
-                cal_scores = self._raw_score_batch(self._cal_rows)
-                stats = (float(cal_scores.mean()),
-                         float(cal_scores.std() + 1e-6))
-                self._cal_stats[method] = stats
-            self._cal_mean, self._cal_std = stats
-        return previous
 
     # -------------------------------------------------------------- scoring
     def _normalize(self, features: np.ndarray) -> np.ndarray:

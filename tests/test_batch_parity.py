@@ -31,6 +31,7 @@ from repro.nn import (
     Sequential,
     mlp,
 )
+from repro.runtime import fingerprint
 
 ATOL = 1e-9
 
@@ -247,55 +248,67 @@ def _public_state(model):
     return state
 
 
-def _caches(module):
-    """The private (backward-cache) attributes of a module tree."""
-    return {(id(m), k): v for m in module.modules()
+def _caches(model):
+    """The private (backward-cache) attributes of ``model``'s modules."""
+    return {(id(m), k): v for m in _modules(model)
             for k, v in vars(m).items() if k.startswith("_")}
 
 
-def _entry_points():
+def _entry_points(scans, clouds, detector):
     from repro.starnet.features import LidarFeatureExtractor
-    scans, clouds, detector = _scans_clouds_and_detector()
     rmae = detector.rmae
     extractor = LidarFeatureExtractor(rmae)
-    monitor = _starnet()
-    feats = np.random.default_rng(5).normal(size=(3, 6))
-    # name -> (model, call, module whose backward caches must survive)
+    # name -> (model, call)
     return {
         "occupancy_probability": (
-            rmae, lambda: rmae.occupancy_probability(clouds[0]),
-            rmae.decoder),
+            rmae, lambda: rmae.occupancy_probability(clouds[0])),
         "occupancy_probability_batch": (
-            rmae, lambda: rmae.occupancy_probability_batch(clouds[:3]),
-            rmae.decoder),
-        "detect": (detector, lambda: detector.detect(clouds[0]),
-                   detector.neck),
-        "detect_batch": (detector, lambda: detector.detect_batch(clouds[:3]),
-                         detector.neck),
-        "extract": (extractor, lambda: extractor.extract(scans[0]), None),
+            rmae, lambda: rmae.occupancy_probability_batch(clouds[:3])),
+        "detect": (detector, lambda: detector.detect(clouds[0])),
+        "detect_batch": (detector,
+                         lambda: detector.detect_batch(clouds[:3])),
+        "extract": (extractor, lambda: extractor.extract(scans[0])),
         "extract_batch": (extractor,
-                          lambda: extractor.extract_batch(scans[:3]), None),
-        "score_batch": (monitor, lambda: monitor.score_batch(feats), None),
+                          lambda: extractor.extract_batch(scans[:3])),
     }
+
+
+def _assert_unchanged(model, call, caches=True):
+    before = _public_state(model)
+    if caches:
+        cached, key = _caches(model), fingerprint(vars(model))
+    call()
+    after = _public_state(model)
+    assert after.keys() == before.keys()
+    for k, old in before.items():
+        np.testing.assert_array_equal(after[k], old)
+    if caches:
+        for k, value in _caches(model).items():
+            assert value is cached[k], f"{k[1]} was rewritten"
+        # The artifact cache keys a model by this fingerprint.
+        assert fingerprint(vars(model)) == key
 
 
 @pytest.mark.parametrize("entry", [
     "occupancy_probability", "occupancy_probability_batch", "detect",
     "detect_batch", "extract", "extract_batch", "score_batch"])
 def test_inference_leaves_the_model_unchanged(entry):
-    model, call, cached = _entry_points()[entry]
-    if cached is not None:
-        # Arm the backward caches with a training forward first.
-        _, clouds, detector = _scans_clouds_and_detector()
-        detector.rmae.forward(clouds[1])
-        detector.score_maps(clouds[1])
-        caches = _caches(cached)
-    before = _public_state(model)
-    call()
-    after = _public_state(model)
-    assert after.keys() == before.keys()
-    for key, old in before.items():
-        np.testing.assert_array_equal(after[key], old)
-    if cached is not None:
-        for key, value in _caches(cached).items():
-            assert value is caches[key], f"{key[1]} was rewritten"
+    """Parameters, public arrays, every backward cache of the model tree
+    (the sparse encoder's and the BEV scatter's included) and the
+    model's fingerprint, on a fresh model and on one whose training
+    forwards armed every cache.  The monitor's check stops at its
+    parameters: exact regret runs the VAE decoder's backward."""
+    if entry == "score_batch":
+        monitor = _starnet()
+        feats = np.random.default_rng(5).normal(size=(3, 6))
+        _assert_unchanged(monitor, lambda: monitor.score_batch(feats),
+                          caches=False)
+        return
+    from repro.detect import BEVDetector
+    scans, clouds, detector = _scans_clouds_and_detector()
+    fresh = BEVDetector(detector.grid, rng=np.random.default_rng(4))
+    for model in (fresh, detector):
+        if model is detector:
+            model.rmae.forward(clouds[1])
+            model.score_maps(clouds[1])
+        _assert_unchanged(*_entry_points(scans, clouds, model)[entry])

@@ -6,10 +6,13 @@ flush-on-deadline, shedding) is an exact function of submit/advance
 calls.  The threaded :class:`BatchedService` is exercised with real
 concurrency, and the integration test runs sensing-to-action loops
 through a shared :class:`BatchedMonitor` and checks request-for-request
-equivalence with direct per-sample assessment.
+equivalence with direct per-sample assessment.  Two conservation tests
+check that every request ends exactly once (served, failed or shed),
+through the core and through :meth:`BatchedService.close`.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.core import (
     SystemClock,
     VirtualClock,
 )
+from repro.obs import MetricsRegistry, use_registry
 from repro.runtime.bench import load_bench
 from repro.serve import (
     BatchedMonitor,
@@ -277,6 +281,108 @@ def test_batched_service_routes_runner_errors():
     with BatchedService(flaky, BatcherConfig(max_wait_ms=1.0)) as service:
         with pytest.raises(ValueError, match="bad batch"):
             service.submit(1, timeout=10.0)
+
+
+# ------------------------------------------------------------ conservation
+def _flaky_runner(fail_every=3):
+    """A doubling runner whose every ``fail_every``-th batch raises; it
+    records the items of every batch it is handed."""
+    batches = []
+
+    def runner(items):
+        batches.append(list(items))
+        if len(batches) % fail_every == 0:
+            raise RuntimeError("batch failed")
+        return [2 * x for x in items]
+
+    return runner, batches
+
+
+def _outcome(item, get_result):
+    """(item, "served" | "failed" | "shed") from one request."""
+    try:
+        result = get_result()
+    except ServiceOverloaded:
+        return item, "shed"
+    except RuntimeError:
+        return item, "failed"
+    assert result == 2 * item
+    return item, "served"
+
+
+def _assert_conserved(batcher, registry, outcomes, batches):
+    """Every submitted request ends exactly once: served, failed or
+    shed, and the batcher's counts and the obs counters agree."""
+    kinds = [kind for _, kind in outcomes]
+    served, failed, shed = (kinds.count(k)
+                            for k in ("served", "failed", "shed"))
+    assert served and failed and shed  # every path was exercised
+    # Each accepted request rode exactly one batch.
+    assert sorted(x for batch in batches for x in batch) == sorted(
+        item for item, kind in outcomes if kind != "shed")
+    assert batcher.pending == 0
+    assert batcher.request_count == served + failed
+    assert batcher.request_count + batcher.shed_count == len(outcomes)
+    counters = registry.snapshot()["counters"]
+    assert counters["serve.requests"] == batcher.request_count
+    assert counters["serve.shed"] == batcher.shed_count
+
+
+def test_micro_batcher_accounts_for_every_request():
+    runner, batches = _flaky_runner()
+    batcher, clock = make_batcher(runner=runner, max_batch_size=3,
+                                  max_wait_ms=10.0, max_queue_depth=5)
+    registry = MetricsRegistry()
+    outcomes, tickets = [], []
+    with use_registry(registry):
+        for i in range(40):
+            try:
+                tickets.append(batcher.submit(i))
+            except ServiceOverloaded:
+                outcomes.append((i, "shed"))
+            if i % 4 == 3:  # four arrivals per poll: the queue backs up
+                clock.advance(0.005)
+                batcher.poll()
+        batcher.flush()
+    outcomes += [_outcome(t.item, t.result) for t in tickets]
+    _assert_conserved(batcher, registry, outcomes, batches)
+
+
+def test_batched_service_close_accounts_for_every_request():
+    runner, batches = _flaky_runner(fail_every=2)
+    started, release = threading.Event(), threading.Event()
+
+    def gated(items):
+        started.set()
+        assert release.wait(10.0)  # hold the worker: the queue fills
+        return runner(items)
+
+    registry = MetricsRegistry()
+    outcomes = []
+
+    def client(i):
+        outcomes.append(_outcome(i, lambda: service.submit(i, timeout=10.0)))
+
+    with use_registry(registry):
+        service = BatchedService(gated, BatcherConfig(
+            max_batch_size=2, max_wait_ms=0.0, max_queue_depth=4))
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(12)]
+        threads[0].start()
+        assert started.wait(10.0)  # batch [0] is in the runner
+        for t in threads[1:]:
+            t.start()
+        batcher = service.batcher
+        for _ in range(1000):  # until each request queued or shed
+            if batcher.pending + batcher.shed_count == 11:
+                break
+            time.sleep(0.01)
+        release.set()
+        service.close()  # drains what is queued
+        for t in threads:
+            t.join(10.0)
+            assert not t.is_alive()
+    _assert_conserved(batcher, registry, outcomes, batches)
 
 
 # ------------------------------------------------------------ integration
