@@ -1,13 +1,13 @@
 """Kernel hot-path micro-benchmarks — reference vs vectorized wall clock.
 
 Times each ``repro.kernels`` pair (sparse 3-D conv, SNN surrogate-BPTT,
-likelihood regret, BEV matching, dense conv GEMMs, LiDAR raycast) on
-scenario-sized seeded inputs under both backends, and records the
-speedup alongside the numerical gap between them.  The committed JSON
-is the before/after evidence for the vectorized backend.  Claims: the
-backends stay numerically equivalent and the best speedup stays >= 2x
-(blocking); per-kernel no-slowdown is a warning (wall clock jitters on
-shared hosts).
+likelihood regret, BEV matching, dense conv GEMMs, LiDAR raycast,
+voxelization) on scenario-sized seeded inputs under both backends, and
+records the speedup alongside the numerical gap between them.  The
+committed JSON is the before/after evidence for the vectorized backend.
+Claims: the backends stay numerically equivalent and the best speedup
+stays >= 2x (blocking); per-kernel no-slowdown is a warning (wall clock
+jitters on shared hosts).
 
 The reference backend *is* the pre-vectorization implementation (moved
 verbatim into ``repro.kernels``), so ``reference_s`` here is a faithful
@@ -29,7 +29,8 @@ from repro.nn.vae import VAE
 from repro.runtime.bench import Claim, check
 from repro.sim import LidarConfig, LidarScanner, sample_scene
 from repro.voxel import (RadialMaskConfig, VoxelGridConfig,
-                         beam_mask_from_segments, radial_mask, voxelize)
+                         beam_mask_from_segments, radial_mask, voxelize,
+                         voxelize_batch)
 
 from bench_utils import assert_claims, print_table, save_result
 
@@ -56,6 +57,8 @@ CONV_BATCH = 16
 # through a frugal mask built as its live loop builds one.
 RAYCAST_SCENE = dict(n_cars=3, n_pedestrians=2, n_cyclists=2,
                      max_range=30.0, azimuth_limit=np.pi / 4)
+# The voxelize arm bins one ``log_replay`` batch of such scans at once.
+VOXELIZE_BATCH = 16
 
 
 def _median_walls(run: Callable[[str], object],
@@ -201,6 +204,24 @@ def _raycast_run(backend: str, cases: list) -> list:
     return out + [rng.bit_generator.state]
 
 
+def _voxelize_setup() -> list:
+    """A batch of full scans of seeded scenes at the e2ebench geometry."""
+    rng = np.random.default_rng(14)
+    scanner = LidarScanner(E2E_LIDAR, rng=rng)
+    return [scanner.scan(sample_scene(rng, **RAYCAST_SCENE))
+            for _ in range(VOXELIZE_BATCH)]
+
+
+def _voxelize_run(backend: str, scans: list) -> list:
+    """Every cloud of one ``voxelize_batch`` pass as bytes: voxel order,
+    feature bytes and labels."""
+    with kernel_backend(backend):
+        clouds = voxelize_batch([s.points for s in scans],
+                                [s.labels for s in scans], E2E_GRID)
+    return [(list(c.features), [f.tobytes() for f in c.features.values()],
+             list(c.point_labels.items())) for c in clouds]
+
+
 # --------------------------------------------------------------- the bench
 def _max_abs_diff(outs: Dict[str, np.ndarray]) -> float:
     return float(np.max(np.abs(outs["reference"] - outs["vectorized"])))
@@ -218,6 +239,7 @@ def run(smoke: bool = False) -> dict:
     scenes = _bev_setup()
     nets, bev = _conv_gemm_setup()
     cases = _raycast_setup()
+    scans = _voxelize_setup()
     # name -> (workload, timed run(backend), output(backend) from fresh
     # inputs, backend gap of those outputs)
     arms = {
@@ -254,6 +276,13 @@ def run(smoke: bool = False) -> dict:
             f"a full and a frugal scan ({int(cases[1][1].sum())} beams)",
             lambda b: _raycast_run(b, cases),
             lambda b: _raycast_run(b, _raycast_setup()),
+            _equal),
+        "voxelize": (
+            f"one voxelize_batch pass over {VOXELIZE_BATCH} full scans at "
+            f"the e2ebench geometry ({sum(s.num_points for s in scans)} "
+            f"points, 24x24x2 grid)",
+            lambda b: _voxelize_run(b, scans),
+            lambda b: _voxelize_run(b, _voxelize_setup()),
             _equal),
     }
     gaps = {name: diff({b: fresh(b) for b in BACKENDS})

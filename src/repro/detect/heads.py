@@ -84,18 +84,18 @@ class BEVDetector(Module):
         the neck's backward caches.  Inference goes through
         :meth:`score_maps_batch`.
         """
-        sparse = self.rmae.encoder.forward(self.rmae.sparse_input(cloud))
+        sparse = self.rmae.encoder.forward(self.rmae.sparse_input([cloud]))
         bev = self.rmae.bev_scatter(sparse)
         return self.neck.forward(bev)[0]
 
     def score_maps_batch(self, clouds: List[VoxelizedCloud]) -> np.ndarray:
         """Batched logit maps, (B, n_classes, nx/ds, ny/ds).
 
-        Each cloud still runs the sparse encoder individually (active
-        sites differ per cloud), but the dense neck — the detector's
-        dominant dense compute — runs once over the stacked BEV maps.
-        Pure inference: no backward cache is touched, and row ``i``
-        equals :meth:`score_maps` on ``clouds[i]`` bit for bit.
+        The sparse encoder and the BEV scatter run once over the whole
+        batch (:meth:`RMAE.bev_scatter_batch`), and the dense neck once
+        over the stacked BEV maps.  Pure inference: no backward cache is
+        touched, and row ``i`` equals :meth:`score_maps` on ``clouds[i]``
+        bit for bit.
         """
         if not clouds:
             nc = len(CLASS_NAMES)

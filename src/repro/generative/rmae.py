@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,58 +84,73 @@ class RMAE(Module):
         self._bev_cache = None
 
     # ---------------------------------------------------------------- encode
-    def sparse_input(self, cloud: VoxelizedCloud) -> SparseVoxelTensor:
-        """The encoder's input: the cloud's occupied voxels.
+    def sparse_input(self, clouds: Sequence[VoxelizedCloud]
+                     ) -> SparseVoxelTensor:
+        """The encoder's input: every cloud's occupied voxels as one
+        batch, cloud ``b``'s voxel ``(i, j, k)`` at ``(b, i, j, k)``.
 
-        The tensor reads the cloud's own feature dict, in its order: no
-        encoder layer writes to its input.
+        The tensor reads the clouds' own feature dicts, in their order:
+        no encoder layer writes to its input.
         """
-        return SparseVoxelTensor(cloud.features, self.config.feature_dim,
-                                 self.grid.shape)
+        return SparseVoxelTensor.from_clouds(
+            [cloud.features for cloud in clouds], self.config.feature_dim,
+            self.grid.shape)
 
     def encode(self, cloud: VoxelizedCloud) -> SparseVoxelTensor:
-        """Sparse features over the (possibly masked) occupied voxels.
+        """Sparse features over the (possibly masked) occupied voxels: a
+        batch of one through :meth:`encode_batch`."""
+        return self.encode_batch([cloud])
 
-        Pure inference: the encoder's backward caches are left as they
-        were.  The training forwards run ``encoder.forward`` instead.
+    def encode_batch(self, clouds: Sequence[VoxelizedCloud]
+                     ) -> SparseVoxelTensor:
+        """Sparse features of a batch of clouds, as one tensor with the
+        cloud index as the leading coordinate.
+
+        One packing, one rulebook and one gather per layer serve the
+        whole batch; cloud ``b``'s rows equal :meth:`encode` on
+        ``clouds[b]`` bit for bit.  Pure inference: the encoder's
+        backward caches are left as they were.  The training forwards run
+        ``encoder.forward`` instead.
         """
-        return self.encoder.forward_batch(self.sparse_input(cloud))
+        return self.encoder.forward_batch(self.sparse_input(clouds))
 
     def _scatter(self, sparse: SparseVoxelTensor):
-        """The BEV map (1, C, H, W) and the routing its backward needs.
+        """The BEV maps (B, C, H, W) of a batched tensor, and the routing
+        their backward needs.
 
-        Packed tensors (the vectorized sparse-conv output) take a
-        bincount/``np.add.at`` path; dict tensors (the reference conv's
-        output) take the original per-voxel loop, whose accumulation
-        order the golden traces record.
+        Packed tensors (the vectorized sparse-conv output) take one
+        ``np.add.at`` over (cloud, cell) ids; dict tensors (the reference
+        conv's output) take the original per-voxel loop, whose
+        accumulation order the golden traces record.
         """
         ds = self.config.bev_downsample
         h, w = self.grid.nx // ds, self.grid.ny // ds
-        c = sparse.channels
+        b, c = sparse.grid_shape[0], sparse.channels
         if sparse.is_packed:
             coords, mat = sparse.packed()
-            cell_id = (coords[:, 0] // ds) * w + coords[:, 1] // ds
-            acc = np.zeros((h * w, c))
+            cell_id = (coords[:, 0] * h + coords[:, 1] // ds) * w \
+                + coords[:, 2] // ds
+            acc = np.zeros((b * h * w, c))
             np.add.at(acc, cell_id, mat)
-            counts_flat = np.bincount(cell_id, minlength=h * w)
+            counts_flat = np.bincount(cell_id, minlength=b * h * w)
             nz = counts_flat > 0
             acc[nz] /= counts_flat[nz][:, None]
-            return acc.T.reshape(1, c, h, w), \
-                ("packed", coords, cell_id, counts_flat)
-        bev = np.zeros((c, h, w))
-        counts = np.zeros((h, w))
-        cells: Dict[Tuple[int, int], List] = {}
-        for (i, j, k), f in sparse.features.items():
-            cell = (i // ds, j // ds)
-            bev[:, cell[0], cell[1]] += f
+            return acc.reshape(b, h * w, c).transpose(0, 2, 1).reshape(
+                b, c, h, w), ("packed", coords, cell_id, counts_flat)
+        bev = np.zeros((b, c, h, w))
+        counts = np.zeros((b, h, w))
+        cells: Dict[Tuple[int, int, int], List] = {}
+        for (cloud, i, j, k), f in sparse.features.items():
+            cell = (cloud, i // ds, j // ds)
+            bev[cloud, :, cell[1], cell[2]] += f
             counts[cell] += 1
-            cells.setdefault(cell, []).append((i, j, k))
+            cells.setdefault(cell, []).append((cloud, i, j, k))
         nz = counts > 0
-        bev[:, nz] /= counts[nz]
-        return bev[None, :, :, :], ("dict", cells, counts)
+        bev.transpose(1, 0, 2, 3)[:, nz] /= counts[nz]
+        return bev, ("dict", cells, counts)
 
     def bev_scatter(self, sparse: SparseVoxelTensor) -> np.ndarray:
-        """Mean-scatter sparse voxel features into a BEV map (1, C, H, W).
+        """Mean-scatter sparse voxel features into BEV maps (B, C, H, W).
 
         The training scatter: it keeps the routing
         :meth:`bev_scatter_backward` follows.
@@ -147,15 +162,13 @@ class RMAE(Module):
         """Route BEV gradients back to the sparse voxels that fed them."""
         if self._bev_cache[0] == "packed":
             _, coords, cell_id, counts_flat = self._bev_cache
-            c = grad_bev.shape[1]
-            g = grad_bev[0].reshape(c, -1).T
+            g = grad_bev.transpose(0, 2, 3, 1).reshape(-1, grad_bev.shape[1])
             rows = g[cell_id] / counts_flat[cell_id][:, None]
             return SparseGrad(coords, rows)
         _, cells, counts = self._bev_cache
-        g = grad_bev[0]
-        grad: Dict[Tuple[int, int, int], np.ndarray] = {}
+        grad: Dict[Tuple[int, int, int, int], np.ndarray] = {}
         for cell, coords in cells.items():
-            share = g[:, cell[0], cell[1]] / counts[cell]
+            share = grad_bev[cell[0], :, cell[1], cell[2]] / counts[cell]
             for coord in coords:
                 grad[coord] = share.copy()
         return grad
@@ -169,7 +182,7 @@ class RMAE(Module):
         """
         obs = get_registry()
         t0 = time.perf_counter()
-        sparse = self.encoder.forward(self.sparse_input(cloud))
+        sparse = self.encoder.forward(self.sparse_input([cloud]))
         bev = self.bev_scatter(sparse)
         logits = self.decoder.forward(bev)
         obs.histogram("rmae.reconstruct_s").observe(time.perf_counter() - t0)
@@ -195,18 +208,17 @@ class RMAE(Module):
         return self.occupancy_probability(cloud) > threshold
 
     # --------------------------------------------------------- batched paths
-    def bev_scatter_batch(self, clouds: List[VoxelizedCloud]) -> np.ndarray:
-        """Sparse-encode each cloud and stack the BEV maps (B, C, H, W).
+    def bev_scatter_batch(self, clouds: Sequence[VoxelizedCloud]
+                          ) -> np.ndarray:
+        """Sparse-encode a batch of clouds and mean-scatter it into BEV
+        maps (B, C, H, W).
 
-        The submanifold encoder is inherently per-cloud (each cloud has
-        its own active-site set), but everything after the scatter is a
-        dense stack — callers batch the expensive dense stages over the
-        result.  Pure: the encoder's and the scatter's backward caches
-        are left as they were.
+        One encoder pass over the batch (:meth:`encode_batch`) and one
+        scatter over (cloud, cell) ids; callers batch the dense stages
+        over the result.  Pure: the encoder's and the scatter's backward
+        caches are left as they were.
         """
-        return np.concatenate(
-            [self._scatter(self.encode(cloud))[0] for cloud in clouds],
-            axis=0)
+        return self._scatter(self.encode_batch(clouds))[0]
 
     def occupancy_probability_batch(self, clouds: List[VoxelizedCloud]
                                     ) -> np.ndarray:

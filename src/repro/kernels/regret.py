@@ -13,15 +13,15 @@ order the reference pulls them).  Each SPSA step stacks its three
 evaluations, f(θ_k) and f(θ_k ± c_kδ_k), into one decoder GEMM, and
 exact regret decodes each iterate once: ``steps + 1`` decodes per
 score where the reference makes ``3·steps + 2`` (SPSA) and
-``2·steps + 1`` (exact), 26 and 51 at the monitor's defaults.  Drift
-vs the reference is BLAS re-association only.
+``2·steps + 1`` (exact), 26 and 51 at the monitor's defaults.  Exact
+regret pulls dz back through :meth:`VAE.decode_vjp`, so no score
+computes a weight gradient or writes a layer cache.  Drift vs the
+reference is BLAS re-association only.
 
 Kernel API: ``score_rows(vae, X, method, spsa_steps, rng) -> (B,)``.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -58,18 +58,17 @@ class ReferenceLikelihoodRegret:
         return np.asarray(out, dtype=np.float64)
 
 
-def elbo_rows(vae, X: np.ndarray, mu: np.ndarray, logvar: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
+def elbo_rows(X: np.ndarray, mu: np.ndarray, logvar: np.ndarray,
+              recon: np.ndarray) -> np.ndarray:
     """Deterministic per-row ELBO at z = mu (batched per_sample_elbo),
-    and the reconstruction its one decode made.  Written as the ufunc
-    calls that ``np.clip`` and ``np.sum`` make (the same values bit for
-    bit), since the SPSA step calls it once per step."""
+    from ``recon``, the decode of mu.  Written as the ufunc calls that
+    ``np.clip`` and ``np.sum`` make (the same values bit for bit), since
+    the SPSA step calls it once per step."""
     logvar = np.minimum(np.maximum(logvar, -10.0), 10.0)
-    recon = vae.decode(mu)
     recon_term = -np.add.reduce((recon - X) ** 2, axis=1)
     kl = 0.5 * np.add.reduce(np.exp(logvar) + mu ** 2 - 1.0 - logvar,
                              axis=1)
-    return recon_term - kl, recon
+    return recon_term - kl
 
 
 class VectorizedLikelihoodRegret:
@@ -119,7 +118,8 @@ class VectorizedLikelihoodRegret:
         f_iterates = np.empty((steps + 1, b))   # f(θ_0) .. f(θ_steps)
 
         def neg_elbo(th: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return -elbo_rows(vae, rows, th[:, :latent], th[:, latent:])[0]
+            mu = th[:, :latent]
+            return -elbo_rows(rows, mu, th[:, latent:], vae.decode(mu))
 
         for k in range(steps):
             ak = _SPSA_A / (k + 1 + _SPSA_STABILITY) ** _SPSA_ALPHA
@@ -140,17 +140,19 @@ class VectorizedLikelihoodRegret:
 
     def _exact(self, vae, X) -> np.ndarray:
         """Gradient ascent decoding each iterate once: the decode that
-        scores μ_{k+1} leaves the decoder caches the next backward uses
-        (``steps + 1`` decodes per score)."""
+        scores μ_{k+1} also gives the gradient map the next step follows
+        (``steps + 1`` decodes per score), and no weight gradient is
+        computed."""
         mu, logvar = vae.encode(X)
-        base, recon = elbo_rows(vae, X, mu, logvar)
+        recon, vjp = vae.decode_vjp(mu)
+        base = elbo_rows(X, mu, logvar, recon)
         mu_opt = mu
         best = base
         for _ in range(_EXACT_STEPS):
-            dz = vae.decoder.backward(-2.0 * (recon - X))
+            dz = vjp(-2.0 * (recon - X))
             mu_opt = mu_opt + _EXACT_LR * (dz - mu_opt)
-            elbo, recon = elbo_rows(vae, X, mu_opt, logvar)
-            best = np.maximum(best, elbo)
+            recon, vjp = vae.decode_vjp(mu_opt)
+            best = np.maximum(best, elbo_rows(X, mu_opt, logvar, recon))
         return np.maximum(best - base, 0.0)
 
 

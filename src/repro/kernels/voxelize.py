@@ -1,48 +1,64 @@
 """Point-cloud voxelization kernels (the R-MAE pipeline's first step).
 
+Kernel API: ``voxelize(points, labels, sizes, config)`` takes a batch of
+scans as one concatenation — ``(N, 4)`` float64 points with finite
+coordinates (``repro.voxel.voxelize_batch`` rejects the others) and
+``(N,)`` labels, ``sizes[s]`` of them from scan ``s`` — and returns one
+``(features, labels)`` dict pair per scan, keyed by voxel coordinate.
+Scan ``s``'s pair is what that scan alone would give, byte for byte: a
+single scan is a batch of one.
+
 Reference: the original per-point binning loop from
-``repro.voxel.grid.voxelize``, moved here verbatim — one
-``point_to_voxel`` call per point, then per-voxel means and a majority
-label over each bucket, in first-occurrence order.
+``repro.voxel.grid.voxelize``, moved here verbatim and run scan by scan
+— one ``point_to_voxel`` call per point, then per-voxel means and a
+majority label over each bucket, in first-occurrence order.
 
 Vectorized: binning, bucketing and the majority label are whole-array
-operations.  The output is **byte-identical** to the reference — the
-same voxels in the same dict order, the same feature bytes, the same
-labels — because:
+operations over the whole batch, keyed by (scan, i, j, k).  The output
+is **byte-identical** to the reference — the same voxels in the same
+dict order, the same feature bytes, the same labels — because:
 
 * cell indices are computed with the reference's scalar expression,
   elementwise, and bounds-checked before the integer cast;
+* the scan index leads the voxel key and the scans are concatenated in
+  order, so numbering voxels by first occurrence numbers them scan by
+  scan, each scan's in its own first-occurrence order;
 * the points are sorted once by their voxel's point count, so the
   voxels that hold ``count`` points form one contiguous run of points;
-  each mean is ``ndarray.mean`` over a ``(k, count)`` reshape view of
-  that run, whose last-axis reduction sums each row in the same
-  (pairwise) order as the reference's 1-D mean — ``np.add.reduceat``
-  would sum in another order;
+  each mean is what ``ndarray.mean`` computes, ``np.add.reduce`` over
+  a ``(k, count)`` reshape view of that run divided by ``count``: the
+  last-axis reduction sums each row in the same (pairwise) order as
+  the reference's 1-D mean — ``np.add.reduceat`` would sum in another
+  order;
 * the majority label counts votes over one ``voxel * span + label`` key
   per point and breaks ties towards the smallest id, as ``np.unique`` +
   ``argmax`` does.
-
-Both backends take ``(N, 4)`` float64 points with finite coordinates
-(``repro.voxel.voxelize`` rejects the others), ``(N,)`` labels and the
-grid config, and return ``(features, labels)`` dicts keyed by voxel
-coordinate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import register_kernel
 
 Coord = Tuple[int, int, int]
+# One scan's (features, labels) dicts, keyed by voxel coordinate.
+Voxels = Tuple[Dict[Coord, np.ndarray], Dict[Coord, int]]
 
 
 class ReferenceVoxelize:
-    """Original per-point, per-voxel loop (seed op order)."""
+    """Original per-point, per-voxel loop (seed op order), scan by scan."""
 
-    def voxelize(self, points: np.ndarray, labels: np.ndarray, config):
+    def voxelize(self, points: np.ndarray, labels: np.ndarray,
+                 scan_sizes: Sequence[int], config) -> List[Voxels]:
+        ends = np.cumsum(scan_sizes, dtype=np.int64).tolist()
+        return [self._scan(points[end - n:end], labels[end - n:end], config)
+                for n, end in zip(scan_sizes, ends)]
+
+    @staticmethod
+    def _scan(points: np.ndarray, labels: np.ndarray, config) -> Voxels:
         buckets: Dict[Coord, List[int]] = {}
         for idx in range(points.shape[0]):
             coord = config.point_to_voxel(points[idx, :3])
@@ -72,10 +88,11 @@ class ReferenceVoxelize:
 
 
 class VectorizedVoxelize:
-    """Array binning, count-blocked means and 1-D label keys
+    """Whole-batch array binning, count-blocked means and 1-D label keys
     (byte-identical)."""
 
-    def voxelize(self, points: np.ndarray, labels: np.ndarray, config):
+    def voxelize(self, points: np.ndarray, labels: np.ndarray,
+                 scan_sizes: Sequence[int], config) -> List[Voxels]:
         sz = config.voxel_size[2]
         cells = []
         inside = np.ones(points.shape[0], dtype=bool)
@@ -87,10 +104,17 @@ class VectorizedVoxelize:
             cells.append(cell)
         kept = np.flatnonzero(inside)
         i, j, k = (cell[kept].astype(np.int64) for cell in cells)
-        _, first, inverse, counts = np.unique(
-            (i * config.ny + j) * config.nz + k, return_index=True,
-            return_inverse=True, return_counts=True)
-        # Number voxels by first occurrence: the reference's dict order.
+        key = (i * config.ny + j) * config.nz + k
+        # The scan index leads the key: each scan owns a slab of
+        # ``grid_cells`` keys (a lone scan's slab is 0).
+        grid_cells = config.nx * config.ny * config.nz
+        if len(scan_sizes) > 1:
+            key += np.repeat(np.arange(len(scan_sizes)) * grid_cells,
+                             scan_sizes)[kept]
+        keys, first, inverse, counts = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True)
+        # Number voxels by first occurrence: scan by scan, each in the
+        # reference's dict order.
         by_first = np.argsort(first)
         rank = np.empty_like(by_first)
         rank[by_first] = np.arange(by_first.size)
@@ -111,13 +135,14 @@ class VectorizedVoxelize:
                                          counts[by_count]),
             np.hypot(points[order, 0], points[order, 1])])
         means = np.empty((3, counts.size))
-        sizes, voxels_per_size = np.unique(counts, return_counts=True)
+        blocks, voxels_per_block = np.unique(counts, return_counts=True)
         v = p = 0
-        for count, m in zip(sizes.tolist(), voxels_per_size.tolist()):
+        for count, m in zip(blocks.tolist(), voxels_per_block.tolist()):
             # A (3, m, count) view: the same last-axis reduction as the
-            # reference's per-voxel 1-D mean.
+            # reference's per-voxel 1-D mean, and the same division.
             block = per_point[:, p:p + m * count].reshape(3, m, count)
-            means[:, by_count[v:v + m]] = block.mean(axis=-1)
+            means[:, by_count[v:v + m]] = np.add.reduce(block, axis=-1) \
+                / count
             v, p = v + m, p + m * count
         feats = np.stack([np.log1p(counts), means[0],
                           means[1] / max(sz, 1e-9), means[2] / 100.0],
@@ -141,7 +166,13 @@ class VectorizedVoxelize:
 
         coords = list(zip(i[heads].tolist(), j[heads].tolist(),
                           k[heads].tolist()))
-        return dict(zip(coords, feats)), dict(zip(coords, major.tolist()))
+        major = major.tolist()
+        # The voxels come scan by scan: cut them where the scan changes.
+        cuts = np.searchsorted(keys[by_first] // grid_cells,
+                               np.arange(len(scan_sizes) + 1)).tolist()
+        return [(dict(zip(coords[a:b], feats[a:b])),
+                 dict(zip(coords[a:b], major[a:b])))
+                for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 register_kernel("voxelize", "reference", ReferenceVoxelize())

@@ -10,7 +10,7 @@ monitor scores inputs through :func:`repro.starnet.per_sample_elbo`
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,45 @@ class VAE(Module):
         self._cache = None
 
     def encode(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        h = self.enc_act(self.encoder(x))
-        return self.mu_head(h), self.logvar_head(h)
+        """Posterior (mu, logvar) rows; pure inference, no cache touched."""
+        h = self.enc_act.forward_batch(self.encoder.forward_batch(x))
+        return self.mu_head.forward_batch(h), \
+            self.logvar_head.forward_batch(h)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        return self.decoder(z)
+        """Reconstruction rows; pure inference, no cache touched."""
+        return self.decoder.forward_batch(z)
+
+    def decode_vjp(self, z: np.ndarray
+                   ) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """:meth:`decode` and the gradient map back to ``z``.
+
+        ``vjp(g)`` is what ``decoder.backward(g)`` returns after a
+        training decode of ``z`` — the same ``g @ W.T`` chain through the
+        same ReLU masks, bit for bit — but the decode keeps its
+        activations to itself: no layer cache is written and no weight
+        gradient accumulates.
+        """
+        pullbacks = []
+        x = z
+        for layer in self.decoder.layers:
+            if isinstance(layer, Dense):
+                x = layer.forward_batch(x)
+                pullbacks.append(lambda g, w=layer.weight.data: g @ w.T)
+            elif isinstance(layer, ReLU):
+                mask = x > 0
+                x = np.where(mask, x, 0.0)
+                pullbacks.append(lambda g, m=mask: g * m)
+            else:
+                raise TypeError(f"decode_vjp: no pullback for "
+                                f"{type(layer).__name__}")
+
+        def vjp(g: np.ndarray) -> np.ndarray:
+            for pullback in reversed(pullbacks):
+                g = pullback(g)
+            return g
+
+        return x, vjp
 
     def loss_and_grads(self, x: np.ndarray, beta: float = 1.0) -> float:
         """One training step's loss; accumulates gradients on parameters."""

@@ -41,8 +41,13 @@ __all__ = ["BatcherConfig", "ServeTicket", "ServiceOverloaded",
 BatchRunner = Callable[[List[Any]], Sequence[Any]]
 
 
-class ServiceOverloaded(RuntimeError):
-    """Raised when a submission is shed because the queue is full."""
+class ServiceOverloaded(Exception):
+    """Raised when a submission is shed because the queue is full.
+
+    Not a ``RuntimeError`` (what runners commonly raise, and what a
+    row-count mismatch routes to a batch's tickets), so a caller that
+    catches ``RuntimeError`` to count failures never counts a shed.
+    """
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ exactly what the detector sees.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..generative.rmae import RMAE
 from ..nn.sparse3d import SparseGlobalPool
 from ..sim.lidar import LidarScan
-from ..voxel.grid import VoxelGridConfig, voxelize
+from ..voxel.grid import VoxelGridConfig, voxelize_batch
 
 __all__ = ["LidarFeatureExtractor", "scan_statistics"]
 
@@ -77,12 +77,20 @@ class LidarFeatureExtractor:
         return self.rmae.config.encoder_channels[1] + 9
 
     def extract(self, scan: LidarScan) -> np.ndarray:
-        cloud = voxelize(scan.points, scan.labels, self.grid)
-        if cloud.num_occupied == 0:
-            pooled = np.zeros(self.rmae.config.encoder_channels[1])
-        else:
-            pooled = self.pool.forward_batch(self.rmae.encode(cloud))
-        return np.concatenate([pooled, scan_statistics(scan)])
+        """One scan's feature vector: a batch of one through
+        :meth:`extract_batch`."""
+        return self.extract_batch([scan])[0]
 
-    def extract_batch(self, scans: List[LidarScan]) -> np.ndarray:
-        return np.stack([self.extract(s) for s in scans])
+    def extract_batch(self, scans: Sequence[LidarScan]) -> np.ndarray:
+        """Feature rows (B, feature_dim): one voxelize pass and one
+        encoder pass over the batch, each cloud pooled over its own rows
+        (an empty cloud pools to zeros)."""
+        clouds = voxelize_batch([s.points for s in scans],
+                                [s.labels for s in scans], self.grid)
+        pooled = self.pool.forward_batch(self.rmae.encode_batch(clouds))
+        width = pooled.shape[1]
+        out = np.empty((len(scans), self.feature_dim))
+        out[:, :width] = pooled
+        for row, scan in zip(out, scans):
+            row[width:] = scan_statistics(scan)
+        return out

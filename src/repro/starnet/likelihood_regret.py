@@ -86,8 +86,9 @@ def likelihood_regret_exact(vae: VAE, x: np.ndarray, steps: int = 50,
     """Exact-gradient likelihood regret (the ablation reference).
 
     Optimizes the per-sample posterior mean by gradient ascent on the
-    ELBO, using the decoder's backward pass for dELBO/dz.  Variance is
-    held at the encoder's output (the mean shift dominates regret).
+    ELBO, using the decoder's gradient map (:meth:`VAE.decode_vjp`) for
+    dELBO/dz.  Variance is held at the encoder's output (the mean shift
+    dominates regret).  Leaves the VAE's caches and gradients untouched.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -96,10 +97,10 @@ def likelihood_regret_exact(vae: VAE, x: np.ndarray, steps: int = 50,
     mu_opt = mu.copy()
     best_elbo = base_elbo
     for _ in range(steps):
-        recon = vae.decode(mu_opt)
+        recon, vjp = vae.decode_vjp(mu_opt)
         # d/dz of -(recon residual)^2 term
         grad_recon = -2.0 * (recon - x)
-        dz = vae.decoder.backward(grad_recon)
+        dz = vjp(grad_recon)
         # d/dmu of -KL = -mu
         grad = dz - mu_opt
         mu_opt = mu_opt + lr * grad

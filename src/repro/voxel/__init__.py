@@ -1,6 +1,6 @@
 """``repro.voxel`` — voxelization and R-MAE radial masking."""
 
-from .grid import VoxelGridConfig, VoxelizedCloud, voxelize
+from .grid import VoxelGridConfig, VoxelizedCloud, voxelize, voxelize_batch
 from .masking import (
     RadialMaskConfig,
     angular_only_mask,
@@ -11,7 +11,7 @@ from .masking import (
 )
 
 __all__ = [
-    "VoxelGridConfig", "VoxelizedCloud", "voxelize",
+    "VoxelGridConfig", "VoxelizedCloud", "voxelize", "voxelize_batch",
     "RadialMaskConfig", "radial_mask", "uniform_mask", "angular_only_mask",
     "beam_mask_from_segments", "segment_of_azimuth",
 ]

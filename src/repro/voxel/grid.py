@@ -15,7 +15,7 @@ import numpy as np
 
 from ..kernels import get_kernel, kernel_timer
 
-__all__ = ["VoxelGridConfig", "VoxelizedCloud", "voxelize"]
+__all__ = ["VoxelGridConfig", "VoxelizedCloud", "voxelize", "voxelize_batch"]
 
 Coord = Tuple[int, int, int]
 
@@ -125,18 +125,46 @@ def voxelize(points: np.ndarray, labels: Optional[np.ndarray] = None,
              config: Optional[VoxelGridConfig] = None) -> VoxelizedCloud:
     """Aggregate a point cloud (N, 4: x, y, z, intensity) into voxels.
 
-    Runs on the ``voxelize`` kernel; both backends return the same voxels
-    in the same order with the same feature bytes.  Raises ``ValueError``
-    on non-finite coordinates, which have no voxel.
+    A batch of one through :func:`voxelize_batch`.  Raises
+    ``ValueError`` on non-finite coordinates, which have no voxel.
+    """
+    return voxelize_batch([points], None if labels is None else [labels],
+                          config)[0]
+
+
+def voxelize_batch(points: Sequence[np.ndarray],
+                   labels: Optional[Sequence[np.ndarray]] = None,
+                   config: Optional[VoxelGridConfig] = None
+                   ) -> List[VoxelizedCloud]:
+    """Voxelize a batch of point clouds in one kernel pass.
+
+    ``points[s]`` is scan ``s``'s (N_s, 4) cloud and ``labels[s]`` its
+    point labels (all ``-1`` when ``labels`` is None).  Cloud ``s`` of
+    the result is byte-identical to :func:`voxelize` on scan ``s`` alone,
+    on both kernel backends: the same voxels in the same order with the
+    same feature bytes and labels.  Raises ``ValueError`` naming the
+    first scan with a non-finite coordinate.
     """
     config = config or VoxelGridConfig()
+    if not points:
+        return []
+    sizes = [p.shape[0] for p in points]
+    # A batch of one reads its arrays in place: no kernel writes them.
+    flat = points[0] if len(points) == 1 else np.concatenate(points)
     if labels is None:
-        labels = np.full(points.shape[0], -1, dtype=np.int64)
-    bad = int((~np.isfinite(points[:, :3])).any(axis=1).sum())
-    if bad:
-        raise ValueError(
-            f"voxelize: {bad} point(s) have non-finite x/y/z coordinates")
+        flat_labels = np.full(flat.shape[0], -1, dtype=np.int64)
+    else:
+        flat_labels = labels[0] if len(labels) == 1 \
+            else np.concatenate(labels)
+    bad = ~np.isfinite(flat[:, :3]).all(axis=1)
+    if bad.any():
+        for scan, rows in enumerate(np.split(bad, np.cumsum(sizes)[:-1])):
+            if rows.any():
+                raise ValueError(
+                    f"voxelize: {int(rows.sum())} point(s) of scan {scan} "
+                    f"have non-finite x/y/z coordinates")
     with kernel_timer("voxelize", "voxelize"):
-        features, vox_labels = get_kernel("voxelize").voxelize(
-            points, labels, config)
-    return VoxelizedCloud(config, features, vox_labels)
+        pairs = get_kernel("voxelize").voxelize(flat, flat_labels, sizes,
+                                                config)
+    return [VoxelizedCloud(config, features, vox_labels)
+            for features, vox_labels in pairs]

@@ -228,6 +228,51 @@ def test_rmae_occupancy_batch_parity(picks):
                     batched[i], rmae.occupancy_probability(cloud))
 
 
+@functools.lru_cache(maxsize=1)
+def _encoder_batch():
+    """An R-MAE at the e2ebench geometry and 16 clouds of 0-150 voxels
+    (~1,000 rows in all, as a served batch holds): big enough that one
+    GEMM over the whole batch would round some rows differently from
+    a cloud's own GEMM."""
+    from repro.generative import RMAE
+    from repro.voxel import VoxelGridConfig, VoxelizedCloud
+    grid = VoxelGridConfig(nx=24, ny=24, nz=2, x_range=(0.0, 60.0),
+                           y_range=(-30.0, 30.0))
+    rng = np.random.default_rng(21)
+    clouds = []
+    for size in [60, 0, 150, 24, 110, 33, 95, 47, 0, 130, 52, 41, 160, 29,
+                 75, 64]:
+        flat = rng.choice(24 * 24 * 2, size=size, replace=False)
+        coords = [tuple(int(v) for v in c) for c in
+                  np.stack(np.unravel_index(flat, grid.shape), axis=1)]
+        feats = {c: rng.normal(size=4) for c in coords}
+        clouds.append(VoxelizedCloud(grid, feats, {c: -1 for c in coords}))
+    return RMAE(grid, rng=np.random.default_rng(22)), tuple(clouds)
+
+
+def test_encode_batch_rows_equal_each_cloud_alone():
+    """Cloud ``b``'s rows of one batched encode (and its pooled row) are
+    :meth:`RMAE.encode` on that cloud alone, bit for bit, on both
+    backends; an empty cloud has no rows and pools to zeros."""
+    from repro.nn.sparse3d import SparseGlobalPool
+    rmae, clouds = _encoder_batch()
+    pool = SparseGlobalPool()
+    for backend in BACKENDS:
+        with kernel_backend(backend):
+            coords, mat = rmae.encode_batch(clouds).packed()
+            pooled = pool.forward_batch(rmae.encode_batch(clouds))
+            for b, cloud in enumerate(clouds):
+                alone = rmae.encode(cloud)
+                ac, am = alone.packed()
+                rows = coords[:, 0] == b
+                assert (ac[:, 0] == 0).all()
+                assert coords[rows, 1:].tobytes() == ac[:, 1:].tobytes()
+                assert mat[rows].tobytes() == am.tobytes()
+                assert pooled[b].tobytes() == \
+                    pool.forward_batch(alone)[0].tobytes()
+    assert coords.shape[0] == sum(c.num_occupied for c in clouds) > 900
+
+
 # ------------------------------------------------- inference is pure
 def _modules(model):
     roots = [model] if isinstance(model, Module) else [
@@ -236,13 +281,14 @@ def _modules(model):
 
 
 def _public_state(model):
-    """Copies of every parameter's values and every public array
-    attribute of ``model``'s modules."""
+    """Copies of every parameter's values and gradient and every public
+    array attribute of ``model``'s modules."""
     state = {}
     for m in _modules(model):
         for k, v in vars(m).items():
             if isinstance(v, Parameter):
                 state[id(m), k] = v.data.copy()
+                state[id(m), k + ".grad"] = v.grad.copy()
             elif isinstance(v, np.ndarray) and not k.startswith("_"):
                 state[id(m), k] = v.copy()
     return state
@@ -273,36 +319,36 @@ def _entry_points(scans, clouds, detector):
     }
 
 
-def _assert_unchanged(model, call, caches=True):
+def _assert_unchanged(model, call):
     before = _public_state(model)
-    if caches:
-        cached, key = _caches(model), fingerprint(vars(model))
+    cached, key = _caches(model), fingerprint(vars(model))
     call()
     after = _public_state(model)
     assert after.keys() == before.keys()
     for k, old in before.items():
         np.testing.assert_array_equal(after[k], old)
-    if caches:
-        for k, value in _caches(model).items():
-            assert value is cached[k], f"{k[1]} was rewritten"
-        # The artifact cache keys a model by this fingerprint.
-        assert fingerprint(vars(model)) == key
+    for k, value in _caches(model).items():
+        assert value is cached[k], f"{k[1]} was rewritten"
+    # The artifact cache keys a model by this fingerprint.
+    assert fingerprint(vars(model)) == key
 
 
 @pytest.mark.parametrize("entry", [
     "occupancy_probability", "occupancy_probability_batch", "detect",
     "detect_batch", "extract", "extract_batch", "score_batch"])
 def test_inference_leaves_the_model_unchanged(entry):
-    """Parameters, public arrays, every backward cache of the model tree
-    (the sparse encoder's and the BEV scatter's included) and the
-    model's fingerprint, on a fresh model and on one whose training
-    forwards armed every cache.  The monitor's check stops at its
-    parameters: exact regret runs the VAE decoder's backward."""
+    """Parameters and their gradients, public arrays, every backward
+    cache of the model tree (the sparse encoder's, the BEV scatter's and
+    the VAE's included) and the model's fingerprint, on a fresh model
+    and on one whose training forwards armed every cache.  The monitor
+    was trained, so its caches and gradients are armed too."""
     if entry == "score_batch":
         monitor = _starnet()
         feats = np.random.default_rng(5).normal(size=(3, 6))
-        _assert_unchanged(monitor, lambda: monitor.score_batch(feats),
-                          caches=False)
+        for backend in BACKENDS:
+            with kernel_backend(backend):
+                _assert_unchanged(monitor,
+                                  lambda: monitor.score_batch(feats))
         return
     from repro.detect import BEVDetector
     scans, clouds, detector = _scans_clouds_and_detector()

@@ -40,7 +40,7 @@ from repro.sim import (
     apply_corruption,
     sample_scene,
 )
-from repro.voxel import VoxelGridConfig, voxelize
+from repro.voxel import VoxelGridConfig, voxelize, voxelize_batch
 
 # ---------------------------------------------------------------- dispatch
 
@@ -227,6 +227,55 @@ def test_neighbor_index_matches_per_offset_loop(kernel):
         assert table.tobytes() == want.tobytes()
 
 
+def _batched_coords(clouds):
+    """Sorted (n, 4) coords of per-cloud (n_b, 3) sets, the cloud index
+    leading, and each cloud's first row."""
+    rows = [np.column_stack([np.full(len(c), b), c])
+            for b, c in enumerate(clouds)]
+    coords = np.concatenate(rows).astype(np.int64).reshape(-1, 4)
+    coords = coords[np.lexsort(coords.T[::-1])]
+    return coords, np.cumsum([0] + [len(c) for c in clouds])
+
+
+def _batch_cases():
+    rng = np.random.default_rng(66)
+    some = np.unique(rng.integers(0, 5, size=(30, 3)), axis=0)
+    other = np.unique(rng.integers(0, 5, size=(25, 3)), axis=0)
+    empty = np.zeros((0, 3), dtype=np.int64)
+    # Opposite corners of the box: cloud 1's first key follows cloud 0's
+    # last, so a query stepping out of cloud 0's slab would land on it.
+    corner_hi, corner_lo = np.array([[4, 4, 4]]), np.array([[0, 0, 0]])
+    # Every voxel of cloud 1 sits one step above one of cloud 0's.
+    below = np.unique(rng.integers(0, 5, size=(12, 3)) * [1, 1, 0], axis=0)
+    return {
+        "identical": [some, some.copy()],
+        "touching-corners": [corner_hi, corner_lo],
+        "stacked": [below, below + [0, 0, 1]],
+        "empty-first": [empty, some, other],
+        "empty-middle": [some, empty, other],
+        "empty-last": [some, other, empty],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_batch_cases()))
+def test_neighbor_table_never_links_two_clouds(case):
+    """A batch's rulebook is each cloud's own rulebook, shifted to the
+    cloud's rows: every entry stays inside its cloud or is absent."""
+    clouds = _batch_cases()[case]
+    offsets = np.asarray(_kernel_offsets(3), dtype=np.int64)
+    coords, starts = _batched_coords(clouds)
+    n = coords.shape[0]
+    table = neighbor_table(coords, offsets)
+    assert table.shape == (n, len(offsets))
+    for b, cloud in enumerate(clouds):
+        rows = table[starts[b]:starts[b + 1]]
+        own = neighbor_table(coords[starts[b]:starts[b + 1], 1:], offsets)
+        want = np.where(own == len(cloud), n, own + starts[b])
+        assert rows.tobytes() == want.tobytes()
+        linked = rows[rows < n]
+        assert ((starts[b] <= linked) & (linked < starts[b + 1])).all()
+
+
 @pytest.mark.parametrize("kernel", [1, 3, 5])
 def test_kernel_offsets_list_each_mirror_at_the_mirrored_index(kernel):
     """Offset ``-d`` sits at index ``K-1-i``: the vectorized backward
@@ -336,16 +385,19 @@ def test_likelihood_regret_backends_agree(method):
 def test_regret_decodes_each_iterate_once(method, steps):
     """The vectorized kernel decodes at most ``steps + 1`` times per
     score: SPSA stacks f(θ_k) with the next step's f(θ_k ± c_kδ_k), and
-    exact reuses the decode that scored an iterate for its backward."""
+    exact reuses the decode that scored an iterate for its gradient map.
+    Both decoding entry points are counted."""
     vae = VAE(9, latent_dim=4, hidden=(12,), rng=np.random.default_rng(40))
-    decode = vae.decode
     calls = []
 
-    def counting_decode(z):
-        calls.append(z.shape[0])
-        return decode(z)
+    def counting(decode):
+        def counted(z):
+            calls.append(z.shape[0])
+            return decode(z)
+        return counted
 
-    vae.decode = counting_decode
+    vae.decode = counting(vae.decode)
+    vae.decode_vjp = counting(vae.decode_vjp)
     X = np.random.default_rng(41).normal(size=(3, 9))
     get_kernel("likelihood_regret", backend="vectorized").score_rows(
         vae, X, method, steps, np.random.default_rng(42))
@@ -695,6 +747,53 @@ def test_voxelize_backends_agree(case):
     if case == "tied-labels":
         labels_by_x = sorted(voxelize(points, labels).point_labels.items())
         assert [label for _, label in labels_by_x] == [1, 3, 0, 2, -1, 9]
+
+
+def _cloud_bytes(cloud):
+    return (list(cloud.features),
+            [(f.dtype.str, f.tobytes()) for f in cloud.features.values()],
+            list(cloud.point_labels.items()))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_voxelize_batch_equals_each_scan_alone(backend):
+    """Every voxelize case in one batch, with an empty scan first and a
+    scan wholly outside the grid among them: each scan's cloud is its
+    lone ``voxelize`` byte for byte (dict order, feature bytes,
+    labels), and scans never merge voxels."""
+    cases = _voxelize_cases()
+    outside = np.array([[-5.0, 0.0, 1.0, 0.2], [200.0, 0.0, 1.0, 0.3],
+                        [10.0, 90.0, 1.0, 0.4], [10.0, 0.0, 9.0, 0.5]])
+    batch = [cases["empty"]] + [cases[c] for c in sorted(cases)] \
+        + [(outside, np.array([1, 2, 3, 4])), cases["scan"], cases["scan"]]
+    points = [p for p, _ in batch]
+    labels = [np.full(len(p), -1) if l is None else l for p, l in batch]
+    with kernel_backend(backend):
+        clouds = voxelize_batch(points, labels)
+        alone = [voxelize(p, l) for p, l in zip(points, labels)]
+        unlabelled = voxelize_batch(points)
+    assert len(clouds) == len(batch)
+    assert [_cloud_bytes(c) for c in clouds] == [_cloud_bytes(c)
+                                                 for c in alone]
+    assert [_cloud_bytes(c) for c in unlabelled] == [
+        _cloud_bytes(voxelize(p)) for p in points]
+    assert clouds[0].num_occupied == 0 and clouds[-3].num_occupied == 0
+    assert clouds[-1].num_occupied > 0
+    assert voxelize_batch([]) == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_voxelize_batch_rejects_non_finite_coordinates_in_any_scan(
+        backend, where):
+    good = np.array([[10.0, 0.0, 1.0, 0.5], [12.0, 1.0, 1.0, 0.5]])
+    bad = np.array([[10.0, np.nan, 1.0, 0.5], [11.0, 0.0, 1.0, 0.5],
+                    [np.inf, 0.0, -np.inf, 0.5]])
+    points = [good, good, good]
+    points[where] = bad
+    with kernel_backend(backend), pytest.raises(
+            ValueError, match=f"2 point.* of scan {where} "):
+        voxelize_batch(points)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

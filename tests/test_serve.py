@@ -348,6 +348,33 @@ def test_micro_batcher_accounts_for_every_request():
     _assert_conserved(batcher, registry, outcomes, batches)
 
 
+def test_a_shed_is_not_caught_as_a_failure():
+    """A caller that counts failed requests by catching ``RuntimeError``
+    around ``submit`` still sees every shed as a shed, and the counts
+    still add up."""
+    runner, batches = _flaky_runner()
+    batcher, clock = make_batcher(runner=runner, max_batch_size=3,
+                                  max_wait_ms=10.0, max_queue_depth=5)
+    registry = MetricsRegistry()
+    outcomes, tickets = [], []
+    with use_registry(registry):
+        for i in range(40):
+            try:
+                try:
+                    tickets.append(batcher.submit(i))
+                except RuntimeError:
+                    outcomes.append((i, "failed"))
+            except ServiceOverloaded:
+                outcomes.append((i, "shed"))
+            if i % 4 == 3:
+                clock.advance(0.005)
+                batcher.poll()
+        batcher.flush()
+    assert [kind for _, kind in outcomes] == ["shed"] * batcher.shed_count
+    outcomes += [_outcome(t.item, t.result) for t in tickets]
+    _assert_conserved(batcher, registry, outcomes, batches)
+
+
 def test_batched_service_close_accounts_for_every_request():
     runner, batches = _flaky_runner(fail_every=2)
     started, release = threading.Event(), threading.Event()

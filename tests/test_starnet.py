@@ -22,7 +22,7 @@ from repro.starnet import (
     run_auc_experiment,
     scan_statistics,
 )
-from repro.voxel import VoxelGridConfig
+from repro.voxel import VoxelGridConfig, voxelize
 
 
 GRID = VoxelGridConfig(nx=16, ny=16, nz=2)
@@ -152,6 +152,25 @@ def test_feature_extractor_dim_consistent():
     assert feats.shape == (ex.feature_dim,)
     batch = ex.extract_batch([_scan(1), _scan(2)])
     assert batch.shape == (2, ex.feature_dim)
+    assert ex.extract_batch([]).shape == (0, ex.feature_dim)
+
+
+def test_extract_batch_rows_equal_each_scans_training_forward():
+    """A row of one batched extract (an empty scan's included) is that
+    scan's pooled training encode and statistics, bit for bit."""
+    from repro.nn.sparse3d import SparseGlobalPool
+    rmae = RMAE(GRID, rng=np.random.default_rng(7))
+    ex = LidarFeatureExtractor(rmae, GRID)
+    empty = _scan().subset(np.zeros(_scan().num_points, dtype=bool))
+    scans = [_scan(1), empty, _scan(2), _scan(3)]
+    batch = ex.extract_batch(scans)
+    for row, scan in zip(batch, scans):
+        cloud = voxelize(scan.points, scan.labels, GRID)
+        pooled = SparseGlobalPool().forward(
+            rmae.encoder.forward(rmae.sparse_input([cloud])))[0]
+        want = np.concatenate([pooled, scan_statistics(scan)])
+        assert row.tobytes() == want.tobytes()
+    assert not batch[1, :rmae.config.encoder_channels[1]].any()
 
 
 def test_features_shift_under_corruption():
